@@ -5,7 +5,9 @@ For each eps on a grid, estimates the worst antimonotone pairing of the
 normal cone of the unit-ball complement under the chosen norm and writes
 one CSV row.  With --bounds, also tabulates the two curves that pinch the
 defect: the smoothness modulus at eps/4 and twice the upper supporting
-modulus at 2 eps.
+modulus at 2 eps.  The supporting modulus is defined for arguments in
+(0, 1] only, so it is estimated at the values 2 eps <= 1, and rows with
+2 eps > 1 leave the upper_twice_lam cell empty.
 """
 
 import argparse
@@ -50,8 +52,10 @@ def main(argv=None):
     if args.bounds:
         budget = SearchBudget.preset("low")
         rho = rho_estimate(n, np.unique(eps_grid / 4.0), budget)
-        lam = supporting_modulus_estimate(n, np.unique(2.0 * eps_grid),
-                                          "upper", budget)
+        twice = np.unique(2.0 * eps_grid)
+        twice = twice[twice <= 1.0]
+        if twice.size:
+            lam = supporting_modulus_estimate(n, twice, "upper", budget)
 
     fh = sys.stdout if args.out == "-" else open(args.out, "w", newline="")
     try:
@@ -65,7 +69,7 @@ def main(argv=None):
                    f"{gamma_estimate(A, n, float(eps), budget=args.budget, seed=args.seed):.9g}"]
             if args.bounds:
                 row += [f"{float(rho.eval(eps / 4.0)):.9g}",
-                        f"{2.0 * float(lam.eval(2.0 * eps)):.9g}"]
+                        "" if 2.0 * eps > 1.0 else f"{2.0 * float(lam.eval(2.0 * eps)):.9g}"]
             w.writerow(row)
     finally:
         if fh is not sys.stdout:

@@ -2,7 +2,9 @@
 
 Subcommands: moduli (curve sweeps and modulus inequalities), sets (projection
 and rolling-ball certificates over the set zoo), hypo (pairing-functional
-sweeps, hypomonotonicity records, touching-point construction), all.
+sweeps, hypomonotonicity records, touching-point construction), all.  The
+stages of one run share a RunCache, so `all` estimates each modulus curve
+point and runs each rolling-ball normal check once.
 
 Outputs one CSV per curve and a run_report.json per invocation.  Under a fixed
 seed and budget, repeated runs are byte-identical; no timestamps are written.
@@ -173,10 +175,51 @@ def _write_curve(out: Path, stem: str, curve: M.ModulusCurve) -> str:
 
 
 # ---------------------------------------------------------------------------
+# per-run cache
+
+
+class RunCache:
+    """What one run computes once for all of its stages.
+
+    Modulus curve points are kept per estimator, norm, budget, `which` and
+    argument.  Each grid point is an independent search, so a point
+    estimated on one stage's grid is the point another stage's grid would
+    get.  Rolling-ball normal reports are kept per call.  `main` builds one
+    per run, so nothing outlives the run.
+    """
+
+    def __init__(self):
+        self._points = {}  # (estimator, norm, budget, which) -> {arg: value}
+        self._templates = {}  # same key -> a curve carrying direction and label
+        self._rolling = {}
+
+    def curve(self, estimator, n, args, budget, *which) -> M.ModulusCurve:
+        """`estimator(n, args, *which, budget)` on the caller's grid; only
+        the arguments no earlier call covered are estimated."""
+        args = np.asarray(args, dtype=float)
+        key = (estimator, n, budget, which)
+        known = self._points.setdefault(key, {})
+        missing = [a for a in dict.fromkeys(args.tolist()) if a not in known]
+        if missing:
+            c = estimator(n, np.array(missing), *which, budget)
+            known.update(zip(missing, c.values.tolist()))
+            self._templates[key] = c
+        values = np.array([known[a] for a in args.tolist()])
+        return dataclasses.replace(self._templates[key], args=args.copy(), values=values)
+
+    def rolling_normal(self, spec, n, R, sample_count, seed):
+        key = (spec, n, R, sample_count, seed)
+        if key not in self._rolling:
+            self._rolling[key] = S.rolling_ball_check_normal(spec, n, R, sample_count=sample_count,
+                                                             seed=seed)
+        return self._rolling[key]
+
+
+# ---------------------------------------------------------------------------
 # moduli command
 
 
-def cmd_moduli(cfg: SuiteConfig, out: Path) -> list:
+def cmd_moduli(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     budget = M.SearchBudget.preset(cfg.budget)
     records = []
     tol = 5e-3
@@ -185,10 +228,10 @@ def cmd_moduli(cfg: SuiteConfig, out: Path) -> list:
     tau_full = np.unique(np.concatenate([np.asarray(cfg.tau_grid), r / 2.0, 2.0 * r]))
     for nid in cfg.norms:
         n = Z.norm_zoo()[nid]
-        delta = M.delta_estimate(n, eps_full, budget)
-        rho = M.rho_estimate(n, tau_full, budget)
-        lam_lo = M.supporting_modulus_estimate(n, r, "lower", budget)
-        lam_hi = M.supporting_modulus_estimate(n, r, "upper", budget)
+        delta = cache.curve(M.delta_estimate, n, eps_full, budget)
+        rho = cache.curve(M.rho_estimate, n, tau_full, budget)
+        lam_lo = cache.curve(M.supporting_modulus_estimate, n, r, budget, "lower")
+        lam_hi = cache.curve(M.supporting_modulus_estimate, n, r, budget, "upper")
         arts = [
             _write_curve(out, f"{nid}_delta", delta),
             _write_curve(out, f"{nid}_rho", rho),
@@ -236,7 +279,7 @@ def cmd_moduli(cfg: SuiteConfig, out: Path) -> list:
 # sets command
 
 
-def cmd_sets(cfg: SuiteConfig, out: Path) -> list:
+def cmd_sets(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     norms = Z.norm_zoo()
     registry = Z.set_registry(norms)
     counts = _BUDGET_SAMPLES[cfg.budget]
@@ -248,7 +291,7 @@ def cmd_sets(cfg: SuiteConfig, out: Path) -> list:
         tag = f"{sid}@{R:g}"
         cert = S.prox_smooth_certificate(spec, n, R, sample_count=counts["cert"], seed=cfg.seed)
         omp = S.rolling_ball_check_projection(spec, n, R, sample_count=counts["roll"], seed=cfg.seed)
-        omn = S.rolling_ball_check_normal(spec, n, R, sample_count=counts["roll"], seed=cfg.seed)
+        omn = cache.rolling_normal(spec, n, R, counts["roll"], cfg.seed)
         fname = f"sets_{sid}_{R:g}.json"
         (out / fname).write_text(json.dumps({
             "certificate": json.loads(cert.to_json()),
@@ -271,11 +314,9 @@ def cmd_sets(cfg: SuiteConfig, out: Path) -> list:
 # hypo command
 
 
-def _ambient_curves(nid: str, norms: dict, budget, r_grid, cache: dict):
+def _ambient_curves(nid: str, norms: dict, budget, r_grid, cache: RunCache):
     """Convexity and smoothness curves for an ambient norm id (estimated in
     2D, closed-form for the Euclidean ambients)."""
-    if nid in cache:
-        return cache[nid]
     args = np.unique(np.concatenate([np.asarray(r_grid), np.linspace(0.0125, 0.1, 8),
                                      np.linspace(1.1, 2.0, 6)]))
     if nid in ("euclid", "euclid3"):
@@ -283,21 +324,17 @@ def _ambient_curves(nid: str, norms: dict, budget, r_grid, cache: dict):
                                direction="over", label=f"{nid}-delta")
         rho = M.ModulusCurve(args=tuple(args), values=tuple(M.hilbert_rho(args)),
                              direction="under", label=f"{nid}-rho")
-    else:
-        n = norms[nid]
-        delta = M.delta_estimate(n, args, budget)
-        rho = M.rho_estimate(n, args, budget)
-    cache[nid] = (delta, rho)
-    return cache[nid]
+        return delta, rho
+    n = norms[nid]
+    return cache.curve(M.delta_estimate, n, args, budget), cache.curve(M.rho_estimate, n, args, budget)
 
 
-def cmd_hypo(cfg: SuiteConfig, out: Path) -> list:
+def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     norms = Z.norm_zoo()
     registry = Z.set_registry(norms)
     counts = _BUDGET_SAMPLES[cfg.budget]
     budget = M.SearchBudget.preset(cfg.budget)
     records = []
-    curve_cache: dict = {}
     eps_arr = np.array([0.05, 0.1, 0.2, 0.4])
 
     # pairing-functional sandwich per uniformly convex and smooth norm
@@ -305,10 +342,10 @@ def cmd_hypo(cfg: SuiteConfig, out: Path) -> list:
         n = norms[nid]
         A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n if nid != "euclid" else None)
         rho_args = np.unique(np.concatenate([eps_arr / 4.0, np.asarray(cfg.r_grid)]))
-        rho = M.rho_estimate(n, rho_args, budget) if nid != "euclid" else \
+        rho = cache.curve(M.rho_estimate, n, rho_args, budget) if nid != "euclid" else \
             M.ModulusCurve(args=tuple(rho_args), values=tuple(M.hilbert_rho(rho_args)),
                            direction="under", label="euclid-rho")
-        lam_hi = M.supporting_modulus_estimate(n, np.unique(2.0 * eps_arr), "upper", budget)
+        lam_hi = cache.curve(M.supporting_modulus_estimate, n, np.unique(2.0 * eps_arr), budget, "upper")
         rows = []
         worst = np.inf
         for eps in eps_arr:
@@ -330,7 +367,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path) -> list:
     for nid in cfg.norms:
         n = norms[nid]
         A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n if nid != "euclid" else None)
-        _, rho = _ambient_curves(nid, norms, budget, cfg.r_grid, curve_cache)
+        _, rho = _ambient_curves(nid, norms, budget, cfg.r_grid, cache)
         psi = P.psi_from_curve(rho, scale=1.0 / 17.0, name="seventeenth-smoothness")
         rep = H.hypo_check(A, n, psi, 1.0, eps_max=0.4, pair_budget=counts["pairs"], seed=cfg.seed)
         records.append(_rec(f"hypo/{nid}/seventeenth-smoothness", "seventeenth-smoothness-certificate",
@@ -350,10 +387,9 @@ def cmd_hypo(cfg: SuiteConfig, out: Path) -> list:
             records.append(_rec(f"hypo/{tag}/forward-convexity", "hypomonotone-implies-rolling-ball",
                                 "skip", None))
             continue
-        omn = S.rolling_ball_check_normal(spec, n, R, sample_count=counts["roll"], seed=cfg.seed)
+        omn = cache.rolling_normal(spec, n, R, counts["roll"], cfg.seed)
         omega_results[tag] = omn
-        delta_c, rho_c = _ambient_curves(ambient_id if ambient_id != "euclid3" else "euclid3",
-                                         norms, budget, cfg.r_grid, curve_cache)
+        delta_c, rho_c = _ambient_curves(ambient_id, norms, budget, cfg.r_grid, cache)
         psi4 = P.psi_from_curve(rho_c, scale=4.0, name="four-smoothness")
         psi2d = P.psi_from_curve(delta_c, scale=2.0, name="two-convexity")
         if omn.verdict == "pass":
@@ -408,8 +444,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path) -> list:
             continue
         spec, ambient_id = registry[sid]
         n = Z.ambient_norm(norms, ambient_id)
-        _, rho_c = _ambient_curves(ambient_id if ambient_id != "euclid3" else "euclid3",
-                                   norms, budget, cfg.r_grid, curve_cache)
+        _, rho_c = _ambient_curves(ambient_id, norms, budget, cfg.r_grid, cache)
         a0 = np.asarray(S.boundary_sample(spec, n, 1, seed=cfg.seed + 29)[0])
         rep = H.section_bound_check(spec, n, R, rho_c, a0, delta=R / 2.0,
                                     sample_count=counts["section"], seed=cfg.seed)
@@ -477,13 +512,14 @@ def main(argv=None) -> int:
         print(f"config error: cannot create output directory: {e}", file=sys.stderr)
         return 2
 
+    cache = RunCache()
     records = []
     if args.command in ("moduli", "all"):
-        records += cmd_moduli(cfg, out)
+        records += cmd_moduli(cfg, out, cache)
     if args.command in ("sets", "all"):
-        records += cmd_sets(cfg, out)
+        records += cmd_sets(cfg, out, cache)
     if args.command in ("hypo", "all"):
-        records += cmd_hypo(cfg, out)
+        records += cmd_hypo(cfg, out, cache)
 
     report = {
         "command": args.command,

@@ -20,15 +20,13 @@ from .psifuncs import PsiSpec
 from .sets import (
     CheckReport,
     ClosedSetSpec,
-    EmptyShell,
     _cone_directions,
     _gauge,
-    _local_set_samples,
     boundary_sample,
     contains,
     distance,
     duality_map,
-    normal_cone_sample,
+    normal_directions,
     project,
 )
 
@@ -260,8 +258,8 @@ def section_bound_check(A: ClosedSetSpec, n: NormSpec, R: float, rho_curve,
     if getattr(rho_curve, "direction", "under") != "under":
         raise ValueError("need an underestimating smoothness-modulus curve")
     a0 = np.asarray(a0, dtype=float)
-    cone = normal_cone_sample(A, n, a0, seed=seed)
-    if not cone.directions:
+    dirs = normal_directions(A, n, a0)
+    if not dirs:
         return CheckReport("pass", 0.0, None, 0, reason="degenerate cone, nothing to bound")
     eps = (2.0 * R / delta) * float(rho_curve.eval(delta / R))
     rng = np.random.default_rng(seed + 17)
@@ -283,7 +281,7 @@ def section_bound_check(A: ClosedSetSpec, n: NormSpec, R: float, rho_curve,
         d = norm_eval(n, a - a0)
         if d < 1e-12:
             continue
-        for p in cone.directions:
+        for p in dirs:
             val = float(p @ (a - a0))
             m = eps * d - val
             worst_ratio = max(worst_ratio, val / d)

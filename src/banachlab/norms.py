@@ -429,7 +429,8 @@ def smoothness_probe(n, x, step=1e-6, threshold=1e-4):
 
 def birkhoff_orthogonal(n, y, x, tol=1e-9):
     """True when x is Birkhoff-James orthogonal to y: no multiple of y
-    shortens x."""
+    shortens x.  tol is relative to |x|, so the answer does not change when
+    x or y is scaled."""
     x = as_vec(x, n.dim)
     y = as_vec(y, n.dim)
     nx = norm_eval(n, x)
@@ -442,7 +443,7 @@ def birkhoff_orthogonal(n, y, x, tol=1e-9):
     res = minimize_scalar(lambda t: norm_eval(n, x + t * y),
                           bounds=(-bound, bound), method="bounded",
                           options={"xatol": 1e-12})
-    return res.fun >= nx - tol
+    return res.fun >= nx * (1.0 - tol)
 
 
 def support_point(n, p, angles=4096, starts=64, iters=200, seed=0):

@@ -20,13 +20,11 @@ from .norms import (
     DegenerateBody,
     DimensionMismatch,
     NormSpec,
-    NotSymmetric,
     dual_norm_eval,
     duality_map,
     lp_norm,
     norm_batch,
     norm_eval,
-    pairing,
     polygon_edge_functionals,
     polygon_norm,
     sphere_points,
@@ -618,19 +616,31 @@ def _cone_directions(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, tol: float):
     raise ValueError(f"unknown set kind {A.kind!r}")
 
 
-def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
-                       count: int = 200, seed: int = 0, tol: float = 1e-6) -> NormalConeSample:
-    """Extreme rays of the outward normal cone at a boundary point.
+def normal_directions(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-6) -> tuple:
+    """Extreme unit rays of the outward normal cone at a boundary point.
 
-    Candidate directions are produced analytically per set kind, then vetted by
-    a two-scale sampled cone test: the worst ratio <p, a-x>/|a-x| over set
-    points a within `mesh` of x must not persist when the mesh shrinks tenfold.
+    The analytic directions of the set kind, without sampled vetting.  Raises
+    InteriorPoint when x is more than 100 tol off the boundary.
     """
     v = _vec(x, A.dim)
     res = _boundary_residual(A, n, v)
     if abs(res) > 100 * tol:
         raise InteriorPoint(f"point is {res:.3g} away from the boundary")
-    dirs = _cone_directions(A, n, v, tol)
+    return tuple(_cone_directions(A, n, v, tol))
+
+
+def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
+                       count: int = 200, seed: int = 0, tol: float = 1e-6) -> NormalConeSample:
+    """Extreme rays of the outward normal cone at a boundary point, vetted.
+
+    The directions are those of `normal_directions`.  The vetting is a
+    diagnostic reported in `.quality`: a two-scale sampled cone test in which
+    the worst ratio <p, a-x>/|a-x| over set points a within `mesh` of x must
+    not persist when the mesh shrinks tenfold.  It never changes the
+    directions, so the certificates call `normal_directions` and skip it.
+    """
+    v = _vec(x, A.dim)
+    dirs = normal_directions(A, n, v, tol)
     rng = np.random.default_rng(seed)
     if not dirs:
         return NormalConeSample(base_point=v, directions=(), quality=(0.0, 0.0, True))
@@ -651,8 +661,7 @@ def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
     r1 = worst_ratio(mesh)
     r2 = worst_ratio(mesh / 10.0)
     ok = r2 <= max(0.5 * r1, 2e-3)
-    kept = tuple(p for p in dirs)
-    return NormalConeSample(base_point=v, directions=kept, quality=(r1, r2, ok))
+    return NormalConeSample(base_point=v, directions=dirs, quality=(r1, r2, ok))
 
 
 def shell_sample(A: ClosedSetSpec, n: NormSpec, R: float, count: int, seed: int = 0):
@@ -851,10 +860,10 @@ def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
     used = 0
     for x in xs:
         try:
-            cone = normal_cone_sample(A, n, x, seed=seed + 3)
+            dirs = normal_directions(A, n, x)
         except InteriorPoint:
             continue
-        for p in cone.directions:
+        for p in dirs:
             u = support_point(n, p)
             pushed = np.asarray(x) + R * u
             m = distance(A, n, pushed) - R

@@ -192,3 +192,33 @@ def test_same_seed_same_verdicts_across_commands(tmp_path):
         report = json.loads((out / "run_report.json").read_text())
         verdicts.append([(r["check"], r["verdict"]) for r in report["records"]])
     assert verdicts[0] == verdicts[1]
+
+
+def test_all_equals_the_separate_stages(tmp_path):
+    """`all` computes each curve point and rolling-ball check once and shares
+    them between stages; its artifacts and records must still be those of
+    the three stages run on their own."""
+    cfg = {
+        "norms": ["l3"],
+        "sets": [["l3_ball_complement", 1.0], ["halfplane", 2.0]],
+        "grids": {"eps": [0.1, 0.5, 1.2], "tau": [0.05, 0.1, 0.2, 0.4], "r": [0.1, 0.3, 0.5]},
+        "budget": "low",
+        "seed": 3,
+    }
+    path = write_config(tmp_path, cfg)
+    run_cli(["all", "--config", path, "--out", str(tmp_path / "all")])
+    whole = _slurp(tmp_path / "all")
+    parts = {}
+    records = []
+    for command in ("moduli", "sets", "hypo"):
+        out = tmp_path / command
+        run_cli([command, "--config", path, "--out", str(out)])
+        files = _slurp(out)
+        records += json.loads(files.pop("run_report.json"))["records"]
+        assert not parts.keys() & files.keys(), command
+        parts.update(files)
+    report = json.loads(whole.pop("run_report.json"))
+    assert report["records"] == records
+    assert whole.keys() == parts.keys()
+    for name in whole:
+        assert whole[name] == parts[name], name

@@ -248,3 +248,24 @@ def test_determinism_same_budget_same_values():
     a = bl.delta_estimate(n, grid, LOW)
     b = bl.delta_estimate(n, grid, LOW)
     assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
+
+
+@pytest.mark.parametrize("nid", ["l3", "poly"])
+def test_estimates_are_pointwise_in_the_grid(norms, nid):
+    """Each grid point is an independent search: estimating on a larger grid
+    and reading off a subgrid gives the subgrid's own estimate, bit for bit.
+    The CLI's per-run curve cache relies on this."""
+    n = norms[nid]
+    g1 = np.array([0.1, 0.5, 1.0])
+    union = np.array([0.1, 0.3, 0.5, 0.8, 1.0])
+    on_g1 = np.isin(union, g1)
+    runs = [
+        lambda g: bl.delta_estimate(n, 1.8 * g, LOW),
+        lambda g: bl.rho_estimate(n, g, LOW),
+        lambda g: bl.supporting_modulus_estimate(n, g, "lower", LOW),
+        lambda g: bl.supporting_modulus_estimate(n, g, "upper", LOW),
+    ]
+    for run in runs:
+        small, big = run(g1), run(union)
+        assert np.array_equal(np.asarray(big.values)[on_g1], np.asarray(small.values))
+        assert np.array_equal(np.asarray(big.args)[on_g1], np.asarray(small.args))

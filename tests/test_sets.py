@@ -201,6 +201,30 @@ def test_cone_directions_pass_sampled_test(registry, zoo):
         assert s.quality[-1] is True, sid
 
 
+def test_normal_directions_are_the_sampled_cone_directions(registry, zoo):
+    """The unvetted directions the certificates use are exactly those the
+    vetted sample reports, on every zoo set (degenerate cones included)."""
+    for sid, (A, amb) in registry.items():
+        n = bl.ambient_norm(zoo, amb)
+        points = list(bl.boundary_sample(A, n, 3, seed=11))
+        if A.kind == "convex_polytope_complement":
+            points.append(np.array([1.0, 1.0]))  # a complement vertex: empty cone
+        for x in points:
+            dirs = bl.normal_directions(A, n, x)
+            sampled = bl.normal_cone_sample(A, n, x, count=20).directions
+            assert len(dirs) == len(sampled), sid
+            for p, q in zip(dirs, sampled):
+                assert np.array_equal(p, q), sid
+
+
+def test_normal_directions_reject_interior_point():
+    A = bl.make_ball_complement([0.0, 0.0], 1.0)
+    with pytest.raises(InteriorPoint):
+        bl.normal_directions(A, E2, [0.5, 0.0])
+    with pytest.raises(InteriorPoint):
+        bl.normal_directions(bl.make_halfspace([0.0, 1.0], 0.0), E2, [0.0, 0.3])
+
+
 def test_projection_direction_lands_in_cone(registry, zoo):
     for sid, R in (("disc_complement", 1.0), ("disc", 1.5), ("halfplane", 2.0)):
         A, amb = registry[sid]
