@@ -82,6 +82,49 @@ def test_distance_mixed_gauge():
     assert bl.distance(A, E2, [0.25, 0.1]) == pytest.approx(0.75, abs=1e-10)
 
 
+SQUARE = bl.polygon_norm([[1, 1], [-1, 1], [-1, -1], [1, -1]])
+
+
+def test_box_complement_under_its_own_flat_gauge(registry, zoo):
+    """Same gauge, not strictly convex: every projection representative lies
+    on the nearest edge, at the distance."""
+    A, amb = registry["box_complement"]
+    n = zoo[amb]
+    x = np.array([0.3, 0.1])
+    assert bl.distance(A, n, x) == pytest.approx(0.7, abs=1e-12)
+    reps = bl.project(A, n, x)
+    assert reps
+    for y in reps:
+        assert y[0] == pytest.approx(1.0, abs=1e-12)
+        assert bl.norm_eval(n, y - x) == pytest.approx(0.7, abs=1e-12)
+
+
+@pytest.mark.parametrize("gauge, kind, x, dist, foot", [
+    (SQUARE, "ball", [2.0, 0.0], 1.0, [1.0, 0.0]),
+    (bl.ellipse_norm([[0.25, 0.0], [0.0, 1.0]]), "ball", [3.0, 0.0], 1.0, [2.0, 0.0]),
+    (bl.lp_norm(1), "ball", [1.0, 1.0], np.sqrt(0.5), [0.5, 0.5]),
+    (SQUARE, "ball_complement", [0.2, 0.0], 0.8, None),
+])
+def test_distance_and_projection_under_another_gauge(gauge, kind, x, dist, foot):
+    """Euclidean distance to gauge balls and complements whose gauge is not
+    the ambient norm: polygon edges, a ring scan, and facet planes."""
+    make = bl.make_ball if kind == "ball" else bl.make_ball_complement
+    A = make([0.0, 0.0], 1.0, gauge=gauge)
+    assert bl.distance(A, E2, x) == pytest.approx(dist, abs=1e-9)
+    if foot is not None:
+        reps = bl.project(A, E2, x)
+        assert len(reps) == 1 and np.allclose(reps[0], foot, atol=1e-12)
+
+
+def test_projection_from_the_center_of_a_ball_complement():
+    """At the centre the whole sphere is nearest: 16 representatives."""
+    A = bl.make_ball_complement([0.5, -0.5], 1.0)
+    reps = bl.project(A, E2, [0.5, -0.5])
+    assert len(reps) == 16
+    for y in reps:
+        assert bl.norm_eval(E2, y - np.array([0.5, -0.5])) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_cylinder_distance_and_projection(registry, zoo):
     tube, amb = registry["tube"]
     n3 = bl.ambient_norm(zoo, amb)
