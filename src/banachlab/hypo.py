@@ -20,7 +20,7 @@ from .psifuncs import PsiSpec
 from .sets import (
     CheckReport,
     ClosedSetSpec,
-    _cone_directions,
+    _clean,
     _gauge,
     boundary_sample,
     contains,
@@ -49,15 +49,6 @@ class HypoReport:
     psi_extended: bool
 
     def to_json(self) -> str:
-        def _clean(v):
-            if isinstance(v, np.ndarray):
-                return [float(t) for t in v]
-            if isinstance(v, (tuple, list)):
-                return [_clean(t) for t in v]
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            return v
-
         return json.dumps({
             "verdict": self.verdict,
             "worst_pair": _clean(self.worst_pair),
@@ -78,7 +69,7 @@ def _boundary_with_cones(A: ClosedSetSpec, n: NormSpec, count: int, seed: int):
     for x in xs:
         x = np.asarray(x, dtype=float)
         try:
-            dirs = _cone_directions(A, n, x, tol=1e-6)
+            dirs = A.ops.cone_directions(n, x, tol=1e-6)
         except ValueError:
             continue
         if dirs:
@@ -161,7 +152,6 @@ def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, band: float = 0.05
         raise ValueError("eps must be positive")
     if not (0 < band <= 0.2):
         raise ValueError("band must lie in (0, 0.2]")
-    budget = int(getattr(budget, "pairs", budget))
     if A.kind == "ball_complement" and A.dim == 2:
         return _gamma_exact_2d(A, n, eps, budget)
     rng = np.random.default_rng(seed)
@@ -190,7 +180,7 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
         return c + r * u / norm_eval(g, u)
 
     def dirs_at(th):
-        return _cone_directions(A, n, point(th), tol=1e-6)
+        return A.ops.cone_directions(n, point(th), tol=1e-6)
 
     n1 = max(128, min(512, budget // 16))
     n2 = 512

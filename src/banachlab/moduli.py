@@ -1,9 +1,9 @@
 """Moduli of convexity and smoothness, supporting moduli, and curve calculus.
 
-All planar estimates run a dense angle scan over the unit sphere followed by
-local refinement, so they are accurate to far better than the test tolerances.
-Higher dimensions fall back to seeded multistart searches and keep their
+The estimators are planar: a dense angle scan over the unit sphere followed
+by local refinement, accurate to far better than the test tolerances, with
 honest estimate direction labels ("over" for infima, "under" for suprema).
+Other dimensions raise DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from scipy.optimize import brentq, minimize, minimize_scalar
 from .norms import (
     DimensionMismatch,
     as_vec,
-    dual_norm_batch,
     j1_batch,
     norm_batch,
     norm_eval,
@@ -234,78 +233,21 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
         raise ValueError("chord grid must lie in (0, 2]")
-    if n.dim == 2:
-        def obj_grid(rows, S):
-            return norm_batch(n, S[rows][:, None, :] + S[None, :, :])
+    if n.dim != 2:
+        raise DimensionMismatch("the modulus of convexity is implemented for planar norms")
 
-        def obj_point(a1, a2):
-            x = unit_vector(n, (math.cos(a1), math.sin(a1)))
-            y = unit_vector(n, (math.cos(a2), math.sin(a2)))
-            return norm_eval(n, x + y)
+    def obj_grid(rows, S):
+        return norm_batch(n, S[rows][:, None, :] + S[None, :, :])
 
-        res = constrained_pair_search(n, eps_grid, obj_grid, obj_point,
-                                      budget.angles, budget.refine)
-        vals = np.array([max(0.0, 1.0 - res[float(e)][0] / 2.0) for e in eps_grid])
-        return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")
-    vals = np.array([_delta_nd(n, float(e), budget) for e in eps_grid])
-    return ModulusCurve(eps_grid.copy(), np.maximum(vals, 0.0), "over",
-                        label=f"{n.name}:delta")
+    def obj_point(a1, a2):
+        x = unit_vector(n, (math.cos(a1), math.sin(a1)))
+        y = unit_vector(n, (math.cos(a2), math.sin(a2)))
+        return norm_eval(n, x + y)
 
-
-def _delta_nd(n, eps, budget, seed=1234):
-    rng = np.random.default_rng(seed)
-    d = n.dim
-    best = np.inf
-    for _ in range(max(8, budget.starts // 4)):
-        a = rng.normal(size=d)
-        b = rng.normal(size=d)
-        z0 = np.concatenate([a, b])
-        for mu in (50.0, 500.0, 5000.0):
-            def pen(z, mu=mu):
-                x = z[:d] / norm_batch(n, z[:d])
-                y = z[d:] / norm_batch(n, z[d:])
-                return (norm_batch(n, x + y) / 2.0
-                        + mu * (norm_batch(n, x - y) - eps) ** 2)
-
-            r = minimize(pen, z0, method="Nelder-Mead",
-                         options={"maxiter": budget.iters, "fatol": 1e-12})
-            z0 = r.x
-        x = z0[:d] / norm_batch(n, z0[:d])
-        y = z0[d:] / norm_batch(n, z0[d:])
-        y = _repair_chord(n, x, y, eps)
-        if y is None:
-            continue
-        best = min(best, 1.0 - norm_eval(n, x + y) / 2.0)
-    if not np.isfinite(best):
-        raise RuntimeError("no feasible pair found")
-    return best
-
-
-def _repair_chord(n, x, y, eps):
-    # rotate y toward -x or x in span(x, y) until ||x - y|| = eps exactly
-    def at(t, target):
-        v = (1 - abs(t)) * y + t * target
-        nv = norm_batch(n, v)
-        if nv <= 1e-14:
-            return None
-        return v / nv
-
-    cur = norm_eval(n, x - y)
-    target = -x if cur < eps else x
-    lo, hi = 0.0, 1.0
-
-    def g(t):
-        u = at(t, target)
-        if u is None:
-            return np.nan
-        return norm_eval(n, x - u) - eps
-
-    g1 = g(1.0)
-    g0 = cur - eps
-    if np.isnan(g1) or g0 * g1 > 0:
-        return y if abs(g0) < 1e-6 else None
-    t = brentq(g, lo, hi, xtol=1e-14)
-    return at(t, target)
+    res = constrained_pair_search(n, eps_grid, obj_grid, obj_point,
+                                  budget.angles, budget.refine)
+    vals = np.array([max(0.0, 1.0 - res[float(e)][0] / 2.0) for e in eps_grid])
+    return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")
 
 
 # ---------------------------------------------------------------------------
@@ -317,8 +259,7 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
     if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
         raise ValueError("step grid must lie in (0, 2]")
     if n.dim != 2:
-        vals = np.array([_rho_nd(n, float(t), budget) for t in tau_grid])
-        return ModulusCurve(tau_grid.copy(), vals, "under", label=f"{n.name}:rho")
+        raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
     vang = sphere_vertex_angles(n)
     if vang.size:
         # polyhedral sphere: the objective is convex in each argument, so the
@@ -357,24 +298,6 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
                      options={"maxiter": budget.iters, "xatol": 1e-13, "fatol": 1e-15})
         vals.append(max(best, -float(r.fun)))
     return ModulusCurve(tau_grid.copy(), np.array(vals), "under", label=f"{n.name}:rho")
-
-
-def _rho_nd(n, tau, budget, seed=4321):
-    rng = np.random.default_rng(seed)
-    d = n.dim
-    best = -np.inf
-    for _ in range(max(8, budget.starts // 4)):
-        z0 = rng.normal(size=2 * d)
-
-        def neg(z):
-            x = z[:d] / norm_batch(n, z[:d])
-            y = z[d:] / norm_batch(n, z[d:])
-            return -((norm_batch(n, x + tau * y) + norm_batch(n, x - tau * y)) / 2.0 - 1.0)
-
-        r = minimize(neg, z0, method="Nelder-Mead",
-                     options={"maxiter": budget.iters, "fatol": 1e-14})
-        best = max(best, -float(r.fun))
-    return best
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +428,6 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
 
 # ---------------------------------------------------------------------------
 # curve calculus
-
-def omega_eval(rho_curve, tau):
-    """Smoothness curve evaluated with the zero anchor prepended."""
-    return rho_curve.eval(tau)
-
 
 def omega_inverse(rho_curve, s):
     """Leftmost t with curve(t) >= s. Clamps to 0 on the left, errors when s

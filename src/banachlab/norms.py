@@ -1,14 +1,17 @@
-"""Norms on R^d given by finite data: lp, weighted lp, symmetric polygons, ellipses.
+"""Norms on R^d given by finite data: weighted lp (lp is the unit-weight
+case), symmetric polygons, ellipses.
 
 Evaluation, dual norms, the normalized duality mapping, Birkhoff-James
-orthogonality and support points. Specs are frozen dataclasses, so derived
-tables (polygon edge functionals, ellipse factorizations) are cached per spec.
+orthogonality and support points.  Specs are frozen dataclasses; each spec's
+`ops` is the object of its kind, built once, which holds the kind's code and
+its derived tables (weights, polygon edge functionals, ellipse inverses).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize, minimize_scalar
@@ -42,23 +45,29 @@ class NormSpec:
     matrix: tuple[tuple[float, ...], ...] | None = None
     name: str = ""
 
+    @cached_property
+    def ops(self):
+        """The operations of this spec's kind, with its tables built once."""
+        return _norm_kind(self.kind)(self)
+
 
 def lp_norm(p, dim=2, name=""):
-    p = float(p)
-    if not (p >= 1.0):
-        raise ValueError(f"lp exponent must be >= 1, got {p}")
+    """The p-norm on R^dim: the weighted lp norm with unit weights."""
     if dim < 1:
         raise ValueError("dim must be positive")
-    return NormSpec(kind="lp", dim=int(dim), p=p, name=name or f"lp{p:g}")
+    return weighted_lp_norm(p, [1.0] * int(dim), name=name or f"lp{float(p):g}")
 
 
 def weighted_lp_norm(p, weights, name=""):
+    """x -> (sum_i w_i |x_i|^p)^(1/p), and max_i w_i |x_i| for p = inf."""
     p = float(p)
     if not (p >= 1.0):
         raise ValueError(f"lp exponent must be >= 1, got {p}")
     w = tuple(float(v) for v in weights)
-    if any(v <= 0 for v in w):
-        raise ValueError("weights must be positive")
+    if not w:
+        raise ValueError("need at least one weight")
+    if not all(0.0 < v < math.inf for v in w):
+        raise ValueError("weights must be positive and finite")
     return NormSpec(kind="weighted_lp", dim=len(w), p=p, weights=w,
                     name=name or f"wlp{p:g}")
 
@@ -116,42 +125,186 @@ def ellipse_norm(matrix, name=""):
 
 
 # ---------------------------------------------------------------------------
-# derived tables, cached per spec (NormSpec is hashable)
-
-_POLY_CACHE: dict = {}
-_ELLIPSE_CACHE: dict = {}
+# norm kinds: one class per kind, one instance per spec (NormSpec.ops)
 
 
-def polygon_vertices(n):
-    return _poly_tables(n)[0]
+class _NormKind:
+    """What every kind provides: norm(X) and dual(P) over rows,
+    subdifferential(x, nx, tol), and the defaults below."""
+
+    strictly_convex = False
+    vertices = None  # vertex table of a polygon unit ball
+
+    def __init__(self, n):
+        self.spec = n
+
+    def vertex_angles(self):
+        """Angles of the vertices of a polyhedral planar unit sphere."""
+        return np.empty(0)
+
+    def facets(self, center, radius):
+        """Facets (a_i, b_i) of the ball center + radius * B, when polyhedral."""
+        return None
+
+    def restrict(self, coords):
+        """The norm on the coordinate subspace of the axes in coords."""
+        if tuple(coords) == tuple(range(self.spec.dim)):
+            return self.spec
+        raise ValueError(f"norm kind {self.spec.kind!r} does not restrict to a coordinate subspace")
 
 
-def polygon_edge_functionals(n):
-    """Row i supports the edge from vertex i to vertex i+1 at level 1."""
-    return _poly_tables(n)[1]
+class _WeightedLp(_NormKind):
+    def __init__(self, n):
+        super().__init__(n)
+        self.p = p = n.p
+        self.q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
+        self.w = w = np.array(n.weights)
+        self.strictly_convex = 1.0 < p < math.inf
+        # The norm and its dual are plain lp and lq norms of scaled rows.  Unit
+        # weights (lp_norm) skip the scaling: it would change no bit, only cost
+        # a pass over every batch.
+        if np.all(w == 1.0):
+            self.scales = (None, None)
+        elif self.strictly_convex and p != 2.0:
+            self.scales = (w ** (1.0 / p), w ** (-1.0 / p))
+        else:  # for p = 2 the scales multiply the squares
+            self.scales = (w, 1.0 / w)
+        self._restricted = {}
+
+    def norm(self, X):
+        return _lp_reduce(X, self.p, self.scales[0])
+
+    def dual(self, P):
+        return _lp_reduce(P, self.q, self.scales[1])
+
+    def subdifferential(self, x, nx, tol):
+        w = self.w
+        if self.p == 1.0:
+            free = np.abs(x) <= tol * nx
+            if not free.any():
+                return [w * np.sign(x)]
+            idx = np.where(free)[0]
+            if len(idx) > 4:
+                idx = idx[:4]
+            out = []
+            base = w * np.sign(x)
+            for mask in range(2 ** len(idx)):
+                p = base.copy()
+                for k, i in enumerate(idx):
+                    p[i] = w[i] if (mask >> k) & 1 else -w[i]
+                out.append(p)
+            return out
+        if math.isinf(self.p):
+            vals = w * np.abs(x)
+            active = np.where(vals >= vals.max() * (1 - tol))[0]
+            out = []
+            for i in active:
+                p = np.zeros(x.shape[0])
+                p[i] = w[i] * np.sign(x[i])
+                out.append(p)
+            return out
+        return [_fd_dual_unit(self.spec, x)]
+
+    def vertex_angles(self):
+        if self.p == 1.0:
+            return np.array([0.0, np.pi / 2, np.pi, -np.pi / 2])
+        if math.isinf(self.p):
+            w = self.spec.weights
+            corners = np.array([[1 / w[0], 1 / w[1]], [-1 / w[0], 1 / w[1]],
+                                [-1 / w[0], -1 / w[1]], [1 / w[0], -1 / w[1]]])
+            return np.arctan2(corners[:, 1], corners[:, 0])
+        return np.empty(0)
+
+    def facets(self, center, radius):
+        d = center.shape[0]
+        if math.isinf(self.p):
+            rows = [s * self.w[i] * np.eye(d)[i] for i in range(d) for s in (1.0, -1.0)]
+        elif self.p == 1.0:
+            rows = [self.w * np.where(np.asarray(s) == 0, 1.0, -1.0) for s in np.ndindex(*([2] * d))]
+        else:
+            return None
+        return [(a, radius + float(a @ center)) for a in rows]
+
+    def restrict(self, coords):
+        cs = tuple(coords)
+        if cs == tuple(range(self.spec.dim)):
+            return self.spec
+        if cs not in self._restricted:
+            self._restricted[cs] = weighted_lp_norm(self.p, self.w[list(cs)])
+        return self._restricted[cs]
+
+    @staticmethod
+    def from_json(d):
+        p = math.inf if d["p"] == "inf" else float(d["p"])
+        name = d.get("name", "")
+        if "weights" in d:
+            return weighted_lp_norm(p, d["weights"], name=name)
+        return lp_norm(p, dim=d.get("dim", 2), name=name)
 
 
-def _poly_tables(n):
-    tab = _POLY_CACHE.get(n)
-    if tab is None:
+class _Polygon(_NormKind):
+    def __init__(self, n):
+        super().__init__(n)
         V = np.array(n.vertices, dtype=float)
         m = V.shape[0]
         E = np.empty((m, 2))
         for i in range(m):
-            A = np.stack([V[i], V[(i + 1) % m]])
-            E[i] = np.linalg.solve(A, np.ones(2))
-        tab = (V, E)
-        _POLY_CACHE[n] = tab
-    return tab
+            E[i] = np.linalg.solve(np.stack([V[i], V[(i + 1) % m]]), np.ones(2))
+        self.vertices = V
+        self.edges = E  # row i supports the edge from vertex i to i+1 at level 1
+
+    def norm(self, X):
+        return np.max(X @ self.edges.T, axis=-1)
+
+    def dual(self, P):
+        return np.max(np.abs(P @ self.vertices.T), axis=-1)
+
+    def subdifferential(self, x, nx, tol):
+        vals = self.edges @ x
+        active = np.where(vals >= nx * (1 - tol))[0]
+        return [self.edges[i].copy() for i in active]
+
+    def vertex_angles(self):
+        return np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
+
+    def facets(self, center, radius):
+        return [(e, radius + float(e @ center)) for e in self.edges]
+
+    @staticmethod
+    def from_json(d):
+        return polygon_norm(d["vertices"], name=d.get("name", ""))
 
 
-def _ellipse_tables(n):
-    tab = _ELLIPSE_CACHE.get(n)
-    if tab is None:
-        Q = np.array(n.matrix, dtype=float)
-        tab = (Q, np.linalg.inv(Q))
-        _ELLIPSE_CACHE[n] = tab
-    return tab
+class _Ellipse(_NormKind):
+    strictly_convex = True
+
+    def __init__(self, n):
+        super().__init__(n)
+        self.Q = np.array(n.matrix, dtype=float)
+        self.Qi = np.linalg.inv(self.Q)
+
+    def norm(self, X):
+        return np.sqrt(np.einsum("...i,ij,...j->...", X, self.Q, X))
+
+    def dual(self, P):
+        return np.sqrt(np.einsum("...i,ij,...j->...", P, self.Qi, P))
+
+    def subdifferential(self, x, nx, tol):
+        return [self.Q @ x / nx]
+
+    @staticmethod
+    def from_json(d):
+        return ellipse_norm(d["matrix"], name=d.get("name", ""))
+
+
+_KINDS = {"weighted_lp": _WeightedLp, "polygon": _Polygon, "ellipse": _Ellipse}
+
+
+def _norm_kind(kind):
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown norm kind {kind!r}")
+    return cls
 
 
 # ---------------------------------------------------------------------------
@@ -164,12 +317,21 @@ def as_vec(x, dim):
     return v
 
 
-def _lp_reduce(absx, p, axis):
+def _lp_reduce(X, p, scale=None):
+    """lp norm of each row of X, with |X| (X * X for p = 2) scaled first."""
+    a = X * X if p == 2.0 else np.abs(X)
+    if scale is not None:
+        a *= scale
+    if p == 2.0:
+        return np.sqrt(np.sum(a, axis=-1))
+    if p == 1.0:
+        return np.sum(a, axis=-1)
+    if math.isinf(p):
+        return np.max(a, axis=-1)
     # scale by the max to keep powers in range for large p
-    m = np.max(absx, axis=axis)
-    scaled = absx / np.expand_dims(np.where(m > 0, m, 1.0), axis)
-    s = np.sum(scaled ** p, axis=axis) ** (1.0 / p)
-    return m * s
+    m = np.max(a, axis=-1)
+    scaled = a / np.expand_dims(np.where(m > 0, m, 1.0), -1)
+    return m * np.sum(scaled ** p, axis=-1) ** (1.0 / p)
 
 
 def norm_batch(n, X):
@@ -177,30 +339,7 @@ def norm_batch(n, X):
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != n.dim:
         raise DimensionMismatch(f"expected dim {n.dim}, got {X.shape[-1]}")
-    if n.kind == "lp":
-        a = np.abs(X)
-        if math.isinf(n.p):
-            return np.max(a, axis=-1)
-        if n.p == 1.0:
-            return np.sum(a, axis=-1)
-        if n.p == 2.0:
-            return np.sqrt(np.sum(X * X, axis=-1))
-        return _lp_reduce(a, n.p, -1)
-    if n.kind == "weighted_lp":
-        w = np.array(n.weights)
-        if math.isinf(n.p):
-            return np.max(w * np.abs(X), axis=-1)
-        a = w ** (1.0 / n.p) * np.abs(X)
-        if n.p == 1.0:
-            return np.sum(w * np.abs(X), axis=-1)
-        return _lp_reduce(a, n.p, -1)
-    if n.kind == "polygon":
-        E = polygon_edge_functionals(n)
-        return np.max(X @ E.T, axis=-1)
-    if n.kind == "ellipse":
-        Q = _ellipse_tables(n)[0]
-        return np.sqrt(np.einsum("...i,ij,...j->...", X, Q, X))
-    raise ValueError(f"unknown norm kind {n.kind!r}")
+    return n.ops.norm(X)
 
 
 def norm_eval(n, x):
@@ -217,31 +356,7 @@ def dual_norm_batch(n, P):
     P = np.asarray(P, dtype=float)
     if P.shape[-1] != n.dim:
         raise DimensionMismatch(f"expected dim {n.dim}, got {P.shape[-1]}")
-    if n.kind == "lp":
-        if math.isinf(n.p):
-            return np.sum(np.abs(P), axis=-1)
-        if n.p == 1.0:
-            return np.max(np.abs(P), axis=-1)
-        q = n.p / (n.p - 1.0)
-        if n.p == 2.0:
-            return np.sqrt(np.sum(P * P, axis=-1))
-        return _lp_reduce(np.abs(P), q, -1)
-    if n.kind == "weighted_lp":
-        w = np.array(n.weights)
-        if math.isinf(n.p):
-            return np.sum(np.abs(P) / w, axis=-1)
-        if n.p == 1.0:
-            return np.max(np.abs(P) / w, axis=-1)
-        q = n.p / (n.p - 1.0)
-        a = w ** (-1.0 / n.p) * np.abs(P)
-        return _lp_reduce(a, q, -1)
-    if n.kind == "polygon":
-        V = polygon_vertices(n)
-        return np.max(np.abs(P @ V.T), axis=-1)
-    if n.kind == "ellipse":
-        Qi = _ellipse_tables(n)[1]
-        return np.sqrt(np.einsum("...i,ij,...j->...", P, Qi, P))
-    raise ValueError(f"unknown norm kind {n.kind!r}")
+    return n.ops.dual(P)
 
 
 def dual_norm_eval(n, p):
@@ -276,21 +391,7 @@ def sphere_vertex_angles(n):
     """Angles of the unit sphere's vertices for polyhedral planar norms."""
     if n.dim != 2:
         return np.empty(0)
-    if n.kind == "polygon":
-        V = polygon_vertices(n)
-        return np.arctan2(V[:, 1], V[:, 0])
-    if n.kind == "lp" and n.p == 1.0:
-        return np.array([0.0, np.pi / 2, np.pi, -np.pi / 2])
-    if n.kind == "lp" and math.isinf(n.p):
-        return np.array([np.pi / 4, 3 * np.pi / 4, -3 * np.pi / 4, -np.pi / 4])
-    if n.kind == "weighted_lp" and n.p == 1.0:
-        return np.array([0.0, np.pi / 2, np.pi, -np.pi / 2])
-    if n.kind == "weighted_lp" and math.isinf(n.p):
-        w = n.weights
-        corners = np.array([[1 / w[0], 1 / w[1]], [-1 / w[0], 1 / w[1]],
-                            [-1 / w[0], -1 / w[1]], [1 / w[0], -1 / w[1]]])
-        return np.arctan2(corners[:, 1], corners[:, 0])
-    return np.empty(0)
+    return n.ops.vertex_angles()
 
 
 # ---------------------------------------------------------------------------
@@ -342,49 +443,14 @@ def j1_batch(n, X, h=1e-6):
 def subdifferential_extremes(n, x, tol=1e-6):
     """Extreme functionals of the norm's subdifferential at x (dual norm one).
 
-    Smooth kinds give a single element. Polyhedral kinds (lp with p in {1, inf},
-    their weighted variants, polygons) enumerate the active structure.
+    Smooth kinds give a single element. Polyhedral kinds (weighted lp with p
+    in {1, inf}, polygons) enumerate the active structure.
     """
     x = as_vec(x, n.dim)
     nx = norm_eval(n, x)
     if nx <= 0:
         raise ZeroVector("duality mapping undefined at 0")
-    if n.kind == "ellipse":
-        Q = _ellipse_tables(n)[0]
-        return [Q @ x / nx]
-    if n.kind in ("lp", "weighted_lp"):
-        w = np.array(n.weights) if n.kind == "weighted_lp" else np.ones(n.dim)
-        if n.p == 1.0:
-            free = np.abs(x) <= tol * nx
-            if not free.any():
-                return [w * np.sign(x)]
-            idx = np.where(free)[0]
-            if len(idx) > 4:
-                idx = idx[:4]
-            out = []
-            base = w * np.sign(x)
-            for mask in range(2 ** len(idx)):
-                p = base.copy()
-                for k, i in enumerate(idx):
-                    p[i] = w[i] if (mask >> k) & 1 else -w[i]
-                out.append(p)
-            return out
-        if math.isinf(n.p):
-            vals = w * np.abs(x)
-            active = np.where(vals >= vals.max() * (1 - tol))[0]
-            out = []
-            for i in active:
-                p = np.zeros(n.dim)
-                p[i] = w[i] * np.sign(x[i])
-                out.append(p)
-            return out
-        return [_fd_dual_unit(n, x)]
-    if n.kind == "polygon":
-        E = polygon_edge_functionals(n)
-        vals = E @ x
-        active = np.where(vals >= nx * (1 - tol))[0]
-        return [E[i].copy() for i in active]
-    raise ValueError(f"unknown norm kind {n.kind!r}")
+    return n.ops.subdifferential(x, nx, tol)
 
 
 def duality_map(n, x, tol=1e-6):
@@ -394,34 +460,6 @@ def duality_map(n, x, tol=1e-6):
     if len(ext) == 1:
         return ext[0]
     return MultiValued(extremes=ext)
-
-
-_PROBE_CACHE: dict = {}
-
-
-def smoothness_probe(n, x, step=1e-6, threshold=1e-4):
-    """Heuristic flatness test: one-sided directional derivatives along eight
-    fixed pseudo-random directions. True when they all agree within threshold.
-
-    Kept as a diagnostic; duality_map decides multivaluedness from the active
-    structure instead, since this probe also fires at smooth points of very
-    high curvature (lp with p < 2 near the axes).
-    """
-    x = as_vec(x, n.dim)
-    dirs = _PROBE_CACHE.get(n.dim)
-    if dirs is None:
-        rng = np.random.default_rng(2718281 + n.dim)
-        dirs = rng.normal(size=(8, n.dim))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        _PROBE_CACHE[n.dim] = dirs
-    nx = norm_eval(n, x)
-    t = step * nx
-    for u in dirs:
-        d_plus = (norm_eval(n, x + t * u) - nx) / t
-        d_minus = (nx - norm_eval(n, x - t * u)) / t
-        if abs(d_plus - d_minus) > threshold:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -508,16 +546,6 @@ def norm_to_json(n):
 
 
 def norm_from_json(d):
-    kind = d["kind"]
-    name = d.get("name", "")
-    if kind == "lp":
-        p = math.inf if d["p"] == "inf" else float(d["p"])
-        return lp_norm(p, dim=d.get("dim", 2), name=name)
-    if kind == "weighted_lp":
-        p = math.inf if d["p"] == "inf" else float(d["p"])
-        return weighted_lp_norm(p, d["weights"], name=name)
-    if kind == "polygon":
-        return polygon_norm(d["vertices"], name=name)
-    if kind == "ellipse":
-        return ellipse_norm(d["matrix"], name=name)
-    raise ValueError(f"unknown norm kind {kind!r}")
+    """Inverse of norm_to_json; also reads "kind": "lp" (unit weights)."""
+    kind = "weighted_lp" if d["kind"] == "lp" else d["kind"]
+    return _norm_kind(kind).from_json(d)

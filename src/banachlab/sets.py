@@ -1,16 +1,21 @@
 """Closed test sets: membership, distance, metric projection, normal cones,
 rolling-ball checks, and proximal-smoothness certificates.
 
-Every operation takes the ambient norm explicitly.  A set spec may carry its
-own gauge (the norm whose ball defines it), which is independent of the
-ambient norm used for distances; when the gauge is omitted it defaults to the
-ambient norm at query time.
+Every operation takes the ambient norm explicitly.  A gauge ball or its
+complement may carry its own gauge (the norm whose ball defines it); when it
+is omitted it defaults to the ambient norm at query time.  When the gauge
+differs from the ambient norm, distance searches the planar gauge sphere
+(polygons edge by edge, other gauges on a refined angle ring; complements of
+polyhedral gauges use their facet planes), while project returns points of a
+4096-angle ring without refinement.  Each set kind's code is one class below.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
@@ -20,17 +25,17 @@ from .norms import (
     DegenerateBody,
     DimensionMismatch,
     NormSpec,
+    as_vec,
     dual_norm_eval,
     duality_map,
-    lp_norm,
     norm_batch,
     norm_eval,
-    polygon_edge_functionals,
+    norm_from_json,
+    norm_to_json,
     polygon_norm,
     sphere_points,
     subdifferential_extremes,
     support_point,
-    weighted_lp_norm,
 )
 
 
@@ -44,16 +49,6 @@ class EmptyShell(RuntimeError):
 
 class NoIntersection(RuntimeError):
     """A chord construction found no sphere crossing."""
-
-
-_SET_KINDS = (
-    "ball",
-    "ball_complement",
-    "halfspace",
-    "finite_points",
-    "convex_polytope_complement",
-    "cylinder_extension",
-)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -71,12 +66,28 @@ class ClosedSetSpec:
     coords: Optional[Tuple[int, ...]] = None
     name: str = ""
 
+    @cached_property
+    def ops(self):
+        """The operations of this spec's kind, with its arrays built once."""
+        return _set_kind(self.kind)(self)
+
 
 @dataclasses.dataclass(frozen=True)
 class NormalConeSample:
     base_point: np.ndarray
     directions: tuple
     quality: tuple  # (coarse residual, fine residual, ok)
+
+
+def _clean(v):
+    """v with numpy arrays and scalars replaced by JSON lists and floats."""
+    if isinstance(v, np.ndarray):
+        return [float(t) for t in v]
+    if isinstance(v, (tuple, list)):
+        return [_clean(t) for t in v]
+    if isinstance(v, (np.floating, np.integer)):
+        return float(v)
+    return v
 
 
 @dataclasses.dataclass(frozen=True)
@@ -88,15 +99,6 @@ class CheckReport:
     reason: str = ""
 
     def to_json(self) -> str:
-        def _clean(v):
-            if isinstance(v, np.ndarray):
-                return [float(t) for t in v]
-            if isinstance(v, (tuple, list)):
-                return [_clean(t) for t in v]
-            if isinstance(v, (np.floating, np.integer)):
-                return float(v)
-            return v
-
         payload = {
             "verdict": self.verdict,
             "worst_margin": float(self.worst_margin),
@@ -108,39 +110,45 @@ class CheckReport:
         return json.dumps(payload, sort_keys=True)
 
 
-def _vec(x, dim: int) -> np.ndarray:
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape[0] != dim:
-        raise DimensionMismatch(f"expected dim {dim}, got {v.shape[0]}")
-    return v
+# ---------------------------------------------------------------------------
+# constructors
+
+
+def _finite(x, what: str) -> np.ndarray:
+    a = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{what} must be finite")
+    return a
+
+
+def _make_gauge_ball(kind: str, center, radius: float, gauge: Optional[NormSpec],
+                     name: str) -> ClosedSetSpec:
+    c = _finite(center, "center").reshape(-1)
+    if not 0.0 < radius < math.inf:
+        raise ValueError("radius must be positive and finite")
+    return ClosedSetSpec(kind=kind, dim=c.shape[0], center=tuple(c), radius=float(radius),
+                         gauge=gauge, name=name or kind)
 
 
 def make_ball(center, radius: float, gauge: Optional[NormSpec] = None, name: str = "") -> ClosedSetSpec:
-    c = np.asarray(center, dtype=float).reshape(-1)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return ClosedSetSpec(kind="ball", dim=c.shape[0], center=tuple(c), radius=float(radius),
-                         gauge=gauge, name=name or "ball")
+    return _make_gauge_ball("ball", center, radius, gauge, name)
 
 
 def make_ball_complement(center, radius: float, gauge: Optional[NormSpec] = None, name: str = "") -> ClosedSetSpec:
-    c = np.asarray(center, dtype=float).reshape(-1)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    return ClosedSetSpec(kind="ball_complement", dim=c.shape[0], center=tuple(c), radius=float(radius),
-                         gauge=gauge, name=name or "ball_complement")
+    """Closure of the complement of the gauge ball."""
+    return _make_gauge_ball("ball_complement", center, radius, gauge, name)
 
 
 def make_halfspace(normal, offset: float, name: str = "") -> ClosedSetSpec:
-    a = np.asarray(normal, dtype=float).reshape(-1)
+    a = _finite(normal, "halfspace normal").reshape(-1)
     if not np.any(a):
         raise ValueError("halfspace normal must be nonzero")
-    return ClosedSetSpec(kind="halfspace", dim=a.shape[0], normal=tuple(a), offset=float(offset),
-                         name=name or "halfspace")
+    return ClosedSetSpec(kind="halfspace", dim=a.shape[0], normal=tuple(a),
+                         offset=float(_finite(offset, "halfspace offset")), name=name or "halfspace")
 
 
 def make_finite_points(points, name: str = "") -> ClosedSetSpec:
-    arr = np.asarray(points, dtype=float)
+    arr = _finite(points, "points")
     if arr.ndim != 2 or arr.shape[0] == 0:
         raise ValueError("need a nonempty list of points")
     return ClosedSetSpec(kind="finite_points", dim=arr.shape[1],
@@ -153,14 +161,14 @@ def make_polytope_complement(facets, name: str = "") -> ClosedSetSpec:
     packed = []
     dim = None
     for a, b in facets:
-        av = np.asarray(a, dtype=float).reshape(-1)
+        av = _finite(a, "facet normal").reshape(-1)
         if dim is None:
             dim = av.shape[0]
         elif av.shape[0] != dim:
             raise DimensionMismatch("facet normals disagree on dimension")
         if not np.any(av):
             raise ValueError("facet normal must be nonzero")
-        packed.append((tuple(float(t) for t in av), float(b)))
+        packed.append((tuple(float(t) for t in av), float(_finite(b, "facet offset"))))
     if dim is None:
         raise ValueError("need at least one facet")
     return ClosedSetSpec(kind="convex_polytope_complement", dim=dim, facets=tuple(packed),
@@ -181,175 +189,8 @@ def _gauge(A: ClosedSetSpec, n: NormSpec) -> NormSpec:
     return A.gauge if A.gauge is not None else n
 
 
-def _restrict_norm(n: NormSpec, coords) -> NormSpec:
-    """Restriction of a coordinate-decomposable norm to a subset of axes."""
-    cs = tuple(coords)
-    if len(cs) == n.dim and cs == tuple(range(n.dim)):
-        return n
-    if n.kind == "lp":
-        return lp_norm(n.p, len(cs))
-    if n.kind == "weighted_lp":
-        w = np.asarray(n.weights, dtype=float)[list(cs)]
-        return weighted_lp_norm(n.p, w)
-    raise ValueError(f"norm kind {n.kind!r} does not restrict to a coordinate subspace")
-
-
-def _facet_list(A: ClosedSetSpec):
-    out = []
-    for a, b in A.facets:
-        out.append((np.asarray(a, dtype=float), float(b)))
-    return out
-
-
-def _gauge_facets(g: NormSpec, center: np.ndarray, radius: float):
-    """Facet description (a_i, b_i) of a polyhedral gauge ball, or None."""
-    d = center.shape[0]
-    if g.kind == "polygon":
-        out = []
-        for nfun in polygon_edge_functionals(g):
-            out.append((nfun, radius + float(nfun @ center)))
-        return out
-    if g.kind in ("lp", "weighted_lp") and g.p == np.inf:
-        w = np.ones(d) if g.weights is None else np.asarray(g.weights, dtype=float)
-        out = []
-        for i in range(d):
-            for s in (1.0, -1.0):
-                a = np.zeros(d)
-                a[i] = s * w[i]
-                out.append((a, radius + float(a @ center)))
-        return out
-    if g.kind in ("lp", "weighted_lp") and g.p == 1:
-        w = np.ones(d) if g.weights is None else np.asarray(g.weights, dtype=float)
-        out = []
-        for signs in np.ndindex(*([2] * d)):
-            a = w * np.where(np.asarray(signs) == 0, 1.0, -1.0)
-            out.append((a, radius + float(a @ center)))
-        return out
-    return None
-
-
 # ---------------------------------------------------------------------------
-# membership / distance / projection
-
-
-def contains(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-9) -> bool:
-    v = _vec(x, A.dim)
-    if A.kind == "ball":
-        g = _gauge(A, n)
-        return norm_eval(g, v - np.asarray(A.center)) <= A.radius + tol
-    if A.kind == "ball_complement":
-        g = _gauge(A, n)
-        return norm_eval(g, v - np.asarray(A.center)) >= A.radius - tol
-    if A.kind == "halfspace":
-        return float(np.asarray(A.normal) @ v) <= A.offset + tol
-    if A.kind == "finite_points":
-        pts = np.asarray(A.points)
-        return bool(np.min(norm_batch(n, pts - v)) <= tol)
-    if A.kind == "convex_polytope_complement":
-        return any(float(a @ v) >= b - tol for a, b in _facet_list(A))
-    if A.kind == "cylinder_extension":
-        sub = _restrict_norm(n, A.coords)
-        return contains(A.base, sub, v[list(A.coords)], tol)
-    raise ValueError(f"unknown set kind {A.kind!r}")
-
-
-def _boundary_min_distance(g: NormSpec, center: np.ndarray, radius: float,
-                           n: NormSpec, x: np.ndarray) -> Tuple[float, np.ndarray]:
-    """Minimize the ambient distance from x over the gauge sphere center + radius*S_g."""
-    facets = _gauge_facets(g, center, radius)
-    if facets is not None and g.kind == "polygon":
-        # per-edge segment minimization; each edge is convex in its parameter
-        verts = radius * np.asarray(g.vertices) + center
-        m = verts.shape[0]
-        best = (np.inf, None)
-        for i in range(m):
-            a, b = verts[i], verts[(i + 1) % m]
-
-            def seg(t, a=a, b=b):
-                return norm_eval(n, (1 - t) * a + t * b - x)
-
-            res = minimize_scalar(seg, bounds=(0.0, 1.0), method="bounded",
-                                  options={"xatol": 1e-12})
-            if res.fun < best[0]:
-                best = (float(res.fun), (1 - res.x) * a + res.x * b)
-        return best
-    if x.shape[0] == 2:
-        th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-        ring = center + radius * sphere_points(g, th)
-        dists = norm_batch(n, ring - x)
-        order = np.argsort(dists)[:8]
-        h = 2 * np.pi / 2048
-        best = (np.inf, None)
-        for k in order:
-            t0 = th[k]
-
-            def f(t):
-                u = np.array([np.cos(t), np.sin(t)])
-                y = center + radius * u / norm_eval(g, u)
-                return norm_eval(n, y - x)
-
-            res = minimize_scalar(f, bounds=(t0 - 1.5 * h, t0 + 1.5 * h), method="bounded",
-                                  options={"xatol": 1e-13})
-            if res.fun < best[0]:
-                u = np.array([np.cos(res.x), np.sin(res.x)])
-                best = (float(res.fun), center + radius * u / norm_eval(g, u))
-        return best
-    # nD fallback: multistart Nelder-Mead over directions
-    rng = np.random.default_rng(97)
-    seeds = rng.standard_normal((16, x.shape[0]))
-    if norm_eval(g, x - center) > 1e-12:
-        seeds[0] = x - center
-    best = (np.inf, None)
-    for s in seeds:
-        def f(u):
-            nu = norm_eval(g, u)
-            if nu < 1e-9:
-                return 1e9
-            return norm_eval(n, center + radius * u / nu - x)
-
-        res = minimize(f, s, method="Nelder-Mead",
-                       options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400})
-        if res.fun < best[0]:
-            u = res.x / norm_eval(g, res.x)
-            best = (float(res.fun), center + radius * u)
-    return best
-
-
-def distance(A: ClosedSetSpec, n: NormSpec, x) -> float:
-    v = _vec(x, A.dim)
-    if contains(A, n, v, tol=0.0):
-        return 0.0
-    if A.kind == "ball":
-        g = _gauge(A, n)
-        c = np.asarray(A.center)
-        if A.gauge is None or g is n or g == n:
-            return norm_eval(n, v - c) - A.radius
-        return _boundary_min_distance(g, c, A.radius, n, v)[0]
-    if A.kind == "ball_complement":
-        g = _gauge(A, n)
-        c = np.asarray(A.center)
-        if A.gauge is None or g is n or g == n:
-            return A.radius - norm_eval(n, v - c)
-        facets = _gauge_facets(g, c, A.radius)
-        if facets is not None:
-            # from inside a polyhedral ball the nearest complement point lies on
-            # a facet plane, and every facet-plane point belongs to the closure
-            return min((b - float(a @ v)) / dual_norm_eval(n, a) for a, b in facets)
-        return _boundary_min_distance(g, c, A.radius, n, v)[0]
-    if A.kind == "halfspace":
-        a = np.asarray(A.normal)
-        return max(0.0, (float(a @ v) - A.offset)) / dual_norm_eval(n, a)
-    if A.kind == "finite_points":
-        return float(np.min(norm_batch(n, np.asarray(A.points) - v)))
-    if A.kind == "convex_polytope_complement":
-        vals = []
-        for a, b in _facet_list(A):
-            vals.append((b - float(a @ v)) / dual_norm_eval(n, a))
-        return min(vals)
-    if A.kind == "cylinder_extension":
-        sub = _restrict_norm(n, A.coords)
-        return distance(A.base, sub, v[list(A.coords)])
-    raise ValueError(f"unknown set kind {A.kind!r}")
+# set kinds: one class per kind, one instance per spec (ClosedSetSpec.ops)
 
 
 def _cluster(points, radius: float, cap: int = 16):
@@ -362,17 +203,40 @@ def _cluster(points, radius: float, cap: int = 16):
     return reps
 
 
-def _strictly_convex(g: NormSpec) -> bool:
-    if g.kind == "ellipse":
-        return True
-    if g.kind in ("lp", "weighted_lp"):
-        return 1.0 < g.p < np.inf
-    return False
+def _boundary_min_distance(g: NormSpec, center: np.ndarray, radius: float,
+                           n: NormSpec, x: np.ndarray) -> float:
+    """Least ambient distance from x to the gauge sphere center + radius*S_g.
+    Planar gauges only: sphere_points raises DimensionMismatch for others."""
+    if g.ops.vertices is not None:
+        # per-edge segment minimization; each edge is convex in its parameter
+        verts = radius * g.ops.vertices + center
+        best = np.inf
+        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+            res = minimize_scalar(lambda t, a=a, b=b: norm_eval(n, (1 - t) * a + t * b - x),
+                                  bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
+            best = min(best, float(res.fun))
+        return best
+    th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
+    ring = center + radius * sphere_points(g, th)
+    dists = norm_batch(n, ring - x)
+    h = 2 * np.pi / 2048
+    best = np.inf
+    for t0 in th[np.argsort(dists)[:8]]:
+
+        def f(t):
+            u = np.array([np.cos(t), np.sin(t)])
+            return norm_eval(n, center + radius * u / norm_eval(g, u) - x)
+
+        res = minimize_scalar(f, bounds=(t0 - 1.5 * h, t0 + 1.5 * h), method="bounded",
+                              options={"xatol": 1e-13})
+        best = min(best, float(res.fun))
+    return best
 
 
 def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
                          n: NormSpec, x: np.ndarray, tol: float):
-    """All near-minimizers of the ambient distance over a 2D gauge sphere."""
+    """All near-minimizers of the ambient distance over a 2D gauge sphere
+    (sphere_points raises DimensionMismatch for any other)."""
     th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
     ring = center + radius * sphere_points(g, th)
     dists = norm_batch(n, ring - x)
@@ -383,36 +247,105 @@ def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
     return _cluster(list(keep), radius=max(50 * tol, 1e-5))
 
 
-def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-8):
-    """Metric projection: representatives of the nearest-point set."""
-    v = _vec(x, A.dim)
-    if contains(A, n, v, tol=0.0):
-        return [v.copy()]
-    if A.kind in ("ball", "ball_complement"):
-        g = _gauge(A, n)
-        c = np.asarray(A.center)
-        same = A.gauge is None or g is n or g == n
+class _SetKind:
+    """Each kind provides, for an ambient norm n: distance(n, v) and
+    project(n, v, tol) for a point v outside the set; boundary_sample;
+    residual(n, x), the offset of x from the boundary, positive outside;
+    cone_directions(n, x, tol), the outward unit normals at a boundary point;
+    sample_inside(rng); and from_json(d)."""
+
+    def contains(self, n, v, tol):
+        return self.residual(n, v) <= tol
+
+
+class _Ball(_SetKind):
+    """The gauge ball center + radius * B_g (sign 1), or the closure of its
+    complement (sign -1, the subclass below)."""
+
+    sign = 1.0
+
+    def __init__(self, A: ClosedSetSpec):
+        self.spec = A
+        self.c = np.asarray(A.center)
+        self.r = A.radius
+
+    def distance(self, n, v):
+        g = _gauge(self.spec, n)
+        if g is n or g == n:
+            return self.sign * (norm_eval(n, v - self.c) - self.r)
+        if self.sign < 0:
+            facets = g.ops.facets(self.c, self.r)
+            if facets is not None:
+                # from inside a polyhedral ball the nearest complement point lies on
+                # a facet plane, and every facet-plane point belongs to the closure
+                return min((b - float(a @ v)) / dual_norm_eval(n, a) for a, b in facets)
+        return _boundary_min_distance(g, self.c, self.r, n, v)
+
+    def project(self, n, v, tol):
+        g = _gauge(self.spec, n)
+        c, R, dim = self.c, self.r, self.spec.dim
+        same = g is n or g == n
         r = norm_eval(g, v - c)
-        if same and (_strictly_convex(g) or r < 1e-12):
-            if r < 1e-12:  # center of the gauge ball: the whole sphere is nearest
-                th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False) if A.dim == 2 else None
-                if th is not None:
-                    return [c + A.radius * p for p in sphere_points(g, th)]
-                rng = np.random.default_rng(11)
-                dirs = rng.standard_normal((16, A.dim))
-                return [c + A.radius * d / norm_eval(g, d) for d in dirs]
-            return [c + A.radius * (v - c) / r]
-        if same and A.dim == 2:
-            return _sphere_nearest_scan(g, c, A.radius, n, v, tol)
-        if same:
-            y = c + A.radius * (v - c) / r
-            return [y]
-        if A.dim == 2:
-            return _sphere_nearest_scan(g, c, A.radius, n, v, tol)
-        return [_boundary_min_distance(g, c, A.radius, n, v)[1]]
-    if A.kind == "halfspace":
-        a = np.asarray(A.normal)
-        d = (float(a @ v) - A.offset) / dual_norm_eval(n, a)
+        if same and r < 1e-12:  # center of the gauge ball: the whole sphere is nearest
+            if dim == 2:
+                th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+                return [c + R * p for p in sphere_points(g, th)]
+            dirs = np.random.default_rng(11).standard_normal((16, dim))
+            return [c + R * d / norm_eval(g, d) for d in dirs]
+        if same and (g.ops.strictly_convex or dim != 2):
+            return [c + R * (v - c) / r]
+        return _sphere_nearest_scan(g, c, R, n, v, tol)
+
+    def boundary_sample(self, n, count, rng, seed, scale):
+        g = _gauge(self.spec, n)
+        if self.spec.dim == 2:
+            th = rng.uniform(0.0, 2 * np.pi, size=count)
+            return [self.c + self.r * p for p in sphere_points(g, th)]
+        dirs = rng.standard_normal((count, self.spec.dim))
+        return [self.c + self.r * d / norm_eval(g, d) for d in dirs]
+
+    def residual(self, n, x):
+        return self.sign * (norm_eval(_gauge(self.spec, n), x - self.c) - self.r)
+
+    def cone_directions(self, n, x, tol):
+        ext = subdifferential_extremes(_gauge(self.spec, n), x - self.c)
+        if self.sign < 0 and len(ext) > 1:
+            return []  # gauge-ball vertex: the complement cone there degenerates
+        return [q / dual_norm_eval(n, q) for q in (self.sign * p for p in ext)]
+
+    def sample_inside(self, rng):
+        if self.sign > 0:
+            return self.c.copy()
+        u = rng.standard_normal(self.spec.dim)
+        u /= np.linalg.norm(u)
+        return self.c + (self.r * 1.5 + rng.uniform(0.0, 0.5)) * u
+
+    @classmethod
+    def from_json(cls, d):
+        gauge = norm_from_json(d["gauge"]) if "gauge" in d else None
+        make = make_ball if cls.sign > 0 else make_ball_complement
+        return make(d["center"], d["radius"], gauge, d.get("name", ""))
+
+
+class _BallComplement(_Ball):
+    sign = -1.0
+
+
+class _Halfspace(_SetKind):
+    """{x : <a, x> <= offset}."""
+
+    def __init__(self, A: ClosedSetSpec):
+        self.dim = A.dim
+        self.a = np.asarray(A.normal)
+        self.b = A.offset
+        self.foot = self.b * self.a / float(self.a @ self.a)
+
+    def distance(self, n, v):
+        return max(0.0, (float(self.a @ v) - self.b)) / dual_norm_eval(n, self.a)
+
+    def project(self, n, v, tol):
+        a = self.a
+        d = (float(a @ v) - self.b) / dual_norm_eval(n, a)
         if n.dim == 2:
             th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
             ring = sphere_points(n, th)
@@ -420,64 +353,113 @@ def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-8):
             smax = float(np.max(scores))
             feet = [v - d * u for u in ring[scores >= smax - 1e-12 * max(1.0, abs(smax))]]
             return _cluster(feet, radius=max(50 * tol, 1e-5))
-        u = support_point(n, a)
-        return [v - d * u]
-    if A.kind == "finite_points":
-        pts = np.asarray(A.points)
+        return [v - d * support_point(n, a)]
+
+    def boundary_sample(self, n, count, rng, seed, scale):
+        a = self.a
+        out = []
+        for _ in range(count):
+            w = rng.uniform(-scale, scale, size=self.dim)
+            w -= (float(a @ w) / float(a @ a)) * a
+            out.append(self.foot + w)
+        return out
+
+    def residual(self, n, x):
+        return float(self.a @ x) - self.b
+
+    def cone_directions(self, n, x, tol):
+        return [self.a / dual_norm_eval(n, self.a)]
+
+    def sample_inside(self, rng):
+        return self.foot - (0.5 + rng.uniform(0.0, 1.0)) * self.a
+
+    @staticmethod
+    def from_json(d):
+        return make_halfspace(d["normal"], d["offset"], d.get("name", ""))
+
+
+class _FinitePoints(_SetKind):
+    def __init__(self, A: ClosedSetSpec):
+        self.pts = np.asarray(A.points)
+
+    def distance(self, n, v):
+        return float(np.min(norm_batch(n, self.pts - v)))
+
+    residual = distance
+
+    def project(self, n, v, tol):
+        pts = self.pts
         dists = norm_batch(n, pts - v)
         dmin = float(np.min(dists))
         return [pts[i].copy() for i in range(pts.shape[0]) if dists[i] <= dmin + tol]
-    if A.kind == "convex_polytope_complement":
+
+    def boundary_sample(self, n, count, rng, seed, scale):
+        return [self.pts[i % self.pts.shape[0]].copy() for i in range(count)]
+
+    def cone_directions(self, n, x, tol):
+        if n.dim == 2:
+            th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+            raw = np.stack([np.cos(th), np.sin(th)], axis=1)
+        else:
+            raw = np.random.default_rng(5).standard_normal((16, n.dim))
+        return [p / dual_norm_eval(n, p) for p in raw]
+
+    def sample_inside(self, rng):
+        return self.pts[int(rng.integers(0, self.pts.shape[0]))].copy()
+
+    @staticmethod
+    def from_json(d):
+        return make_finite_points(d["points"], d.get("name", ""))
+
+
+class _PolytopeComplement(_SetKind):
+    """Closure of the complement of {x : <a_i, x> <= b_i for all i}."""
+
+    def __init__(self, A: ClosedSetSpec):
+        self.dim = A.dim
+        self.facets = [(np.asarray(a, dtype=float), float(b)) for a, b in A.facets]
+
+    def distance(self, n, v):
+        return min((b - float(a @ v)) / dual_norm_eval(n, a) for a, b in self.facets)
+
+    def project(self, n, v, tol):
         vals, feet = [], []
-        for a, b in _facet_list(A):
-            da = dual_norm_eval(n, a)
-            d = (b - float(a @ v)) / da
-            u = support_point(n, a)
+        for a, b in self.facets:
+            d = (b - float(a @ v)) / dual_norm_eval(n, a)
             vals.append(d)
-            feet.append(v + d * u)
+            feet.append(v + d * support_point(n, a))
         dmin = min(vals)
         out = [feet[i] for i in range(len(vals)) if vals[i] <= dmin + tol]
         return _cluster(out, radius=max(50 * tol, 1e-5))
-    if A.kind == "cylinder_extension":
-        sub = _restrict_norm(n, A.coords)
-        base_proj = project(A.base, sub, v[list(A.coords)], tol)
-        out = []
-        for bp in base_proj:
-            y = v.copy()
-            y[list(A.coords)] = bp
-            out.append(y)
-        return out
-    raise ValueError(f"unknown set kind {A.kind!r}")
 
+    def _edges_2d(self):
+        """Edges of the 2D polytope, between its vertices in CCW order."""
+        fl = self.facets
+        m = len(fl)
+        verts = []
+        for i in range(m):
+            for j in range(i + 1, m):
+                a1, b1 = fl[i]
+                a2, b2 = fl[j]
+                M = np.array([a1, a2])
+                det = float(np.linalg.det(M))
+                if abs(det) < 1e-12:
+                    continue
+                p = np.linalg.solve(M, np.array([b1, b2]))
+                if all(float(a @ p) <= b + 1e-9 for a, b in fl):
+                    verts.append(p)
+        if not verts:
+            raise DegenerateBody("polytope has no vertices")
+        verts = _cluster(verts, radius=1e-9, cap=64)
+        ctr = np.mean(verts, axis=0)
+        verts.sort(key=lambda p: np.arctan2(p[1] - ctr[1], p[0] - ctr[0]))
+        m = len(verts)
+        return [(verts[i], verts[(i + 1) % m]) for i in range(m)]
 
-def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0,
-                    scale: float = 2.0):
-    """Sample points on the boundary of A (deterministic under the seed)."""
-    rng = np.random.default_rng(seed)
-    if A.kind in ("ball", "ball_complement"):
-        g = _gauge(A, n)
-        c = np.asarray(A.center)
-        if A.dim == 2:
-            th = rng.uniform(0.0, 2 * np.pi, size=count)
-            return [c + A.radius * p for p in sphere_points(g, th)]
-        dirs = rng.standard_normal((count, A.dim))
-        return [c + A.radius * d / norm_eval(g, d) for d in dirs]
-    if A.kind == "halfspace":
-        a = np.asarray(A.normal)
-        foot = A.offset * a / float(a @ a)
-        out = []
-        for _ in range(count):
-            w = rng.uniform(-scale, scale, size=A.dim)
-            w -= (float(a @ w) / float(a @ a)) * a
-            out.append(foot + w)
-        return out
-    if A.kind == "finite_points":
-        pts = np.asarray(A.points)
-        return [pts[i % pts.shape[0]].copy() for i in range(count)]
-    if A.kind == "convex_polytope_complement":
-        if A.dim != 2:
+    def boundary_sample(self, n, count, rng, seed, scale):
+        if self.dim != 2:
             raise ValueError("polytope complement sampling implemented for dim 2 only")
-        segs = _polytope_edge_segments_2d(A)
+        segs = self._edges_2d()
         lens = np.array([np.linalg.norm(b - a) for a, b in segs])
         probs = lens / np.sum(lens)
         out = []
@@ -487,72 +469,136 @@ def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0,
             a, b = segs[i]
             out.append((1 - t) * a + t * b)
         return out
-    if A.kind == "cylinder_extension":
-        sub = _restrict_norm(n, A.coords)
-        base_pts = boundary_sample(A.base, sub, count, seed, scale)
-        free = [i for i in range(A.dim) if i not in A.coords]
+
+    def residual(self, n, x):
+        return min(b - float(a @ x) for a, b in self.facets)
+
+    def cone_directions(self, n, x, tol):
+        active = []
+        for a, b in self.facets:
+            if abs(float(a @ x) - b) <= 10 * tol * max(1.0, abs(b), float(np.max(np.abs(a)))):
+                active.append(a)
+        if len(active) != 1:
+            return []  # complement vertex (or numerical corner): degenerate
+        a = active[0]
+        return [-a / dual_norm_eval(n, a)]
+
+    def sample_inside(self, rng):
+        a, b = self.facets[int(rng.integers(0, len(self.facets)))]
+        return (b / float(a @ a)) * a + (0.5 + rng.uniform(0.0, 0.5)) * a
+
+    @staticmethod
+    def from_json(d):
+        return make_polytope_complement([(a, b) for a, b in d["facets"]], d.get("name", ""))
+
+
+class _Cylinder(_SetKind):
+    """base x R^k: the base set on the axes `coords`, free on the others.
+    The ambient norm must restrict to those axes."""
+
+    def __init__(self, A: ClosedSetSpec):
+        self.dim = A.dim
+        self.base = A.base
+        self.coords = list(A.coords)
+
+    def contains(self, n, v, tol):  # through contains(), so per-layer traces count the base query
+        return contains(self.base, n.ops.restrict(self.coords), v[self.coords], tol)
+
+    def distance(self, n, v):
+        return distance(self.base, n.ops.restrict(self.coords), v[self.coords])
+
+    def project(self, n, v, tol):
+        out = []
+        for bp in project(self.base, n.ops.restrict(self.coords), v[self.coords], tol):
+            y = v.copy()
+            y[self.coords] = bp
+            out.append(y)
+        return out
+
+    def boundary_sample(self, n, count, rng, seed, scale):
+        base_pts = boundary_sample(self.base, n.ops.restrict(self.coords), count, seed, scale)
+        free = [i for i in range(self.dim) if i not in self.coords]
         out = []
         for bp in base_pts:
-            y = np.zeros(A.dim)
-            y[list(A.coords)] = bp
+            y = np.zeros(self.dim)
+            y[self.coords] = bp
             if free:
                 y[free] = rng.uniform(-scale, scale, size=len(free))
             out.append(y)
         return out
-    raise ValueError(f"unknown set kind {A.kind!r}")
+
+    def residual(self, n, x):
+        return self.base.ops.residual(n.ops.restrict(self.coords), x[self.coords])
+
+    def cone_directions(self, n, x, tol):
+        sub = n.ops.restrict(self.coords)
+        out = []
+        for p in self.base.ops.cone_directions(sub, x[self.coords], tol):
+            q = np.zeros(self.dim)
+            q[self.coords] = p
+            out.append(q / dual_norm_eval(n, q))
+        return out
+
+    def sample_inside(self, rng):
+        base = self.base.ops.sample_inside(rng)
+        y = rng.uniform(-1.0, 1.0, size=self.dim)
+        y[self.coords] = base
+        return y
+
+    @staticmethod
+    def from_json(d):
+        return cylinder_extend(_set_from_dict(d["base"]), d["dim"], d["coords"], d.get("name", ""))
 
 
-def _polytope_vertices_2d(A: ClosedSetSpec):
-    """Vertices of the 2D polytope whose complement A is, in CCW order."""
-    fl = _facet_list(A)
-    m = len(fl)
-    verts = []
-    for i in range(m):
-        for j in range(i + 1, m):
-            a1, b1 = fl[i]
-            a2, b2 = fl[j]
-            M = np.array([a1, a2])
-            det = float(np.linalg.det(M))
-            if abs(det) < 1e-12:
-                continue
-            p = np.linalg.solve(M, np.array([b1, b2]))
-            if all(float(a @ p) <= b + 1e-9 for a, b in fl):
-                verts.append(p)
-    if not verts:
-        raise DegenerateBody("polytope has no vertices")
-    verts = _cluster(verts, radius=1e-9, cap=64)
-    ctr = np.mean(verts, axis=0)
-    verts.sort(key=lambda p: np.arctan2(p[1] - ctr[1], p[0] - ctr[0]))
-    return verts
+_KINDS = {
+    "ball": _Ball,
+    "ball_complement": _BallComplement,
+    "halfspace": _Halfspace,
+    "finite_points": _FinitePoints,
+    "convex_polytope_complement": _PolytopeComplement,
+    "cylinder_extension": _Cylinder,
+}
 
 
-def _polytope_edge_segments_2d(A: ClosedSetSpec):
-    verts = _polytope_vertices_2d(A)
-    m = len(verts)
-    return [(verts[i], verts[(i + 1) % m]) for i in range(m)]
+def _set_kind(kind: str):
+    cls = _KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown set kind {kind!r}")
+    return cls
+
+
+# ---------------------------------------------------------------------------
+# membership / distance / projection
+
+
+def contains(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-9) -> bool:
+    """True when x is at most tol outside A, by its boundary residual."""
+    return A.ops.contains(n, as_vec(x, A.dim), tol)
+
+
+def distance(A: ClosedSetSpec, n: NormSpec, x) -> float:
+    v = as_vec(x, A.dim)
+    if contains(A, n, v, tol=0.0):
+        return 0.0
+    return A.ops.distance(n, v)
+
+
+def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-8):
+    """Metric projection: representatives of the nearest-point set."""
+    v = as_vec(x, A.dim)
+    if contains(A, n, v, tol=0.0):
+        return [v.copy()]
+    return A.ops.project(n, v, tol)
+
+
+def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0,
+                    scale: float = 2.0):
+    """Sample points on the boundary of A (deterministic under the seed)."""
+    return A.ops.boundary_sample(n, count, np.random.default_rng(seed), seed, scale)
 
 
 # ---------------------------------------------------------------------------
 # normal cones
-
-
-def _boundary_residual(A: ClosedSetSpec, n: NormSpec, x: np.ndarray) -> float:
-    if A.kind == "ball":
-        g = _gauge(A, n)
-        return norm_eval(g, x - np.asarray(A.center)) - A.radius
-    if A.kind == "ball_complement":
-        g = _gauge(A, n)
-        return A.radius - norm_eval(g, x - np.asarray(A.center))
-    if A.kind == "halfspace":
-        return float(np.asarray(A.normal) @ x) - A.offset
-    if A.kind == "finite_points":
-        return float(np.min(norm_batch(n, np.asarray(A.points) - x)))
-    if A.kind == "convex_polytope_complement":
-        return min(b - float(a @ x) for a, b in _facet_list(A))
-    if A.kind == "cylinder_extension":
-        sub = _restrict_norm(n, A.coords)
-        return _boundary_residual(A.base, sub, x[list(A.coords)])
-    raise ValueError(f"unknown set kind {A.kind!r}")
 
 
 def _local_set_samples(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float,
@@ -571,62 +617,17 @@ def _local_set_samples(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float
     return out
 
 
-def _cone_directions(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, tol: float):
-    """Extreme unit functionals of the outward normal cone, analytically."""
-    if A.kind == "ball":
-        g = _gauge(A, n)
-        ext = subdifferential_extremes(g, x - np.asarray(A.center))
-        return [p / dual_norm_eval(n, p) for p in ext]
-    if A.kind == "ball_complement":
-        g = _gauge(A, n)
-        ext = subdifferential_extremes(g, x - np.asarray(A.center))
-        if len(ext) > 1:
-            return []  # gauge-ball vertex: the complement cone there degenerates
-        p = -ext[0]
-        return [p / dual_norm_eval(n, p)]
-    if A.kind == "halfspace":
-        a = np.asarray(A.normal)
-        return [a / dual_norm_eval(n, a)]
-    if A.kind == "finite_points":
-        if n.dim == 2:
-            th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-            raw = np.stack([np.cos(th), np.sin(th)], axis=1)
-        else:
-            rng = np.random.default_rng(5)
-            raw = rng.standard_normal((16, n.dim))
-        return [p / dual_norm_eval(n, p) for p in raw]
-    if A.kind == "convex_polytope_complement":
-        active = []
-        for a, b in _facet_list(A):
-            if abs(float(a @ x) - b) <= 10 * tol * max(1.0, abs(b), float(np.max(np.abs(a)))):
-                active.append(a)
-        if len(active) != 1:
-            return []  # complement vertex (or numerical corner): degenerate
-        a = active[0]
-        return [-a / dual_norm_eval(n, a)]
-    if A.kind == "cylinder_extension":
-        sub = _restrict_norm(n, A.coords)
-        base_dirs = _cone_directions(A.base, sub, x[list(A.coords)], tol)
-        out = []
-        for p in base_dirs:
-            q = np.zeros(A.dim)
-            q[list(A.coords)] = p
-            out.append(q / dual_norm_eval(n, q))
-        return out
-    raise ValueError(f"unknown set kind {A.kind!r}")
-
-
 def normal_directions(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-6) -> tuple:
     """Extreme unit rays of the outward normal cone at a boundary point.
 
     The analytic directions of the set kind, without sampled vetting.  Raises
     InteriorPoint when x is more than 100 tol off the boundary.
     """
-    v = _vec(x, A.dim)
-    res = _boundary_residual(A, n, v)
+    v = as_vec(x, A.dim)
+    res = A.ops.residual(n, v)
     if abs(res) > 100 * tol:
         raise InteriorPoint(f"point is {res:.3g} away from the boundary")
-    return tuple(_cone_directions(A, n, v, tol))
+    return tuple(A.ops.cone_directions(n, v, tol))
 
 
 def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
@@ -639,7 +640,7 @@ def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
     not persist when the mesh shrinks tenfold.  It never changes the
     directions, so the certificates call `normal_directions` and skip it.
     """
-    v = _vec(x, A.dim)
+    v = as_vec(x, A.dim)
     dirs = normal_directions(A, n, v, tol)
     rng = np.random.default_rng(seed)
     if not dirs:
@@ -885,8 +886,8 @@ def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
     """For a unit vector x with support functional p and a point z on the
     supporting line {<p, .> = 1}, the sphere point y cut out by the line
     through z parallel to x satisfies 2|z - x| >= |x - y| - tol."""
-    xv = _vec(x, n.dim)
-    zv = _vec(z, n.dim)
+    xv = as_vec(x, n.dim)
+    zv = as_vec(z, n.dim)
     if abs(norm_eval(n, xv) - 1.0) > 1e-7:
         raise ValueError("x must be a unit vector")
     p = duality_map(n, xv)
@@ -915,8 +916,8 @@ def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
 def support_gap_check(n: NormSpec, R: float, x0, z, delta_curve, tol: float = 1e-6):
     """Inner points of a sphere sit quantitatively on the far side of the
     supporting functional at -x0, with gap 2 R delta(|z - x0| / R)."""
-    x0v = _vec(x0, n.dim)
-    zv = _vec(z, n.dim)
+    x0v = as_vec(x0, n.dim)
+    zv = as_vec(z, n.dim)
     if abs(norm_eval(n, x0v) - R) > 1e-6 * max(1.0, R):
         raise ValueError("x0 must lie on the sphere of radius R")
     if norm_eval(n, zv) >= R:
@@ -944,7 +945,7 @@ def john_ellipse_2d(vertices) -> np.ndarray:
     """
     verts = np.asarray(vertices, dtype=float)
     gauge = polygon_norm(verts)  # validates symmetry and convex position
-    edges = polygon_edge_functionals(gauge)
+    edges = gauge.ops.edges
     verts = np.asarray(gauge.vertices)
 
     def unpack(v):
@@ -1001,53 +1002,20 @@ def john_ellipse_2d(vertices) -> np.ndarray:
 
 
 def set_to_json(A: ClosedSetSpec) -> str:
-    from .norms import norm_to_json
-
-    def pack(spec: ClosedSetSpec) -> dict:
-        d = {"kind": spec.kind, "dim": spec.dim, "name": spec.name}
-        if spec.center is not None:
-            d["center"] = list(spec.center)
-        if spec.radius is not None:
-            d["radius"] = spec.radius
-        if spec.gauge is not None:
-            d["gauge"] = norm_to_json(spec.gauge)
-        if spec.normal is not None:
-            d["normal"] = list(spec.normal)
-        if spec.offset is not None:
-            d["offset"] = spec.offset
-        if spec.points is not None:
-            d["points"] = [list(p) for p in spec.points]
-        if spec.facets is not None:
-            d["facets"] = [[list(a), b] for a, b in spec.facets]
-        if spec.base is not None:
-            d["base"] = pack(spec.base)
-        if spec.coords is not None:
-            d["coords"] = list(spec.coords)
-        return d
+    def pack(v):
+        if isinstance(v, ClosedSetSpec):
+            return {f.name: pack(getattr(v, f.name)) for f in dataclasses.fields(v)
+                    if getattr(v, f.name) is not None}
+        if isinstance(v, NormSpec):
+            return norm_to_json(v)
+        return [pack(t) for t in v] if isinstance(v, tuple) else v
 
     return json.dumps(pack(A), sort_keys=True)
 
 
+def _set_from_dict(d: dict) -> ClosedSetSpec:
+    return _set_kind(d["kind"]).from_json(d)
+
+
 def set_from_json(text: str) -> ClosedSetSpec:
-    from .norms import norm_from_json
-
-    def unpack(d: dict) -> ClosedSetSpec:
-        kind = d["kind"]
-        if kind not in _SET_KINDS:
-            raise ValueError(f"unknown set kind {kind!r}")
-        gauge = norm_from_json(d["gauge"]) if "gauge" in d else None
-        if kind == "ball":
-            return make_ball(d["center"], d["radius"], gauge, d.get("name", ""))
-        if kind == "ball_complement":
-            return make_ball_complement(d["center"], d["radius"], gauge, d.get("name", ""))
-        if kind == "halfspace":
-            return make_halfspace(d["normal"], d["offset"], d.get("name", ""))
-        if kind == "finite_points":
-            return make_finite_points(d["points"], d.get("name", ""))
-        if kind == "convex_polytope_complement":
-            return make_polytope_complement([(a, b) for a, b in d["facets"]], d.get("name", ""))
-        if kind == "cylinder_extension":
-            return cylinder_extend(unpack(d["base"]), d["dim"], d["coords"], d.get("name", ""))
-        raise ValueError(kind)
-
-    return unpack(json.loads(text))
+    return _set_from_dict(json.loads(text))

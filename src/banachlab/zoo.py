@@ -128,29 +128,7 @@ def linf_box_complement(norms: dict) -> ClosedSetSpec:
 
 def sample_inside(A: ClosedSetSpec, rng) -> np.ndarray:
     """A strictly interior point of A, randomized but bounded."""
-    if A.kind == "ball":
-        return np.asarray(A.center, dtype=float)
-    if A.kind == "ball_complement":
-        u = rng.standard_normal(A.dim)
-        u /= np.linalg.norm(u)
-        return np.asarray(A.center) + (A.radius * 1.5 + rng.uniform(0.0, 0.5)) * u
-    if A.kind == "halfspace":
-        a = np.asarray(A.normal, dtype=float)
-        foot = A.offset * a / float(a @ a)
-        return foot - (0.5 + rng.uniform(0.0, 1.0)) * a
-    if A.kind == "finite_points":
-        pts = np.asarray(A.points)
-        return pts[int(rng.integers(0, pts.shape[0]))].copy()
-    if A.kind == "convex_polytope_complement":
-        a, b = A.facets[int(rng.integers(0, len(A.facets)))]
-        a = np.asarray(a, dtype=float)
-        return (b / float(a @ a)) * a + (0.5 + rng.uniform(0.0, 0.5)) * a
-    if A.kind == "cylinder_extension":
-        base = sample_inside(A.base, rng)
-        y = rng.uniform(-1.0, 1.0, size=A.dim)
-        y[list(A.coords)] = base
-        return y
-    raise ValueError(A.kind)
+    return A.ops.sample_inside(rng)
 
 
 def ambient_norm(norms: dict, ambient: str) -> NormSpec:

@@ -76,6 +76,15 @@ def test_delta_rejects_out_of_range_grid():
         bl.rho_estimate(n, [0.0, 0.5], LOW)
 
 
+def test_moduli_estimators_are_planar():
+    """The estimators search the planar unit sphere; a 3-d norm is refused."""
+    euclid3 = bl.ambient_norm(bl.norm_zoo(), "euclid3")
+    with pytest.raises(bl.DimensionMismatch):
+        bl.delta_estimate(euclid3, [0.5], LOW)
+    with pytest.raises(bl.DimensionMismatch):
+        bl.rho_estimate(euclid3, [0.5], LOW)
+
+
 # ---------------------------------------------------------------------------
 # support shift and supporting moduli
 
@@ -144,7 +153,7 @@ def test_supporting_modulus_which_flag():
 def test_omega_round_trip(curve_bank):
     rho = curve_bank["euclid"]["rho"]
     for tau in (0.1, 0.3, 0.8):
-        s = bl.omega_eval(rho, tau)
+        s = rho.eval(tau)
         assert bl.omega_inverse(rho, s) == pytest.approx(tau, abs=1e-6)
 
 

@@ -1,5 +1,7 @@
 """Norm evaluation, duality maps and orthogonality predicates."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +12,7 @@ from banachlab.norms import (
     MultiValued,
     NotSymmetric,
     ZeroVector,
+    sphere_vertex_angles,
 )
 
 
@@ -46,6 +49,46 @@ def test_weighted_lp_values():
     n = bl.weighted_lp_norm(2, [4.0, 0.25])
     assert bl.norm_eval(n, [1.0, 0.0]) == pytest.approx(2.0, abs=1e-12)
     assert bl.norm_eval(n, [0.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
+
+
+def _plain_lp(X, p):
+    """The formulas of the former separate lp kind, kept as the reference."""
+    a = np.abs(X)
+    if p == 2.0:
+        return np.sqrt(np.sum(X * X, axis=-1))
+    if p == 1.0:
+        return np.sum(a, axis=-1)
+    if math.isinf(p):
+        return np.max(a, axis=-1)
+    m = np.max(a, axis=-1)
+    scaled = a / np.expand_dims(np.where(m > 0, m, 1.0), -1)
+    return m * np.sum(scaled ** p, axis=-1) ** (1.0 / p)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
+def test_lp_is_unit_weight_weighted_lp_bit_for_bit(p, dim):
+    """lp_norm builds a unit-weight weighted lp spec whose norm and dual norm
+    equal the plain lp formulas exactly, for single rows and stacks of rows."""
+    n = bl.lp_norm(p, dim)
+    assert n.kind == "weighted_lp" and n.weights == (1.0,) * dim
+    q = {1.0: np.inf, 2.0: 2.0, np.inf: 1.0}.get(p) or p / (p - 1.0)
+    rng = np.random.default_rng(31)
+    for shape in [(dim,), (7, dim), (4, 5, dim)]:
+        X = rng.normal(size=shape) * 3.0
+        assert np.array_equal(bl.norm_batch(n, X), _plain_lp(X, p))
+        assert np.array_equal(bl.dual_norm_batch(n, X), _plain_lp(X, q))
+    if dim == 2 and p == 1.0:
+        assert np.array_equal(sphere_vertex_angles(n), [0.0, np.pi / 2, np.pi, -np.pi / 2])
+    if dim == 2 and p == np.inf:
+        assert np.array_equal(sphere_vertex_angles(n),
+                              [np.pi / 4, 3 * np.pi / 4, -3 * np.pi / 4, -np.pi / 4])
+
+
+@pytest.mark.parametrize("weights", [[1.0, np.nan], [np.inf, 1.0], [1.0, 0.0], []])
+def test_weighted_lp_rejects_bad_weights(weights):
+    with pytest.raises(ValueError):
+        bl.weighted_lp_norm(2, weights)
 
 
 def test_polygon_square_matches_linf():
@@ -277,3 +320,12 @@ def test_norm_serialization_round_trip(zoo):
         n2 = bl.norm_from_json(bl.norm_to_json(n))
         assert n2.kind == n.kind and n2.dim == n.dim
         assert np.allclose(bl.norm_batch(n2, X), bl.norm_batch(n, X), atol=1e-12)
+
+
+def test_norm_from_json_reads_the_lp_kind():
+    """Specs written with "kind": "lp" read back as unit-weight weighted lp."""
+    for p in (3, "inf"):
+        n = bl.norm_from_json({"kind": "lp", "dim": 3, "p": p, "name": "x"})
+        assert n == bl.lp_norm(np.inf if p == "inf" else p, 3, name="x")
+    with pytest.raises(ValueError):
+        bl.norm_from_json({"kind": "hexagon", "dim": 2})
