@@ -218,7 +218,7 @@ class _WeightedLp(_NormKind):
     def facets(self, center, radius):
         d = center.shape[0]
         if math.isinf(self.p):
-            rows = [s * self.w[i] * np.eye(d)[i] for i in range(d) for s in (1.0, -1.0)]
+            rows = [np.where(np.arange(d) == i, s * self.w[i], 0.0) for i in range(d) for s in (1.0, -1.0)]
         elif self.p == 1.0:
             rows = [self.w * np.where(np.asarray(s) == 0, 1.0, -1.0) for s in np.ndindex(*([2] * d))]
         else:
