@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
 
-from .norms import NormSpec, norm_batch, norm_eval, sphere_points, sphere_vertex_angles
+from .norms import NormSpec, norm_batch, norm_eval, sphere_vertex_angles
 from .psifuncs import PsiSpec
 from .sets import (
     CheckReport,
@@ -185,6 +185,7 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
     n1 = max(128, min(512, budget // 16))
     n2 = 512
     th1_grid = np.linspace(0.0, 2 * np.pi, n1, endpoint=False)
+    th2_grid = np.linspace(0.0, 2 * np.pi, n2, endpoint=False)
     # keep clear of gauge-ball vertices, where the complement cone degenerates
     bad = sphere_vertex_angles(g)
 
@@ -199,8 +200,7 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
         d1 = dirs_at(th1)
         if not d1:
             return -np.inf
-        th2_grid = np.linspace(0.0, 2 * np.pi, n2, endpoint=False)
-        ring = c + r * sphere_points(g, th2_grid)
+        ring = c + r * g.ops.sphere(n2)
         dist = norm_batch(n, ring - x1) - eps
         best = -np.inf
         for k in range(n2):

@@ -20,7 +20,6 @@ from .norms import (
     j1_batch,
     norm_batch,
     norm_eval,
-    sphere_points,
     sphere_vertex_angles,
     subdifferential_extremes,
     unit_vector,
@@ -91,28 +90,6 @@ def hilbert_rho(tau):
 # ---------------------------------------------------------------------------
 # planar pair search under the equality constraint ||x - y|| = eps
 
-_SPHERE_CACHE: dict = {}
-_J1_CACHE: dict = {}
-
-
-def _sphere_table(n, count):
-    key = (n, count)
-    S = _SPHERE_CACHE.get(key)
-    if S is None:
-        S = sphere_points(n, count)
-        _SPHERE_CACHE[key] = S
-    return S
-
-
-def _j1_table(n, count):
-    key = (n, count)
-    P = _J1_CACHE.get(key)
-    if P is None:
-        P = j1_batch(n, _sphere_table(n, count))
-        _J1_CACHE[key] = P
-    return P
-
-
 def constrained_pair_search(n, eps_list, obj_grid, obj_point, angles,
                             refine_iters=60, top_k=4):
     """Maximize a pair objective over unit-sphere pairs with ||x - y|| = eps.
@@ -126,7 +103,7 @@ def constrained_pair_search(n, eps_list, obj_grid, obj_point, angles,
     resolved by root tracking.
     """
     N = angles
-    S = _sphere_table(n, N)
+    S = n.ops.sphere(N)
     half = N // 2  # central symmetry: (x, y) and (-x, -y) give the same value
     eps_arr = np.asarray(list(eps_list), dtype=float)
     best = {float(e): (-np.inf, 0.0, 0.0, False) for e in eps_arr}
@@ -273,7 +250,7 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
         return ModulusCurve(tau_grid.copy(), np.array(vals), "under",
                             label=f"{n.name}:rho")
     N = min(budget.angles, 1024)
-    S = _sphere_table(n, N)
+    S = n.ops.sphere(N)
     half = N // 2
     vals = []
     for tau in tau_grid:
@@ -358,8 +335,8 @@ def _quasiorth_table(n, angles):
     tab = _QO_CACHE.get(key)
     if tab is not None:
         return tab
-    S = _sphere_table(n, angles)
-    P = _j1_table(n, angles)
+    S = n.ops.sphere(angles)
+    P = j1_batch(n, S)
     K = np.stack([-P[:, 1], P[:, 0]], axis=1)
     K = K / norm_batch(n, K)[:, None]
     ang = 2 * np.pi * np.arange(angles) / angles

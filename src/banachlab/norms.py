@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 
 class ZeroVector(ValueError):
@@ -129,14 +129,32 @@ def ellipse_norm(matrix, name=""):
 
 
 class _NormKind:
-    """What every kind provides: norm(X) and dual(P) over rows,
-    subdifferential(x, nx, tol), and the defaults below."""
+    """What every kind provides: norm(X) and dual(P) over rows; gradient(X),
+    the norm's gradient at rows where the norm is smooth and one extreme
+    functional of the subdifferential elsewhere; support(P), a maximizer of
+    <p, u> over the unit ball (not scaled to norm one); and the defaults
+    below."""
 
     strictly_convex = False
     vertices = None  # vertex table of a polygon unit ball
 
     def __init__(self, n):
         self.spec = n
+        self._spheres = {}
+
+    def sphere(self, count):
+        """sphere_points(spec, count), built once per count and read-only."""
+        S = self._spheres.get(count)
+        if S is None:
+            S = sphere_points(self.spec, count)
+            S.flags.writeable = False
+            self._spheres[count] = S
+        return S
+
+    def subdifferential(self, x, nx, tol):
+        """Extreme functionals of the subdifferential at x, of dual norm one:
+        by default the one functional of a norm smooth at x."""
+        return [j1_batch(self.spec, x)]
 
     def vertex_angles(self):
         """Angles of the vertices of a polyhedral planar unit sphere."""
@@ -177,6 +195,30 @@ class _WeightedLp(_NormKind):
     def dual(self, P):
         return _lp_reduce(P, self.q, self.scales[1])
 
+    def gradient(self, X):
+        """w sign(y) |y|^(p-1) with y = x/|x|; l1: w sign(x), which is 0 on a
+        zero coordinate; linf: w_k sign(x_k) e_k at the first arg-max k of
+        w|x|."""
+        w = self.w
+        if self.p == 1.0:
+            return w * np.sign(X)
+        if math.isinf(self.p):
+            return np.where(_first_argmax(w * np.abs(X)), w * np.sign(X), 0.0)
+        Y = X / np.expand_dims(self.norm(X), -1)
+        return w * np.sign(Y) * np.abs(Y) ** (self.p - 1.0)
+
+    def support(self, P):
+        """sign(p) (|p|/w)^(q-1), scaled by the largest |p|/w to keep the
+        power in range; l1: the vertex sign(p_k)/w_k e_k at the first arg-max
+        k of |p|/w; linf: sign(p)/w, the centre of the face when some p_k is
+        0."""
+        if math.isinf(self.p):
+            return np.sign(P) / self.w
+        R = np.abs(P) / self.w
+        if self.p == 1.0:
+            return np.where(_first_argmax(R), np.sign(P) / self.w, 0.0)
+        return np.sign(P) * (R / np.max(R, axis=-1, keepdims=True)) ** (self.q - 1.0)
+
     def subdifferential(self, x, nx, tol):
         w = self.w
         if self.p == 1.0:
@@ -203,7 +245,7 @@ class _WeightedLp(_NormKind):
                 p[i] = w[i] * np.sign(x[i])
                 out.append(p)
             return out
-        return [_fd_dual_unit(self.spec, x)]
+        return super().subdifferential(x, nx, tol)
 
     def vertex_angles(self):
         if self.p == 1.0:
@@ -259,6 +301,16 @@ class _Polygon(_NormKind):
     def dual(self, P):
         return np.max(np.abs(P @ self.vertices.T), axis=-1)
 
+    def gradient(self, X):
+        """The edge functional with the largest value at x (the first in
+        vertex order at a vertex)."""
+        return self.edges[np.argmax(X @ self.edges.T, axis=-1)]
+
+    def support(self, P):
+        """The vertex with the largest pairing (the first in vertex order when
+        p is normal to an edge)."""
+        return self.vertices[np.argmax(P @ self.vertices.T, axis=-1)]
+
     def subdifferential(self, x, nx, tol):
         vals = self.edges @ x
         active = np.where(vals >= nx * (1 - tol))[0]
@@ -289,8 +341,13 @@ class _Ellipse(_NormKind):
     def dual(self, P):
         return np.sqrt(np.einsum("...i,ij,...j->...", P, self.Qi, P))
 
-    def subdifferential(self, x, nx, tol):
-        return [self.Q @ x / nx]
+    def gradient(self, X):
+        """Qx/|x|."""
+        return X @ self.Q.T / np.expand_dims(self.norm(X), -1)
+
+    def support(self, P):
+        """Q^-1 p."""
+        return P @ self.Qi.T
 
     @staticmethod
     def from_json(d):
@@ -298,6 +355,11 @@ class _Ellipse(_NormKind):
 
 
 _KINDS = {"weighted_lp": _WeightedLp, "polygon": _Polygon, "ellipse": _Ellipse}
+
+
+def _first_argmax(A):
+    """Mask of the first largest entry of each row of A."""
+    return np.arange(A.shape[-1]) == np.argmax(A, axis=-1)[..., None]
 
 
 def _norm_kind(kind):
@@ -404,39 +466,15 @@ class MultiValued:
     extremes: list
 
 
-def _fd_gradient(n, x, h=1e-6):
-    x = as_vec(x, n.dim)
-    step = h * norm_eval(n, x)
-    g = np.empty(n.dim)
-    for i in range(n.dim):
-        e = np.zeros(n.dim)
-        e[i] = step
-        g[i] = (norm_eval(n, x + e) - norm_eval(n, x - e)) / (2.0 * step)
-    return g
+def j1_batch(n, X):
+    """Normalized duality mapping of each row of X: the norm's gradient in
+    closed form, scaled to dual norm one.
 
-
-def _fd_dual_unit(n, x):
-    g = _fd_gradient(n, x)
-    dn = dual_norm_eval(n, g)
-    if dn <= 0:
-        raise ZeroVector("degenerate gradient")
-    return g / dn
-
-
-def j1_batch(n, X, h=1e-6):
-    """Duality mapping for rows of X by central differences, one row each.
-
-    No multivaluedness handling: intended for scan tables over generic sphere
-    points. Rows are normalized to exact dual norm one.
+    Single valued: where the norm is not smooth it gives the one extreme
+    functional that the kind's gradient picks (see _NormKind); use
+    subdifferential_extremes for all of them.
     """
-    X = np.asarray(X, dtype=float)
-    norms = norm_batch(n, X)
-    G = np.empty_like(X)
-    for i in range(X.shape[-1]):
-        E = np.zeros(X.shape[-1])
-        E[i] = 1.0
-        step = (h * norms)[..., None] * E
-        G[..., i] = (norm_batch(n, X + step) - norm_batch(n, X - step)) / (2.0 * h * norms)
+    G = n.ops.gradient(np.asarray(X, dtype=float))
     return G / dual_norm_batch(n, G)[..., None]
 
 
@@ -484,47 +522,18 @@ def birkhoff_orthogonal(n, y, x, tol=1e-9):
     return res.fun >= nx * (1.0 - tol)
 
 
-def support_point(n, p, angles=4096, starts=64, iters=200, seed=0):
+def support_point(n, p):
     """A unit vector u maximizing <p, u>, i.e. where p supports the ball.
 
-    Planar norms use an angle grid plus local refinement; higher dimensions
-    run a deterministic multistart simplex search.
+    Closed form per norm kind (see each kind's support).  Where the maximizer
+    is not unique, a flat face of a polyhedral ball, it is the face point the
+    kind documents: a vertex for l1 and polygons, the face centre for linf.
     """
     p = as_vec(p, n.dim)
-    if n.dim == 2:
-        S = sphere_points(n, angles)
-        vals = S @ p
-        k = int(np.argmax(vals))
-        a0 = 2.0 * np.pi * k / angles
-        h = 2.0 * np.pi / angles
-
-        def neg(a):
-            d = np.array([np.cos(a), np.sin(a)])
-            u = d / norm_eval(n, d)
-            return -float(u @ p)
-
-        res = minimize_scalar(neg, bounds=(a0 - h, a0 + h), method="bounded",
-                              options={"xatol": 1e-14})
-        a = res.x if -res.fun >= vals[k] else a0
-        d = np.array([np.cos(a), np.sin(a)])
-        return d / norm_eval(n, d)
-    rng = np.random.default_rng(seed)
-    best, best_val = None, -np.inf
-    for _ in range(starts):
-        u0 = rng.normal(size=n.dim)
-        u0 /= np.linalg.norm(u0)
-
-        def neg(u):
-            nu = norm_batch(n, u)
-            if nu <= 0:
-                return 0.0
-            return -float(np.dot(p, u)) / float(nu)
-
-        res = minimize(neg, u0, method="Nelder-Mead",
-                       options={"maxiter": iters, "xatol": 1e-12, "fatol": 1e-14})
-        if -res.fun > best_val:
-            best_val, best = -res.fun, res.x
-    return best / norm_eval(n, best)
+    if not np.any(p):
+        raise ZeroVector("the zero functional supports the ball everywhere")
+    u = n.ops.support(p)
+    return u / norm_eval(n, u)
 
 
 # ---------------------------------------------------------------------------

@@ -206,7 +206,7 @@ def _cluster(points, radius: float, cap: int = 16):
 def _boundary_min_distance(g: NormSpec, center: np.ndarray, radius: float,
                            n: NormSpec, x: np.ndarray) -> float:
     """Least ambient distance from x to the gauge sphere center + radius*S_g.
-    Planar gauges only: sphere_points raises DimensionMismatch for others."""
+    Planar gauges only: the sphere table raises DimensionMismatch for others."""
     if g.ops.vertices is not None:
         # per-edge segment minimization; each edge is convex in its parameter
         verts = radius * g.ops.vertices + center
@@ -217,7 +217,7 @@ def _boundary_min_distance(g: NormSpec, center: np.ndarray, radius: float,
             best = min(best, float(res.fun))
         return best
     th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-    ring = center + radius * sphere_points(g, th)
+    ring = center + radius * g.ops.sphere(2048)
     dists = norm_batch(n, ring - x)
     h = 2 * np.pi / 2048
     best = np.inf
@@ -236,9 +236,8 @@ def _boundary_min_distance(g: NormSpec, center: np.ndarray, radius: float,
 def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
                          n: NormSpec, x: np.ndarray, tol: float):
     """All near-minimizers of the ambient distance over a 2D gauge sphere
-    (sphere_points raises DimensionMismatch for any other)."""
-    th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-    ring = center + radius * sphere_points(g, th)
+    (the sphere table raises DimensionMismatch for any other)."""
+    ring = center + radius * g.ops.sphere(4096)
     dists = norm_batch(n, ring - x)
     dmin = float(np.min(dists))
     keep = ring[dists <= dmin + 10 * tol]
@@ -288,8 +287,7 @@ class _Ball(_SetKind):
         r = norm_eval(g, v - c)
         if same and r < 1e-12:  # center of the gauge ball: the whole sphere is nearest
             if dim == 2:
-                th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
-                return [c + R * p for p in sphere_points(g, th)]
+                return [c + R * p for p in g.ops.sphere(16)]
             dirs = np.random.default_rng(11).standard_normal((16, dim))
             return [c + R * d / norm_eval(g, d) for d in dirs]
         if same and (g.ops.strictly_convex or dim != 2):
@@ -346,9 +344,10 @@ class _Halfspace(_SetKind):
     def project(self, n, v, tol):
         a = self.a
         d = (float(a @ v) - self.b) / dual_norm_eval(n, a)
-        if n.dim == 2:
-            th = np.linspace(0.0, 2 * np.pi, 4096, endpoint=False)
-            ring = sphere_points(n, th)
+        if n.dim == 2 and not n.ops.strictly_convex:
+            # a flat piece of the sphere may support a: the nearest points then
+            # form a segment, represented by ring points along it
+            ring = n.ops.sphere(4096)
             scores = ring @ a
             smax = float(np.max(scores))
             feet = [v - d * u for u in ring[scores >= smax - 1e-12 * max(1.0, abs(smax))]]

@@ -140,6 +140,21 @@ def test_supporting_moduli_sandwich_euclid_and_l3(curve_bank):
             assert d.eval(2 * r) <= 1 - np.sqrt(max(0.0, 1 - r * r)) + 5e-3, (nid, r)
 
 
+def test_supporting_moduli_labels_hold_on_inner_product_norms(curve_bank):
+    """On euclid and ellipse both supporting moduli equal 1 - sqrt(1 - r^2):
+    the upper ("under") curve may not exceed it and the lower ("over") curve
+    may not fall below it, beyond rounding.  The lower curve is checked up to
+    r = 0.75, since near r = 1 the bisection of the support shift loses the
+    digits of sqrt(1 + delta^2) - 1."""
+    for nid in ("euclid", "ellipse"):
+        exact = 1 - np.sqrt(1 - R_GRID ** 2)
+        hi = np.asarray(curve_bank[nid]["lam_hi"].values)
+        lo = np.asarray(curve_bank[nid]["lam_lo"].values)
+        assert np.all(hi <= exact * (1 + 1e-11)), (nid, np.max(hi / exact - 1))
+        mid = R_GRID <= 0.75
+        assert np.all(lo[mid] >= exact[mid] * (1 - 1e-11)), (nid, np.min(lo[mid] / exact[mid] - 1))
+
+
 def test_supporting_modulus_which_flag():
     n = bl.lp_norm(2)
     with pytest.raises(ValueError):

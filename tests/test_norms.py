@@ -4,7 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import ConvexHull
 
 import banachlab as bl
 from banachlab.norms import (
@@ -12,6 +13,7 @@ from banachlab.norms import (
     MultiValued,
     NotSymmetric,
     ZeroVector,
+    j1_batch,
     sphere_vertex_angles,
 )
 
@@ -257,7 +259,78 @@ def test_support_point_inverts_duality(zoo):
         x = bl.unit_vector(n, [0.8, -0.6])
         p = bl.duality_map(n, x)
         y = bl.support_point(n, p)
-        assert np.allclose(y, x, atol=5e-4)
+        assert np.allclose(y, x, atol=1e-9)
+
+
+# closed-form duality map and support point on random norms
+
+def weighted_lp(dim):
+    exponent = st.floats(min_value=1.0, max_value=8.0, exclude_min=True, exclude_max=True)
+    weights = st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=dim, max_size=dim)
+    return st.builds(bl.weighted_lp_norm, exponent, weights)
+
+
+def _random_ellipse(seed):
+    a = np.random.default_rng(seed).normal(size=(2, 2))
+    q = a @ a.T + 0.05 * np.eye(2)
+    return bl.ellipse_norm((q + q.T) / 2)
+
+
+def _random_polygon(seed):
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(int(rng.integers(2, 7)), 2))
+    sym = np.vstack([raw, -raw])
+    try:
+        return bl.polygon_norm(sym[ConvexHull(sym).vertices])
+    except ValueError:  # too few hull vertices, or nearly collinear ones
+        return None
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+ELLIPSES = SEEDS.map(_random_ellipse)
+STRICTLY_CONVEX = st.one_of(weighted_lp(2), weighted_lp(3), ELLIPSES)
+ANY_NORM = st.one_of(STRICTLY_CONVEX, SEEDS.map(_random_polygon).filter(lambda n: n is not None),
+                     st.sampled_from([bl.lp_norm(1), bl.lp_norm(np.inf), bl.lp_norm(1, 3)]))
+
+
+def draw_vector(data, dim):
+    coord = st.floats(min_value=-5.0, max_value=5.0, allow_nan=False, width=32)
+    x = np.array(data.draw(st.lists(coord, min_size=dim, max_size=dim)))
+    assume(np.linalg.norm(x) > 1e-3)
+    return x
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=ANY_NORM, data=st.data())
+def test_j1_attains_the_norm_with_dual_norm_one(n, data):
+    x = draw_vector(data, n.dim)
+    j = j1_batch(n, x)
+    assert bl.dual_norm_eval(n, j) == pytest.approx(1.0, rel=1e-12)
+    assert bl.pairing(j, x) == pytest.approx(bl.norm_eval(n, x), rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=ANY_NORM, data=st.data())
+def test_support_point_attains_the_dual_norm_with_norm_one(n, data):
+    p = draw_vector(data, n.dim)
+    u = bl.support_point(n, p)
+    assert bl.norm_eval(n, u) == pytest.approx(1.0, rel=1e-12)
+    assert bl.pairing(p, u) == pytest.approx(bl.dual_norm_eval(n, p), rel=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=STRICTLY_CONVEX, data=st.data())
+def test_support_point_inverts_j1_on_strictly_convex_norms(n, data):
+    x = draw_vector(data, n.dim)
+    # for lp the round trip raises to the power q - 1, which scales rounding by about q
+    q = 2.0 if n.kind == "ellipse" else n.p / (n.p - 1.0)
+    u = bl.support_point(n, j1_batch(n, x))
+    assert np.allclose(u, x / bl.norm_eval(n, x), rtol=0.0, atol=1e-12 * q)
+
+
+def test_support_point_rejects_the_zero_functional():
+    with pytest.raises(ZeroVector):
+        bl.support_point(bl.lp_norm(3), [0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,20 @@ def test_distance_ball_and_halfspace():
     assert np.allclose(y, [7.0, 0.0], atol=1e-9)
 
 
+@pytest.mark.parametrize("nid", ["l15", "l3", "ellipse"])
+def test_halfspace_foot_under_smooth_planar_norms(zoo, nid):
+    """Under a strictly convex norm the foot is unique and exact: it lies on
+    the boundary line, realizes the distance, and the duality map of v - foot
+    is the unit normal of the halfspace."""
+    n = zoo[nid]
+    a, v = np.array([0.3, 1.0]), np.array([0.4, 2.0])
+    half = bl.make_halfspace(a, 0.0)
+    y, = bl.project(half, n, v)
+    assert abs(float(a @ y)) <= 1e-12
+    assert bl.norm_eval(n, v - y) == pytest.approx(bl.distance(half, n, v), rel=1e-12)
+    assert np.allclose(bl.duality_map(n, v - y), a / bl.dual_norm_eval(n, a), atol=1e-9)
+
+
 def test_distance_finite_points():
     A = bl.make_finite_points([[-1.0, 0.0], [1.0, 0.0]])
     assert bl.distance(A, E2, [0.0, 0.0]) == pytest.approx(1.0, abs=1e-12)
