@@ -1,9 +1,22 @@
 """Moduli of convexity and smoothness, supporting moduli, and curve calculus.
 
-The estimators are planar: a dense angle scan over the unit sphere followed
-by local refinement, accurate to far better than the test tolerances, with
-honest estimate direction labels ("over" for infima, "under" for suprema).
-Other dimensions raise DimensionMismatch.
+The estimators are planar, and each works on all of its grid points at once:
+
+- delta: for every row angle of the half circle and every chord length,
+  bisection finds where the chord crosses eps on the arc from x to -x (the
+  chord does not decrease along it, by the monotonicity lemma of normed
+  planes), and a zoom in the row angle polishes the best row.  At eps = 2
+  the value is the closed form 1 - L/2, L the longest segment in the sphere.
+- rho: a scan of the pairs of the half circle for each step size, then a
+  zoom in both angles; polyhedral spheres take the exact vertex pairs.
+- supporting moduli: one bisection of the support shift over every r and
+  every quasiorthogonal pair of a table, then a zoom in the angle of x.
+
+Every value comes from an evaluated pair on its label side: "over" for
+infima (delta, the lower supporting modulus), "under" for suprema (rho, the
+upper one).  Each grid point keeps its own fixed array shapes, so its value
+does not depend on the rest of its grid.  Other dimensions raise
+DimensionMismatch.
 """
 
 from __future__ import annotations
@@ -12,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
 
 from .norms import (
     DimensionMismatch,
@@ -34,23 +46,20 @@ class NotQuasiorthogonal(ValueError):
     pass
 
 
+_PRESETS = {"low": 1024, "default": 4096, "high": 8192}
+
+
 @dataclass(frozen=True)
 class SearchBudget:
+    """The angle count of the unit-sphere tables the estimators scan."""
+
     angles: int = 4096
-    starts: int = 256
-    iters: int = 200
-    pairs: int = 2048
-    refine: int = 60
 
     @staticmethod
     def preset(name):
-        if name == "low":
-            return SearchBudget(angles=1024, starts=32, iters=80, pairs=512, refine=40)
-        if name == "default":
-            return SearchBudget()
-        if name == "high":
-            return SearchBudget(angles=8192, starts=512, iters=400, pairs=8192, refine=90)
-        raise ValueError(f"unknown budget preset {name!r}")
+        if name not in _PRESETS:
+            raise ValueError(f"unknown budget preset {name!r}")
+        return SearchBudget(angles=_PRESETS[name])
 
 
 @dataclass
@@ -88,150 +97,125 @@ def hilbert_rho(tau):
 
 
 # ---------------------------------------------------------------------------
-# planar pair search under the equality constraint ||x - y|| = eps
+# the planar pair engine
 
-def constrained_pair_search(n, eps_list, obj_grid, obj_point, angles,
-                            refine_iters=60, top_k=4):
-    """Maximize a pair objective over unit-sphere pairs with ||x - y|| = eps.
-
-    obj_grid(rows, S) must return the (len(rows), angles) objective matrix for
-    sphere rows paired against the whole table S. obj_point(a1, a2) evaluates
-    one pair by angles. Returns {eps: (value, a1, a2)}.
-
-    The scan covers every eps in one pass over the pair grid; candidates at
-    chord crossings are then polished by a 1-D search with the constraint
-    resolved by root tracking.
-    """
-    N = angles
-    S = n.ops.sphere(N)
-    half = N // 2  # central symmetry: (x, y) and (-x, -y) give the same value
-    eps_arr = np.asarray(list(eps_list), dtype=float)
-    best = {float(e): (-np.inf, 0.0, 0.0, False) for e in eps_arr}
-    block = max(1, (1 << 21) // N)
-    dmax_pair = (-np.inf, 0, 0)
-    for lo_i in range(0, half, block):
-        rows = np.arange(lo_i, min(lo_i + block, half))
-        D = norm_batch(n, S[rows][:, None, :] - S[None, :, :])
-        O = obj_grid(rows, S)
-        Droll = np.roll(D, -1, axis=1)
-        Oroll = np.roll(O, -1, axis=1)
-        bmax = D.max()
-        if bmax > dmax_pair[0]:
-            bi, bj = np.unravel_index(np.argmax(D), D.shape)
-            dmax_pair = (bmax, rows[bi], bj)
-        lo = np.minimum(D, Droll)
-        hi = np.maximum(D, Droll)
-        for e in eps_arr:
-            mask = (lo - 1e-12 <= e) & (e <= hi + 1e-12)
-            if not mask.any():
-                continue
-            ii, jj = np.where(mask)
-            denom = Droll[ii, jj] - D[ii, jj]
-            t = np.where(np.abs(denom) > 1e-15, (e - D[ii, jj]) / np.where(denom == 0, 1, denom), 0.0)
-            t = np.clip(t, 0.0, 1.0)
-            est = O[ii, jj] + t * (Oroll[ii, jj] - O[ii, jj])
-            k = int(np.argmax(est))
-            cur = best[float(e)]
-            if est[k] > cur[0]:
-                a1 = 2 * np.pi * rows[ii[k]] / N
-                a2 = 2 * np.pi * (jj[k] + t[k]) / N
-                best[float(e)] = (float(est[k]), a1, a2, True)
-    h = 2 * np.pi / N
-
-    def dist_point(a1, a2):
-        x = unit_vector(n, (math.cos(a1), math.sin(a1)))
-        y = unit_vector(n, (math.cos(a2), math.sin(a2)))
-        return norm_eval(n, x - y)
-
-    out = {}
-    for e in eps_arr:
-        val, a1, a2, found = best[float(e)]
-        if not found:
-            # eps at or beyond the attainable maximum: fall back to the
-            # extreme pair on the grid
-            _, i, j = dmax_pair
-            a1, a2 = 2 * np.pi * i / N, 2 * np.pi * j / N
-            val = obj_point(a1, a2)
-            out[float(e)] = (float(val), a1, a2)
-            continue
-        ref = _refine_pair(float(e), a1, a2, obj_point, dist_point, h, refine_iters)
-        exact = obj_point(a1, _solve_theta2(float(e), a1, a2, dist_point, h) or a2)
-        cand = max(val, exact)
-        if ref is not None and ref[0] > cand:
-            out[float(e)] = ref
-        else:
-            out[float(e)] = (float(cand), a1, a2)
-    return out
+_ROOT_STEPS = 60  # halvings of a bracket of width <= pi: down to adjacent floats
+_SHIFT_STEPS = 80  # halvings of [0, 1]: down to adjacent floats at lam ~ 1e-4
+_RANK_STEPS = 50  # halvings that rank the rows of a full scan; the zoom redoes the best
+_RESIDUAL_ULPS = 8  # rounding of a norm near 1, unit pairs included
+_ZOOM = np.linspace(-1.0, 1.0, 33)  # zoom points across a window of half-width w
+_ZOOM_LEVELS = 10  # each level shrinks the window 16-fold
 
 
-def _solve_theta2(eps, a1, guess, dist_point, h):
-    ts = np.linspace(guess - 2 * h, guess + 2 * h, 33)
-    gs = np.array([dist_point(a1, t) - eps for t in ts])
-    hits = np.where(np.abs(gs) <= 1e-14)[0]
-    if hits.size:
-        return float(ts[hits[np.argmin(np.abs(ts[hits] - guess))]])
-    best = None
-    for k in range(len(ts) - 1):
-        if gs[k] * gs[k + 1] < 0:
-            mid = 0.5 * (ts[k] + ts[k + 1])
-            if best is None or abs(mid - guess) < abs(best[0] - guess):
-                best = (mid, ts[k], ts[k + 1])
-    if best is None:
-        return None
-    return float(brentq(lambda t: dist_point(a1, t) - eps, best[1], best[2], xtol=1e-14))
+def _ring(n, A):
+    """Unit vectors at the angles A, of any shape."""
+    D = np.stack([np.cos(A), np.sin(A)], axis=-1)
+    return D / norm_batch(n, D)[..., None]
 
 
-def _refine_pair(eps, a1, a2, obj_point, dist_point, h, iters):
-    state = {"a2": a2}
+def _half_circle(n, count):
+    """Angles in [0, pi) of the count-point sphere table and its rows."""
+    half = count // 2
+    return np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)[:half], n.ops.sphere(count)[:half]
 
-    def neg(a):
-        t2 = _solve_theta2(eps, a, state["a2"], dist_point, h)
-        if t2 is None:
-            return 1e9
-        state["a2"] = t2
-        return -obj_point(a, t2)
 
-    res = minimize_scalar(neg, bounds=(a1 - 1.5 * h, a1 + 1.5 * h), method="bounded",
-                          options={"xatol": 1e-13, "maxiter": max(iters, 40)})
-    if res.fun >= 1e9:
-        return None
-    return (-float(res.fun), float(res.x), state["a2"])
+def _zoom_max(f, best, centers, w):
+    """Raise best, one value per row, by zooming in an angle around centers,
+    from half-width w; f maps an array of angles (rows, Z) to values."""
+    rows = np.arange(best.size)
+    for _ in range(_ZOOM_LEVELS):
+        A = centers[:, None] + w * _ZOOM
+        F = f(A)
+        k = np.argmax(F, axis=1)
+        best, centers = np.maximum(best, F[rows, k]), A[rows, k]
+        w /= (_ZOOM.size - 1) / 2
+    return best
 
 
 # ---------------------------------------------------------------------------
 # modulus of convexity
 
+
+def _chord_crossing(n, X, A, eps, strict, steps=_ROOT_STEPS):
+    """||x + y|| at the first y on the arc from x to -x (counterclockwise) where
+    the chord ||x - y|| reaches eps, or passes it when strict, for unit rows X
+    at angles A; -inf where even y = -x falls short.
+
+    By the monotonicity lemma of normed planes the chord does not decrease
+    along that arc, so bisection brackets the crossing.  The kept end y always
+    has a computed chord of at least eps: the value is that of an evaluated
+    feasible pair.
+    """
+    lo, hi, Yhi = A, A + np.pi, -X
+    feasible = norm_batch(n, X - Yhi) >= eps
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        Y = _ring(n, mid)
+        c = norm_batch(n, X - Y)
+        up = c > eps if strict else c >= eps
+        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        Yhi = np.where(up[..., None], Y, Yhi)
+    return np.where(feasible, norm_batch(n, X + Yhi), -np.inf)
+
+
 def delta_estimate(n, eps_grid, budget=SearchBudget()):
     """Modulus of convexity on a grid of chord lengths in (0, 2].
 
-    Planar norms: dense scan with the chord constraint active (pairs on the
-    sphere with equality, which matches the infimum over the ball).
+    For fixed x the best y under ||x - y|| >= eps is the chord crossing on
+    the arc from x to -x, since ||x + y|| does not increase along it.  The
+    crossing is tracked for every row angle of the half circle and every eps
+    at once, and the best row is polished by a zoom in its angle.  Polyhedral
+    spheres add their vertices as rows and also take the far end of a flat
+    chord piece.  Each value comes from an evaluated pair with chord at least
+    eps, so it is an "over" estimate.  At eps = 2 the value is the closed
+    form 1 - L/2, with L the longest segment in the unit sphere.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
         raise ValueError("chord grid must lie in (0, 2]")
     if n.dim != 2:
         raise DimensionMismatch("the modulus of convexity is implemented for planar norms")
+    top = 1.0 - n.ops.longest_segment() / 2.0
+    vals = np.full(eps_grid.shape, top)
+    inner = eps_grid < 2.0
+    eps = eps_grid[inner][:, None]
+    if eps.size:
+        A, X = _half_circle(n, budget.angles)
+        vang = np.unique(np.mod(sphere_vertex_angles(n), np.pi))
+        if vang.size:
+            A, X = np.concatenate([A, vang]), np.concatenate([X, _ring(n, vang)])
+        strictness = (False, True) if vang.size else (False,)
 
-    def obj_grid(rows, S):
-        return norm_batch(n, S[rows][:, None, :] + S[None, :, :])
+        def best_sum(X, A, steps=_ROOT_STEPS):
+            return np.max([_chord_crossing(n, X, A, eps, s, steps) for s in strictness], axis=0)
 
-    def obj_point(a1, a2):
-        x = unit_vector(n, (math.cos(a1), math.sin(a1)))
-        y = unit_vector(n, (math.cos(a2), math.sin(a2)))
-        return norm_eval(n, x + y)
-
-    res = constrained_pair_search(n, eps_grid, obj_grid, obj_point,
-                                  budget.angles, budget.refine)
-    vals = np.array([max(0.0, 1.0 - res[float(e)][0] / 2.0) for e in eps_grid])
+        S = best_sum(X, A, _RANK_STEPS)
+        k = np.argmax(S, axis=1)
+        best = _zoom_max(lambda Az: best_sum(_ring(n, Az), Az), S[np.arange(S.shape[0]), k],
+                         A[k], 2.0 * np.pi / budget.angles)
+        # delta is nondecreasing, so top = delta(2) bounds a chord no pair reached
+        vals[inner] = np.where(np.isfinite(best), np.maximum(0.0, 1.0 - best / 2.0), top)
     return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")
 
 
 # ---------------------------------------------------------------------------
 # modulus of smoothness
 
+
+def _rho_objective(n, X, Y, tau):
+    return (norm_batch(n, X + tau * Y) + norm_batch(n, X - tau * Y)) / 2.0 - 1.0
+
+
 def rho_estimate(n, tau_grid, budget=SearchBudget()):
-    """Modulus of smoothness on a grid of step sizes in (0, 2]."""
+    """Modulus of smoothness on a grid of step sizes in (0, 2].
+
+    The value is a sampled supremum over evaluated unit pairs, so it is an
+    "under" estimate.  Polyhedral spheres: the objective is convex in each
+    argument, so the supremum sits at vertex pairs and is exact.  Otherwise
+    each tau scans the pairs of the half circle (the objective is invariant
+    under y -> -y and (x, y) -> (-x, -y)), and the best pair of every tau is
+    polished at once by a zoom in both angles.
+    """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
         raise ValueError("step grid must lie in (0, 2]")
@@ -239,42 +223,29 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
         raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
     vang = sphere_vertex_angles(n)
     if vang.size:
-        # polyhedral sphere: the objective is convex in each argument, so the
-        # supremum over the ball sits at vertex pairs and is exact
-        V = np.array([unit_vector(n, (math.cos(a), math.sin(a))) for a in vang])
-        vals = []
-        for tau in tau_grid:
-            F = (norm_batch(n, V[:, None, :] + tau * V[None, :, :])
-                 + norm_batch(n, V[:, None, :] - tau * V[None, :, :])) / 2.0 - 1.0
-            vals.append(float(F.max()))
-        return ModulusCurve(tau_grid.copy(), np.array(vals), "under",
-                            label=f"{n.name}:rho")
-    N = min(budget.angles, 1024)
-    S = n.ops.sphere(N)
-    half = N // 2
-    vals = []
+        V = _ring(n, vang)
+        vals = [float(_rho_objective(n, V[:, None, :], V[None, :, :], tau).max())
+                for tau in tau_grid]
+        return ModulusCurve(tau_grid.copy(), np.array(vals), "under", label=f"{n.name}:rho")
+    N = min(budget.angles, 1024) // 4
+    A, S = _half_circle(n, N)
+    best, c1, c2 = [], [], []
     for tau in tau_grid:
-        best, bi, bj = -np.inf, 0, 0
-        block = max(1, (1 << 21) // N)
-        for lo_i in range(0, half, block):
-            rows = np.arange(lo_i, min(lo_i + block, half))
-            F = (norm_batch(n, S[rows][:, None, :] + tau * S[None, :, :])
-                 + norm_batch(n, S[rows][:, None, :] - tau * S[None, :, :])) / 2.0 - 1.0
-            k = int(np.argmax(F))
-            i, j = np.unravel_index(k, F.shape)
-            if F[i, j] > best:
-                best, bi, bj = float(F[i, j]), rows[i], j
-
-        def neg(a):
-            x = unit_vector(n, (math.cos(a[0]), math.sin(a[0])))
-            y = unit_vector(n, (math.cos(a[1]), math.sin(a[1])))
-            return -((norm_eval(n, x + tau * y) + norm_eval(n, x - tau * y)) / 2.0 - 1.0)
-
-        a0 = np.array([2 * np.pi * bi / N, 2 * np.pi * bj / N])
-        r = minimize(neg, a0, method="Nelder-Mead",
-                     options={"maxiter": budget.iters, "xatol": 1e-13, "fatol": 1e-15})
-        vals.append(max(best, -float(r.fun)))
-    return ModulusCurve(tau_grid.copy(), np.array(vals), "under", label=f"{n.name}:rho")
+        F = _rho_objective(n, S[:, None, :], S[None, :, :], tau)
+        i, j = np.unravel_index(np.argmax(F), F.shape)
+        best.append(F[i, j])
+        c1.append(A[i])
+        c2.append(A[j])
+    best, c1, c2 = np.array(best), np.array(c1), np.array(c2)
+    rows, Z, w = np.arange(tau_grid.size), _ZOOM.size, 2.0 * np.pi / N
+    for _ in range(_ZOOM_LEVELS):
+        a1, a2 = c1[:, None] + w * _ZOOM, c2[:, None] + w * _ZOOM
+        F = _rho_objective(n, _ring(n, a1)[:, :, None, :], _ring(n, a2)[:, None, :, :],
+                           tau_grid[:, None, None, None]).reshape(-1, Z * Z)
+        k = np.argmax(F, axis=1)
+        best, c1, c2 = np.maximum(best, F[rows, k]), a1[rows, k // Z], a2[rows, k % Z]
+        w /= (Z - 1) / 2
+    return ModulusCurve(tau_grid.copy(), best, "under", label=f"{n.name}:rho")
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +259,7 @@ def _pairing_interval(n, x, y, tol):
 
 def support_shift(n, x, y, r):
     """Sphere crossing shift for a unit pair with y quasiorthogonal to x:
-    the least lam with ||x + r y - lam x|| = 1."""
+    the least lam with ||x + r y - lam x|| = 1, rounded up."""
     x = as_vec(x, n.dim)
     y = as_vec(y, n.dim)
     if abs(norm_eval(n, x) - 1.0) > 1e-8 or abs(norm_eval(n, y) - 1.0) > 1e-8:
@@ -298,32 +269,33 @@ def support_shift(n, x, y, r):
     lo, hi = _pairing_interval(n, x, y, 1e-9)
     if lo > 1e-8 or hi < -1e-8:
         raise NotQuasiorthogonal("no support functional of x annihilates y")
-    return _lambda_scalar(n, x, y, r)
+    return float(_lambda_rows(n, x[None], y[None], r, "lower")[0])
 
 
-def _lambda_scalar(n, x, y, r, iters=80):
-    lo, hi = 0.0, 1.0
-    base = x + r * y
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if norm_eval(n, base - mid * x) - 1.0 > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _lambda_rows(n, X, Y, r, iters=80):
-    lo = np.zeros(X.shape[0])
-    hi = np.ones(X.shape[0])
+def _lambda_rows(n, X, Y, r, which, steps=_SHIFT_STEPS):
+    """Support shift of each pair of rows of X and Y at r (broadcast), by
+    bisection rounded outward.  A residual within rounding of 0 counts as
+    outside for "lower", which returns the upper end of the bracket, and as
+    inside for "upper", which returns the lower end.  Near r = 1 the shift
+    has infinite slope, so a residual that errs by an ulp would move it by
+    about 1e-8."""
     base = X + r * Y
-    for _ in range(iters):
+    lo = np.zeros(base.shape[:-1])
+    hi = np.ones(base.shape[:-1])
+    tol = _RESIDUAL_ULPS * np.finfo(float).eps
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
-        g = norm_batch(n, base - mid[:, None] * X) - 1.0
-        take = g > 0.0
-        lo = np.where(take, mid, lo)
-        hi = np.where(take, hi, mid)
-    return 0.5 * (lo + hi)
+        g = norm_batch(n, base - mid[..., None] * X) - 1.0
+        out = g >= -tol if which == "lower" else g > tol
+        lo, hi = np.where(out, mid, lo), np.where(out, hi, mid)
+    return hi if which == "lower" else lo
+
+
+def _quasiorth(n, X):
+    """A unit y in the kernel of j1(x), for each row x of X."""
+    P = j1_batch(n, X)
+    K = np.stack([-P[..., 1], P[..., 0]], axis=-1)
+    return K / norm_batch(n, K)[..., None]
 
 
 _QO_CACHE: dict = {}
@@ -336,9 +308,7 @@ def _quasiorth_table(n, angles):
     if tab is not None:
         return tab
     S = n.ops.sphere(angles)
-    P = j1_batch(n, S)
-    K = np.stack([-P[:, 1], P[:, 0]], axis=1)
-    K = K / norm_batch(n, K)[:, None]
+    K = _quasiorth(n, S)
     ang = 2 * np.pi * np.arange(angles) / angles
     X = np.concatenate([S, S])
     Y = np.concatenate([K, -K])
@@ -366,7 +336,10 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     """Envelope of support shifts over quasiorthogonal unit pairs.
 
     which = "lower" takes the infimum (direction "over"), "upper" the
-    supremum (direction "under").
+    supremum (direction "under").  One bisection covers every r and every
+    pair of the table; the best table pair of each r is then polished at
+    once by a zoom in the angle of x, with its partner rebuilt from j1.
+    Each shift is rounded outward by the label.
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
@@ -376,30 +349,23 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     if np.any(r_grid <= 0) or np.any(r_grid > 1 + 1e-12):
         raise ValueError("r grid must lie in (0, 1]")
     X, Y, A, refinable = _quasiorth_table(n, budget.angles)
-    h = 2 * np.pi / budget.angles
     sign = 1.0 if which == "upper" else -1.0
-    vals = []
-    for r in r_grid:
-        lam = _lambda_rows(n, X, Y, float(r))
-        k = int(np.argmax(sign * lam))
-        best_signed = sign * float(lam[k])
-        if refinable[k]:
-            branch = 1.0 if k < budget.angles else -1.0
+    r = r_grid[:, None, None]
+    lam = sign * _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
+    if not refinable.all():  # no zoom redoes these rows
+        lam[:, ~refinable] = sign * _lambda_rows(n, X[~refinable], Y[~refinable], r, which)
+    k = np.argmax(lam, axis=1)
+    best, polish = lam[np.arange(r_grid.size), k], refinable[k]
+    branch = np.where(k < budget.angles, 1.0, -1.0)[:, None, None]
 
-            def neg(a):
-                x = unit_vector(n, (math.cos(a), math.sin(a)))
-                p = j1_batch(n, x[None, :])[0]
-                kv = np.array([-p[1], p[0]])
-                kv = branch * kv / norm_eval(n, kv)
-                return -sign * _lambda_scalar(n, x, kv, float(r))
+    def shifts(Az):
+        Xz = _ring(n, Az)
+        return sign * _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which)
 
-            a0 = float(A[k])
-            res = minimize_scalar(neg, bounds=(a0 - h, a0 + h), method="bounded",
-                                  options={"xatol": 1e-12})
-            best_signed = max(best_signed, -float(res.fun))
-        vals.append(sign * best_signed)
+    zoomed = _zoom_max(shifts, best, np.where(polish, A[k], 0.0), 2.0 * np.pi / budget.angles)
+    best = np.where(polish, zoomed, best)
     direction = "under" if which == "upper" else "over"
-    return ModulusCurve(r_grid.copy(), np.array(vals), direction,
+    return ModulusCurve(r_grid.copy(), sign * best, direction,
                         label=f"{n.name}:support_{which}")
 
 

@@ -160,6 +160,11 @@ class _NormKind:
         """Angles of the vertices of a polyhedral planar unit sphere."""
         return np.empty(0)
 
+    def longest_segment(self):
+        """Length in the norm of the longest segment in the unit sphere: 0
+        when the sphere is strictly convex."""
+        return 0.0
+
     def facets(self, center, radius):
         """Facets (a_i, b_i) of the ball center + radius * B, when polyhedral."""
         return None
@@ -257,6 +262,11 @@ class _WeightedLp(_NormKind):
             return np.arctan2(corners[:, 1], corners[:, 0])
         return np.empty(0)
 
+    def longest_segment(self):
+        """An edge of the l1 or max-norm sphere, from a vertex to the next,
+        has length 2 whatever the weights."""
+        return 0.0 if self.strictly_convex else 2.0
+
     def facets(self, center, radius):
         d = center.shape[0]
         if math.isinf(self.p):
@@ -318,6 +328,10 @@ class _Polygon(_NormKind):
 
     def vertex_angles(self):
         return np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
+
+    def longest_segment(self):
+        V = self.vertices
+        return float(np.max(self.norm(np.roll(V, -1, axis=0) - V)))
 
     def facets(self, center, radius):
         return [(e, radius + float(e @ center)) for e in self.edges]

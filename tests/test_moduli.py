@@ -12,6 +12,61 @@ from banachlab.moduli import (
 )
 from conftest import LOW, R_GRID
 
+ZOO = ["euclid", "l15", "l3", "l1", "linf", "poly", "ellipse"]
+
+
+def _side_tol(v):
+    """Rounding allowance on the label side: 1e-11 relative, with a floor
+    for values near 0."""
+    return 1e-11 * np.abs(v) + 1e-15
+
+
+def _hanner_delta(eps, p):
+    """delta of l_p (Hanner): closed form for p >= 2; for 1 < p < 2 the root
+    d of (1 - d + e/2)^p + |1 - d - e/2|^p = 2, bisected to rounding level."""
+    eps = np.asarray(eps, dtype=float)
+    if p >= 2:
+        return 1 - (1 - (eps / 2) ** p) ** (1 / p)
+    lo, hi = np.zeros_like(eps), np.ones_like(eps)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        out = (1 - mid + eps / 2) ** p + np.abs(1 - mid - eps / 2) ** p > 2
+        lo, hi = np.where(out, mid, lo), np.where(out, hi, mid)
+    return np.where(eps >= 2, 1.0, 0.5 * (lo + hi))
+
+
+def _hanner_rho(tau, p):
+    tau = np.asarray(tau, dtype=float)
+    if p >= 2:
+        return (((1 + tau) ** p + np.abs(1 - tau) ** p) / 2) ** (1 / p) - 1
+    return (1 + tau ** p) ** (1 / p) - 1
+
+
+def _polygon_gauge(V, v):
+    """Gauge of v for the polygon with vertices V in order: 1/s for the
+    s > 0 where the ray through v meets an edge."""
+    for a, b in zip(V, np.roll(V, -1, axis=0)):
+        M = np.column_stack([v, a - b])
+        if abs(np.linalg.det(M)) < 1e-12:  # the ray runs parallel to the edge
+            continue
+        s, u = np.linalg.solve(M, a)
+        if s > 0 and -1e-12 <= u <= 1 + 1e-12:
+            return 1.0 / s
+    raise AssertionError("the ray misses the polygon")
+
+
+def _assert_on_side(curve, exact, side, accuracy=1e-9):
+    """Every value on its label side of exact beyond 1e-11 relative, and
+    within accuracy of it."""
+    v = np.asarray(curve.values)
+    assert curve.direction == side
+    if side == "over":
+        bad = v < exact - _side_tol(v)
+    else:
+        bad = v > exact + _side_tol(v)
+    assert not bad.any(), (curve.label, curve.args[bad], v[bad] - exact[bad])
+    assert np.all(np.abs(v - exact) <= accuracy), (curve.label, np.max(np.abs(v - exact)))
+
 
 # ---------------------------------------------------------------------------
 # closed-form anchors
@@ -46,6 +101,70 @@ def test_euclid_rho_matches_closed_form():
     curve = bl.rho_estimate(n, tau, LOW)
     assert np.allclose(curve.values, bl.hilbert_rho(tau), atol=1e-4)
     assert curve.direction == "under"
+
+
+def test_delta_oracles_at_every_grid_point(curve_bank):
+    """Hilbert for euclid and ellipse (an isometric image of the Euclidean
+    plane), Hanner for l3, 0 for l1 and linf, at every grid point, eps = 2
+    included."""
+    oracles = {"euclid": bl.hilbert_delta, "ellipse": bl.hilbert_delta,
+               "l3": lambda e: _hanner_delta(e, 3.0),
+               "l1": np.zeros_like, "linf": np.zeros_like}
+    for nid, exact in oracles.items():
+        d = curve_bank[nid]["delta"]
+        assert d.args[-1] == 2.0
+        _assert_on_side(d, exact(np.asarray(d.args)), "over")
+
+
+def test_rho_oracles_at_every_grid_point(curve_bank):
+    """Hilbert for euclid and ellipse, Hanner for l15 and l3, rho(t) = t for
+    l1 and linf."""
+    oracles = {"euclid": bl.hilbert_rho, "ellipse": bl.hilbert_rho,
+               "l15": lambda t: _hanner_rho(t, 1.5), "l3": lambda t: _hanner_rho(t, 3.0),
+               "l1": np.asarray, "linf": np.asarray}
+    for nid, exact in oracles.items():
+        r = curve_bank[nid]["rho"]
+        _assert_on_side(r, exact(np.asarray(r.args)), "under")
+
+
+def test_polygon_delta_at_two_is_the_longest_edge(norms, curve_bank):
+    """delta(2) = 1 - L/2, with L the longest segment in the unit sphere:
+    for a polygon the longest edge, measured in the norm."""
+    V = np.array(norms["poly"].vertices)
+    L = max(_polygon_gauge(V, b - a) for a, b in zip(V, np.roll(V, -1, axis=0)))
+    d = curve_bank["poly"]["delta"]
+    assert d.args[-1] == 2.0
+    assert d.values[-1] == pytest.approx(1 - L / 2, rel=1e-11, abs=1e-15)
+    assert d.values[-1] >= 1 - L / 2 - _side_tol(d.values[-1])
+
+
+@pytest.mark.parametrize("nid", ["euclid", "l3", "ellipse"])
+def test_oracles_at_the_default_budget(norms, nid):
+    n = norms[nid]
+    default = SearchBudget.preset("default")
+    p = 3.0 if nid == "l3" else 2.0
+    eps = np.array([0.3, 1.0, 1.7, 2.0])
+    tau = np.array([0.05, 0.5, 2.0])
+    _assert_on_side(bl.delta_estimate(n, eps, default), _hanner_delta(eps, p), "over")
+    _assert_on_side(bl.rho_estimate(n, tau, default), _hanner_rho(tau, p), "under")
+    if nid != "l3":
+        r = np.array([0.25, 0.5, 1.0])
+        exact = 1 - np.sqrt(1 - r * r)
+        for which, side in (("lower", "over"), ("upper", "under")):
+            c = bl.supporting_modulus_estimate(n, r, which, default)
+            _assert_on_side(c, exact, side, accuracy=1e-6)
+
+
+@settings(max_examples=8, deadline=None)
+@given(p=st.floats(min_value=1.05, max_value=8.0, allow_nan=False))
+def test_lp_moduli_match_hanner(p):
+    """Unit-weight l_p for random p: delta and rho on their label side of
+    Hanner's forms, and within 1e-9 of them."""
+    n = bl.lp_norm(p)
+    eps = np.array([0.2, 1.0, 1.9, 2.0])
+    tau = np.array([0.1, 0.6, 1.5])
+    _assert_on_side(bl.delta_estimate(n, eps, LOW), _hanner_delta(eps, p), "over")
+    _assert_on_side(bl.rho_estimate(n, tau, LOW), _hanner_rho(tau, p), "under")
 
 
 def test_linf_is_not_uniformly_convex(curve_bank):
@@ -111,12 +230,13 @@ def test_support_shift_requires_quasiorthogonal_direction():
 
 def test_supporting_moduli_exact_for_polyhedral_norms(curve_bank):
     """Flat spheres: the lower supporting modulus vanishes and the upper
-    one is attained by the corner direction, value r."""
+    one is attained by the corner direction, value r; each curve on its
+    label side and within 1e-9."""
     for nid in ("l1", "linf"):
-        hi = curve_bank[nid]["lam_hi"]
-        lo = curve_bank[nid]["lam_lo"]
-        assert np.allclose(lo.values, 0.0, atol=5e-3), nid
-        assert np.allclose(hi.values, R_GRID, atol=5e-3), nid
+        hi = np.asarray(curve_bank[nid]["lam_hi"].values)
+        lo = np.asarray(curve_bank[nid]["lam_lo"].values)
+        assert np.all(lo >= 0.0) and np.all(lo <= 1e-9), nid
+        assert np.all(hi <= R_GRID + _side_tol(hi)) and np.all(R_GRID - hi <= 1e-9), nid
 
 
 def test_supporting_moduli_order(curve_bank):
@@ -143,16 +263,25 @@ def test_supporting_moduli_sandwich_euclid_and_l3(curve_bank):
 def test_supporting_moduli_labels_hold_on_inner_product_norms(curve_bank):
     """On euclid and ellipse both supporting moduli equal 1 - sqrt(1 - r^2):
     the upper ("under") curve may not exceed it and the lower ("over") curve
-    may not fall below it, beyond rounding.  The lower curve is checked up to
-    r = 0.75, since near r = 1 the bisection of the support shift loses the
-    digits of sqrt(1 + delta^2) - 1."""
+    may not fall below it, beyond rounding, at every r, r = 1 included."""
+    exact = 1 - np.sqrt(1 - R_GRID ** 2)
+    assert R_GRID[-1] == 1.0
     for nid in ("euclid", "ellipse"):
-        exact = 1 - np.sqrt(1 - R_GRID ** 2)
         hi = np.asarray(curve_bank[nid]["lam_hi"].values)
         lo = np.asarray(curve_bank[nid]["lam_lo"].values)
-        assert np.all(hi <= exact * (1 + 1e-11)), (nid, np.max(hi / exact - 1))
-        mid = R_GRID <= 0.75
-        assert np.all(lo[mid] >= exact[mid] * (1 - 1e-11)), (nid, np.min(lo[mid] / exact[mid] - 1))
+        assert np.all(hi <= exact + _side_tol(hi)), (nid, np.max(hi / exact - 1))
+        assert np.all(lo >= exact - _side_tol(lo)), (nid, np.min(lo / exact - 1))
+        assert np.all(np.abs(np.concatenate([hi, lo]) - np.tile(exact, 2)) <= 1e-6), nid
+
+
+def test_support_shift_is_exact_at_the_end_of_the_range():
+    """At r = 1 the shift has infinite slope: a residual that rounds to 0
+    must not stop the bisection short of 1."""
+    n = bl.lp_norm(2)
+    assert bl.support_shift(n, [1.0, 0.0], [0.0, 1.0], 1.0) == 1.0
+    for nid in ("euclid", "ellipse"):
+        m = bl.norm_zoo()[nid]
+        assert bl.supporting_modulus_estimate(m, [1.0], "lower", LOW).values[0] == 1.0, nid
 
 
 def test_supporting_modulus_which_flag():
@@ -274,7 +403,7 @@ def test_determinism_same_budget_same_values():
     assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
 
 
-@pytest.mark.parametrize("nid", ["l3", "poly"])
+@pytest.mark.parametrize("nid", ZOO)
 def test_estimates_are_pointwise_in_the_grid(norms, nid):
     """Each grid point is an independent search: estimating on a larger grid
     and reading off a subgrid gives the subgrid's own estimate, bit for bit.
