@@ -2,11 +2,13 @@
 
 The estimators are planar, and each works on all of its grid points at once:
 
-- delta: for every row angle of the half circle and every chord length,
-  bisection finds where the chord crosses eps on the arc from x to -x (the
-  chord does not decrease along it, by the monotonicity lemma of normed
-  planes), and a zoom in the row angle polishes the best row.  At eps = 2
-  the value is the closed form 1 - L/2, L the longest segment in the sphere.
+- chord crossings (delta, and the normal-cone defect gamma of hypo): for
+  every row angle of the half circle and every chord length, bisection finds
+  where the chord crosses eps on the arc from x to -x (the chord does not
+  decrease along it, by the monotonicity lemma of normed planes), and a zoom
+  in the row angle polishes the best row of an objective at the crossings.
+  delta maximizes ||x + y||; at eps = 2 it is the closed form 1 - L/2, L the
+  longest segment in the sphere.
 - rho: a scan of the pairs of the half circle for each step size, then a
   zoom in both angles; polyhedral spheres take the exact vertex pairs.
 - supporting moduli: one bisection of the support shift over every r and
@@ -137,14 +139,15 @@ def _zoom_max(f, best, centers, w):
 
 
 def _chord_crossing(n, X, A, eps, strict, steps=_ROOT_STEPS):
-    """||x + y|| at the first y on the arc from x to -x (counterclockwise) where
-    the chord ||x - y|| reaches eps, or passes it when strict, for unit rows X
-    at angles A; -inf where even y = -x falls short.
+    """The first y on the arc from x to -x (counterclockwise) where the chord
+    ||x - y|| reaches eps, or passes it when strict, for unit rows X at angles
+    A; and the mask of the rows where y = -x reaches it, outside which y is
+    meaningless.
 
     By the monotonicity lemma of normed planes the chord does not decrease
     along that arc, so bisection brackets the crossing.  The kept end y always
-    has a computed chord of at least eps: the value is that of an evaluated
-    feasible pair.
+    has a computed chord of at least eps: a value at (x, y) is that of an
+    evaluated feasible pair.
     """
     lo, hi, Yhi = A, A + np.pi, -X
     feasible = norm_batch(n, X - Yhi) >= eps
@@ -155,20 +158,47 @@ def _chord_crossing(n, X, A, eps, strict, steps=_ROOT_STEPS):
         up = c > eps if strict else c >= eps
         lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
         Yhi = np.where(up[..., None], Y, Yhi)
-    return np.where(feasible, norm_batch(n, X + Yhi), -np.inf)
+    return Yhi, feasible
+
+
+def _crossing_max(n, f, eps, count):
+    """Largest f(x, y) over the chord crossings (x, y) at each eps of a
+    column, -inf where no pair reaches eps; f maps unit rows X and Y to
+    values.
+
+    The rows x are the half circle of the count-point sphere table, plus the
+    vertices of a polyhedral sphere, whose flat chord pieces also give their
+    far end.  Every row is ranked at once, and the best row of each eps is
+    polished by a zoom in its angle.
+    """
+    A, X = _half_circle(n, count)
+    vang = np.unique(np.mod(sphere_vertex_angles(n), np.pi))
+    if vang.size:
+        A, X = np.concatenate([A, vang]), np.concatenate([X, _ring(n, vang)])
+    strictness = (False, True) if vang.size else (False,)
+
+    def best(X, A, steps=_ROOT_STEPS):
+        vals = []
+        for s in strictness:
+            Y, feasible = _chord_crossing(n, X, A, eps, s, steps)
+            vals.append(np.where(feasible, f(X, Y), -np.inf))
+        return np.max(vals, axis=0)
+
+    F = best(X, A, _RANK_STEPS)
+    k = np.argmax(F, axis=1)
+    return _zoom_max(lambda Az: best(_ring(n, Az), Az), F[np.arange(F.shape[0]), k], A[k],
+                     2.0 * np.pi / count)
 
 
 def delta_estimate(n, eps_grid, budget=SearchBudget()):
     """Modulus of convexity on a grid of chord lengths in (0, 2].
 
     For fixed x the best y under ||x - y|| >= eps is the chord crossing on
-    the arc from x to -x, since ||x + y|| does not increase along it.  The
-    crossing is tracked for every row angle of the half circle and every eps
-    at once, and the best row is polished by a zoom in its angle.  Polyhedral
-    spheres add their vertices as rows and also take the far end of a flat
-    chord piece.  Each value comes from an evaluated pair with chord at least
-    eps, so it is an "over" estimate.  At eps = 2 the value is the closed
-    form 1 - L/2, with L the longest segment in the unit sphere.
+    the arc from x to -x, since ||x + y|| does not increase along it, so
+    delta is 1 - max ||x + y|| / 2 over the crossings (_crossing_max).  Each
+    value comes from an evaluated pair with chord at least eps, so it is an
+    "over" estimate.  At eps = 2 the value is the closed form 1 - L/2, with
+    L the longest segment in the unit sphere.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
@@ -180,19 +210,7 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     inner = eps_grid < 2.0
     eps = eps_grid[inner][:, None]
     if eps.size:
-        A, X = _half_circle(n, budget.angles)
-        vang = np.unique(np.mod(sphere_vertex_angles(n), np.pi))
-        if vang.size:
-            A, X = np.concatenate([A, vang]), np.concatenate([X, _ring(n, vang)])
-        strictness = (False, True) if vang.size else (False,)
-
-        def best_sum(X, A, steps=_ROOT_STEPS):
-            return np.max([_chord_crossing(n, X, A, eps, s, steps) for s in strictness], axis=0)
-
-        S = best_sum(X, A, _RANK_STEPS)
-        k = np.argmax(S, axis=1)
-        best = _zoom_max(lambda Az: best_sum(_ring(n, Az), Az), S[np.arange(S.shape[0]), k],
-                         A[k], 2.0 * np.pi / budget.angles)
+        best = _crossing_max(n, lambda X, Y: norm_batch(n, X + Y), eps, budget.angles)
         # delta is nondecreasing, so top = delta(2) bounds a chord no pair reached
         vals[inner] = np.where(np.isfinite(best), np.maximum(0.0, 1.0 - best / 2.0), top)
     return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")

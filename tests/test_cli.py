@@ -1,7 +1,9 @@
 """Suite runner: config validation, file formats, determinism."""
 
 import csv
+import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +154,23 @@ def test_hypo_gamma_artifacts(tmp_path):
     for r in rows:
         g = float(r["gamma"])
         assert float(r["lower_bound"]) - 5e-3 <= g <= float(r["upper_bound"]) + 5e-3
+
+
+def test_gamma_sweep_script_on_a_polygon(tmp_path):
+    """scripts/gamma_sweep.py, the one caller that reaches gamma on a
+    polyhedral norm: finite gamma cells, and the supporting-modulus cell
+    empty exactly where 2 eps > 1."""
+    script = Path(__file__).resolve().parents[1] / "scripts" / "gamma_sweep.py"
+    spec = importlib.util.spec_from_file_location("gamma_sweep", script)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    out = tmp_path / "sweep.csv"
+    assert sweep.main(["--norm", "poly", "--steps", "3", "--bounds", "--out", str(out)]) == 0
+    rows = list(csv.DictReader(out.open()))
+    assert len(rows) == 3
+    for r in rows:
+        assert math.isfinite(float(r["gamma"]))
+        assert (r["upper_twice_lam"] == "") == (2.0 * float(r["eps"]) > 1.0)
 
 
 def test_seed_override_changes_report_header(tmp_path):

@@ -31,11 +31,35 @@ def unit_complement(n=None):
 # the defect functional Gamma
 
 
-def test_gamma_euclid_is_quadratic():
-    A = unit_complement()
+@pytest.mark.parametrize("nid", ["euclid", "ellipse"])
+def test_gamma_euclid_is_quadratic(zoo, nid):
+    """Inner-product norms, the ellipse a linear image of the Euclidean
+    plane: gamma(eps) = eps^2."""
+    n = zoo[nid]
+    A = unit_complement(None if nid == "euclid" else n)
     for eps in (0.1, 0.3, 0.5):
-        g = bl.gamma_estimate(A, E2, eps, budget=1024, seed=0)
-        assert g == pytest.approx(eps * eps, abs=1e-3)
+        g = bl.gamma_estimate(A, n, eps, budget=1024, seed=0)
+        assert g == pytest.approx(eps * eps, abs=1e-12)
+
+
+@pytest.mark.parametrize("nid", ["l1", "linf"])
+def test_gamma_polyhedral_is_twice_eps(zoo, nid):
+    """On the l1 and max-norm unit spheres take u1 and u2 on the two edges
+    at a corner, each eps from it along its edge: |u1 - u2| = eps and
+    <j1(u1) - j1(u2), u1 - u2> = 2 eps, the bound of the next test.  So
+    gamma(eps) = 2 eps for eps <= 1."""
+    n = zoo[nid]
+    for eps in (0.05, 0.2, 0.5, 1.0):
+        g = bl.gamma_estimate(unit_complement(n), n, eps, budget=1024, seed=0)
+        assert g == pytest.approx(2.0 * eps, abs=1e-12), eps
+
+
+def test_gamma_is_at_most_twice_eps(zoo):
+    """|j1(u1) - j1(u2)|_* <= 2 bounds gamma(eps) by 2 eps in every norm."""
+    for nid, n in zoo.items():
+        A = unit_complement(None if nid == "euclid" else n)
+        for eps in (0.05, 0.2, 0.5, 1.0):
+            assert bl.gamma_estimate(A, n, eps, budget=1024, seed=0) <= 2.0 * eps + 1e-12, (nid, eps)
 
 
 def test_gamma_vanishes_at_small_separation():

@@ -119,10 +119,12 @@ def test_box_complement_under_its_own_flat_gauge(registry, zoo):
     (bl.lp_norm(1), "ball", [1.0, 1.0], np.sqrt(0.5), [0.5, 0.5]),
     (SQUARE, "ball_complement", [0.2, 0.0], 0.8, None),
     (bl.lp_norm(1), "ball_complement", [0.2, 0.0], 0.8 / np.sqrt(2), None),
+    (SQUARE, "ball", [2.0, 0.5], 1.0, [1.0, 0.5]),
 ])
 def test_distance_and_projection_under_another_gauge(gauge, kind, x, dist, foot):
     """Euclidean distance to gauge balls and complements whose gauge is not
-    the ambient norm: polygon edges, a ring scan, and facet planes."""
+    the ambient norm: polygon edges, a ring scan, and facet planes.  A foot
+    between ring points is refined onto the sphere."""
     make = bl.make_ball if kind == "ball" else bl.make_ball_complement
     A = make([0.0, 0.0], 1.0, gauge=gauge)
     assert bl.distance(A, E2, x) == pytest.approx(dist, abs=1e-9)
