@@ -182,7 +182,8 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
     rows = max(128, min(512, budget // 16))
 
     def pairing(X, Y):
-        return r * np.sum((j1_batch(n, X) - j1_batch(n, Y)) * (X - Y), axis=-1)
+        D, E = j1_batch(n, X) - j1_batch(n, Y), X - Y
+        return r * (D[..., 0] * E[..., 0] + D[..., 1] * E[..., 1])
 
     best = float(_crossing_max(n, pairing, np.array([[eps / r]]), 2 * rows)[0])
     if not np.isfinite(best):

@@ -255,8 +255,8 @@ def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
 
         def slope(t):  # the derivative's sign, along the counterclockwise tangent
             Q = center + radius * sphere_points(g, t)
-            G = g.ops.gradient(Q - center)
-            return np.sum(n.ops.gradient(Q - x) * np.stack([-G[:, 1], G[:, 0]], axis=1), axis=1)
+            G, N = g.ops.gradient(Q - center), n.ops.gradient(Q - x)
+            return N[:, 0] * -G[:, 1] + N[:, 1] * G[:, 0]
 
         lo, hi = (idx - 1.5) * h, (idx + 1.5) * h
         turns = (slope(lo) < 0) & (slope(hi) > 0)

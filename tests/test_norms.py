@@ -1,5 +1,6 @@
 """Norm evaluation, duality maps and orthogonality predicates."""
 
+import decimal
 import math
 
 import numpy as np
@@ -53,11 +54,14 @@ def test_weighted_lp_values():
     assert bl.norm_eval(n, [0.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
 
 
-def _plain_lp(X, p):
-    """The formulas of the former separate lp kind, kept as the reference."""
-    a = np.abs(X)
+def _plain_lp(X, p, scale=None):
+    """The formulas of the former separate lp kind, kept as the reference:
+    NumPy reductions over the last axis, after an optional weight scaling."""
+    a = X * X if p == 2.0 else np.abs(X)
+    if scale is not None:
+        a = a * scale
     if p == 2.0:
-        return np.sqrt(np.sum(X * X, axis=-1))
+        return np.sqrt(np.sum(a, axis=-1))
     if p == 1.0:
         return np.sum(a, axis=-1)
     if math.isinf(p):
@@ -139,6 +143,58 @@ def test_norm_batch_matches_single(zoo):
         batch = bl.norm_batch(n, X)
         single = [bl.norm_eval(n, x) for x in X]
         assert np.allclose(batch, single, atol=1e-12)
+
+
+def _exact_quadratic_root(x, Q):
+    """sqrt(x^T Q x) in 60-digit decimal arithmetic, rounded once to a float."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        d, D = [decimal.Decimal(float(v)) for v in x], np.vectorize(decimal.Decimal)(Q)
+        return float(sum(d[i] * D[i, j] * d[j] for i in range(2) for j in range(2)).sqrt())
+
+
+@pytest.mark.parametrize("nid", NORM_IDS + [f"wlp{p:g}/{d}" for d in (1, 3)
+                                            for p in (1.0, 1.5, 2.0, 3.0, np.inf)])
+def test_norm_kernels_equal_the_reductions_over_the_last_axis(zoo, nid):
+    """The column kernels give the bits of the NumPy reductions they replace
+    (np.sum, np.max, and np.max over X @ E.T for a polygon), on one vector and
+    on stacks of rows.  An ellipse value is sqrt(x^T Q x) up to its rounding:
+    four products and three sums, each term rounded at most five times, move
+    x^T Q x by at most 5u |x|^T |Q| |x| (u = 2^-53), the root by half that
+    relative to it, and the root itself and the reference round once more."""
+    if nid in zoo:
+        n = zoo[nid]
+    else:
+        p, d = nid[3:].split("/")
+        n = bl.weighted_lp_norm(float(p), np.linspace(0.5, 2.5, int(d)))
+    rng = np.random.default_rng(41)
+    for shape in [(), (9,), (3, 4)]:
+        X = rng.normal(size=shape + (n.dim,)) * 10.0 ** rng.integers(-3, 4, size=shape + (n.dim,))
+        if n.kind == "ellipse":
+            for Q, got in ((n.ops.Q, bl.norm_batch(n, X)), (n.ops.Qi, bl.dual_norm_batch(n, X))):
+                rows, got = X.reshape(-1, 2), np.reshape(got, -1)
+                ref = np.array([_exact_quadratic_root(x, Q) for x in rows])
+                kappa = np.einsum("ni,ij,nj->n", np.abs(rows), np.abs(Q), np.abs(rows)) / ref ** 2
+                assert np.all(np.abs(got - ref) <= (3 * kappa + 2) * np.spacing(ref))
+            continue
+        if n.kind == "polygon":
+            want = (np.max(X @ n.ops.edges.T, axis=-1), np.max(np.abs(X @ n.ops.vertices.T), axis=-1))
+        else:
+            want = (_plain_lp(X, n.ops.p, n.ops.scales[0]), _plain_lp(X, n.ops.q, n.ops.scales[1]))
+        assert np.array_equal(bl.norm_batch(n, X), want[0])
+        assert np.array_equal(bl.dual_norm_batch(n, X), want[1])
+
+
+def test_ellipse_row_has_the_same_bits_in_any_batch(zoo):
+    """An ellipse row has one value alone, in a (1, 2, 2) batch and in an
+    (E, 2, 2) batch, for the norm and the dual norm."""
+    n = zoo["ellipse"]
+    X = np.random.default_rng(17).normal(size=(150, 2, 2))
+    for f in (bl.norm_batch, bl.dual_norm_batch):
+        whole = f(n, X)
+        for e in range(X.shape[0]):
+            assert np.array_equal(f(n, X[e:e + 1])[0], whole[e])
+            assert [float(f(n, x)) for x in X[e]] == whole[e].tolist()
 
 
 def test_dimension_mismatch():
