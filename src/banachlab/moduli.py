@@ -34,6 +34,7 @@ from .norms import (
     j1_batch,
     norm_batch,
     norm_eval,
+    pairing_interval,
     sphere_vertex_angles,
     subdifferential_extremes,
     unit_vector,
@@ -269,12 +270,6 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
 # ---------------------------------------------------------------------------
 # supporting moduli
 
-def _pairing_interval(n, x, y, tol):
-    ext = subdifferential_extremes(n, x, tol=max(tol, 1e-9))
-    vals = [float(np.dot(e, y)) for e in ext]
-    return min(vals), max(vals)
-
-
 def support_shift(n, x, y, r):
     """Sphere crossing shift for a unit pair with y quasiorthogonal to x:
     the least lam with ||x + r y - lam x|| = 1, rounded up."""
@@ -284,7 +279,7 @@ def support_shift(n, x, y, r):
         raise NotUnitVectors("x and y must lie on the unit sphere")
     if not (0.0 < r <= 1.0):
         raise ValueError("r must lie in (0, 1]")
-    lo, hi = _pairing_interval(n, x, y, 1e-9)
+    lo, hi = pairing_interval(n, x, y)
     if lo > 1e-8 or hi < -1e-8:
         raise NotQuasiorthogonal("no support functional of x annihilates y")
     return float(_lambda_rows(n, x[None], y[None], r, "lower")[0])
@@ -316,15 +311,8 @@ def _quasiorth(n, X):
     return K / norm_batch(n, K)[..., None]
 
 
-_QO_CACHE: dict = {}
-
-
 def _quasiorth_table(n, angles):
     """Unit pairs (x, y) with y in the kernel of a support functional of x."""
-    key = (n, angles)
-    tab = _QO_CACHE.get(key)
-    if tab is not None:
-        return tab
     S = n.ops.sphere(angles)
     K = _quasiorth(n, S)
     ang = 2 * np.pi * np.arange(angles) / angles
@@ -345,9 +333,7 @@ def _quasiorth_table(n, angles):
         Y = np.concatenate([Y, np.array(extra_y)])
         A = np.concatenate([A, np.full(len(extra_x), np.nan)])
         refinable = np.concatenate([refinable, np.zeros(len(extra_x), dtype=bool)])
-    tab = (X, Y, A, refinable)
-    _QO_CACHE[key] = tab
-    return tab
+    return X, Y, A, refinable
 
 
 def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 
 class ZeroVector(ValueError):
@@ -528,21 +527,27 @@ def duality_map(n, x, tol=1e-6):
 # ---------------------------------------------------------------------------
 # orthogonality and support
 
+def pairing_interval(n, x, y, tol=1e-9):
+    """Least and greatest <f, y> over the extreme support functionals f of x
+    (dual norm one), which subdifferential_extremes finds at tolerance
+    max(tol, 1e-9)."""
+    vals = [float(np.dot(e, y)) for e in subdifferential_extremes(n, x, tol=max(tol, 1e-9))]
+    return min(vals), max(vals)
+
+
 def birkhoff_orthogonal(n, y, x, tol=1e-9):
     """True when x is Birkhoff-James orthogonal to y: no multiple of y
-    shortens x.  tol is relative to |x|, so the answer does not change when
-    x or y is scaled."""
+    shortens x.  By James's criterion, some support functional of x
+    annihilates y: the range of <f, y> over the extreme support functionals
+    f of x meets [-tol |y|, tol |y|].  tol is relative to |y|, so the answer
+    does not change when x or y is scaled."""
     x = as_vec(x, n.dim)
     y = as_vec(y, n.dim)
-    nx = norm_eval(n, x)
-    ny = norm_eval(n, y)
-    if nx == 0.0 or ny == 0.0:
+    if norm_eval(n, x) == 0.0:
         return True
-    bound = 2.0 * nx / ny
-    res = minimize_scalar(lambda t: norm_eval(n, x + t * y),
-                          bounds=(-bound, bound), method="bounded",
-                          options={"xatol": 1e-12})
-    return res.fun >= nx * (1.0 - tol)
+    ny = norm_eval(n, y)
+    lo, hi = pairing_interval(n, x, y, tol)
+    return lo <= tol * ny and hi >= -tol * ny
 
 
 def support_point(n, p):

@@ -4,10 +4,12 @@ rolling-ball checks, and proximal-smoothness certificates.
 Every operation takes the ambient norm explicitly.  A gauge ball or its
 complement may carry its own gauge (the norm whose ball defines it); when it
 is omitted it defaults to the ambient norm at query time.  When the gauge
-differs from the ambient norm, distance searches the planar gauge sphere
-(polygons edge by edge, other gauges on a refined angle ring; complements of
-polyhedral gauges use their facet planes), and project refines the nearest
-points of a 4096-angle ring.  Each set kind's code is one class below.
+differs from the ambient norm, distance and project read the same nearest
+points of the planar gauge sphere: those of a 4096-angle ring, refined onto
+the sphere (the distance to the complement of a polyhedral gauge ball reads
+its facet planes instead).  The nearest points on a plane, for halfspaces
+and polytope complements, come from one helper as well.  Each set kind's
+code is one class below.
 """
 
 from __future__ import annotations
@@ -193,57 +195,31 @@ def _gauge(A: ClosedSetSpec, n: NormSpec) -> NormSpec:
 # set kinds: one class per kind, one instance per spec (ClosedSetSpec.ops)
 
 
-def _cluster(points, radius: float, cap: int = 16):
+_PROJECT_TOL = 1e-8  # project's default tol, which distance shares
+_TIE_ULPS = 8  # feet within this many ulps of the least distance tie with it
+
+
+def _cluster(points, radius: float):
     reps = []
     for p in points:
         if all(float(np.max(np.abs(p - r))) > radius for r in reps):
             reps.append(p)
-            if len(reps) >= cap:
-                break
     return reps
-
-
-def _boundary_min_distance(g: NormSpec, center: np.ndarray, radius: float,
-                           n: NormSpec, x: np.ndarray) -> float:
-    """Least ambient distance from x to the gauge sphere center + radius*S_g.
-    Planar gauges only: the sphere table raises DimensionMismatch for others."""
-    if g.ops.vertices is not None:
-        # per-edge segment minimization; each edge is convex in its parameter
-        verts = radius * g.ops.vertices + center
-        best = np.inf
-        for a, b in zip(verts, np.roll(verts, -1, axis=0)):
-            res = minimize_scalar(lambda t, a=a, b=b: norm_eval(n, (1 - t) * a + t * b - x),
-                                  bounds=(0.0, 1.0), method="bounded", options={"xatol": 1e-12})
-            best = min(best, float(res.fun))
-        return best
-    th = np.linspace(0.0, 2 * np.pi, 2048, endpoint=False)
-    ring = center + radius * g.ops.sphere(2048)
-    dists = norm_batch(n, ring - x)
-    h = 2 * np.pi / 2048
-    best = np.inf
-    for t0 in th[np.argsort(dists)[:8]]:
-
-        def f(t):
-            u = np.array([np.cos(t), np.sin(t)])
-            return norm_eval(n, center + radius * u / norm_eval(g, u) - x)
-
-        res = minimize_scalar(f, bounds=(t0 - 1.5 * h, t0 + 1.5 * h), method="bounded",
-                              options={"xatol": 1e-13})
-        best = min(best, float(res.fun))
-    return best
 
 
 def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
                          n: NormSpec, x: np.ndarray, tol: float):
-    """All near-minimizers of the ambient distance over a 2D gauge sphere
-    (the sphere table raises DimensionMismatch for any other).
+    """Representatives of the nearest points to x on a 2D gauge sphere (the
+    sphere table raises DimensionMismatch for any other): the ring points
+    within 10 tol of the least ring distance, spread across a flat piece.
 
     Under a gauge other than the ambient norm each moves to where the
     distance stops decreasing along the sphere, by bisection on the sign of
     its derivative within 1.5 table steps; a search on the distance values
     would stop about 1e-8 short, the distance being flat to second order
     there.  A point keeps its place where the sign does not change, as on a
-    flat piece of nearest points."""
+    flat piece of nearest points.  Only the feet whose distance ties the
+    least one to rounding stay, so a unique nearest point gives one."""
     count, h = 4096, 2 * np.pi / 4096
     ring = center + radius * g.ops.sphere(count)
     dists = norm_batch(n, ring - x)
@@ -266,8 +242,25 @@ def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
             lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
         keep = np.where(turns[:, None], center + radius * sphere_points(g, hi), keep)
         dists = norm_batch(n, keep - x)
-        keep = keep[dists <= np.min(dists) + 10 * tol]
+        dmin = np.min(dists)
+        keep = keep[dists <= dmin + _TIE_ULPS * np.finfo(float).eps * dmin]
     return _cluster(list(keep), radius=max(50 * tol, 1e-5))
+
+
+def _plane_feet(n: NormSpec, a: np.ndarray, v: np.ndarray, d: float) -> list:
+    """Nearest points to v on a plane {<a, .> = <a, v> - d |a|_*}: v - d u over
+    the unit vectors u that a supports.  Where a supports a flat edge of a
+    planar sphere they form a segment, represented by 16 points from end to
+    end; elsewhere there is the one support point."""
+    if n.dim == 2 and not n.ops.strictly_convex:
+        V = sphere_points(n, n.ops.vertex_angles())
+        s = V @ a
+        top = float(np.max(s))
+        face = V[s >= top - 1e-12 * max(1.0, abs(top))]
+        if len(face) == 2:
+            t = np.linspace(0.0, 1.0, 16)[:, None]
+            return list(v - d * ((1 - t) * face[0] + t * face[1]))
+    return [v - d * support_point(n, a)]
 
 
 class _SetKind:
@@ -302,7 +295,8 @@ class _Ball(_SetKind):
                 # from inside a polyhedral ball the nearest complement point lies on
                 # a facet plane, and every facet-plane point belongs to the closure
                 return min((b - float(a @ v)) / dual_norm_eval(n, a) for a, b in facets)
-        return _boundary_min_distance(g, self.c, self.r, n, v)
+        feet = _sphere_nearest_scan(g, self.c, self.r, n, v, _PROJECT_TOL)
+        return float(np.min(norm_batch(n, np.array(feet) - v)))
 
     def project(self, n, v, tol):
         g = _gauge(self.spec, n)
@@ -366,17 +360,8 @@ class _Halfspace(_SetKind):
         return max(0.0, (float(self.a @ v) - self.b)) / dual_norm_eval(n, self.a)
 
     def project(self, n, v, tol):
-        a = self.a
-        d = (float(a @ v) - self.b) / dual_norm_eval(n, a)
-        if n.dim == 2 and not n.ops.strictly_convex:
-            # a flat piece of the sphere may support a: the nearest points then
-            # form a segment, represented by ring points along it
-            ring = n.ops.sphere(4096)
-            scores = ring @ a
-            smax = float(np.max(scores))
-            feet = [v - d * u for u in ring[scores >= smax - 1e-12 * max(1.0, abs(smax))]]
-            return _cluster(feet, radius=max(50 * tol, 1e-5))
-        return [v - d * support_point(n, a)]
+        d = (float(self.a @ v) - self.b) / dual_norm_eval(n, self.a)
+        return _cluster(_plane_feet(n, self.a, v, d), radius=max(50 * tol, 1e-5))
 
     def boundary_sample(self, n, count, rng, seed, scale):
         a = self.a
@@ -446,14 +431,12 @@ class _PolytopeComplement(_SetKind):
         return min((b - float(a @ v)) / dual_norm_eval(n, a) for a, b in self.facets)
 
     def project(self, n, v, tol):
-        vals, feet = [], []
-        for a, b in self.facets:
-            d = (b - float(a @ v)) / dual_norm_eval(n, a)
-            vals.append(d)
-            feet.append(v + d * support_point(n, a))
-        dmin = min(vals)
-        out = [feet[i] for i in range(len(vals)) if vals[i] <= dmin + tol]
-        return _cluster(out, radius=max(50 * tol, 1e-5))
+        # minus the distance to each facet plane: the nearest planes are the largest
+        gaps = [(float(a @ v) - b) / dual_norm_eval(n, a) for a, b in self.facets]
+        top = max(gaps)
+        feet = [f for (a, _), d in zip(self.facets, gaps) if d >= top - tol
+                for f in _plane_feet(n, a, v, d)]
+        return _cluster(feet, radius=max(50 * tol, 1e-5))
 
     def _edges_2d(self):
         """Edges of the 2D polytope, between its vertices in CCW order."""
@@ -473,7 +456,7 @@ class _PolytopeComplement(_SetKind):
                     verts.append(p)
         if not verts:
             raise DegenerateBody("polytope has no vertices")
-        verts = _cluster(verts, radius=1e-9, cap=64)
+        verts = _cluster(verts, radius=1e-9)
         ctr = np.mean(verts, axis=0)
         verts.sort(key=lambda p: np.arctan2(p[1] - ctr[1], p[0] - ctr[0]))
         m = len(verts)
@@ -606,7 +589,7 @@ def distance(A: ClosedSetSpec, n: NormSpec, x) -> float:
     return A.ops.distance(n, v)
 
 
-def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-8):
+def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = _PROJECT_TOL):
     """Metric projection: representatives of the nearest-point set."""
     v = as_vec(x, A.dim)
     if contains(A, n, v, tol=0.0):

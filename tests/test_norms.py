@@ -399,6 +399,12 @@ def test_birkhoff_euclid_matches_inner_product():
     assert not bl.birkhoff_orthogonal(n, [0.1, 1.0], [2.0, 0.0])
 
 
+def test_birkhoff_sees_a_small_tilt():
+    """|x + t y| for x = (1, 0), y = (3e-5, 1) dips only 4.5e-10 below |x|,
+    but the support functional of x does not annihilate y."""
+    assert not bl.birkhoff_orthogonal(bl.lp_norm(2), [3e-5, 1.0], [1.0, 0.0])
+
+
 def test_birkhoff_is_not_symmetric_in_l1():
     """In the taxicab norm the relation holds one way round but not the other
     for a generic pair."""

@@ -123,14 +123,80 @@ def test_box_complement_under_its_own_flat_gauge(registry, zoo):
 ])
 def test_distance_and_projection_under_another_gauge(gauge, kind, x, dist, foot):
     """Euclidean distance to gauge balls and complements whose gauge is not
-    the ambient norm: polygon edges, a ring scan, and facet planes.  A foot
-    between ring points is refined onto the sphere."""
+    the ambient norm: the least distance over the refined ring feet that
+    project returns, and facet planes for the complement of a polyhedral
+    gauge.  A foot between ring points is refined onto the sphere."""
     make = bl.make_ball if kind == "ball" else bl.make_ball_complement
     A = make([0.0, 0.0], 1.0, gauge=gauge)
     assert bl.distance(A, E2, x) == pytest.approx(dist, abs=1e-9)
     if foot is not None:
         reps = bl.project(A, E2, x)
         assert len(reps) == 1 and np.allclose(reps[0], foot, atol=1e-12)
+
+
+def _spread(n, feet):
+    return max(bl.norm_eval(n, f - g) for f in feet for g in feet)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: bl.make_halfspace([-1.0, 0.0], -1.0),
+    lambda: bl.make_polytope_complement(SQUARE_FACETS),
+], ids=["halfspace", "polytope-complement"])
+def test_plane_feet_span_the_whole_flat_face(zoo, make):
+    """From (0.2, 0) the nearest points of the plane x1 = 1 under the max
+    norm are {1} x [-0.8, 0.8]: the representatives span it end to end.
+    Under the Euclidean norm the foot is the one point (1, 0)."""
+    A, v = make(), np.array([0.2, 0.0])
+    feet = bl.project(A, zoo["linf"], v)
+    for y in feet:
+        assert y[0] == pytest.approx(1.0, abs=1e-12)
+        assert bl.norm_eval(zoo["linf"], y - v) == pytest.approx(0.8, abs=1e-12)
+    assert _spread(zoo["linf"], feet) == pytest.approx(1.6, abs=1e-12)
+    y, = bl.project(A, E2, v)
+    assert np.array_equal(y, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("kind", ["ball", "ball_complement"])
+def test_distance_reads_the_projection_feet_under_another_gauge(zoo, kind):
+    """For every ordered pair of distinct zoo norms, as gauge and as ambient
+    norm, the distance is the least ambient distance to the feet that
+    project returns."""
+    make = bl.make_ball if kind == "ball" else bl.make_ball_complement
+    rng = np.random.default_rng(31)
+    checked = 0
+    for gid, g in zoo.items():
+        A = make([0.0, 0.0], 1.0, gauge=g)
+        for nid, n in zoo.items():
+            if nid == gid:
+                continue
+            for x in rng.uniform(-1.6, 1.6, size=(3, 2)):
+                d = bl.distance(A, n, x)
+                if d == 0.0:
+                    continue
+                feet = bl.project(A, n, x)
+                assert d == pytest.approx(min(bl.norm_eval(n, y - x) for y in feet),
+                                          rel=1e-12), (gid, nid, tuple(x))
+                checked += 1
+    assert checked >= 40
+
+
+def test_unique_nearest_point_gives_one_representative(zoo):
+    """The l3 distance from (-0.143, 0.417) to the edge x2 = 1 of the max-norm
+    box has the one minimizer (-0.143, 1), though it is flat to third order
+    there."""
+    A = bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo["linf"])
+    y, = bl.project(A, zoo["l3"], [-0.143, 0.417])
+    assert np.allclose(y, [-0.143, 1.0], atol=1e-9)
+
+
+def test_flat_piece_of_nearest_points_keeps_its_representatives(zoo):
+    """Under the max norm every point (1, t) with -0.5 <= t <= 1 of the square
+    gauge sphere is at distance 1 from (2, 0.5)."""
+    A = bl.make_ball([0.0, 0.0], 1.0, gauge=SQUARE)
+    feet = bl.project(A, zoo["linf"], [2.0, 0.5])
+    assert len(feet) > 1 and _spread(zoo["linf"], feet) > 0.5
+    for y in feet:
+        assert bl.norm_eval(zoo["linf"], y - np.array([2.0, 0.5])) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_projection_from_the_center_of_a_ball_complement():
