@@ -429,7 +429,10 @@ def norm_batch(n, X):
 
 
 def norm_eval(n, x):
-    return float(norm_batch(n, as_vec(x, n.dim)))
+    """The norm of one vector, evaluated as a one-row batch: a row has the same
+    bits alone and in any batch, except under a polygon norm, whose one-row
+    matmul rounds otherwise."""
+    return float(norm_batch(n, as_vec(x, n.dim)[None])[0])
 
 
 def pairing(p, x):
@@ -446,7 +449,8 @@ def dual_norm_batch(n, P):
 
 
 def dual_norm_eval(n, p):
-    return float(dual_norm_batch(n, as_vec(p, n.dim)))
+    """The dual norm of one functional, as a one-row batch (see norm_eval)."""
+    return float(dual_norm_batch(n, as_vec(p, n.dim)[None])[0])
 
 
 def unit_vector(n, d):

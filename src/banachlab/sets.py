@@ -9,7 +9,12 @@ points of the planar gauge sphere: those of a 4096-angle ring, refined onto
 the sphere (the distance to the complement of a polyhedral gauge ball reads
 its facet planes instead).  The nearest points on a plane, for halfspaces
 and polytope complements, come from one helper as well.  Each set kind's
-code is one class below.
+code is one class below; besides its one-point operations it gives the
+distance and the first projection foot of every row of an array, which the
+proximal-smoothness certificate runs on.
+
+SciPy is imported only by the two searches that use it,
+chord_projection_check and john_ellipse_2d.
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize, minimize_scalar
 
 from .norms import (
     DegenerateBody,
     DimensionMismatch,
     NormSpec,
+    _fold,
     as_vec,
     dual_norm_eval,
     duality_map,
@@ -247,11 +252,18 @@ def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
     return _cluster(list(keep), radius=max(50 * tol, 1e-5))
 
 
-def _plane_feet(n: NormSpec, a: np.ndarray, v: np.ndarray, d: float) -> list:
-    """Nearest points to v on a plane {<a, .> = <a, v> - d |a|_*}: v - d u over
-    the unit vectors u that a supports.  Where a supports a flat edge of a
-    planar sphere they form a segment, represented by 16 points from end to
-    end; elsewhere there is the one support point."""
+def _pairing_rows(V: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<a, v> of each row v of V, summed on the coordinate columns in order, so
+    that a row has the same bits alone and in any batch (a matrix product
+    rounds otherwise)."""
+    return _fold(np.add, V * a)
+
+
+def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
+    """The unit vectors u that a supports, as rows: the nearest points to v on
+    the plane {<a, .> = <a, v> - d |a|_*} are v - d u.  Where a supports a flat
+    edge of a planar sphere they form a segment, represented by 16 points from
+    end to end; elsewhere there is the one support point."""
     if n.dim == 2 and not n.ops.strictly_convex:
         V = sphere_points(n, n.ops.vertex_angles())
         s = V @ a
@@ -259,8 +271,8 @@ def _plane_feet(n: NormSpec, a: np.ndarray, v: np.ndarray, d: float) -> list:
         face = V[s >= top - 1e-12 * max(1.0, abs(top))]
         if len(face) == 2:
             t = np.linspace(0.0, 1.0, 16)[:, None]
-            return list(v - d * ((1 - t) * face[0] + t * face[1]))
-    return [v - d * support_point(n, a)]
+            return (1 - t) * face[0] + t * face[1]
+    return support_point(n, a)[None]
 
 
 class _SetKind:
@@ -268,27 +280,67 @@ class _SetKind:
     project(n, v, tol) for a point v outside the set; boundary_sample;
     residual(n, x), the offset of x from the boundary, positive outside;
     cone_directions(n, x, tol), the outward unit normals at a boundary point;
-    sample_inside(rng); and from_json(d)."""
+    sample_inside(rng); and from_json(d).
+
+    distance_rows(n, V) and foot_rows(n, V) give, for each row v of V, the
+    value of distance(A, n, v) and of project(A, n, v)[0], bit for bit: 0 and
+    the row itself for rows inside the set.  The defaults below ask the
+    one-point functions row by row; a kind with a closed form overrides them,
+    and batched(n) says which.
+    The bits agree wherever the ambient norm gives a row the same bits alone
+    and in a batch, which holds for every kind but the polygon norm."""
+
+    def __init__(self, A: ClosedSetSpec):
+        self.spec = A
 
     def contains(self, n, v, tol):
         return self.residual(n, v) <= tol
 
+    def batched(self, n):
+        """True when the row methods are closed forms under the norm n."""
+        return False
+
+    def distance_rows(self, n, V):
+        return np.array([distance(self.spec, n, v) for v in V])
+
+    def foot_rows(self, n, V):
+        return np.array([project(self.spec, n, v)[0] for v in V]).reshape(V.shape)
+
 
 class _Ball(_SetKind):
     """The gauge ball center + radius * B_g (sign 1), or the closure of its
-    complement (sign -1, the subclass below)."""
+    complement (sign -1, the subclass below).  Under its own gauge, when the
+    gauge is strictly convex or not planar, the nearest point is radial and the
+    row methods are closed forms; otherwise they go row by row."""
 
     sign = 1.0
 
     def __init__(self, A: ClosedSetSpec):
-        self.spec = A
+        super().__init__(A)
         self.c = np.asarray(A.center)
         self.r = A.radius
+
+    def _levels(self, g, V):
+        """sign (|v - c|_g - r) of each row: the residual under the gauge g, and
+        the distance from outside when g is the ambient norm."""
+        return self.sign * (norm_batch(g, V - self.c) - self.r)
+
+    def batched(self, n):
+        g = _gauge(self.spec, n)
+        return (g is n or g == n) and (g.ops.strictly_convex or self.spec.dim != 2)
+
+    def _center_feet(self, g):
+        """Representatives of the whole gauge sphere, nearest to the center."""
+        c, R, dim = self.c, self.r, self.spec.dim
+        if dim == 2:
+            return [c + R * p for p in g.ops.sphere(16)]
+        dirs = np.random.default_rng(11).standard_normal((16, dim))
+        return [c + R * d / norm_eval(g, d) for d in dirs]
 
     def distance(self, n, v):
         g = _gauge(self.spec, n)
         if g is n or g == n:
-            return self.sign * (norm_eval(n, v - self.c) - self.r)
+            return self.residual(n, v)
         if self.sign < 0:
             facets = g.ops.facets(self.c, self.r)
             if facets is not None:
@@ -298,19 +350,33 @@ class _Ball(_SetKind):
         feet = _sphere_nearest_scan(g, self.c, self.r, n, v, _PROJECT_TOL)
         return float(np.min(norm_batch(n, np.array(feet) - v)))
 
+    def distance_rows(self, n, V):
+        if not self.batched(n):
+            return super().distance_rows(n, V)
+        res = self._levels(n, V)
+        return np.where(res <= 0, 0.0, res)
+
     def project(self, n, v, tol):
         g = _gauge(self.spec, n)
-        c, R, dim = self.c, self.r, self.spec.dim
         same = g is n or g == n
-        r = norm_eval(g, v - c)
-        if same and r < 1e-12:  # center of the gauge ball: the whole sphere is nearest
-            if dim == 2:
-                return [c + R * p for p in g.ops.sphere(16)]
-            dirs = np.random.default_rng(11).standard_normal((16, dim))
-            return [c + R * d / norm_eval(g, d) for d in dirs]
-        if same and (g.ops.strictly_convex or dim != 2):
-            return [c + R * (v - c) / r]
-        return _sphere_nearest_scan(g, c, R, n, v, tol)
+        if same and norm_eval(g, v - self.c) < 1e-12:  # the whole sphere is nearest
+            return self._center_feet(g)
+        if self.batched(n):
+            return [self.foot_rows(n, v[None])[0]]
+        return _sphere_nearest_scan(g, self.c, self.r, n, v, tol)
+
+    def foot_rows(self, n, V):
+        if not self.batched(n):
+            return super().foot_rows(n, V)
+        c, R = self.c, self.r
+        r = norm_batch(n, V - c)
+        center = r < 1e-12
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = c + R * (V - c) / r[:, None]
+        if np.any(center):
+            F[center] = self._center_feet(n)[0]
+        inside = self.sign * (r - R) <= 0
+        return np.where(inside[:, None], V, F)
 
     def boundary_sample(self, n, count, rng, seed, scale):
         g = _gauge(self.spec, n)
@@ -321,7 +387,7 @@ class _Ball(_SetKind):
         return [self.c + self.r * d / norm_eval(g, d) for d in dirs]
 
     def residual(self, n, x):
-        return self.sign * (norm_eval(_gauge(self.spec, n), x - self.c) - self.r)
+        return float(self._levels(_gauge(self.spec, n), x[None])[0])
 
     def cone_directions(self, n, x, tol):
         ext = subdifferential_extremes(_gauge(self.spec, n), x - self.c)
@@ -351,17 +417,34 @@ class _Halfspace(_SetKind):
     """{x : <a, x> <= offset}."""
 
     def __init__(self, A: ClosedSetSpec):
+        super().__init__(A)
         self.dim = A.dim
         self.a = np.asarray(A.normal)
         self.b = A.offset
         self.foot = self.b * self.a / float(self.a @ self.a)
 
+    def batched(self, n):
+        return True
+
+    def _levels(self, V):
+        """<a, v> - offset of each row: the residual."""
+        return _pairing_rows(V, self.a) - self.b
+
     def distance(self, n, v):
-        return max(0.0, (float(self.a @ v) - self.b)) / dual_norm_eval(n, self.a)
+        return float(self.distance_rows(n, v[None])[0])
+
+    def distance_rows(self, n, V):
+        s = self._levels(V)
+        return np.where(s <= 0, 0.0, s / dual_norm_eval(n, self.a))
 
     def project(self, n, v, tol):
-        d = (float(self.a @ v) - self.b) / dual_norm_eval(n, self.a)
-        return _cluster(_plane_feet(n, self.a, v, d), radius=max(50 * tol, 1e-5))
+        d = float(self._levels(v)) / dual_norm_eval(n, self.a)
+        return _cluster(list(v - d * _plane_dirs(n, self.a)), radius=max(50 * tol, 1e-5))
+
+    def foot_rows(self, n, V):
+        s = self._levels(V)
+        F = V - (s / dual_norm_eval(n, self.a))[:, None] * _plane_dirs(n, self.a)[0]
+        return np.where((s <= 0)[:, None], V, F)
 
     def boundary_sample(self, n, count, rng, seed, scale):
         a = self.a
@@ -373,7 +456,7 @@ class _Halfspace(_SetKind):
         return out
 
     def residual(self, n, x):
-        return float(self.a @ x) - self.b
+        return float(self._levels(x))
 
     def cone_directions(self, n, x, tol):
         return [self.a / dual_norm_eval(n, self.a)]
@@ -388,18 +471,35 @@ class _Halfspace(_SetKind):
 
 class _FinitePoints(_SetKind):
     def __init__(self, A: ClosedSetSpec):
+        super().__init__(A)
         self.pts = np.asarray(A.points)
 
+    def batched(self, n):
+        return True
+
+    def _dists(self, n, V):
+        """Distance from each row of V to each point, points on the last axis."""
+        return norm_batch(n, self.pts - V[..., None, :])
+
     def distance(self, n, v):
-        return float(np.min(norm_batch(n, self.pts - v)))
+        return float(self.distance_rows(n, v[None])[0])
 
     residual = distance
 
+    def distance_rows(self, n, V):
+        return np.min(self._dists(n, V), axis=-1)  # exactly 0 at a point of the set
+
     def project(self, n, v, tol):
         pts = self.pts
-        dists = norm_batch(n, pts - v)
+        dists = self._dists(n, v)
         dmin = float(np.min(dists))
         return [pts[i].copy() for i in range(pts.shape[0]) if dists[i] <= dmin + tol]
+
+    def foot_rows(self, n, V):
+        D = self._dists(n, V)
+        dmin = np.min(D, axis=-1)
+        first = np.argmax(D <= dmin[:, None] + _PROJECT_TOL, axis=-1)
+        return np.where((dmin <= 0)[:, None], V, self.pts[first])
 
     def boundary_sample(self, n, count, rng, seed, scale):
         return [self.pts[i % self.pts.shape[0]].copy() for i in range(count)]
@@ -424,19 +524,43 @@ class _PolytopeComplement(_SetKind):
     """Closure of the complement of {x : <a_i, x> <= b_i for all i}."""
 
     def __init__(self, A: ClosedSetSpec):
+        super().__init__(A)
         self.dim = A.dim
         self.facets = [(np.asarray(a, dtype=float), float(b)) for a, b in A.facets]
 
+    def batched(self, n):
+        return True
+
+    def _levels(self, V):
+        """<a_i, v> - b_i of each row, one facet per column of the last axis."""
+        return np.stack([_pairing_rows(V, a) - b for a, b in self.facets], axis=-1)
+
+    def _duals(self, n):
+        return np.array([dual_norm_eval(n, a) for a, _ in self.facets])
+
     def distance(self, n, v):
-        return min((b - float(a @ v)) / dual_norm_eval(n, a) for a, b in self.facets)
+        return float(self.distance_rows(n, v[None])[0])
+
+    def distance_rows(self, n, V):
+        # level / |a|_* is minus the distance to a facet plane; from inside the
+        # polytope the distance to the complement is that to the nearest plane
+        L = self._levels(V)
+        return np.where(np.max(L, axis=-1) >= 0, 0.0, -np.max(L / self._duals(n), axis=-1))
 
     def project(self, n, v, tol):
-        # minus the distance to each facet plane: the nearest planes are the largest
-        gaps = [(float(a @ v) - b) / dual_norm_eval(n, a) for a, b in self.facets]
-        top = max(gaps)
+        gaps = self._levels(v) / self._duals(n)
+        top = np.max(gaps)
         feet = [f for (a, _), d in zip(self.facets, gaps) if d >= top - tol
-                for f in _plane_feet(n, a, v, d)]
+                for f in v - d * _plane_dirs(n, a)]
         return _cluster(feet, radius=max(50 * tol, 1e-5))
+
+    def foot_rows(self, n, V):
+        L = self._levels(V)
+        G = L / self._duals(n)
+        first = np.argmax(G >= np.max(G, axis=-1)[:, None] - _PROJECT_TOL, axis=-1)
+        U = np.array([_plane_dirs(n, a)[0] for a, _ in self.facets])
+        F = V - G[np.arange(V.shape[0]), first][:, None] * U[first]
+        return np.where((np.max(L, axis=-1) >= 0)[:, None], V, F)
 
     def _edges_2d(self):
         """Edges of the 2D polytope, between its vertices in CCW order."""
@@ -477,7 +601,7 @@ class _PolytopeComplement(_SetKind):
         return out
 
     def residual(self, n, x):
-        return min(b - float(a @ x) for a, b in self.facets)
+        return float(-np.max(self._levels(x)))
 
     def cone_directions(self, n, x, tol):
         active = []
@@ -503,6 +627,7 @@ class _Cylinder(_SetKind):
     The ambient norm must restrict to those axes."""
 
     def __init__(self, A: ClosedSetSpec):
+        super().__init__(A)
         self.dim = A.dim
         self.base = A.base
         self.coords = list(A.coords)
@@ -513,6 +638,12 @@ class _Cylinder(_SetKind):
     def distance(self, n, v):
         return distance(self.base, n.ops.restrict(self.coords), v[self.coords])
 
+    def batched(self, n):
+        return self.base.ops.batched(n.ops.restrict(self.coords))
+
+    def distance_rows(self, n, V):
+        return self.base.ops.distance_rows(n.ops.restrict(self.coords), V[:, self.coords])
+
     def project(self, n, v, tol):
         out = []
         for bp in project(self.base, n.ops.restrict(self.coords), v[self.coords], tol):
@@ -520,6 +651,11 @@ class _Cylinder(_SetKind):
             y[self.coords] = bp
             out.append(y)
         return out
+
+    def foot_rows(self, n, V):
+        Y = V.copy()
+        Y[:, self.coords] = self.base.ops.foot_rows(n.ops.restrict(self.coords), V[:, self.coords])
+        return Y
 
     def boundary_sample(self, n, count, rng, seed, scale):
         base_pts = boundary_sample(self.base, n.ops.restrict(self.coords), count, seed, scale)
@@ -736,13 +872,7 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
 # proximal smoothness certificate
 
 
-def _distance_gradient(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, h: float) -> np.ndarray:
-    g = np.zeros(x.shape[0])
-    for i in range(x.shape[0]):
-        e = np.zeros(x.shape[0])
-        e[i] = h
-        g[i] = (distance(A, n, x + e) - distance(A, n, x - e)) / (2 * h)
-    return g
+_GRADIENT_STEPS = np.array([1e-4, 1e-5])
 
 
 def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
@@ -755,6 +885,10 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     for two-branch ridge points between shell samples whose projections
     disagree, which catches the measure-zero nonuniqueness sets that random
     sampling misses.
+
+    Stages (b) and (c) run on row batches (the set kind's distance_rows and
+    foot_rows), and report what a one-point loop would: the first failing
+    sample, and the first failing pair in shuffled order.
     """
     try:
         us = shell_sample(A, n, R, sample_count, seed)
@@ -772,51 +906,68 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
                 return CheckReport("fail", -float(spread), (tuple(u), tuple(reps[0]), tuple(reps[1])),
                                    used, reason="nonunique projection at a sampled point")
         projs.append(reps[0])
-    # (b) gradient step-stability
-    for u in us:
-        d = distance(A, n, u)
-        if d < 2e-4 or d > R - 2e-4:
-            continue
-        g4 = _distance_gradient(A, n, u, 1e-4)
-        g5 = _distance_gradient(A, n, u, 1e-5)
+    U, P = np.array(us), np.array(projs)
+    # (b) gradient step-stability: the distances at u +- h e_i for both steps h
+    # of every sample away from the shell's ends, in one batch
+    d = A.ops.distance_rows(n, U)
+    ks = np.flatnonzero(~((d < 2e-4) | (d > R - 2e-4)))
+    E = _GRADIENT_STEPS[:, None, None] * np.eye(U.shape[1])
+    X = U[ks, None, None, :]
+    D = A.ops.distance_rows(n, np.stack([X + E, X - E], axis=2).reshape(-1, U.shape[1]))
+    D = D.reshape(len(ks), 2, 2, U.shape[1])
+    G = (D[:, :, 0] - D[:, :, 1]) / (2 * _GRADIENT_STEPS[:, None])
+    for k, (g4, g5) in zip(ks, G):
         ref = max(float(np.linalg.norm(g4)), float(np.linalg.norm(g5)), 1e-9)
         rel = float(np.linalg.norm(g4 - g5)) / ref
         if rel > 5e-3:
-            return CheckReport("fail", -rel, (tuple(u),), used,
+            return CheckReport("fail", -rel, (tuple(us[k]),), used,
                                reason="distance gradient unstable under step refinement")
-    # (c) ridge hunt between samples with far-apart projections
+    # (c) ridge hunt between samples with far-apart projections.  Closed-form
+    # rows bisect every such pair at once; rows asked one by one gain nothing
+    # from that, so they bisect a pair at a time and keep the early return.
     rng = np.random.default_rng(seed + 13)
     idx = np.arange(len(us))
     pairs = [(int(i), int(j)) for i in idx for j in idx[i + 1:]]
     rng.shuffle(pairs)
-    for i, j in pairs[: 4 * sample_count]:
-        a, b = us[i], us[j]
-        pa, pb = projs[i], projs[j]
-        gap = norm_eval(n, pa - pb)
-        if gap < 0.25 * max(norm_eval(n, a - b), 1e-9):
-            continue
-        lo, hi, plo, phi = a, b, pa, pb
-        alive = True
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            d = distance(A, n, mid)
-            if not (1e-7 < d < R * (1 - 1e-9)):
-                alive = False
-                break
-            pm = project(A, n, mid)[0]
-            if norm_eval(n, pm - plo) <= norm_eval(n, pm - phi):
-                lo, plo = mid, pm
-            else:
-                hi, phi = mid, pm
-        if not alive:
-            continue
-        gap_end = norm_eval(n, plo - phi)
-        width = norm_eval(n, lo - hi)
-        if width < 1e-8 and gap_end > 1e-3 * max(1.0, R):
-            mid = 0.5 * (lo + hi)
-            return CheckReport("fail", -float(gap_end), (tuple(mid), tuple(plo), tuple(phi)),
-                               used, reason="two projection branches meet inside the shell")
+    I, J = np.array(pairs[: 4 * sample_count], dtype=int).reshape(-1, 2).T
+    far = ~(norm_batch(n, P[I] - P[J]) < 0.25 * np.maximum(norm_batch(n, U[I] - U[J]), 1e-9))
+    I, J = I[far], J[far]
+    block = max(len(I), 1) if A.ops.batched(n) else 1
+    for start in range(0, len(I), block):
+        b = slice(start, start + block)
+        hit = _ridge_hunt(A, n, R, U[I[b]], U[J[b]], P[I[b]], P[J[b]])
+        if hit is not None:
+            return CheckReport("fail", hit[0], hit[1], used,
+                               reason="two projection branches meet inside the shell")
     return CheckReport("pass", 0.0, None, used)
+
+
+def _ridge_hunt(A: ClosedSetSpec, n: NormSpec, R: float, lo, hi, plo, phi):
+    """Bisect the segments between the rows of lo and hi, whose feet are plo
+    and phi, for 60 steps at once, each toward the end whose foot the
+    midpoint's foot is nearer.  A row that leaves the open R-shell is frozen
+    there and dropped.  Returns the margin and witness of the first row that
+    ends narrower than 1e-8 between feet more than 1e-3 max(1, R) apart, or
+    None."""
+    alive = np.ones(lo.shape[0], dtype=bool)
+    for _ in range(60):
+        k = np.flatnonzero(alive)
+        if not k.size:
+            return None
+        mid = 0.5 * (lo[k] + hi[k])
+        d = A.ops.distance_rows(n, mid)
+        inside = (1e-7 < d) & (d < R * (1 - 1e-9))
+        alive[k[~inside]] = False
+        k, mid = k[inside], mid[inside]
+        pm = A.ops.foot_rows(n, mid)
+        left = norm_batch(n, pm - plo[k]) <= norm_batch(n, pm - phi[k])
+        lo[k[left]], plo[k[left]] = mid[left], pm[left]
+        hi[k[~left]], phi[k[~left]] = mid[~left], pm[~left]
+    gap_end = norm_batch(n, plo - phi)
+    met = alive & (norm_batch(n, lo - hi) < 1e-8) & (gap_end > 1e-3 * max(1.0, R))
+    for t in np.flatnonzero(met)[:1]:
+        return -float(gap_end[t]), (tuple(0.5 * (lo[t] + hi[t])), tuple(plo[t]), tuple(phi[t]))
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -892,6 +1043,8 @@ def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
     """For a unit vector x with support functional p and a point z on the
     supporting line {<p, .> = 1}, the sphere point y cut out by the line
     through z parallel to x satisfies 2|z - x| >= |x - y| - tol."""
+    from scipy.optimize import brentq, minimize_scalar
+
     xv = as_vec(x, n.dim)
     zv = as_vec(z, n.dim)
     if abs(norm_eval(n, xv) - 1.0) > 1e-7:
@@ -949,6 +1102,8 @@ def john_ellipse_2d(vertices) -> np.ndarray:
     Returns Q.  Maximizes log det S over S = Q^{-1} subject to the edge
     constraints n_i^T S n_i <= 1, then verifies both John inclusions.
     """
+    from scipy.optimize import minimize
+
     verts = np.asarray(vertices, dtype=float)
     gauge = polygon_norm(verts)  # validates symmetry and convex position
     edges = gauge.ops.edges

@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from scipy.spatial import ConvexHull
 
 from .norms import NormSpec, ellipse_norm, lp_norm, polygon_norm
 from .sets import (
@@ -26,13 +25,30 @@ _POLY_SEED = 113
 _ELLIPSE_SEED = 211
 
 
+def _hull_vertices(P: np.ndarray) -> np.ndarray:
+    """Vertices of the convex hull of planar points, by Andrew's monotone
+    chain; points on an edge are left out."""
+    pts = P[np.lexsort((P[:, 1], P[:, 0]))]
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                (ux, uy), (wx, wy) = out[-1] - out[-2], p - out[-2]
+                if ux * wy - uy * wx > 0:  # a left turn keeps out[-1]
+                    break
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return np.array(chain(pts) + chain(pts[::-1]))
+
+
 def norm_zoo() -> dict:
     """The seven planar test norms, keyed by id."""
     rng = np.random.default_rng(_POLY_SEED)
     raw = rng.standard_normal((5, 2)) * np.array([1.2, 0.8]) + 0.1
-    sym = np.vstack([raw, -raw])
-    hull = ConvexHull(sym)
-    poly = polygon_norm(sym[hull.vertices], name="poly")
+    poly = polygon_norm(_hull_vertices(np.vstack([raw, -raw])), name="poly")
 
     rng = np.random.default_rng(_ELLIPSE_SEED)
     a = rng.standard_normal((2, 2))

@@ -4,6 +4,9 @@ import csv
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,6 +85,19 @@ def test_empty_norm_list_is_a_clean_no_op(tmp_path):
     assert run_cli(["moduli", "--config", path, "--out", str(out)]) == 0
     report = json.loads((out / "run_report.json").read_text())
     assert report["records"] == []
+
+
+def test_import_and_registry_do_not_load_scipy():
+    """A cold start (the package, the norm zoo and the set registry) needs no
+    SciPy: only chord_projection_check and john_ellipse_2d import it."""
+    code = ("import sys, banachlab\n"
+            "from banachlab import zoo\n"
+            "zoo.set_registry(zoo.norm_zoo())\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

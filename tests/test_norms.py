@@ -186,15 +186,22 @@ def test_norm_kernels_equal_the_reductions_over_the_last_axis(zoo, nid):
 
 
 def test_ellipse_row_has_the_same_bits_in_any_batch(zoo):
-    """An ellipse row has one value alone, in a (1, 2, 2) batch and in an
-    (E, 2, 2) batch, for the norm and the dual norm."""
-    n = zoo["ellipse"]
+    """An ellipse, l15 or l3 row has one value alone (norm_eval), in a
+    (1, 2, 2) batch and in an (E, 2, 2) batch, for the norm and the dual norm;
+    an ellipse row also as a bare vector, whose l15 and l3 sums end as 0-d
+    scalars.  The polygon norm is left out: its one-row matmul rounds
+    otherwise."""
     X = np.random.default_rng(17).normal(size=(150, 2, 2))
-    for f in (bl.norm_batch, bl.dual_norm_batch):
-        whole = f(n, X)
-        for e in range(X.shape[0]):
-            assert np.array_equal(f(n, X[e:e + 1])[0], whole[e])
-            assert [float(f(n, x)) for x in X[e]] == whole[e].tolist()
+    for nid in ("ellipse", "l15", "l3"):
+        n = zoo[nid]
+        pairs = ((bl.norm_batch, bl.norm_eval), (bl.dual_norm_batch, bl.dual_norm_eval))
+        for f, one in pairs:
+            whole = f(n, X)
+            for e in range(X.shape[0]):
+                assert np.array_equal(f(n, X[e:e + 1])[0], whole[e]), nid
+                if nid == "ellipse":
+                    assert [float(f(n, x)) for x in X[e]] == whole[e].tolist()
+                assert [one(n, x) for x in X[e]] == whole[e].tolist(), nid
 
 
 def test_dimension_mismatch():
