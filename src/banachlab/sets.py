@@ -286,9 +286,9 @@ class _SetKind:
     value of distance(A, n, v) and of project(A, n, v)[0], bit for bit: 0 and
     the row itself for rows inside the set.  The defaults below ask the
     one-point functions row by row; a kind with a closed form overrides them,
-    and batched(n) says which.
-    The bits agree wherever the ambient norm gives a row the same bits alone
-    and in a batch, which holds for every kind but the polygon norm."""
+    and batched(n) says which.  The closed forms keep the bits wherever the
+    ambient norm gives a row the same bits alone and in a batch: under every
+    norm kind but the polygon."""
 
     def __init__(self, A: ClosedSetSpec):
         self.spec = A
