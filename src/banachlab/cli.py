@@ -89,18 +89,19 @@ def load_config(path, seed=None, budget=None, out_dir=None) -> SuiteConfig:
             if key not in {"norms", "sets", "grids", "seed", "budget", "out_dir"}:
                 raise ConfigError(f"unknown config key {key!r}")
         if "norms" in raw:
-            cfg.norms = list(raw["norms"])
+            cfg.norms = raw["norms"]
         if "sets" in raw:
-            cfg.sets = [list(t) for t in raw["sets"]]
+            cfg.sets = raw["sets"]
         grids = raw.get("grids", {})
-        if "eps" in grids:
-            cfg.eps_grid = [float(v) for v in grids["eps"]]
-        if "tau" in grids:
-            cfg.tau_grid = [float(v) for v in grids["tau"]]
-        if "r" in grids:
-            cfg.r_grid = [float(v) for v in grids["r"]]
+        if not isinstance(grids, dict):
+            raise ConfigError("grids must be a JSON object")
+        for key, attr in (("eps", "eps_grid"), ("tau", "tau_grid"), ("r", "r_grid")):
+            if key in grids:
+                if not isinstance(grids[key], list):
+                    raise ConfigError(f"{key} grid must be a list, got {grids[key]!r}")
+                setattr(cfg, attr, [_number(v, f"{key} grid value") for v in grids[key]])
         if "seed" in raw:
-            cfg.seed = int(raw["seed"])
+            cfg.seed = raw["seed"]
         if "budget" in raw:
             cfg.budget = str(raw["budget"])
         if "out_dir" in raw:
@@ -115,20 +116,31 @@ def load_config(path, seed=None, budget=None, out_dir=None) -> SuiteConfig:
     return cfg
 
 
+def _number(v, what: str) -> float:
+    """v as a float, when it is a finite JSON number."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
+        raise ConfigError(f"{what} must be a finite number, got {v!r}")
+    return float(v)
+
+
 def _validate(cfg: SuiteConfig):
     norms = Z.norm_zoo()
     registry = Z.set_registry(norms)
+    if not isinstance(cfg.norms, list) or not isinstance(cfg.sets, list):
+        raise ConfigError("norms and sets must be lists")
     for nid in cfg.norms:
-        if nid not in norms:
+        if not isinstance(nid, str) or nid not in norms:
             raise ConfigError(f"unknown norm id {nid!r}")
     for entry in cfg.sets:
-        if len(entry) != 2:
+        if not isinstance(entry, list) or len(entry) != 2 or not isinstance(entry[0], str):
             raise ConfigError(f"set entries must be [id, R], got {entry!r}")
         sid, R = entry
         if sid not in registry:
             raise ConfigError(f"unknown set id {sid!r}")
-        if not (float(R) > 0):
+        if not (_number(R, "set scale") > 0):
             raise ConfigError(f"set scale must be positive, got {R!r}")
+    if isinstance(cfg.seed, bool) or not isinstance(cfg.seed, int) or cfg.seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {cfg.seed!r}")
     if cfg.budget not in _BUDGET_SAMPLES:
         raise ConfigError(f"budget must be one of low/default/high, got {cfg.budget!r}")
     for v in cfg.eps_grid:
@@ -314,17 +326,21 @@ def cmd_sets(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
 # hypo command
 
 
+def _hilbert_curves(nid: str, args: np.ndarray):
+    """The closed-form convexity and smoothness curves of a Euclidean norm id."""
+    return (M.ModulusCurve(args=args, values=M.hilbert_delta(args), direction="over",
+                           label=f"{nid}-delta"),
+            M.ModulusCurve(args=args, values=M.hilbert_rho(args), direction="under",
+                           label=f"{nid}-rho"))
+
+
 def _ambient_curves(nid: str, norms: dict, budget, r_grid, cache: RunCache):
     """Convexity and smoothness curves for an ambient norm id (estimated in
     2D, closed-form for the Euclidean ambients)."""
     args = np.unique(np.concatenate([np.asarray(r_grid), np.linspace(0.0125, 0.1, 8),
                                      np.linspace(1.1, 2.0, 6)]))
     if nid in ("euclid", "euclid3"):
-        delta = M.ModulusCurve(args=tuple(args), values=tuple(M.hilbert_delta(args)),
-                               direction="over", label=f"{nid}-delta")
-        rho = M.ModulusCurve(args=tuple(args), values=tuple(M.hilbert_rho(args)),
-                             direction="under", label=f"{nid}-rho")
-        return delta, rho
+        return _hilbert_curves(nid, args)
     n = norms[nid]
     return cache.curve(M.delta_estimate, n, args, budget), cache.curve(M.rho_estimate, n, args, budget)
 
@@ -340,11 +356,10 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     # pairing-functional sandwich per uniformly convex and smooth norm
     for nid in [x for x in cfg.norms if x in _SMOOTH_UC]:
         n = norms[nid]
-        A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n if nid != "euclid" else None)
+        A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n)
         rho_args = np.unique(np.concatenate([eps_arr / 4.0, np.asarray(cfg.r_grid)]))
-        rho = cache.curve(M.rho_estimate, n, rho_args, budget) if nid != "euclid" else \
-            M.ModulusCurve(args=tuple(rho_args), values=tuple(M.hilbert_rho(rho_args)),
-                           direction="under", label="euclid-rho")
+        rho = (_hilbert_curves(nid, rho_args)[1] if nid == "euclid"
+               else cache.curve(M.rho_estimate, n, rho_args, budget))
         lam_hi = cache.curve(M.supporting_modulus_estimate, n, np.unique(2.0 * eps_arr), budget, "upper")
         rows = []
         worst = np.inf
@@ -366,7 +381,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     # one-seventeenth smoothness certificate per test norm
     for nid in cfg.norms:
         n = norms[nid]
-        A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n if nid != "euclid" else None)
+        A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n)
         _, rho = _ambient_curves(nid, norms, budget, cfg.r_grid, cache)
         psi = P.psi_from_curve(rho, scale=1.0 / 17.0, name="seventeenth-smoothness")
         rep = H.hypo_check(A, n, psi, 1.0, eps_max=0.4, pair_budget=counts["pairs"], seed=cfg.seed)

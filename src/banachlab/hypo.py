@@ -263,10 +263,11 @@ def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float,
         raise ValueError("z1 must lie in the set")
     gap = norm_eval(n, z1 - z0)
     dd = 0.5 * min(eps * gap, d0)
+    ts = np.linspace(0.0, 1.0, 201)
+    grid = A.ops.nearest_rows(n, z0 + ts[:, None] * (z1 - z0))[0]
     for _ in range(7):
         phi = lambda t: distance(A, n, z0 + t * (z1 - z0)) - dd
-        ts = np.linspace(0.0, 1.0, 201)
-        vals = np.array([phi(t) for t in ts])
+        vals = grid - dd
         if vals[0] <= 0:
             dd *= 0.5
             continue

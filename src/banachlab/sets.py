@@ -4,14 +4,17 @@ rolling-ball checks, and proximal-smoothness certificates.
 Every operation takes the ambient norm explicitly.  A gauge ball or its
 complement may carry its own gauge (the norm whose ball defines it); when it
 is omitted it defaults to the ambient norm at query time.  When the gauge
-differs from the ambient norm, distance and project read the same nearest
-points of the planar gauge sphere: those of a 4096-angle ring, refined onto
-the sphere (the distance to the complement of a polyhedral gauge ball reads
-its facet planes instead).  The nearest points on a plane, for halfspaces
-and polytope complements, come from one helper as well.  Each set kind's
-code is one class below; besides its one-point operations it gives the
-distance and the first projection foot of every row of an array, which the
-proximal-smoothness certificate runs on.
+differs from the ambient norm, or is the ambient norm but planar and not
+strictly convex (polygon, l1, max norm), the projection feet are the nearest
+points of a 4096-angle ring on the planar gauge sphere, refined onto the
+sphere under a foreign gauge; elsewhere the nearest point is radial.  The
+distance to the complement of a foreign polyhedral gauge ball reads its
+facet planes.  The ring distances of many points are tabled in fixed blocks
+of rows.  The nearest points on a plane, for halfspaces and polytope
+complements, come from one helper as well.  Each set kind's code is one
+class below, and one method of it, nearest_rows, gives the distance and the
+first projection foot of every row of an array: the one-point distance and
+the proximal-smoothness certificate run on it.
 
 SciPy is imported only by the two searches that use it,
 chord_projection_check and john_ellipse_2d.
@@ -200,23 +203,35 @@ def _gauge(A: ClosedSetSpec, n: NormSpec) -> NormSpec:
 # set kinds: one class per kind, one instance per spec (ClosedSetSpec.ops)
 
 
-_PROJECT_TOL = 1e-8  # project's default tol, which distance shares
+_PROJECT_TOL = 1e-8  # project's default tol, which nearest_rows shares
 _TIE_ULPS = 8  # feet within this many ulps of the least distance tie with it
+_RING = 4096  # points of the gauge-sphere ring that the nearest-point scan reads
+_SCAN_BLOCK = 128  # rows per block of the (rows, _RING) ring-distance table
 
 
-def _cluster(points, radius: float):
-    reps = []
-    for p in points:
-        if all(float(np.max(np.abs(p - r))) > radius for r in reps):
-            reps.append(p)
+def _cluster_mask(K, keep, radius):
+    """Which kept points of each row of K, shape (rows, k, dim), stand for a
+    cluster: those farther than radius, in the max norm of coordinates, from
+    every earlier one that does."""
+    near = np.abs(K[:, :, None] - K[:, None]).max(axis=-1) <= radius
+    reps = np.zeros_like(keep)
+    for j in np.flatnonzero(keep.any(axis=0)):
+        reps[:, j] = keep[:, j] & ~(near[:, j, :j] & reps[:, :j]).any(axis=-1)
     return reps
 
 
-def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
-                         n: NormSpec, x: np.ndarray, tol: float):
-    """Representatives of the nearest points to x on a 2D gauge sphere (the
-    sphere table raises DimensionMismatch for any other): the ring points
-    within 10 tol of the least ring distance, spread across a flat piece.
+def _cluster(points, radius: float):
+    P = np.array(points)
+    return list(P[_cluster_mask(P[None], np.ones((1, len(P)), dtype=bool), radius)[0]])
+
+
+def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
+                         n: NormSpec, V: np.ndarray, tol: float):
+    """Representatives of the nearest points to each row of V on a 2D gauge
+    sphere (the sphere table raises DimensionMismatch for any other), as
+    (rows, 16, 2) points and a mask of the representatives: the ring points
+    within 10 tol of the row's least ring distance, at most 16 spread across
+    a flat piece, clustered within max(50 tol, 1e-5).
 
     Under a gauge other than the ambient norm each moves to where the
     distance stops decreasing along the sphere, by bisection on the sign of
@@ -224,32 +239,50 @@ def _sphere_nearest_scan(g: NormSpec, center: np.ndarray, radius: float,
     would stop about 1e-8 short, the distance being flat to second order
     there.  A point keeps its place where the sign does not change, as on a
     flat piece of nearest points.  Only the feet whose distance ties the
-    least one to rounding stay, so a unique nearest point gives one."""
-    count, h = 4096, 2 * np.pi / 4096
-    ring = center + radius * g.ops.sphere(count)
-    dists = norm_batch(n, ring - x)
-    idx = np.nonzero(dists <= np.min(dists) + 10 * tol)[0]
-    if idx.size > 16:  # spread representatives across the whole flat piece
-        idx = idx[np.linspace(0, idx.size - 1, 16).astype(int)]
-    keep = ring[idx]
+    row's least one to rounding stay, so a unique nearest point gives one.
+
+    The ring distances are tabled _SCAN_BLOCK rows at a time, and the points
+    kept in all rows are refined in one lockstep bisection."""
+    h = 2 * np.pi / _RING
+    ring = center + radius * g.ops.sphere(_RING)
+    idx = np.zeros((V.shape[0], 16), dtype=int)
+    keep = np.zeros((V.shape[0], 16), dtype=bool)
+    for s in range(0, V.shape[0], _SCAN_BLOCK):
+        X = V[s:s + _SCAN_BLOCK]
+        D = norm_batch(n, ring - X[:, None])
+        near = D <= np.min(D, axis=1)[:, None] + 10 * tol
+        count = np.sum(near, axis=1)
+        rank = np.tile(np.arange(16), (X.shape[0], 1))
+        big = count > 16  # spread representatives across the whole flat piece
+        if np.any(big):
+            rank[big] = np.linspace(0, count[big] - 1, 16, axis=-1).astype(int)
+        ok = np.arange(16) < count[:, None]
+        first = np.cumsum(count) - count  # of each row's points in the list of all
+        idx[s:s + _SCAN_BLOCK] = np.nonzero(near)[1][np.where(ok, first[:, None] + rank, 0)]
+        keep[s:s + _SCAN_BLOCK] = ok
+    K = ring[idx]
     if g != n:
 
-        def slope(t):  # the derivative's sign, along the counterclockwise tangent
+        def slope(t, X):  # the derivative's sign, along the counterclockwise tangent
             Q = center + radius * sphere_points(g, t)
-            G, N = g.ops.gradient(Q - center), n.ops.gradient(Q - x)
+            G, N = g.ops.gradient(Q - center), n.ops.gradient(Q - X)
             return N[:, 0] * -G[:, 1] + N[:, 1] * G[:, 0]
 
-        lo, hi = (idx - 1.5) * h, (idx + 1.5) * h
-        turns = (slope(lo) < 0) & (slope(hi) > 0)
+        row, col = np.nonzero(keep)
+        X = V[row]
+        lo, hi = (idx[row, col] - 1.5) * h, (idx[row, col] + 1.5) * h
+        turns = (slope(lo, X) < 0) & (slope(hi, X) > 0)
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            down = slope(mid) < 0
+            if not np.any(turns & (mid != lo) & (mid != hi)):
+                break  # every bracket is down to adjacent floats: no step moves it
+            down = slope(mid, X) < 0
             lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
-        keep = np.where(turns[:, None], center + radius * sphere_points(g, hi), keep)
-        dists = norm_batch(n, keep - x)
-        dmin = np.min(dists)
-        keep = keep[dists <= dmin + _TIE_ULPS * np.finfo(float).eps * dmin]
-    return _cluster(list(keep), radius=max(50 * tol, 1e-5))
+        K[row, col] = np.where(turns[:, None], center + radius * sphere_points(g, hi), K[row, col])
+        dists = np.where(keep, norm_batch(n, K - V[:, None]), np.inf)
+        dmin = np.min(dists, axis=1)[:, None]
+        keep &= dists <= dmin + _TIE_ULPS * np.finfo(float).eps * dmin
+    return K, _cluster_mask(K, keep, max(50 * tol, 1e-5))
 
 
 def _pairing_rows(V: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -257,6 +290,12 @@ def _pairing_rows(V: np.ndarray, a: np.ndarray) -> np.ndarray:
     that a row has the same bits alone and in any batch (a matrix product
     rounds otherwise)."""
     return _fold(np.add, V * a)
+
+
+def _plane_gaps(n: NormSpec, V: np.ndarray, facets) -> np.ndarray:
+    """(<a, v> - b) / |a|_* of each row v for each facet (a, b), one facet per
+    column: minus the distance from v to the facet plane, where <a, v> <= b."""
+    return np.stack([(_pairing_rows(V, a) - b) / dual_norm_eval(n, a) for a, b in facets], axis=-1)
 
 
 def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
@@ -276,19 +315,19 @@ def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
 
 
 class _SetKind:
-    """Each kind provides, for an ambient norm n: distance(n, v) and
-    project(n, v, tol) for a point v outside the set; boundary_sample;
-    residual(n, x), the offset of x from the boundary, positive outside;
-    cone_directions(n, x, tol), the outward unit normals at a boundary point;
-    sample_inside(rng); and from_json(d).
-
-    distance_rows(n, V) and foot_rows(n, V) give, for each row v of V, the
-    value of distance(A, n, v) and of project(A, n, v)[0], bit for bit: 0 and
-    the row itself for rows inside the set.  The defaults below ask the
-    one-point functions row by row; a kind with a closed form overrides them,
-    and batched(n) says which.  The closed forms keep the bits wherever the
-    ambient norm gives a row the same bits alone and in a batch: under every
-    norm kind but the polygon."""
+    """Each kind provides, for an ambient norm n:
+    - nearest_rows(n, V): the distance and the first projection foot of each
+      row of V, 0 and the row itself for a row inside the set, at project's
+      default tol.  distance(n, v) is its one-row case, and the
+      proximal-smoothness certificate runs on it;
+    - project(n, v, tol): representatives of the nearest points to a point v
+      outside the set, the first of them the foot of nearest_rows;
+    - residual(n, x), the offset of x from the boundary, positive outside;
+    - cone_directions(n, x, tol), the outward unit normals at a boundary point;
+    - boundary_sample, sample_inside(rng) and from_json(d).
+    A row has the same bits alone and in any batch wherever the ambient norm
+    gives it the same bits: under every norm kind but the polygon, whose
+    matrix products round with the batch."""
 
     def __init__(self, A: ClosedSetSpec):
         self.spec = A
@@ -296,22 +335,18 @@ class _SetKind:
     def contains(self, n, v, tol):
         return self.residual(n, v) <= tol
 
-    def batched(self, n):
-        """True when the row methods are closed forms under the norm n."""
-        return False
-
-    def distance_rows(self, n, V):
-        return np.array([distance(self.spec, n, v) for v in V])
-
-    def foot_rows(self, n, V):
-        return np.array([project(self.spec, n, v)[0] for v in V]).reshape(V.shape)
+    def distance(self, n, v):
+        return float(self.nearest_rows(n, v[None])[0][0])
 
 
 class _Ball(_SetKind):
     """The gauge ball center + radius * B_g (sign 1), or the closure of its
     complement (sign -1, the subclass below).  Under its own gauge, when the
-    gauge is strictly convex or not planar, the nearest point is radial and the
-    row methods are closed forms; otherwise they go row by row."""
+    gauge is strictly convex or not planar, the nearest point is radial.
+    Otherwise the feet come from the ring scan of the planar gauge sphere, and
+    the distance is the residual under its own gauge, the distance to the
+    facet planes for the complement of a foreign polyhedral gauge, and the
+    least ambient distance to the feet under any other foreign gauge."""
 
     sign = 1.0
 
@@ -320,13 +355,7 @@ class _Ball(_SetKind):
         self.c = np.asarray(A.center)
         self.r = A.radius
 
-    def _levels(self, g, V):
-        """sign (|v - c|_g - r) of each row: the residual under the gauge g, and
-        the distance from outside when g is the ambient norm."""
-        return self.sign * (norm_batch(g, V - self.c) - self.r)
-
-    def batched(self, n):
-        g = _gauge(self.spec, n)
+    def _radial(self, g, n):
         return (g is n or g == n) and (g.ops.strictly_convex or self.spec.dim != 2)
 
     def _center_feet(self, g):
@@ -337,46 +366,41 @@ class _Ball(_SetKind):
         dirs = np.random.default_rng(11).standard_normal((16, dim))
         return [c + R * d / norm_eval(g, d) for d in dirs]
 
-    def distance(self, n, v):
+    def nearest_rows(self, n, V):
         g = _gauge(self.spec, n)
-        if g is n or g == n:
-            return self.residual(n, v)
-        if self.sign < 0:
-            facets = g.ops.facets(self.c, self.r)
+        c, R = self.c, self.r
+        same = g is n or g == n
+        r = norm_batch(g, V - c)
+        d = self.sign * (r - R)  # the residual: the distance from outside when g is n
+        inside = d <= 0
+        center = (r < 1e-12) & same  # the whole sphere is nearest
+        if self._radial(g, n):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                F = c + R * (V - c) / r[:, None]
+        else:
+            scan = ~(inside | center)
+            K, reps = _sphere_nearest_rows(g, c, R, n, V[scan], _PROJECT_TOL)
+            F = V.copy()
+            F[scan] = K[np.arange(K.shape[0]), np.argmax(reps, axis=1)]
+            facets = None if same or self.sign > 0 else g.ops.facets(c, R)
             if facets is not None:
                 # from inside a polyhedral ball the nearest complement point lies on
                 # a facet plane, and every facet-plane point belongs to the closure
-                return min((b - float(a @ v)) / dual_norm_eval(n, a) for a, b in facets)
-        feet = _sphere_nearest_scan(g, self.c, self.r, n, v, _PROJECT_TOL)
-        return float(np.min(norm_batch(n, np.array(feet) - v)))
-
-    def distance_rows(self, n, V):
-        if not self.batched(n):
-            return super().distance_rows(n, V)
-        res = self._levels(n, V)
-        return np.where(res <= 0, 0.0, res)
+                d = -np.max(_plane_gaps(n, V, facets), axis=-1)
+            elif not same:
+                d[scan] = np.min(np.where(reps, norm_batch(n, K - V[scan][:, None]), np.inf), axis=1)
+        if np.any(center):
+            F[center] = self._center_feet(g)[0]
+        return np.where(inside, 0.0, d), np.where(inside[:, None], V, F)
 
     def project(self, n, v, tol):
         g = _gauge(self.spec, n)
-        same = g is n or g == n
-        if same and norm_eval(g, v - self.c) < 1e-12:  # the whole sphere is nearest
+        if (g is n or g == n) and norm_eval(g, v - self.c) < 1e-12:
             return self._center_feet(g)
-        if self.batched(n):
-            return [self.foot_rows(n, v[None])[0]]
-        return _sphere_nearest_scan(g, self.c, self.r, n, v, tol)
-
-    def foot_rows(self, n, V):
-        if not self.batched(n):
-            return super().foot_rows(n, V)
-        c, R = self.c, self.r
-        r = norm_batch(n, V - c)
-        center = r < 1e-12
-        with np.errstate(divide="ignore", invalid="ignore"):
-            F = c + R * (V - c) / r[:, None]
-        if np.any(center):
-            F[center] = self._center_feet(n)[0]
-        inside = self.sign * (r - R) <= 0
-        return np.where(inside[:, None], V, F)
+        if self._radial(g, n):
+            return [self.nearest_rows(n, v[None])[1][0]]
+        K, reps = _sphere_nearest_rows(g, self.c, self.r, n, v[None], tol)
+        return list(K[0][reps[0]])
 
     def boundary_sample(self, n, count, rng, seed, scale):
         g = _gauge(self.spec, n)
@@ -387,7 +411,7 @@ class _Ball(_SetKind):
         return [self.c + self.r * d / norm_eval(g, d) for d in dirs]
 
     def residual(self, n, x):
-        return float(self._levels(_gauge(self.spec, n), x[None])[0])
+        return float(self.sign * (norm_batch(_gauge(self.spec, n), x[None] - self.c)[0] - self.r))
 
     def cone_directions(self, n, x, tol):
         ext = subdifferential_extremes(_gauge(self.spec, n), x - self.c)
@@ -423,28 +447,20 @@ class _Halfspace(_SetKind):
         self.b = A.offset
         self.foot = self.b * self.a / float(self.a @ self.a)
 
-    def batched(self, n):
-        return True
-
     def _levels(self, V):
         """<a, v> - offset of each row: the residual."""
         return _pairing_rows(V, self.a) - self.b
 
-    def distance(self, n, v):
-        return float(self.distance_rows(n, v[None])[0])
-
-    def distance_rows(self, n, V):
+    def nearest_rows(self, n, V):
         s = self._levels(V)
-        return np.where(s <= 0, 0.0, s / dual_norm_eval(n, self.a))
+        d = s / dual_norm_eval(n, self.a)
+        inside = s <= 0
+        F = V - d[:, None] * _plane_dirs(n, self.a)[0]
+        return np.where(inside, 0.0, d), np.where(inside[:, None], V, F)
 
     def project(self, n, v, tol):
         d = float(self._levels(v)) / dual_norm_eval(n, self.a)
         return _cluster(list(v - d * _plane_dirs(n, self.a)), radius=max(50 * tol, 1e-5))
-
-    def foot_rows(self, n, V):
-        s = self._levels(V)
-        F = V - (s / dual_norm_eval(n, self.a))[:, None] * _plane_dirs(n, self.a)[0]
-        return np.where((s <= 0)[:, None], V, F)
 
     def boundary_sample(self, n, count, rng, seed, scale):
         a = self.a
@@ -474,32 +490,23 @@ class _FinitePoints(_SetKind):
         super().__init__(A)
         self.pts = np.asarray(A.points)
 
-    def batched(self, n):
-        return True
-
     def _dists(self, n, V):
         """Distance from each row of V to each point, points on the last axis."""
         return norm_batch(n, self.pts - V[..., None, :])
 
-    def distance(self, n, v):
-        return float(self.distance_rows(n, v[None])[0])
+    residual = _SetKind.distance
 
-    residual = distance
-
-    def distance_rows(self, n, V):
-        return np.min(self._dists(n, V), axis=-1)  # exactly 0 at a point of the set
+    def nearest_rows(self, n, V):
+        D = self._dists(n, V)
+        d = np.min(D, axis=-1)  # exactly 0 at a point of the set
+        first = np.argmax(D <= d[:, None] + _PROJECT_TOL, axis=-1)
+        return d, np.where((d <= 0)[:, None], V, self.pts[first])
 
     def project(self, n, v, tol):
         pts = self.pts
         dists = self._dists(n, v)
         dmin = float(np.min(dists))
         return [pts[i].copy() for i in range(pts.shape[0]) if dists[i] <= dmin + tol]
-
-    def foot_rows(self, n, V):
-        D = self._dists(n, V)
-        dmin = np.min(D, axis=-1)
-        first = np.argmax(D <= dmin[:, None] + _PROJECT_TOL, axis=-1)
-        return np.where((dmin <= 0)[:, None], V, self.pts[first])
 
     def boundary_sample(self, n, count, rng, seed, scale):
         return [self.pts[i % self.pts.shape[0]].copy() for i in range(count)]
@@ -528,39 +535,23 @@ class _PolytopeComplement(_SetKind):
         self.dim = A.dim
         self.facets = [(np.asarray(a, dtype=float), float(b)) for a, b in A.facets]
 
-    def batched(self, n):
-        return True
-
-    def _levels(self, V):
-        """<a_i, v> - b_i of each row, one facet per column of the last axis."""
-        return np.stack([_pairing_rows(V, a) - b for a, b in self.facets], axis=-1)
-
-    def _duals(self, n):
-        return np.array([dual_norm_eval(n, a) for a, _ in self.facets])
-
-    def distance(self, n, v):
-        return float(self.distance_rows(n, v[None])[0])
-
-    def distance_rows(self, n, V):
-        # level / |a|_* is minus the distance to a facet plane; from inside the
-        # polytope the distance to the complement is that to the nearest plane
-        L = self._levels(V)
-        return np.where(np.max(L, axis=-1) >= 0, 0.0, -np.max(L / self._duals(n), axis=-1))
+    def nearest_rows(self, n, V):
+        # from inside the polytope the distance to the complement is that to
+        # the nearest facet plane
+        G = _plane_gaps(n, V, self.facets)
+        top = np.max(G, axis=-1)
+        first = np.argmax(G >= top[:, None] - _PROJECT_TOL, axis=-1)
+        U = np.array([_plane_dirs(n, a)[0] for a, _ in self.facets])
+        F = V - G[np.arange(V.shape[0]), first][:, None] * U[first]
+        inside = top >= 0
+        return np.where(inside, 0.0, -top), np.where(inside[:, None], V, F)
 
     def project(self, n, v, tol):
-        gaps = self._levels(v) / self._duals(n)
+        gaps = _plane_gaps(n, v[None], self.facets)[0]
         top = np.max(gaps)
         feet = [f for (a, _), d in zip(self.facets, gaps) if d >= top - tol
                 for f in v - d * _plane_dirs(n, a)]
         return _cluster(feet, radius=max(50 * tol, 1e-5))
-
-    def foot_rows(self, n, V):
-        L = self._levels(V)
-        G = L / self._duals(n)
-        first = np.argmax(G >= np.max(G, axis=-1)[:, None] - _PROJECT_TOL, axis=-1)
-        U = np.array([_plane_dirs(n, a)[0] for a, _ in self.facets])
-        F = V - G[np.arange(V.shape[0]), first][:, None] * U[first]
-        return np.where((np.max(L, axis=-1) >= 0)[:, None], V, F)
 
     def _edges_2d(self):
         """Edges of the 2D polytope, between its vertices in CCW order."""
@@ -601,7 +592,7 @@ class _PolytopeComplement(_SetKind):
         return out
 
     def residual(self, n, x):
-        return float(-np.max(self._levels(x)))
+        return float(-np.max([_pairing_rows(x, a) - b for a, b in self.facets]))
 
     def cone_directions(self, n, x, tol):
         active = []
@@ -635,14 +626,11 @@ class _Cylinder(_SetKind):
     def contains(self, n, v, tol):  # through contains(), so per-layer traces count the base query
         return contains(self.base, n.ops.restrict(self.coords), v[self.coords], tol)
 
-    def distance(self, n, v):
-        return distance(self.base, n.ops.restrict(self.coords), v[self.coords])
-
-    def batched(self, n):
-        return self.base.ops.batched(n.ops.restrict(self.coords))
-
-    def distance_rows(self, n, V):
-        return self.base.ops.distance_rows(n.ops.restrict(self.coords), V[:, self.coords])
+    def nearest_rows(self, n, V):
+        d, F = self.base.ops.nearest_rows(n.ops.restrict(self.coords), V[:, self.coords])
+        Y = V.copy()
+        Y[:, self.coords] = F
+        return d, Y
 
     def project(self, n, v, tol):
         out = []
@@ -651,11 +639,6 @@ class _Cylinder(_SetKind):
             y[self.coords] = bp
             out.append(y)
         return out
-
-    def foot_rows(self, n, V):
-        Y = V.copy()
-        Y[:, self.coords] = self.base.ops.foot_rows(n.ops.restrict(self.coords), V[:, self.coords])
-        return Y
 
     def boundary_sample(self, n, count, rng, seed, scale):
         base_pts = boundary_sample(self.base, n.ops.restrict(self.coords), count, seed, scale)
@@ -886,9 +869,9 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     disagree, which catches the measure-zero nonuniqueness sets that random
     sampling misses.
 
-    Stages (b) and (c) run on row batches (the set kind's distance_rows and
-    foot_rows), and report what a one-point loop would: the first failing
-    sample, and the first failing pair in shuffled order.
+    Stages (b) and (c) run on row batches of the set kind's nearest_rows,
+    and report what a one-point loop would: the first failing sample, and
+    the first failing pair in shuffled order.
     """
     try:
         us = shell_sample(A, n, R, sample_count, seed)
@@ -909,11 +892,11 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     U, P = np.array(us), np.array(projs)
     # (b) gradient step-stability: the distances at u +- h e_i for both steps h
     # of every sample away from the shell's ends, in one batch
-    d = A.ops.distance_rows(n, U)
+    d = A.ops.nearest_rows(n, U)[0]
     ks = np.flatnonzero(~((d < 2e-4) | (d > R - 2e-4)))
     E = _GRADIENT_STEPS[:, None, None] * np.eye(U.shape[1])
     X = U[ks, None, None, :]
-    D = A.ops.distance_rows(n, np.stack([X + E, X - E], axis=2).reshape(-1, U.shape[1]))
+    D = A.ops.nearest_rows(n, np.stack([X + E, X - E], axis=2).reshape(-1, U.shape[1]))[0]
     D = D.reshape(len(ks), 2, 2, U.shape[1])
     G = (D[:, :, 0] - D[:, :, 1]) / (2 * _GRADIENT_STEPS[:, None])
     for k, (g4, g5) in zip(ks, G):
@@ -922,9 +905,7 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
         if rel > 5e-3:
             return CheckReport("fail", -rel, (tuple(us[k]),), used,
                                reason="distance gradient unstable under step refinement")
-    # (c) ridge hunt between samples with far-apart projections.  Closed-form
-    # rows bisect every such pair at once; rows asked one by one gain nothing
-    # from that, so they bisect a pair at a time and keep the early return.
+    # (c) ridge hunt between samples with far-apart projections, all at once
     rng = np.random.default_rng(seed + 13)
     idx = np.arange(len(us))
     pairs = [(int(i), int(j)) for i in idx for j in idx[i + 1:]]
@@ -932,13 +913,10 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     I, J = np.array(pairs[: 4 * sample_count], dtype=int).reshape(-1, 2).T
     far = ~(norm_batch(n, P[I] - P[J]) < 0.25 * np.maximum(norm_batch(n, U[I] - U[J]), 1e-9))
     I, J = I[far], J[far]
-    block = max(len(I), 1) if A.ops.batched(n) else 1
-    for start in range(0, len(I), block):
-        b = slice(start, start + block)
-        hit = _ridge_hunt(A, n, R, U[I[b]], U[J[b]], P[I[b]], P[J[b]])
-        if hit is not None:
-            return CheckReport("fail", hit[0], hit[1], used,
-                               reason="two projection branches meet inside the shell")
+    hit = _ridge_hunt(A, n, R, U[I], U[J], P[I], P[J])
+    if hit is not None:
+        return CheckReport("fail", hit[0], hit[1], used,
+                           reason="two projection branches meet inside the shell")
     return CheckReport("pass", 0.0, None, used)
 
 
@@ -955,11 +933,10 @@ def _ridge_hunt(A: ClosedSetSpec, n: NormSpec, R: float, lo, hi, plo, phi):
         if not k.size:
             return None
         mid = 0.5 * (lo[k] + hi[k])
-        d = A.ops.distance_rows(n, mid)
+        d, pm = A.ops.nearest_rows(n, mid)
         inside = (1e-7 < d) & (d < R * (1 - 1e-9))
         alive[k[~inside]] = False
-        k, mid = k[inside], mid[inside]
-        pm = A.ops.foot_rows(n, mid)
+        k, mid, pm = k[inside], mid[inside], pm[inside]
         left = norm_batch(n, pm - plo[k]) <= norm_batch(n, pm - phi[k])
         lo[k[left]], plo[k[left]] = mid[left], pm[left]
         hi[k[~left]], phi[k[~left]] = mid[~left], pm[~left]

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import banachlab as bl
 from banachlab import cli
 
 
@@ -76,6 +77,44 @@ def test_rejects_bad_budget(tmp_path):
     cfg = dict(TINY, budget="huge")
     path = write_config(tmp_path, cfg)
     assert run_cli(["moduli", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("change", [
+    {"sets": [["disc", "x"]]},
+    {"sets": [["disc", math.inf]]},
+    {"sets": [["disc", -1.0]]},
+    {"sets": [[1.5, "disc"]]},
+    {"sets": 5},
+    {"norms": [["euclid"]]},
+    {"seed": "abc"},
+    {"seed": -3},
+    {"seed": 2.5},
+    {"grids": {"r": 0.5}},
+    {"grids": 5},
+    {"grids": {"eps": [0.1, "a"]}},
+    {"grids": {"tau": [0.1, math.nan]}},
+], ids=["scale-text", "scale-inf", "scale-negative", "set-id-number", "sets-number",
+        "norm-id-list", "seed-text", "seed-negative", "seed-fraction", "grid-number",
+        "grids-number", "grid-text", "grid-nan"])
+def test_rejects_bad_values(tmp_path, change):
+    """Non-numeric, non-finite and negative config values are configuration
+    errors, not failing records (exit 1) or tracebacks."""
+    path = write_config(tmp_path, dict(TINY, **change))
+    assert run_cli(["sets", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_rejects_negative_seed_option(tmp_path):
+    path = write_config(tmp_path, TINY)
+    assert run_cli(["moduli", "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
+
+
+def test_hilbert_curves_are_arrays():
+    """The closed-form Euclidean curves of the hypo stage carry ndarray
+    arguments and values, so the curve helpers accept them."""
+    delta, rho = cli._hilbert_curves("euclid", np.array([0.01, 0.02, 0.04, 0.08]))
+    assert isinstance(rho.args, np.ndarray) and isinstance(delta.values, np.ndarray)
+    lo, hi = bl.doubling_ratio(rho)
+    assert 3.9 < lo <= hi < 4.0
 
 
 def test_empty_norm_list_is_a_clean_no_op(tmp_path):

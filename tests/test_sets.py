@@ -431,13 +431,17 @@ def test_certificate_fails_on_square_complement():
 
 
 def _row_cases(registry, zoo):
-    """Every registry set under its ambient norm, a ball under a foreign gauge
-    and a complement under a foreign gauge, and planes with normals whose
-    pairings round."""
+    """Every registry set under its ambient norm; every branch of the gauge
+    ball: a planar polyhedral ball under its own norm, a ball under a foreign
+    gauge, and complements under a foreign polyhedral and a foreign smooth
+    gauge; and planes with normals whose pairings round."""
     cases = [(sid, A, bl.ambient_norm(zoo, amb)) for sid, (A, amb) in registry.items()]
+    cases.append(("linf ball", bl.make_ball([0.1, 0.3], 1.0), zoo["linf"]))
     cases.append(("l3-gauge ball", bl.make_ball([0.2, -0.1], 1.0, gauge=zoo["l3"]), E2))
     cases.append(("linf-gauge complement",
                   bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo["linf"]), zoo["l3"]))
+    cases.append(("l15-gauge complement",
+                  bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo["l15"]), zoo["l3"]))
     cases.append(("skew halfspace", bl.make_halfspace([0.3, -1.1], 0.2), zoo["l15"]))
     cases.append(("skew polytope complement", bl.make_polytope_complement(
         [([1.0, 0.3], 1.0), ([-0.4, 1.0], 0.8), ([-1.0, -0.7], 1.2), ([0.2, -1.0], 0.9)]),
@@ -446,9 +450,9 @@ def _row_cases(registry, zoo):
 
 
 def test_row_methods_equal_the_one_point_functions(registry, zoo):
-    """distance_rows and foot_rows give the bits of distance and of the first
-    projection foot, at seeded shell points, at midpoints of shell pairs (as
-    the certificate's ridge hunt bisects them) and at points inside the set."""
+    """nearest_rows gives the bits of distance and of the first projection
+    foot, at seeded shell points, at midpoints of shell pairs (as the
+    certificate's ridge hunt bisects them) and at points inside the set."""
     rng = np.random.default_rng(19)
     for sid, A, n in _row_cases(registry, zoo):
         shell = np.array(bl.shell_sample(A, n, 1.2, 10, seed=3))
@@ -457,9 +461,10 @@ def test_row_methods_equal_the_one_point_functions(registry, zoo):
         V = np.concatenate([shell, mids, inside])
         want_d = [bl.distance(A, n, v) for v in V]
         want_f = np.array([bl.project(A, n, v)[0] for v in V])
-        assert A.ops.distance_rows(n, V).tolist() == want_d, sid
-        assert np.array_equal(A.ops.foot_rows(n, V), want_f), sid
-        assert np.array_equal(A.ops.foot_rows(n, inside), inside), sid
+        d, F = A.ops.nearest_rows(n, V)
+        assert d.tolist() == want_d, sid
+        assert np.array_equal(F, want_f), sid
+        assert np.array_equal(A.ops.nearest_rows(n, inside)[1], inside), sid
 
 
 @pytest.mark.parametrize("sid, R, want", [
@@ -473,13 +478,30 @@ def test_row_methods_equal_the_one_point_functions(registry, zoo):
      '[0.7742291427846375, 1.0], [1.0, 0.7742291527846374]], "worst_margin": -0.3192882011914975}'),
     ("l3_ball_complement", 1.0,
      '{"samples_used": 20, "verdict": "pass", "witness": null, "worst_margin": 0.0}'),
+    ("l3_gauge_ball", 0.5,
+     '{"samples_used": 20, "verdict": "pass", "witness": null, "worst_margin": 0.0}'),
+    ("linf_gauge_complement", 1.0,
+     '{"reason": "two projection branches meet inside the shell", "samples_used": 20, '
+     '"verdict": "fail", "witness": [[0.05195277847832383, -0.05195277847832208], '
+     '[0.051952778478323955, -1.0], [1.0, -0.05195277847832171]], "worst_margin": -1.194464650689509}'),
 ])
 def test_certificate_report_is_that_of_the_one_point_loop(registry, zoo, sid, R, want):
     """Reports frozen from the one-point ridge hunt, which returned at the
     first failing pair in shuffled order: the batched hunt finds the same pair,
-    witness and margin."""
-    A, amb = registry[sid]
-    rep = bl.prox_smooth_certificate(A, bl.ambient_norm(zoo, amb), R, sample_count=20, seed=11)
+    witness and margin.  Besides registry sets under their ambient norms, the
+    l3-gauge ball under the Euclidean norm and the max-norm-gauge complement
+    under l3 run the ring scan of the gauge sphere."""
+    foreign = {
+        "l3_gauge_ball": (bl.make_ball([0.0, 0.0], 1.0, gauge=zoo["l3"]), zoo["euclid"]),
+        "linf_gauge_complement": (bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo["linf"]),
+                                  zoo["l3"]),
+    }
+    if sid in foreign:
+        A, n = foreign[sid]
+    else:
+        A, amb = registry[sid]
+        n = bl.ambient_norm(zoo, amb)
+    rep = bl.prox_smooth_certificate(A, n, R, sample_count=20, seed=11)
     assert rep.to_json() == want
 
 
