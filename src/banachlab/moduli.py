@@ -3,16 +3,22 @@
 The estimators are planar, and each works on all of its grid points at once:
 
 - chord crossings (delta, and the normal-cone defect gamma of hypo): for
-  every row angle of the half circle and every chord length, bisection finds
-  where the chord crosses eps on the arc from x to -x (the chord does not
-  decrease along it, by the monotonicity lemma of normed planes), and a zoom
-  in the row angle polishes the best row of an objective at the crossings.
-  delta maximizes ||x + y||; at eps = 2 it is the closed form 1 - L/2, L the
-  longest segment in the sphere.
+  every row angle of the half circle and every chord length, a bracketed
+  root search finds where the chord crosses eps on the arc from x to -x (the
+  chord does not decrease along it, by the monotonicity lemma of normed
+  planes), and a zoom in the row angle polishes the best row of an objective
+  at the crossings.  delta maximizes ||x + y||; at eps = 2 it is the closed
+  form 1 - L/2, L the longest segment in the sphere.
 - rho: a scan of the pairs of the half circle for each step size, then a
   zoom in both angles; polyhedral spheres take the exact vertex pairs.
-- supporting moduli: one bisection of the support shift over every r and
+- supporting moduli: one root search of the support shift over every r and
   every quasiorthogonal pair of a table, then a zoom in the angle of x.
+
+Both root searches run on one routine, _bracket_roots: ITP steps (regula
+falsi with a truncation and a projection that keep it within bisection's
+count of evaluations plus a few) on the active rows only, each row stopping
+where bisection would.  Each zoom level starts its searches from brackets
+around the roots of the level before.
 
 Every value comes from an evaluated pair on its label side: "over" for
 infima (delta, the lower supporting modulus), "under" for suprema (rho, the
@@ -102,12 +108,19 @@ def hilbert_rho(tau):
 # ---------------------------------------------------------------------------
 # the planar pair engine
 
-_ROOT_STEPS = 60  # halvings of a bracket of width <= pi: down to adjacent floats
-_SHIFT_STEPS = 80  # halvings of [0, 1]: down to adjacent floats at lam ~ 1e-4
-_RANK_STEPS = 50  # halvings that rank the rows of a full scan; the zoom redoes the best
+# The steps set only the width at which a root search stops: where a
+# bisection of that many halvings would, w0 2^-steps for a bracket w0 wide,
+# or adjacent floats, whichever comes first.
+_ROOT_STEPS = 60  # chord crossings on [a, a + pi]: adjacent floats
+_SHIFT_STEPS = 80  # support shifts on [0, 1]: adjacent floats at lam ~ 1e-4
+_RANK_STEPS = 50  # the pass that ranks the rows of a full scan; the zoom redoes the best
+_ITP_SPARE = 4  # evaluations a row may spend beyond bisection's count (ITP's n0)
+_ITP_TRUNCATION = 0.1  # a step leaves the regula falsi point by 0.1 w^2 toward the midpoint
 _RESIDUAL_ULPS = 8  # rounding of a norm near 1, unit pairs included
+_HALF_ULP = np.finfo(float).eps / 2.0  # rounding of a residual, a difference of norms near 1
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # zoom points across a window of half-width w
 _ZOOM_LEVELS = 10  # each level shrinks the window 16-fold
+_BLOCK = 4096  # the most rows a root search keeps active
 
 
 def _ring(n, A):
@@ -122,15 +135,129 @@ def _half_circle(n, count):
     return np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)[:half], n.ops.sphere(count)[:half]
 
 
-def _zoom_max(f, best, centers, w):
+def _columns(V):
+    """The planar rows of V as a contiguous (2, rows) array, whose two
+    coordinate columns gather and scale many times faster than the rows;
+    norm_batch takes its transpose."""
+    return np.ascontiguousarray(V.reshape(-1, 2).T)
+
+
+def _bracket_roots(s, shape, lo, hi, slo, shi, width, strict, probes=()):
+    """Close the brackets [lo, hi] of the rows of an array of the given shape
+    on the roots of residuals that rise through 0, and return the final ends
+    (lo, hi) of that shape.
+
+    lo is "down" (s < 0, or s <= 0 when strict) and hi is "up", or an a
+    priori end; slo and shi are their residuals, or estimates, which only
+    steer the steps.  They and the probes broadcast to shape.  s(i, t) gives
+    the residuals of the rows i (flat indices) at the points t.  probes,
+    rising points per row, are evaluated first, and each row keeps the piece
+    of its bracket between them that holds the root.
+
+    The steps are those of ITP (Oliveira and Takahashi, ACM TOMS 2020): the
+    regula falsi point, moved toward the midpoint by a truncation and
+    projected into a ball around it that shrinks as bisection's bracket
+    would.  So after the probes no row spends more than bisection's
+    log2((hi - lo) / width) evaluations plus _ITP_SPARE, and a simple root
+    closes superlinearly.  Each step lies at least width, and at least an
+    ulp, inside both ends, and a residual of exactly 0 steers as half an ulp,
+    so a root at an end closes the bracket at the next step.  A row leaves
+    the active arrays once its bracket is width wide or its ends are
+    adjacent floats, and the next rows fill its place: at most _BLOCK rows
+    are active at once, which bounds the memory of a long scan.
+    """
+    up = np.greater if strict else np.greater_equal
+    LO, HI = np.empty(shape), np.empty(shape)
+    ends, size, taken = (lo, hi, slo, shi, *probes), LO.size, 0
+    i, st = np.empty(0, dtype=int), np.empty((5, 0))
+    while i.size or taken < size:
+        if taken < size and i.size <= _BLOCK // 2:  # top the active rows up with the next ones
+            rows = slice(taken, min(size, taken + _BLOCK - i.size))
+            i = np.concatenate([i, np.arange(rows.start, rows.stop)])
+            st = np.concatenate([st, _fresh_rows(s, shape, rows, ends, width, up)], axis=1)
+            taken = rows.stop
+        w = st[1] - st[0]
+        mid = st[0] + 0.5 * w
+        done = ~(w > width) | (mid <= st[0]) | (mid >= st[1])  # a nan bracket is done too
+        if done.any():
+            LO.reshape(-1)[i[done]], HI.reshape(-1)[i[done]] = st[0, done], st[1, done]
+            keep = np.flatnonzero(~done)
+            i, st, w, mid = i[keep], np.take(st, keep, axis=1), w[keep], mid[keep]
+            if not i.size:
+                continue
+        _itp_step(s, i, st, _itp_point(st, w, mid, width), up)
+    return LO, HI
+
+
+def _fresh_rows(s, shape, rows, ends, width, up):
+    """The state (lo, hi, slo, shi, cap) of _bracket_roots for the flat rows
+    of shape in the slice rows; ends holds lo, hi, slo, shi and the probes.
+    The probes of each row are evaluated, and the first of (lo, probes, hi)
+    that is up closes the bracket; cap is ITP's eps 2^n_max."""
+    lo, hi, slo, shi, *probes = (np.broadcast_to(v, shape).flat[rows] for v in ends)
+    if probes:
+        P = np.stack([lo, *(np.clip(p, lo, hi) for p in probes), hi])
+        S = np.stack([slo, *s(np.tile(np.arange(rows.start, rows.stop), len(P) - 2),
+                              P[1:-1].ravel()).reshape(-1, lo.size), shi])
+        U = up(S, 0.0)
+        U[0], U[-1] = False, True
+        j, k = np.argmax(U, axis=0), np.arange(lo.size)
+        lo, hi, slo, shi = P[j - 1, k], P[j, k], S[j - 1, k], S[j, k]
+    cap = 0.5 * width * 2.0 ** (np.ceil(np.log2(np.maximum(hi - lo, width) / width)) + _ITP_SPARE)
+    return np.stack([lo, hi, slo, shi, cap])
+
+
+def _itp_step(s, i, st, x, up):
+    """Evaluate the rows i at their points x and move the end of each
+    bracket in st that x replaces."""
+    sx = s(i, x)
+    u = up(sx, 0.0)
+    lo, hi, slo, shi, cap = st
+    np.copyto(lo, x, where=~u)
+    np.copyto(slo, sx, where=~u)
+    np.copyto(hi, x, where=u)
+    np.copyto(shi, sx, where=u)
+    cap *= 0.5
+
+
+def _itp_point(st, w, mid, width):
+    """The next point of each row of the state st = (lo, hi, slo, shi, cap)
+    of _bracket_roots, whose brackets are w wide around mid: the regula falsi
+    point, where a residual of 0 counts as half an ulp, truncated toward mid
+    by _ITP_TRUNCATION w^2, projected to within cap - w/2 of mid, and kept
+    gap inside both ends."""
+    lo, hi, slo, shi, cap = st
+    s0, s1 = np.minimum(slo, -_HALF_ULP), np.maximum(shi, _HALF_ULP)
+    d = mid - (lo + w * (s0 / (s0 - s1)))  # from the regula falsi point to mid
+    gap = np.maximum(width, 2.0 * _HALF_ULP * hi)
+    off = np.minimum(np.minimum(np.abs(d) - _ITP_TRUNCATION * w * w, cap - 0.5 * w), 0.5 * w - gap)
+    return mid - np.copysign(np.maximum(off, 0.0), d)
+
+
+def _warm(ends, k):
+    """Brackets across each zoom window for the roots at its points, from
+    the brackets ends (..., 2, rows, points) of the roots at the previous
+    points k - 1, k and k + 1 of each row, whose angles are the new window's
+    ends and centre: their hull, widened by half its width each way."""
+    rows = np.arange(k.size)[:, None]
+    near = ends[..., rows, np.clip(k[:, None] + np.arange(-1, 2), 0, ends.shape[-1] - 1)]
+    lo, hi = near[..., 0, :, :].min(axis=-1), near[..., 1, :, :].max(axis=-1)
+    pad = 0.5 * (hi - lo)
+    return np.stack([lo - pad, hi + pad], axis=-2)[..., None]
+
+
+def _zoom_max(f, best, centers, w, warm):
     """Raise best, one value per row, by zooming in an angle around centers,
-    from half-width w; f maps an array of angles (rows, Z) to values."""
+    from half-width w.  f maps an array of angles (rows, Z) and warm brackets
+    (see _warm) to values (rows, Z) and the brackets of the roots behind
+    them, (..., 2, rows, Z); warm holds those of the first level."""
     rows = np.arange(best.size)
     for _ in range(_ZOOM_LEVELS):
         A = centers[:, None] + w * _ZOOM
-        F = f(A)
+        F, brackets = f(A, warm)
         k = np.argmax(F, axis=1)
         best, centers = np.maximum(best, F[rows, k]), A[rows, k]
+        warm = _warm(brackets, k)
         w /= (_ZOOM.size - 1) / 2
     return best
 
@@ -139,27 +266,33 @@ def _zoom_max(f, best, centers, w):
 # modulus of convexity
 
 
-def _chord_crossing(n, X, A, eps, strict, steps=_ROOT_STEPS):
+def _chord_crossing(n, X, A, eps, strict, steps=_ROOT_STEPS, warm=None):
     """The first y on the arc from x to -x (counterclockwise) where the chord
     ||x - y|| reaches eps, or passes it when strict, for unit rows X at angles
-    A; and the mask of the rows where y = -x reaches it, outside which y is
-    meaningless.
+    A and a column of chord lengths eps; the mask of the rows where y = -x
+    reaches it, outside which y is meaningless; and the bracket (lo, hi) of
+    the angle of y.
 
     By the monotonicity lemma of normed planes the chord does not decrease
-    along that arc, so bisection brackets the crossing.  The kept end y always
-    has a computed chord of at least eps: a value at (x, y) is that of an
-    evaluated feasible pair.
+    along that arc, so [a, a + pi] brackets the crossing, and _bracket_roots
+    closes it, from the guess warm where one is given.  The kept end y, the
+    unit vector at hi (or -x), always has a computed chord of at least eps: a
+    value at (x, y) is that of an evaluated feasible pair.
     """
-    lo, hi, Yhi = A, A + np.pi, -X
-    feasible = norm_batch(n, X - Yhi) >= eps
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        Y = _ring(n, mid)
-        c = norm_batch(n, X - Y)
-        up = c > eps if strict else c >= eps
-        lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-        Yhi = np.where(up[..., None], Y, Yhi)
-    return Yhi, feasible
+    shape = np.broadcast_shapes(A.shape, eps.shape)
+    rows, col = X.reshape(-1, 2), eps.ravel()  # X broadcasts along leading axes
+
+    def s(i, t):
+        return (norm_batch(n, np.take(rows, i % len(rows), axis=0) - _ring(n, t))
+                - np.take(col, i // shape[-1]))
+
+    far = A + np.pi
+    shi = norm_batch(n, X + X) - eps  # y = -x
+    feasible = shi > 0 if strict else shi >= 0
+    lo, hi = _bracket_roots(s, shape, np.where(feasible, A, far), far, -eps, shi,
+                            np.pi * 2.0 ** -steps, strict, () if warm is None else list(warm))
+    Y = np.where((hi == far)[..., None], -X, _ring(n, hi))
+    return Y, feasible, lo, hi
 
 
 def _crossing_max(n, f, eps, count):
@@ -170,7 +303,8 @@ def _crossing_max(n, f, eps, count):
     The rows x are the half circle of the count-point sphere table, plus the
     vertices of a polyhedral sphere, whose flat chord pieces also give their
     far end.  Every row is ranked at once, and the best row of each eps is
-    polished by a zoom in its angle.
+    polished by a zoom in its angle, each level warm-started from the
+    crossings of the last.
     """
     A, X = _half_circle(n, count)
     vang = np.unique(np.mod(sphere_vertex_angles(n), np.pi))
@@ -178,17 +312,19 @@ def _crossing_max(n, f, eps, count):
         A, X = np.concatenate([A, vang]), np.concatenate([X, _ring(n, vang)])
     strictness = (False, True) if vang.size else (False,)
 
-    def best(X, A, steps=_ROOT_STEPS):
-        vals = []
-        for s in strictness:
-            Y, feasible = _chord_crossing(n, X, A, eps, s, steps)
+    def best(X, A, warm=None, steps=_ROOT_STEPS):
+        vals, ends = [], []
+        for p, s in enumerate(strictness):
+            Y, feasible, lo, hi = _chord_crossing(n, X, A, eps, s, steps,
+                                                  None if warm is None else warm[p])
             vals.append(np.where(feasible, f(X, Y), -np.inf))
-        return np.max(vals, axis=0)
+            ends.append((lo, hi))
+        return np.max(vals, axis=0), np.array(ends)
 
-    F = best(X, A, _RANK_STEPS)
+    F, ends = best(X, A, steps=_RANK_STEPS)
     k = np.argmax(F, axis=1)
-    return _zoom_max(lambda Az: best(_ring(n, Az), Az), F[np.arange(F.shape[0]), k], A[k],
-                     2.0 * np.pi / count)
+    return _zoom_max(lambda Az, warm: best(_ring(n, Az), Az, warm), F[np.arange(F.shape[0]), k],
+                     A[k], 2.0 * np.pi / count, _warm(ends, k))
 
 
 def delta_estimate(n, eps_grid, budget=SearchBudget()):
@@ -282,26 +418,36 @@ def support_shift(n, x, y, r):
     lo, hi = pairing_interval(n, x, y)
     if lo > 1e-8 or hi < -1e-8:
         raise NotQuasiorthogonal("no support functional of x annihilates y")
-    return float(_lambda_rows(n, x[None], y[None], r, "lower")[0])
+    return float(_lambda_rows(n, x[None], y[None], r, "lower")[0][0])
 
 
-def _lambda_rows(n, X, Y, r, which, steps=_SHIFT_STEPS):
-    """Support shift of each pair of rows of X and Y at r (broadcast), by
-    bisection rounded outward.  A residual within rounding of 0 counts as
-    outside for "lower", which returns the upper end of the bracket, and as
-    inside for "upper", which returns the lower end.  Near r = 1 the shift
-    has infinite slope, so a residual that errs by an ulp would move it by
-    about 1e-8."""
-    base = X + r * Y
-    lo = np.zeros(base.shape[:-1])
-    hi = np.ones(base.shape[:-1])
+def _lambda_rows(n, X, Y, r, which, steps=_SHIFT_STEPS, warm=None):
+    """Support shift of each pair of rows of X and Y at r (broadcast; X along
+    leading axes only), rounded outward, and the brackets (2, ...) it closes.
+    lam lies in [0, 1], where the residual ||x + r y - lam x|| - 1 falls from
+    at least 0 to r - 1: _bracket_roots closes that bracket, from the residual
+    at lam = 0, or from the warm brackets where they are given.  A residual
+    within rounding of 0 counts as outside for "lower", which returns the
+    upper end of the bracket, and as inside for "upper", which returns the
+    lower end.  Near r = 1 the shift has infinite slope, so a residual that
+    errs by an ulp would move it by about 1e-8."""
+    shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(r))[:-1]
+    Xc, Bc = _columns(X), _columns(np.broadcast_to(X + r * Y, shape + (2,)))
     tol = _RESIDUAL_ULPS * np.finfo(float).eps
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        g = norm_batch(n, base - mid[..., None] * X) - 1.0
-        out = g >= -tol if which == "lower" else g > tol
-        lo, hi = np.where(out, mid, lo), np.where(out, hi, mid)
-    return hi if which == "lower" else lo
+    lower = which == "lower"
+
+    def s(i, t):  # rises through 0 where lam leaves the outside of the sphere
+        D = np.take(Xc, i % Xc.shape[1], axis=1)
+        D *= t
+        g = norm_batch(n, np.subtract(np.take(Bc, i, axis=1), D, out=D).T) - 1.0
+        return -g - tol if lower else tol - g
+
+    # the residual is r - 1 at lam = 1; at 0 it is hilbert_rho(r) on the Euclidean plane
+    r = np.reshape(r, np.shape(r)[:-1])
+    bound = -tol if lower else tol
+    lo, hi = _bracket_roots(s, shape, 0.0, 1.0, bound - hilbert_rho(r), bound + 1.0 - r,
+                            2.0 ** -steps, lower, [0.0] if warm is None else list(warm))
+    return (hi if lower else lo), np.stack([lo, hi])
 
 
 def _quasiorth(n, X):
@@ -340,9 +486,10 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     """Envelope of support shifts over quasiorthogonal unit pairs.
 
     which = "lower" takes the infimum (direction "over"), "upper" the
-    supremum (direction "under").  One bisection covers every r and every
-    pair of the table; the best table pair of each r is then polished at
-    once by a zoom in the angle of x, with its partner rebuilt from j1.
+    supremum (direction "under").  One root search (_lambda_rows) covers
+    every r and every pair of the table; the best table pair of each r is
+    then polished at once by a zoom in the angle of x, with its partner
+    rebuilt from j1, each level warm-started from the shifts of the last.
     Each shift is rounded outward by the label.
     """
     if which not in ("lower", "upper"):
@@ -355,18 +502,21 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     X, Y, A, refinable = _quasiorth_table(n, budget.angles)
     sign = 1.0 if which == "upper" else -1.0
     r = r_grid[:, None, None]
-    lam = sign * _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
+    lam, ends = _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
+    lam *= sign
     if not refinable.all():  # no zoom redoes these rows
-        lam[:, ~refinable] = sign * _lambda_rows(n, X[~refinable], Y[~refinable], r, which)
+        lam[:, ~refinable] = sign * _lambda_rows(n, X[~refinable], Y[~refinable], r, which)[0]
     k = np.argmax(lam, axis=1)
     best, polish = lam[np.arange(r_grid.size), k], refinable[k]
     branch = np.where(k < budget.angles, 1.0, -1.0)[:, None, None]
 
-    def shifts(Az):
+    def shifts(Az, warm):
         Xz = _ring(n, Az)
-        return sign * _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which)
+        lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
+        return sign * lam, ends
 
-    zoomed = _zoom_max(shifts, best, np.where(polish, A[k], 0.0), 2.0 * np.pi / budget.angles)
+    zoomed = _zoom_max(shifts, best, np.where(polish, A[k], 0.0), 2.0 * np.pi / budget.angles,
+                       _warm(ends, k))
     best = np.where(polish, zoomed, best)
     direction = "under" if which == "upper" else "over"
     return ModulusCurve(r_grid.copy(), sign * best, direction,

@@ -303,10 +303,10 @@ class _Polygon(_NormKind):
         self.edges = E  # row i supports the edge from vertex i to i+1 at level 1
 
     def norm(self, X):
-        return _fold(np.maximum, X @ self.edges.T)
+        return np.max(_pairings(X, self.edges), axis=0)
 
     def dual(self, P):
-        return _fold(np.maximum, np.abs(P @ self.vertices.T))
+        return np.max(np.abs(_pairings(P, self.vertices)), axis=0)
 
     def gradient(self, X):
         """The edge functional with the largest value at x (the first in
@@ -375,6 +375,15 @@ def _fold(ufunc, A):
     return reduce(ufunc, [A[..., i] for i in range(A.shape[-1])])
 
 
+def _pairings(X, F):
+    """<f, x> for each row f of F (first axis) and each planar row x of X,
+    summed on the coordinate columns: a row has the same bits in any batch,
+    where a matmul rounds by the shape of its operands."""
+    P = np.multiply.outer(F[:, 0], X[..., 0])
+    P += np.multiply.outer(F[:, 1], X[..., 1])
+    return P
+
+
 def _first_argmax(A):
     """Mask of the first largest entry of each row of A."""
     return np.arange(A.shape[-1]) == np.argmax(A, axis=-1)[..., None]
@@ -430,8 +439,7 @@ def norm_batch(n, X):
 
 def norm_eval(n, x):
     """The norm of one vector, evaluated as a one-row batch: a row has the same
-    bits alone and in any batch, except under a polygon norm, whose one-row
-    matmul rounds otherwise."""
+    bits alone and in any batch."""
     return float(norm_batch(n, as_vec(x, n.dim)[None])[0])
 
 

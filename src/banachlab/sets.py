@@ -326,8 +326,7 @@ class _SetKind:
     - cone_directions(n, x, tol), the outward unit normals at a boundary point;
     - boundary_sample, sample_inside(rng) and from_json(d).
     A row has the same bits alone and in any batch wherever the ambient norm
-    gives it the same bits: under every norm kind but the polygon, whose
-    matrix products round with the batch."""
+    gives it the same bits, as every norm kind does."""
 
     def __init__(self, A: ClosedSetSpec):
         self.spec = A

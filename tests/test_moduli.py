@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import banachlab as bl
+from banachlab import moduli as M
 from banachlab.moduli import (
     NotQuasiorthogonal,
     NotUnitVectors,
@@ -422,3 +423,104 @@ def test_estimates_are_pointwise_in_the_grid(norms, nid):
         small, big = run(g1), run(union)
         assert np.array_equal(np.asarray(big.values)[on_g1], np.asarray(small.values))
         assert np.array_equal(np.asarray(big.args)[on_g1], np.asarray(small.args))
+
+
+# ---------------------------------------------------------------------------
+# the root searches of the pair engine
+
+CHORDS = np.array([[0.1], [0.5], [1.0], [1.8]])
+SHIFTS = np.array([0.05, 0.3, 0.75, 1.0])[:, None, None]
+TOL = M._RESIDUAL_ULPS * np.finfo(float).eps
+
+
+def _warm_guesses(lo, hi):
+    """Warm brackets that hold the root, lie above it and lie below it."""
+    w = np.maximum(hi - lo, 1e-9)
+    return [(lo - w, hi + w), (hi + 0.01, hi + 0.02), (lo - 0.02, lo - 0.01)]
+
+
+@pytest.mark.parametrize("nid", ZOO)
+def test_root_searches_keep_the_label_contract(norms, nid):
+    """Every kept chord end has a computed chord of at least eps, and more
+    than eps on the strict pass; the lower end of its bracket is short of
+    eps.  Every support shift of "lower" has a residual below -tol at its
+    returned (upper) end, and every one of "upper" a residual above tol at
+    its returned (lower) end, unless that end is the a priori bound, 1 or
+    0.  Checked on the full and the rank passes, cold and from warm brackets
+    that hold the root or miss it on either side."""
+    n = norms[nid]
+    A, X = M._half_circle(n, LOW.angles)
+    vang = np.unique(np.mod(M.sphere_vertex_angles(n), np.pi))
+    if vang.size:
+        A, X = np.concatenate([A, vang]), np.concatenate([X, M._ring(n, vang)])
+    for strict in (False, True):
+        up = np.greater if strict else np.greater_equal
+        for steps in (M._ROOT_STEPS, M._RANK_STEPS):
+            Y, feasible, lo, hi = M._chord_crossing(n, X, A, CHORDS, strict, steps)
+            for warm in [None] + _warm_guesses(lo, hi):
+                Y, f, lo, hi = M._chord_crossing(n, X, A, CHORDS, strict, steps, warm)
+                assert np.array_equal(f, feasible)
+                chord = bl.norm_batch(n, X - Y)
+                assert up(chord, CHORDS)[f].all(), (nid, strict, steps, warm is None)
+                short = bl.norm_batch(n, X - M._ring(n, lo))
+                assert not up(short, CHORDS)[f].any(), (nid, strict, steps, warm is None)
+    X, Y, _, _ = M._quasiorth_table(n, LOW.angles)
+    B = X + SHIFTS * Y
+    for which in ("lower", "upper"):
+        for steps in (M._SHIFT_STEPS, M._RANK_STEPS):
+            lam, (lo, hi) = M._lambda_rows(n, X, Y, SHIFTS, which, steps)
+            for warm in [None] + _warm_guesses(lo, hi):
+                lam, (lo, hi) = M._lambda_rows(n, X, Y, SHIFTS, which, steps, warm)
+                g_lo, g_hi = (bl.norm_batch(n, B - X * t[..., None]) - 1.0 for t in (lo, hi))
+                if which == "lower":
+                    assert np.array_equal(lam, hi)
+                    assert np.all((g_hi < -TOL) | (hi == 1.0)), (nid, steps, warm is None)
+                    assert np.all((g_lo >= -TOL) | (lo == 0.0)), (nid, steps, warm is None)
+                else:
+                    assert np.array_equal(lam, lo)
+                    assert np.all((g_lo > TOL) | (lo == 0.0)), (nid, steps, warm is None)
+                    assert np.all((g_hi <= TOL) | (hi == 1.0)), (nid, steps, warm is None)
+
+
+def _counting(monkeypatch):
+    """Patch the shared root search to count the evaluations of each row."""
+    counts, search = [], M._bracket_roots
+
+    def counted(s, shape, *args, **kwargs):
+        c = np.zeros(shape, dtype=int).ravel()
+        counts.append(c)
+
+        def s_counted(i, t):
+            np.add.at(c, i, 1)
+            return s(i, t)
+
+        return search(s_counted, shape, *args, **kwargs)
+
+    monkeypatch.setattr(M, "_bracket_roots", counted)
+    return counts
+
+
+def test_root_search_spends_at_most_bisection_and_spare(monkeypatch):
+    """No row of the shared root search evaluates its residual more often
+    than bisection's count of halvings plus _ITP_SPARE, plus its probes: not
+    on the tangent support shift at r = 1 (support_shift(euclid, x, y, 1)
+    and its "upper" twin, whose residual vanishes to second order), nor on a
+    triple root or a jump.  A simple chord root takes far fewer."""
+    counts = _counting(monkeypatch)
+    euclid = bl.lp_norm(2)
+    x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
+    assert bl.support_shift(euclid, x[0], y[0], 1.0) == 1.0
+    assert counts[-1][0] <= M._SHIFT_STEPS + M._ITP_SPARE + 1
+    lam, _ = M._lambda_rows(euclid, x, y, 1.0, "upper")
+    assert 1.0 - 1e-7 < lam[0] < 1.0
+    assert counts[-1][0] <= M._SHIFT_STEPS + M._ITP_SPARE + 1
+    roots = np.linspace(0.1, 0.9, 7)
+    width = 2.0 ** -M._RANK_STEPS
+    for f in (lambda t, i: (t - roots[i]) ** 3, lambda t, i: np.sign(t - roots[i])):
+        lo, hi = M._bracket_roots(lambda i, t: f(t, i), (7,), 0.0, 1.0,
+                                  f(0.0, np.arange(7)), f(1.0, np.arange(7)), width, False)
+        assert np.all((lo <= roots) & (roots <= hi) & (hi - lo <= width))
+        assert counts[-1].max() <= M._RANK_STEPS + M._ITP_SPARE
+    for eps in (0.1, 0.5, 1.0, 1.9):
+        M._chord_crossing(euclid, x, np.zeros(1), np.array([[eps]]), False)
+        assert counts[-1][0] <= M._ROOT_STEPS // 4, eps

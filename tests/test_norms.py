@@ -2,6 +2,7 @@
 
 import decimal
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -145,6 +146,13 @@ def test_norm_batch_matches_single(zoo):
         assert np.allclose(batch, single, atol=1e-12)
 
 
+def _exact_pairing_max(x, F, absolute):
+    """max over the rows f of F of <f, x> (or |<f, x>|) in exact rational
+    arithmetic, rounded once to a float."""
+    vals = [sum(Fraction(float(a)) * Fraction(float(b)) for a, b in zip(x, f)) for f in F]
+    return float(max(abs(v) for v in vals) if absolute else max(vals))
+
+
 def _exact_quadratic_root(x, Q):
     """sqrt(x^T Q x) in 60-digit decimal arithmetic, rounded once to a float."""
     with decimal.localcontext() as ctx:
@@ -157,11 +165,16 @@ def _exact_quadratic_root(x, Q):
                                             for p in (1.0, 1.5, 2.0, 3.0, np.inf)])
 def test_norm_kernels_equal_the_reductions_over_the_last_axis(zoo, nid):
     """The column kernels give the bits of the NumPy reductions they replace
-    (np.sum, np.max, and np.max over X @ E.T for a polygon), on one vector and
-    on stacks of rows.  An ellipse value is sqrt(x^T Q x) up to its rounding:
-    four products and three sums, each term rounded at most five times, move
-    x^T Q x by at most 5u |x|^T |Q| |x| (u = 2^-53), the root by half that
-    relative to it, and the root itself and the reference round once more."""
+    (np.sum and np.max), on one vector and on stacks of rows.  An ellipse
+    value is sqrt(x^T Q x) up to its rounding: four products and three sums,
+    each term rounded at most five times, move x^T Q x by at most
+    5u |x|^T |Q| |x| (u = 2^-53), the root by half that relative to it, and
+    the root itself and the reference round once more.  A polygon value is
+    the largest pairing <f, x> with an edge functional f (|<v, p>| with a
+    vertex v for the dual norm) up to its rounding: two products and a sum
+    move a pairing by at most 2u (|x1 f1| + |x2 f2|), and the reference
+    rounds once more.  (The matmul X @ E.T that the polygon kernel replaces
+    rounds by the shape of its operands.)"""
     if nid in zoo:
         n = zoo[nid]
     else:
@@ -178,29 +191,33 @@ def test_norm_kernels_equal_the_reductions_over_the_last_axis(zoo, nid):
                 assert np.all(np.abs(got - ref) <= (3 * kappa + 2) * np.spacing(ref))
             continue
         if n.kind == "polygon":
-            want = (np.max(X @ n.ops.edges.T, axis=-1), np.max(np.abs(X @ n.ops.vertices.T), axis=-1))
-        else:
-            want = (_plain_lp(X, n.ops.p, n.ops.scales[0]), _plain_lp(X, n.ops.q, n.ops.scales[1]))
+            for F, absolute, got in ((n.ops.edges, False, bl.norm_batch(n, X)),
+                                     (n.ops.vertices, True, bl.dual_norm_batch(n, X))):
+                rows, got = X.reshape(-1, 2), np.reshape(got, -1)
+                ref = np.array([_exact_pairing_max(x, F, absolute) for x in rows])
+                kappa = np.max(np.abs(rows) @ np.abs(F).T, axis=-1) / ref
+                assert np.all(np.abs(got - ref) <= (2 * kappa + 1) * np.spacing(ref))
+            continue
+        want = (_plain_lp(X, n.ops.p, n.ops.scales[0]), _plain_lp(X, n.ops.q, n.ops.scales[1]))
         assert np.array_equal(bl.norm_batch(n, X), want[0])
         assert np.array_equal(bl.dual_norm_batch(n, X), want[1])
 
 
 def test_ellipse_row_has_the_same_bits_in_any_batch(zoo):
-    """An ellipse, l15 or l3 row has one value alone (norm_eval), in a
-    (1, 2, 2) batch and in an (E, 2, 2) batch, for the norm and the dual norm;
-    an ellipse row also as a bare vector, whose l15 and l3 sums end as 0-d
-    scalars.  The polygon norm is left out: its one-row matmul rounds
-    otherwise."""
+    """An ellipse, l15, l3 or polygon row has one value alone (norm_eval), in
+    a (1, 2, 2) batch and in an (E, 2, 2) batch, for the norm and the dual
+    norm; an ellipse or polygon row also as a bare vector, whose l15 and l3
+    sums end as 0-d scalars."""
     X = np.random.default_rng(17).normal(size=(150, 2, 2))
-    for nid in ("ellipse", "l15", "l3"):
+    for nid in ("ellipse", "l15", "l3", "poly"):
         n = zoo[nid]
         pairs = ((bl.norm_batch, bl.norm_eval), (bl.dual_norm_batch, bl.dual_norm_eval))
         for f, one in pairs:
             whole = f(n, X)
             for e in range(X.shape[0]):
                 assert np.array_equal(f(n, X[e:e + 1])[0], whole[e]), nid
-                if nid == "ellipse":
-                    assert [float(f(n, x)) for x in X[e]] == whole[e].tolist()
+                if nid in ("ellipse", "poly"):
+                    assert [float(f(n, x)) for x in X[e]] == whole[e].tolist(), nid
                 assert [one(n, x) for x in X[e]] == whole[e].tolist(), nid
 
 
