@@ -507,7 +507,9 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     if not refinable.all():  # no zoom redoes these rows
         lam[:, ~refinable] = sign * _lambda_rows(n, X[~refinable], Y[~refinable], r, which)[0]
     k = np.argmax(lam, axis=1)
-    best, polish = lam[np.arange(r_grid.size), k], refinable[k]
+    best = lam[np.arange(r_grid.size), k]
+    p = np.flatnonzero(refinable[k])  # a vertex extra has no angle to zoom in
+    r, k = r[p], k[p]
     branch = np.where(k < budget.angles, 1.0, -1.0)[:, None, None]
 
     def shifts(Az, warm):
@@ -515,9 +517,7 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
         lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
         return sign * lam, ends
 
-    zoomed = _zoom_max(shifts, best, np.where(polish, A[k], 0.0), 2.0 * np.pi / budget.angles,
-                       _warm(ends, k))
-    best = np.where(polish, zoomed, best)
+    best[p] = _zoom_max(shifts, best[p], A[k], 2.0 * np.pi / budget.angles, _warm(ends[:, p], k))
     direction = "under" if which == "upper" else "over"
     return ModulusCurve(r_grid.copy(), sign * best, direction,
                         label=f"{n.name}:support_{which}")

@@ -3,18 +3,18 @@ rolling-ball checks, and proximal-smoothness certificates.
 
 Every operation takes the ambient norm explicitly.  A gauge ball or its
 complement may carry its own gauge (the norm whose ball defines it); when it
-is omitted it defaults to the ambient norm at query time.  When the gauge
-differs from the ambient norm, or is the ambient norm but planar and not
-strictly convex (polygon, l1, max norm), the projection feet are the nearest
-points of a 4096-angle ring on the planar gauge sphere, refined onto the
-sphere under a foreign gauge; elsewhere the nearest point is radial.  The
-distance to the complement of a foreign polyhedral gauge ball reads its
-facet planes.  The ring distances of many points are tabled in fixed blocks
-of rows.  The nearest points on a plane, for halfspaces and polytope
-complements, come from one helper as well.  Each set kind's code is one
-class below, and one method of it, nearest_rows, gives the distance and the
-first projection foot of every row of an array: the one-point distance and
-the proximal-smoothness certificate run on it.
+is omitted it defaults to the ambient norm at query time.  Each set kind is
+one class below, and one method of it, nearest_rows, gives the table of the
+nearest points of every row of an array (see _SetKind); the one-point
+distance and projection, and the certificates, read it.
+
+On a gauge sphere that differs from the ambient norm, or is planar and not
+strictly convex (polygon, l1, max norm), the nearest points are those of a
+4096-angle ring, tabled in fixed blocks of rows and refined onto the sphere
+under a foreign gauge; elsewhere the nearest point is radial.  The
+complement of a polyhedral gauge ball is that of the polytope of the
+gauge's facets, under any ambient norm.  The nearest points on a plane, for
+halfspaces and polytope complements, come from one helper.
 
 SciPy is imported only by the two searches that use it,
 chord_projection_check and john_ellipse_2d.
@@ -203,7 +203,7 @@ def _gauge(A: ClosedSetSpec, n: NormSpec) -> NormSpec:
 # set kinds: one class per kind, one instance per spec (ClosedSetSpec.ops)
 
 
-_PROJECT_TOL = 1e-8  # project's default tol, which nearest_rows shares
+_PROJECT_TOL = 1e-8  # the default tol of nearest_rows and project
 _TIE_ULPS = 8  # feet within this many ulps of the least distance tie with it
 _RING = 4096  # points of the gauge-sphere ring that the nearest-point scan reads
 _SCAN_BLOCK = 128  # rows per block of the (rows, _RING) ring-distance table
@@ -212,17 +212,39 @@ _SCAN_BLOCK = 128  # rows per block of the (rows, _RING) ring-distance table
 def _cluster_mask(K, keep, radius):
     """Which kept points of each row of K, shape (rows, k, dim), stand for a
     cluster: those farther than radius, in the max norm of coordinates, from
-    every earlier one that does."""
-    near = np.abs(K[:, :, None] - K[:, None]).max(axis=-1) <= radius
-    reps = np.zeros_like(keep)
-    for j in np.flatnonzero(keep.any(axis=0)):
-        reps[:, j] = keep[:, j] & ~(near[:, j, :j] & reps[:, :j]).any(axis=-1)
+    every earlier one that does.  Only the columns with a kept point within
+    radius of an earlier kept one in some row need the greedy pass."""
+    if K.shape[1] < 2:
+        return keep
+    near = _fold(np.maximum, np.abs(K[:, :, None] - K[:, None])) <= radius
+    reps = keep.copy()
+    clash = np.triu(near & keep[:, :, None] & keep[:, None], 1).any(axis=(0, 1))
+    for j in np.flatnonzero(clash):
+        reps[:, j] &= ~(near[:, j, :j] & reps[:, :j]).any(axis=-1)
     return reps
 
 
 def _cluster(points, radius: float):
     P = np.array(points)
     return list(P[_cluster_mask(P[None], np.ones((1, len(P)), dtype=bool), radius)[0]])
+
+
+def _first(K, keep):
+    """The first kept representative of each row of a nearest-point table:
+    the row's projection foot."""
+    if keep[:, 0].all():
+        return K[:, 0]
+    return K[np.arange(K.shape[0]), np.argmax(keep, axis=1)]
+
+
+def _table(V, d, K, keep, inside):
+    """The nearest-point table (d, K, keep) of the rows V, each row inside the
+    set written as distance 0 and the one representative itself."""
+    if np.any(inside):
+        d[inside] = 0.0
+        K[inside, 0] = V[inside]
+        keep[inside] = np.arange(keep.shape[1]) == 0
+    return d, K, keep
 
 
 def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
@@ -292,12 +314,6 @@ def _pairing_rows(V: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _fold(np.add, V * a)
 
 
-def _plane_gaps(n: NormSpec, V: np.ndarray, facets) -> np.ndarray:
-    """(<a, v> - b) / |a|_* of each row v for each facet (a, b), one facet per
-    column: minus the distance from v to the facet plane, where <a, v> <= b."""
-    return np.stack([(_pairing_rows(V, a) - b) / dual_norm_eval(n, a) for a, b in facets], axis=-1)
-
-
 def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
     """The unit vectors u that a supports, as rows: the nearest points to v on
     the plane {<a, .> = <a, v> - d |a|_*} are v - d u.  Where a supports a flat
@@ -316,12 +332,13 @@ def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
 
 class _SetKind:
     """Each kind provides, for an ambient norm n:
-    - nearest_rows(n, V): the distance and the first projection foot of each
-      row of V, 0 and the row itself for a row inside the set, at project's
-      default tol.  distance(n, v) is its one-row case, and the
-      proximal-smoothness certificate runs on it;
-    - project(n, v, tol): representatives of the nearest points to a point v
-      outside the set, the first of them the foot of nearest_rows;
+    - nearest_rows(n, V, tol), the nearest-point table (d, K, keep) of the
+      rows of V: the distance d of each row, representatives K of its
+      nearest points, shape (rows, k, dim), and the mask keep of those that
+      stand for a cluster of radius max(50 tol, 1e-5).  The first kept one
+      is the row's projection foot.  A row inside the set keeps 0 and the
+      row itself.  distance(n, v) and project(n, v, tol) are its one-row
+      cases, and the certificates run on it;
     - residual(n, x), the offset of x from the boundary, positive outside;
     - cone_directions(n, x, tol), the outward unit normals at a boundary point;
     - boundary_sample, sample_inside(rng) and from_json(d).
@@ -337,15 +354,21 @@ class _SetKind:
     def distance(self, n, v):
         return float(self.nearest_rows(n, v[None])[0][0])
 
+    def project(self, n, v, tol):
+        _, K, keep = self.nearest_rows(n, v[None], tol)
+        return list(K[0][keep[0]])
+
 
 class _Ball(_SetKind):
     """The gauge ball center + radius * B_g (sign 1), or the closure of its
     complement (sign -1, the subclass below).  Under its own gauge, when the
-    gauge is strictly convex or not planar, the nearest point is radial.
-    Otherwise the feet come from the ring scan of the planar gauge sphere, and
-    the distance is the residual under its own gauge, the distance to the
-    facet planes for the complement of a foreign polyhedral gauge, and the
-    least ambient distance to the feet under any other foreign gauge."""
+    gauge is strictly convex or not planar, the nearest point is radial, and
+    from the center the whole sphere is nearest: 16 representatives of it.
+    Otherwise the feet come from the ring scan of the planar gauge sphere,
+    and the distance is the residual under its own gauge and the least
+    ambient distance to the feet under a foreign one.  The complement of a
+    polyhedral gauge ball reads the table of the polytope complement of the
+    gauge's facets instead."""
 
     sign = 1.0
 
@@ -354,52 +377,35 @@ class _Ball(_SetKind):
         self.c = np.asarray(A.center)
         self.r = A.radius
 
-    def _radial(self, g, n):
-        return (g is n or g == n) and (g.ops.strictly_convex or self.spec.dim != 2)
-
     def _center_feet(self, g):
         """Representatives of the whole gauge sphere, nearest to the center."""
         c, R, dim = self.c, self.r, self.spec.dim
         if dim == 2:
-            return [c + R * p for p in g.ops.sphere(16)]
+            return c + R * g.ops.sphere(16)
         dirs = np.random.default_rng(11).standard_normal((16, dim))
-        return [c + R * d / norm_eval(g, d) for d in dirs]
+        return c + R * dirs / norm_batch(g, dirs)[:, None]
 
-    def nearest_rows(self, n, V):
+    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
         g = _gauge(self.spec, n)
         c, R = self.c, self.r
-        same = g is n or g == n
         r = norm_batch(g, V - c)
         d = self.sign * (r - R)  # the residual: the distance from outside when g is n
         inside = d <= 0
-        center = (r < 1e-12) & same  # the whole sphere is nearest
-        if self._radial(g, n):
+        same = g is n or g == n
+        if same and (g.ops.strictly_convex or self.spec.dim != 2):
             with np.errstate(divide="ignore", invalid="ignore"):
-                F = c + R * (V - c) / r[:, None]
+                K = (c + R * (V - c) / r[:, None])[:, None]
+            center = r < 1e-12
+            if center.any():
+                K = np.concatenate([K, np.zeros((V.shape[0], 15, V.shape[1]))], axis=1)
+                K[center] = self._center_feet(g)
+            keep = (np.arange(K.shape[1]) == 0) | center[:, None]
         else:
-            scan = ~(inside | center)
-            K, reps = _sphere_nearest_rows(g, c, R, n, V[scan], _PROJECT_TOL)
-            F = V.copy()
-            F[scan] = K[np.arange(K.shape[0]), np.argmax(reps, axis=1)]
-            facets = None if same or self.sign > 0 else g.ops.facets(c, R)
-            if facets is not None:
-                # from inside a polyhedral ball the nearest complement point lies on
-                # a facet plane, and every facet-plane point belongs to the closure
-                d = -np.max(_plane_gaps(n, V, facets), axis=-1)
-            elif not same:
-                d[scan] = np.min(np.where(reps, norm_batch(n, K - V[scan][:, None]), np.inf), axis=1)
-        if np.any(center):
-            F[center] = self._center_feet(g)[0]
-        return np.where(inside, 0.0, d), np.where(inside[:, None], V, F)
-
-    def project(self, n, v, tol):
-        g = _gauge(self.spec, n)
-        if (g is n or g == n) and norm_eval(g, v - self.c) < 1e-12:
-            return self._center_feet(g)
-        if self._radial(g, n):
-            return [self.nearest_rows(n, v[None])[1][0]]
-        K, reps = _sphere_nearest_rows(g, self.c, self.r, n, v[None], tol)
-        return list(K[0][reps[0]])
+            K, keep = np.zeros((V.shape[0], 16, V.shape[1])), np.zeros((V.shape[0], 16), dtype=bool)
+            K[~inside], keep[~inside] = _sphere_nearest_rows(g, c, R, n, V[~inside], tol)
+            if not same:
+                d = np.min(np.where(keep, norm_batch(n, K - V[:, None]), np.inf), axis=1)
+        return _table(V, d, K, keep, inside)
 
     def boundary_sample(self, n, count, rng, seed, scale):
         g = _gauge(self.spec, n)
@@ -435,14 +441,51 @@ class _Ball(_SetKind):
 class _BallComplement(_Ball):
     sign = -1.0
 
+    def __init__(self, A: ClosedSetSpec):
+        super().__init__(A)
+        self._polytopes = {}  # gauge -> the polytope complement of its facets, or None
 
-class _Halfspace(_SetKind):
+    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+        g = _gauge(self.spec, n)
+        if g not in self._polytopes:
+            facets = g.ops.facets(self.c, self.r)
+            self._polytopes[g] = None if facets is None else make_polytope_complement(facets).ops
+        if self._polytopes[g] is None:
+            return super().nearest_rows(n, V, tol)
+        return self._polytopes[g].nearest_rows(n, V, tol)
+
+
+class _Planes(_SetKind):
+    """A kind whose nearest points lie on facet planes {<a, .> = b}: the
+    feet on the plane of a from a row v are v - gap u, over the plane
+    directions u of a (_plane_dirs), built once per ambient norm."""
+
+    def __init__(self, A: ClosedSetSpec, normals):
+        super().__init__(A)
+        self.dim = A.dim
+        self.normals = normals
+        self._dirs = {}  # ambient norm -> the stacked plane directions and the facet of each
+
+    def _plane_feet(self, n, V, G, kept, tol):
+        """The feet of the rows V on the facet planes at gaps G (rows, facets)
+        that some row keeps, as (rows, k, dim) points, and the cluster mask of
+        those on each row's kept facets."""
+        if n not in self._dirs:
+            U = [_plane_dirs(n, a) for a in self.normals]
+            self._dirs[n] = np.concatenate(U), np.repeat(np.arange(len(U)), [len(u) for u in U])
+        U, f = self._dirs[n]
+        on = kept[:, f].any(axis=0)
+        U, f = U[on], f[on]
+        K = V[:, None] - G[:, f, None] * U
+        return K, _cluster_mask(K, kept[:, f], max(50 * tol, 1e-5))
+
+
+class _Halfspace(_Planes):
     """{x : <a, x> <= offset}."""
 
     def __init__(self, A: ClosedSetSpec):
-        super().__init__(A)
-        self.dim = A.dim
-        self.a = np.asarray(A.normal)
+        super().__init__(A, [np.asarray(A.normal)])
+        self.a = self.normals[0]
         self.b = A.offset
         self.foot = self.b * self.a / float(self.a @ self.a)
 
@@ -450,16 +493,11 @@ class _Halfspace(_SetKind):
         """<a, v> - offset of each row: the residual."""
         return _pairing_rows(V, self.a) - self.b
 
-    def nearest_rows(self, n, V):
+    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
         s = self._levels(V)
         d = s / dual_norm_eval(n, self.a)
-        inside = s <= 0
-        F = V - d[:, None] * _plane_dirs(n, self.a)[0]
-        return np.where(inside, 0.0, d), np.where(inside[:, None], V, F)
-
-    def project(self, n, v, tol):
-        d = float(self._levels(v)) / dual_norm_eval(n, self.a)
-        return _cluster(list(v - d * _plane_dirs(n, self.a)), radius=max(50 * tol, 1e-5))
+        K, keep = self._plane_feet(n, V, d[:, None], np.ones((V.shape[0], 1), dtype=bool), tol)
+        return _table(V, d, K, keep, s <= 0)
 
     def boundary_sample(self, n, count, rng, seed, scale):
         a = self.a
@@ -489,23 +527,13 @@ class _FinitePoints(_SetKind):
         super().__init__(A)
         self.pts = np.asarray(A.points)
 
-    def _dists(self, n, V):
-        """Distance from each row of V to each point, points on the last axis."""
-        return norm_batch(n, self.pts - V[..., None, :])
-
     residual = _SetKind.distance
 
-    def nearest_rows(self, n, V):
-        D = self._dists(n, V)
+    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+        D = norm_batch(n, self.pts - V[:, None])  # from each row to each point
         d = np.min(D, axis=-1)  # exactly 0 at a point of the set
-        first = np.argmax(D <= d[:, None] + _PROJECT_TOL, axis=-1)
-        return d, np.where((d <= 0)[:, None], V, self.pts[first])
-
-    def project(self, n, v, tol):
-        pts = self.pts
-        dists = self._dists(n, v)
-        dmin = float(np.min(dists))
-        return [pts[i].copy() for i in range(pts.shape[0]) if dists[i] <= dmin + tol]
+        K = np.repeat(self.pts[None], V.shape[0], axis=0)
+        return _table(V, d, K, D <= d[:, None] + tol, d <= 0)
 
     def boundary_sample(self, n, count, rng, seed, scale):
         return [self.pts[i % self.pts.shape[0]].copy() for i in range(count)]
@@ -526,31 +554,21 @@ class _FinitePoints(_SetKind):
         return make_finite_points(d["points"], d.get("name", ""))
 
 
-class _PolytopeComplement(_SetKind):
+class _PolytopeComplement(_Planes):
     """Closure of the complement of {x : <a_i, x> <= b_i for all i}."""
 
     def __init__(self, A: ClosedSetSpec):
-        super().__init__(A)
-        self.dim = A.dim
         self.facets = [(np.asarray(a, dtype=float), float(b)) for a, b in A.facets]
+        super().__init__(A, [a for a, _ in self.facets])
 
-    def nearest_rows(self, n, V):
-        # from inside the polytope the distance to the complement is that to
-        # the nearest facet plane
-        G = _plane_gaps(n, V, self.facets)
+    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+        # (<a, v> - b) / |a|_* for each facet (a, b), one per column: minus the
+        # distance to the facet plane where <a, v> <= b.  From inside the
+        # polytope the distance to the complement is that to the nearest one.
+        G = np.stack([(_pairing_rows(V, a) - b) / dual_norm_eval(n, a) for a, b in self.facets], axis=-1)
         top = np.max(G, axis=-1)
-        first = np.argmax(G >= top[:, None] - _PROJECT_TOL, axis=-1)
-        U = np.array([_plane_dirs(n, a)[0] for a, _ in self.facets])
-        F = V - G[np.arange(V.shape[0]), first][:, None] * U[first]
-        inside = top >= 0
-        return np.where(inside, 0.0, -top), np.where(inside[:, None], V, F)
-
-    def project(self, n, v, tol):
-        gaps = _plane_gaps(n, v[None], self.facets)[0]
-        top = np.max(gaps)
-        feet = [f for (a, _), d in zip(self.facets, gaps) if d >= top - tol
-                for f in v - d * _plane_dirs(n, a)]
-        return _cluster(feet, radius=max(50 * tol, 1e-5))
+        K, keep = self._plane_feet(n, V, G, G >= top[:, None] - tol, tol)
+        return _table(V, -top, K, keep, top >= 0)
 
     def _edges_2d(self):
         """Edges of the 2D polytope, between its vertices in CCW order."""
@@ -625,19 +643,11 @@ class _Cylinder(_SetKind):
     def contains(self, n, v, tol):  # through contains(), so per-layer traces count the base query
         return contains(self.base, n.ops.restrict(self.coords), v[self.coords], tol)
 
-    def nearest_rows(self, n, V):
-        d, F = self.base.ops.nearest_rows(n.ops.restrict(self.coords), V[:, self.coords])
-        Y = V.copy()
-        Y[:, self.coords] = F
-        return d, Y
-
-    def project(self, n, v, tol):
-        out = []
-        for bp in project(self.base, n.ops.restrict(self.coords), v[self.coords], tol):
-            y = v.copy()
-            y[self.coords] = bp
-            out.append(y)
-        return out
+    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+        d, B, keep = self.base.ops.nearest_rows(n.ops.restrict(self.coords), V[:, self.coords], tol)
+        K = np.repeat(V[:, None], B.shape[1], axis=1)
+        K[:, :, self.coords] = B
+        return d, K, keep
 
     def boundary_sample(self, n, count, rng, seed, scale):
         base_pts = boundary_sample(self.base, n.ops.restrict(self.coords), count, seed, scale)
@@ -824,9 +834,8 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
     worst = -np.inf
     witness = None
     used = 0
-    for u in us:
-        reps = project(A, n, u)
-        x = reps[0]
+    _, K, keep = A.ops.nearest_rows(n, np.array(us))
+    for u, x in zip(us, _first(K, keep)):
         w = u - x
         if norm_eval(n, w) < 1e-9:
             continue
@@ -868,30 +877,26 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     disagree, which catches the measure-zero nonuniqueness sets that random
     sampling misses.
 
-    Stages (b) and (c) run on row batches of the set kind's nearest_rows,
-    and report what a one-point loop would: the first failing sample, and
-    the first failing pair in shuffled order.
+    Every stage runs on row batches of the set kind's nearest_rows, and
+    reports what a one-point loop would: the first failing sample, and the
+    first failing pair in shuffled order.
     """
     try:
         us = shell_sample(A, n, R, sample_count, seed)
     except EmptyShell:
         return CheckReport("pass", 0.0, None, 0, reason="empty shell")
-    used = 0
     # (a) pointwise uniqueness
-    projs = []
-    for u in us:
-        reps = project(A, n, u)
-        used += 1
-        if len(reps) > 1:
-            spread = max(norm_eval(n, reps[i] - reps[0]) for i in range(1, len(reps)))
-            if spread > 1e-4 * max(1.0, R):
-                return CheckReport("fail", -float(spread), (tuple(u), tuple(reps[0]), tuple(reps[1])),
-                                   used, reason="nonunique projection at a sampled point")
-        projs.append(reps[0])
-    U, P = np.array(us), np.array(projs)
+    U = np.array(us)
+    d, K, keep = A.ops.nearest_rows(n, U)
+    P = _first(K, keep)
+    spread = _spread(n, K, keep, P)
+    for k in np.flatnonzero(spread > 1e-4 * max(1.0, R))[:1]:
+        reps = K[k][keep[k]]
+        return CheckReport("fail", -float(spread[k]), (tuple(us[k]), tuple(reps[0]), tuple(reps[1])),
+                           int(k) + 1, reason="nonunique projection at a sampled point")
+    used = len(us)
     # (b) gradient step-stability: the distances at u +- h e_i for both steps h
     # of every sample away from the shell's ends, in one batch
-    d = A.ops.nearest_rows(n, U)[0]
     ks = np.flatnonzero(~((d < 2e-4) | (d > R - 2e-4)))
     E = _GRADIENT_STEPS[:, None, None] * np.eye(U.shape[1])
     X = U[ks, None, None, :]
@@ -919,6 +924,12 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     return CheckReport("pass", 0.0, None, used)
 
 
+def _spread(n, K, keep, P):
+    """The largest distance from the foot P of each row of a nearest-point
+    table to its other kept representatives: 0 for a unique nearest point."""
+    return np.max(np.where(keep, norm_batch(n, K - P[:, None]), 0.0), axis=1)
+
+
 def _ridge_hunt(A: ClosedSetSpec, n: NormSpec, R: float, lo, hi, plo, phi):
     """Bisect the segments between the rows of lo and hi, whose feet are plo
     and phi, for 60 steps at once, each toward the end whose foot the
@@ -932,7 +943,8 @@ def _ridge_hunt(A: ClosedSetSpec, n: NormSpec, R: float, lo, hi, plo, phi):
         if not k.size:
             return None
         mid = 0.5 * (lo[k] + hi[k])
-        d, pm = A.ops.nearest_rows(n, mid)
+        d, K, keep = A.ops.nearest_rows(n, mid)
+        pm = _first(K, keep)
         inside = (1e-7 < d) & (d < R * (1 - 1e-9))
         alive[k[~inside]] = False
         k, mid, pm = k[inside], mid[inside], pm[inside]
@@ -958,30 +970,22 @@ def rolling_ball_check_projection(A: ClosedSetSpec, n: NormSpec, R: float,
         us = shell_sample(A, n, R, sample_count, seed)
     except EmptyShell:
         return CheckReport("pass", 0.0, None, 0, reason="empty shell")
-    worst = np.inf
-    witness = None
-    used = 0
-    for u in us:
-        reps = project(A, n, u)
-        if len(reps) > 1:
-            spread = max(norm_eval(n, reps[k] - reps[0]) for k in range(1, len(reps)))
-            if spread > 1e-6:
-                continue
-        x = reps[0]
-        w = u - x
-        nw = norm_eval(n, w)
-        if nw < 1e-9:
-            continue
-        pushed = x + (R / nw) * w
-        m = distance(A, n, pushed) - R
-        used += 1
-        if m < worst:
-            worst = m
-            witness = (tuple(x), tuple(u), tuple(pushed))
+    U = np.array(us)
+    _, K, keep = A.ops.nearest_rows(n, U)
+    X = _first(K, keep)
+    W = U - X
+    nw = norm_batch(n, W)
+    ok = ~(_spread(n, K, keep, X) > 1e-6) & ~(nw < 1e-9)
+    used = int(np.count_nonzero(ok))
     if used == 0:
         return CheckReport("pass", 0.0, None, 0, reason="no unique-projection samples")
-    verdict = "pass" if worst >= -1e-6 else "fail"
-    return CheckReport(verdict, float(worst), witness if verdict == "fail" else None, used)
+    X, U, W, nw = X[ok], U[ok], W[ok], nw[ok]
+    pushed = X + (R / nw)[:, None] * W
+    m = A.ops.nearest_rows(n, pushed)[0] - R
+    k = int(np.argmin(m))
+    verdict = "pass" if m[k] >= -1e-6 else "fail"
+    witness = (tuple(X[k]), tuple(U[k]), tuple(pushed[k]))
+    return CheckReport(verdict, float(m[k]), witness if verdict == "fail" else None, used)
 
 
 def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
@@ -989,26 +993,20 @@ def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
     """At boundary points with a normal direction p, recover the unit vector u
     supporting p and require dist(x + R u, A) >= R."""
     xs = boundary_sample(A, n, sample_count, seed=seed)
-    worst = np.inf
-    witness = None
-    used = 0
+    rows = []  # (x, p, u) for each normal direction p at each boundary point x
     for x in xs:
         try:
             dirs = normal_directions(A, n, x)
         except InteriorPoint:
             continue
-        for p in dirs:
-            u = support_point(n, p)
-            pushed = np.asarray(x) + R * u
-            m = distance(A, n, pushed) - R
-            used += 1
-            if m < worst:
-                worst = m
-                witness = (tuple(np.asarray(x)), tuple(p), tuple(u))
-    if used == 0:
+        rows += [(np.asarray(x), p, support_point(n, p)) for p in dirs]
+    if not rows:
         return CheckReport("pass", 0.0, None, 0, reason="no normal directions found")
-    verdict = "pass" if worst >= -1e-6 else "fail"
-    return CheckReport(verdict, float(worst), witness if verdict == "fail" else None, used)
+    m = A.ops.nearest_rows(n, np.array([x + R * u for x, _, u in rows]))[0] - R
+    k = int(np.argmin(m))
+    verdict = "pass" if m[k] >= -1e-6 else "fail"
+    witness = tuple(tuple(t) for t in rows[k])
+    return CheckReport(verdict, float(m[k]), witness if verdict == "fail" else None, len(rows))
 
 
 # ---------------------------------------------------------------------------

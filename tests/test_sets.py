@@ -216,6 +216,36 @@ def test_distance_to_another_gauge_sphere_is_planar_only():
         bl.project(A, bl.lp_norm(2, 3), [2.0, 0.5, 0.0])
 
 
+def _polyhedral_complement_cases(zoo):
+    """Complements of polyhedral gauge balls: the l1, max-norm, poly and
+    square gauges under every zoo norm, and the 3-d l1 and max-norm gauges
+    under the 3-d Euclidean norm."""
+    for gid, g in (("l1", zoo["l1"]), ("linf", zoo["linf"]), ("poly", zoo["poly"]),
+                   ("square", SQUARE)):
+        for nid, n in zoo.items():
+            yield f"{gid} under {nid}", g, n, np.array([0.2, -0.1])
+    for p in (1, np.inf):
+        yield f"3-d l{p:g} under euclid3", bl.lp_norm(p, 3), bl.lp_norm(2, 3), np.array([0.2, -0.1, 0.3])
+
+
+def test_polyhedral_ball_complement_is_its_polytope_complement(zoo):
+    """A ball complement under a polyhedral gauge gives the nearest-point
+    table, distance and projection of the polytope complement of the gauge's
+    facets, bit for bit, at seeded points inside and outside the ball and at
+    its center."""
+    rng = np.random.default_rng(37)
+    for cid, g, n, c in _polyhedral_complement_cases(zoo):
+        A = bl.make_ball_complement(c, 1.2, gauge=g)
+        P = bl.make_polytope_complement(g.ops.facets(c, 1.2))
+        V = np.concatenate([c + rng.uniform(-1.8, 1.8, size=(12, c.size)), c[None]])
+        for got, want in zip(A.ops.nearest_rows(n, V), P.ops.nearest_rows(n, V)):
+            assert np.array_equal(got, want), cid
+        for v in V:
+            assert bl.distance(A, n, v) == bl.distance(P, n, v), (cid, tuple(v))
+            got, want = bl.project(A, n, v), bl.project(P, n, v)
+            assert len(got) == len(want) and np.array_equal(got, want), (cid, tuple(v))
+
+
 @pytest.mark.parametrize("build", [
     lambda: bl.make_ball([0.0, 0.0], np.nan),
     lambda: bl.make_ball([np.inf, 0.0], 1.0),
@@ -450,21 +480,25 @@ def _row_cases(registry, zoo):
 
 
 def test_row_methods_equal_the_one_point_functions(registry, zoo):
-    """nearest_rows gives the bits of distance and of the first projection
-    foot, at seeded shell points, at midpoints of shell pairs (as the
-    certificate's ridge hunt bisects them) and at points inside the set."""
+    """The nearest-point table gives the bits of distance and of project:
+    each row's distance, and its kept representatives in order, the first of
+    them the foot, at seeded shell points, at midpoints of shell pairs (as
+    the certificate's ridge hunt bisects them) and at points inside the
+    set."""
     rng = np.random.default_rng(19)
     for sid, A, n in _row_cases(registry, zoo):
         shell = np.array(bl.shell_sample(A, n, 1.2, 10, seed=3))
         mids = 0.5 * (shell + shell[::-1])
         inside = np.array([bl.sample_inside(A, rng) for _ in range(4)])
         V = np.concatenate([shell, mids, inside])
-        want_d = [bl.distance(A, n, v) for v in V]
-        want_f = np.array([bl.project(A, n, v)[0] for v in V])
-        d, F = A.ops.nearest_rows(n, V)
-        assert d.tolist() == want_d, sid
-        assert np.array_equal(F, want_f), sid
-        assert np.array_equal(A.ops.nearest_rows(n, inside)[1], inside), sid
+        d, K, keep = A.ops.nearest_rows(n, V)
+        assert d.tolist() == [bl.distance(A, n, v) for v in V], sid
+        for v, k, m in zip(V, K, keep):
+            want = bl.project(A, n, v)
+            assert len(want) == np.count_nonzero(m) and np.array_equal(k[m], want), sid
+        _, K, keep = A.ops.nearest_rows(n, inside)
+        assert np.array_equal(K[:, 0], inside) and keep.sum(axis=1).tolist() == [1] * 4, sid
+        assert keep[:, 0].all(), sid
 
 
 @pytest.mark.parametrize("sid, R, want", [
@@ -482,26 +516,43 @@ def test_row_methods_equal_the_one_point_functions(registry, zoo):
      '{"samples_used": 20, "verdict": "pass", "witness": null, "worst_margin": 0.0}'),
     ("linf_gauge_complement", 1.0,
      '{"reason": "two projection branches meet inside the shell", "samples_used": 20, '
-     '"verdict": "fail", "witness": [[0.05195277847832383, -0.05195277847832208], '
-     '[0.051952778478323955, -1.0], [1.0, -0.05195277847832171]], "worst_margin": -1.194464650689509}'),
+     '"verdict": "fail", "witness": [[0.05195277815647864, -0.05195278815647872], '
+     '[0.05195277815647864, -1.0], [1.0, -0.05195278815647872]], "worst_margin": -1.194464644795402}'),
+    ("halfplane_linf", 1.0,
+     '{"reason": "nonunique projection at a sampled point", "samples_used": 1, '
+     '"verdict": "fail", "witness": [[-1.2276950311297072, 0.5974384233184231], '
+     '[-1.8251334544481304, 1.1102230246251565e-16], [-1.7454749980056739, 1.1102230246251565e-16]], '
+     '"worst_margin": -1.1948768466368462}'),
+    ("l15_gauge_complement", 0.5,
+     '{"reason": "two projection branches meet inside the shell", "samples_used": 8, '
+     '"verdict": "fail", "witness": [[7.989320891223203e-16, -0.46991015042185513], '
+     '[0.3159321018590204, -0.8778013960946826], [-0.31593210185901854, -0.8778013960946839]], '
+     '"worst_margin": -0.6318642037180389}'),
 ])
 def test_certificate_report_is_that_of_the_one_point_loop(registry, zoo, sid, R, want):
-    """Reports frozen from the one-point ridge hunt, which returned at the
-    first failing pair in shuffled order: the batched hunt finds the same pair,
-    witness and margin.  Besides registry sets under their ambient norms, the
-    l3-gauge ball under the Euclidean norm and the max-norm-gauge complement
-    under l3 run the ring scan of the gauge sphere."""
+    """Reports frozen from the one-point loops, which returned at the first
+    sample with spread-out feet and at the first failing pair in shuffled
+    order: the batched stages find the same sample or pair, witness and
+    margin.  Besides registry sets under their ambient norms: the l3-gauge
+    ball under the Euclidean norm and the l15-gauge complement under l3 run
+    the ring scan of the gauge sphere; the max-norm-gauge complement under l3
+    reads the plane feet of its polytope complement; the halfplane under the
+    max norm has a flat face of feet at every sample."""
     foreign = {
         "l3_gauge_ball": (bl.make_ball([0.0, 0.0], 1.0, gauge=zoo["l3"]), zoo["euclid"]),
         "linf_gauge_complement": (bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo["linf"]),
                                   zoo["l3"]),
+        "halfplane_linf": (registry["halfplane"][0], zoo["linf"]),
+        "l15_gauge_complement": (bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo["l15"]),
+                                 zoo["l3"]),
     }
     if sid in foreign:
         A, n = foreign[sid]
     else:
         A, amb = registry[sid]
         n = bl.ambient_norm(zoo, amb)
-    rep = bl.prox_smooth_certificate(A, n, R, sample_count=20, seed=11)
+    count = 8 if sid == "l15_gauge_complement" else 20  # its shell sampling scans the ring per try
+    rep = bl.prox_smooth_certificate(A, n, R, sample_count=count, seed=11)
     assert rep.to_json() == want
 
 
