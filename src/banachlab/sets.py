@@ -11,9 +11,9 @@ distance and projection, and the certificates, read it.
 On a gauge sphere that differs from the ambient norm, or is planar and not
 strictly convex (polygon, l1, max norm), the nearest points are those of a
 4096-angle ring, tabled in fixed blocks of rows and refined onto the sphere
-under a foreign gauge; elsewhere the nearest point is radial.  The
-complement of a polyhedral gauge ball is that of the polytope of the
-gauge's facets, under any ambient norm.  The nearest points on a plane, for
+under a foreign gauge; elsewhere the nearest point is radial.  Where it is
+not radial, the complement of a polyhedral gauge ball is that of the
+polytope of the gauge's facets.  The nearest points on a plane, for
 halfspaces and polytope complements, come from one helper.
 
 SciPy is imported only by the two searches that use it,
@@ -214,8 +214,6 @@ def _cluster_mask(K, keep, radius):
     cluster: those farther than radius, in the max norm of coordinates, from
     every earlier one that does.  Only the columns with a kept point within
     radius of an earlier kept one in some row need the greedy pass."""
-    if K.shape[1] < 2:
-        return keep
     near = _fold(np.maximum, np.abs(K[:, :, None] - K[:, None])) <= radius
     reps = keep.copy()
     clash = np.triu(near & keep[:, :, None] & keep[:, None], 1).any(axis=(0, 1))
@@ -232,18 +230,15 @@ def _cluster(points, radius: float):
 def _first(K, keep):
     """The first kept representative of each row of a nearest-point table:
     the row's projection foot."""
-    if keep[:, 0].all():
-        return K[:, 0]
     return K[np.arange(K.shape[0]), np.argmax(keep, axis=1)]
 
 
 def _table(V, d, K, keep, inside):
     """The nearest-point table (d, K, keep) of the rows V, each row inside the
     set written as distance 0 and the one representative itself."""
-    if np.any(inside):
-        d[inside] = 0.0
-        K[inside, 0] = V[inside]
-        keep[inside] = np.arange(keep.shape[1]) == 0
+    d[inside] = 0.0
+    K[inside, 0] = V[inside]
+    keep[inside] = np.arange(keep.shape[1]) == 0
     return d, K, keep
 
 
@@ -366,9 +361,9 @@ class _Ball(_SetKind):
     from the center the whole sphere is nearest: 16 representatives of it.
     Otherwise the feet come from the ring scan of the planar gauge sphere,
     and the distance is the residual under its own gauge and the least
-    ambient distance to the feet under a foreign one.  The complement of a
-    polyhedral gauge ball reads the table of the polytope complement of the
-    gauge's facets instead."""
+    ambient distance to the feet under a foreign one.  Where the nearest
+    point is not radial, the complement of a polyhedral gauge ball reads the
+    table of the polytope complement of the gauge's facets instead."""
 
     sign = 1.0
 
@@ -376,6 +371,9 @@ class _Ball(_SetKind):
         super().__init__(A)
         self.c = np.asarray(A.center)
         self.r = A.radius
+
+    def _radial(self, g, n):
+        return (g is n or g == n) and (g.ops.strictly_convex or self.spec.dim != 2)
 
     def _center_feet(self, g):
         """Representatives of the whole gauge sphere, nearest to the center."""
@@ -392,7 +390,7 @@ class _Ball(_SetKind):
         d = self.sign * (r - R)  # the residual: the distance from outside when g is n
         inside = d <= 0
         same = g is n or g == n
-        if same and (g.ops.strictly_convex or self.spec.dim != 2):
+        if self._radial(g, n):
             with np.errstate(divide="ignore", invalid="ignore"):
                 K = (c + R * (V - c) / r[:, None])[:, None]
             center = r < 1e-12
@@ -447,12 +445,13 @@ class _BallComplement(_Ball):
 
     def nearest_rows(self, n, V, tol=_PROJECT_TOL):
         g = _gauge(self.spec, n)
-        if g not in self._polytopes:
-            facets = g.ops.facets(self.c, self.r)
-            self._polytopes[g] = None if facets is None else make_polytope_complement(facets).ops
-        if self._polytopes[g] is None:
-            return super().nearest_rows(n, V, tol)
-        return self._polytopes[g].nearest_rows(n, V, tol)
+        if not self._radial(g, n):
+            if g not in self._polytopes:
+                facets = g.ops.facets(self.c, self.r)
+                self._polytopes[g] = None if facets is None else make_polytope_complement(facets).ops
+            if self._polytopes[g] is not None:
+                return self._polytopes[g].nearest_rows(n, V, tol)
+        return super().nearest_rows(n, V, tol)
 
 
 class _Planes(_SetKind):

@@ -246,6 +246,28 @@ def test_polyhedral_ball_complement_is_its_polytope_complement(zoo):
             assert len(got) == len(want) and np.array_equal(got, want), (cid, tuple(v))
 
 
+@pytest.mark.parametrize("p", [1, np.inf], ids=["l1", "linf"])
+def test_three_dimensional_polyhedral_ball_complement_under_its_own_norm_is_radial(p):
+    """Off the plane, the complement of an l1 or max-norm ball under its own
+    norm keeps the radial foot and the residual distance: the polytope of
+    its facets would give other nearest points (a plane foot) and read 2^d
+    facets for l1."""
+    g = bl.lp_norm(p, 3)
+    c = np.array([0.2, -0.1, 0.3])
+    A = bl.make_ball_complement(c, 1.2)
+    for v in c + np.random.default_rng(41).uniform(-1.8, 1.8, size=(12, 3)):
+        r = bl.norm_eval(g, v - c)
+        foot, = bl.project(A, g, v)
+        if r < 1.2:
+            assert bl.distance(A, g, v) == 1.2 - r
+            assert np.array_equal(foot, c + 1.2 * (v - c) / r)
+        else:
+            assert bl.distance(A, g, v) == 0.0 and np.array_equal(foot, v)
+    if p == np.inf:
+        foot, = bl.project(bl.make_ball_complement([0.0, 0.0, 0.0], 1.0), g, [0.5, 0.1, 0.0])
+        assert np.array_equal(foot, [1.0, 0.2, 0.0])
+
+
 @pytest.mark.parametrize("build", [
     lambda: bl.make_ball([0.0, 0.0], np.nan),
     lambda: bl.make_ball([np.inf, 0.0], 1.0),
