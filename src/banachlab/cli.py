@@ -488,7 +488,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
         eps = float(rng.uniform(0.05, 0.5))
         attempts += 1
         try:
-            lam, y, p = H.touching_point_search(spec, n, z0, z1, eps, seed=cfg.seed)
+            lam, y, p = H.touching_point_search(spec, n, z0, z1, eps)
             gap = S.norm_eval(n, np.asarray(z1) - np.asarray(z0))
             zlam = np.asarray(z0) + lam * (np.asarray(z1) - np.asarray(z0))
             if not (S.norm_eval(n, zlam - y) < eps * gap and float(p @ (np.asarray(z1) - np.asarray(z0))) < eps * gap):

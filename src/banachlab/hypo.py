@@ -4,6 +4,11 @@ checks, the curvature section bound, and a constructive touching-point search.
 The central quantity is the worst pairing <p2 - p1, x2 - x1> over boundary
 points x_i with dual-unit outward normals p_i.  A set is psi-hypomonotone at
 scale R when that pairing stays above -R psi(|x1 - x2|/R) for all close pairs.
+
+hypo_check and the separation band of gamma read one pair sweep, which pairs
+every direction of every sampled pair in one array.  The section bound takes
+its set points from the block sampler of the sets module, and its ratios
+from the kernel of the sampled cone checks there.
 """
 
 from __future__ import annotations
@@ -15,13 +20,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .moduli import _crossing_max
-from .norms import NormSpec, j1_batch, norm_eval
+from .norms import NormSpec, j1_batch, norm_batch, norm_eval
 from .psifuncs import PsiSpec
 from .sets import (
     CheckReport,
     ClosedSetSpec,
     _clean,
+    _cone_pairings,
+    _dots,
     _gauge,
+    _sample_tries,
     boundary_sample,
     contains,
     distance,
@@ -59,31 +67,37 @@ class HypoReport:
         }, sort_keys=True)
 
 
-def _boundary_with_cones(A: ClosedSetSpec, n: NormSpec, count: int, seed: int):
-    """Boundary samples paired with their analytic extreme normal directions.
-
-    Points whose cone degenerates (complement vertices) are dropped.
-    """
-    xs = boundary_sample(A, n, count, seed=seed)
-    out = []
-    for x in xs:
-        x = np.asarray(x, dtype=float)
+def _pair_sweep(A: ClosedSetSpec, n: NormSpec, budget: int, seed: int, lo: float, hi: float):
+    """The boundary points X of the seed with a nondegenerate normal cone
+    (complement vertices drop out), their extreme normal directions P padded
+    to (points, c, dim) by repeating the first, which moves no extreme
+    pairing nor the first pair attaining it; the pairs I < J (all in order,
+    or budget of them drawn and sorted) whose separations d lie in [lo, hi];
+    and their pairings G[k, a, b] = <P[J_k, b] - P[I_k, a], X[J_k] - X[I_k]>,
+    with the bits of a per-pair p @ x (see _dots)."""
+    rng = np.random.default_rng(seed)
+    m = max(48, min(512, int(np.sqrt(2.0 * budget)) + 1))
+    X, P = [], []
+    for x in boundary_sample(A, n, m, seed=seed):
         try:
             dirs = A.ops.cone_directions(n, x, tol=1e-6)
         except ValueError:
             continue
         if dirs:
-            out.append((x, dirs))
-    return out
-
-
-def _pair_indices(m: int, budget: int, rng) -> list:
-    total = m * (m - 1) // 2
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    if total > budget:
-        idx = rng.choice(total, size=budget, replace=False)
-        pairs = [pairs[int(k)] for k in np.sort(idx)]
-    return pairs
+            X.append(x)
+            P.append(list(dirs))
+    c = max(map(len, P), default=1)
+    X = np.reshape(X, (-1, A.dim))
+    P = np.reshape([q + q[:1] * (c - len(q)) for q in P], (-1, c, A.dim))
+    I, J = np.triu_indices(len(X), 1)
+    if I.size > budget:
+        k = np.sort(rng.choice(I.size, size=budget, replace=False))
+        I, J = I[k], J[k]
+    d = norm_batch(n, X[J] - X[I])
+    band = (lo <= d) & (d <= hi)
+    I, J, d = I[band], J[band], d[band]
+    G = _dots(P[J][:, None] - P[I][:, :, None], (X[J] - X[I])[:, None, None])
+    return X, P, I, J, d, G
 
 
 def hypo_check(A: ClosedSetSpec, n: NormSpec, psi: PsiSpec, R: float,
@@ -97,44 +111,20 @@ def hypo_check(A: ClosedSetSpec, n: NormSpec, psi: PsiSpec, R: float,
     """
     if R <= 0:
         raise ValueError("R must be positive")
-    rng = np.random.default_rng(seed)
-    m = max(48, min(512, int(np.sqrt(2.0 * pair_budget)) + 1))
-    pts = _boundary_with_cones(A, n, m, seed)
-    if len(pts) < 2:
+    X, P, I, J, d, G = _pair_sweep(A, n, pair_budget, seed, 1e-9, eps_max)
+    if len(X) < 2:
         raise NoFeasiblePairs("not enough boundary points with normal directions")
-    worst = np.inf
-    worst_pair = None
-    used = 0
-    extended = False
-    for i, j in _pair_indices(len(pts), pair_budget, rng):
-        x1, dirs1 = pts[i]
-        x2, dirs2 = pts[j]
-        d = norm_eval(n, x2 - x1)
-        if d < 1e-9 or d > eps_max:
-            continue
-        val, flag = psi.eval_flagged(d / R)
-        extended = extended or flag
-        used += 1
-        for p1 in dirs1:
-            for p2 in dirs2:
-                margin = float((p2 - p1) @ (x2 - x1)) + R * val
-                if margin < worst:
-                    worst = margin
-                    worst_pair = (tuple(x1), tuple(p1), tuple(x2), tuple(p2))
-    if used == 0:
+    if not I.size:
         raise NoFeasiblePairs(f"no sampled boundary pairs within eps_max={eps_max}")
+    val, extended = psi.eval_flagged(d / R)
+    margin = G + (R * val)[:, None, None]
+    k, a, b = np.unravel_index(np.argmin(margin), margin.shape)  # the first worst, in loop order
+    worst = float(margin[k, a, b])
+    worst_pair = (tuple(X[I[k]]), tuple(P[I[k], a]), tuple(X[J[k]]), tuple(P[J[k], b]))
     verdict = "pass" if worst >= -1e-6 else "fail"
-    return HypoReport(verdict=verdict, worst_pair=worst_pair, worst_margin=float(worst),
-                      epsilon_band=(0.0, float(eps_max)), pairs_used=used,
+    return HypoReport(verdict=verdict, worst_pair=worst_pair, worst_margin=worst,
+                      epsilon_band=(0.0, float(eps_max)), pairs_used=int(I.size),
                       psi_extended=extended)
-
-
-def _gamma_pairing(x1, dirs1, x2, dirs2) -> float:
-    best = -np.inf
-    for p1 in dirs1:
-        for p2 in dirs2:
-            best = max(best, -float((p1 - p2) @ (x1 - x2)))
-    return best
 
 
 def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, band: float = 0.05,
@@ -157,20 +147,10 @@ def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, band: float = 0.05
         raise ValueError("band must lie in (0, 0.2]")
     if A.kind == "ball_complement" and A.dim == 2 and _gauge(A, n) == n:
         return _gamma_exact_2d(A, n, eps, budget)
-    rng = np.random.default_rng(seed)
-    m = max(48, min(512, int(np.sqrt(2.0 * budget)) + 1))
-    pts = _boundary_with_cones(A, n, m, seed)
-    best = -np.inf
-    lo, hi = eps * (1 - band), eps * (1 + band)
-    for i, j in _pair_indices(len(pts), budget, rng):
-        x1, dirs1 = pts[i]
-        x2, dirs2 = pts[j]
-        d = norm_eval(n, x2 - x1)
-        if lo <= d <= hi:
-            best = max(best, _gamma_pairing(x1, dirs1, x2, dirs2))
-    if not np.isfinite(best):
+    G = _pair_sweep(A, n, budget, seed, eps * (1 - band), eps * (1 + band))[-1]
+    if not G.size:
         raise NoFeasiblePairs(f"no boundary pairs at separation {eps} (band {band})")
-    return float(best)
+    return -float(G.flat[np.argmin(G)])  # the first largest -<p1 - p2, x1 - x2>, the same bits
 
 
 def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> float:
@@ -208,41 +188,28 @@ def section_bound_check(A: ClosedSetSpec, n: NormSpec, R: float, rho_curve,
     if not dirs:
         return CheckReport("pass", 0.0, None, 0, reason="degenerate cone, nothing to bound")
     eps = (2.0 * R / delta) * float(rho_curve.eval(delta / R))
-    rng = np.random.default_rng(seed + 17)
-    samples = []
-    tries = 0
-    while len(samples) < sample_count and tries < 60 * sample_count:
-        tries += 1
-        u = rng.standard_normal(A.dim)
-        nu = norm_eval(n, u)
-        if nu < 1e-12:
-            continue
-        y = a0 + delta * float(rng.uniform(0.02, 1.0)) * u / nu
-        if contains(A, n, y, tol=0.0) and norm_eval(n, y - a0) <= delta:
-            samples.append(y)
-    worst = np.inf
-    witness = None
-    worst_ratio = 0.0
-    for a in samples:
-        d = norm_eval(n, a - a0)
-        if d < 1e-12:
-            continue
-        for p in dirs:
-            val = float(p @ (a - a0))
-            m = eps * d - val
-            worst_ratio = max(worst_ratio, val / d)
-            if m < worst:
-                worst = m
-                witness = (tuple(a), tuple(p))
+
+    def in_section(Y):
+        return (A.ops.residual(n, Y) <= 0.0) & (norm_batch(n, Y - a0) <= delta)
+
+    samples = _sample_tries(np.random.default_rng(seed + 17), n, sample_count, 60 * sample_count,
+                            (0.02, 1.0), delta, lambda t: a0, in_section)
     if not samples:
         return CheckReport("pass", 0.0, None, 0, reason="no set points in the section")
+    P = np.array(dirs)
+    k, val, d = _cone_pairings(n, np.array(samples), a0, P)
+    m = eps * d[:, None] - val
+    worst, witness = np.inf, None
+    if m.size:  # the first worst, in loop order
+        i, j = np.unravel_index(np.argmin(m), m.shape)
+        worst, witness = m[i, j], (tuple(samples[k[i]]), tuple(P[j]))
+    worst_ratio = max(0.0, float(np.max(val / d[:, None], initial=0.0)))
     verdict = "pass" if worst >= -1e-6 else "fail"
     return CheckReport(verdict, float(worst), witness if verdict == "fail" else None,
                        len(samples), reason=f"eps={eps:.6g} worst_ratio={worst_ratio:.6g}")
 
 
-def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float,
-                          seed: int = 0):
+def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float):
     """Construct a near-touch configuration along the segment from z0 to z1.
 
     Walks from z0 (outside A) toward z1 (inside A) to the first parameter

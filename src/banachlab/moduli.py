@@ -527,22 +527,21 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
 # curve calculus
 
 def omega_inverse(rho_curve, s):
-    """Leftmost t with curve(t) >= s. Clamps to 0 on the left, errors when s
-    exceeds the sampled range."""
+    """Leftmost t with curve(t) >= s: the first knot at or above s, inverted
+    on its segment (the last knot when s is within 1e-12 above the range).
+    Clamps to 0 on the left, errors when s exceeds the sampled range."""
     s = float(s)
     if s <= 0:
         return 0.0
     top = rho_curve.eval(rho_curve.max_arg)
     if s > top + 1e-12:
         raise ValueError(f"value {s:g} beyond curve range (max {top:g})")
-    lo, hi = 0.0, rho_curve.max_arg
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rho_curve.eval(mid) < s:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    xs = np.concatenate([[0.0], rho_curve.args])
+    ys = np.concatenate([[0.0], rho_curve.values])
+    k = int(np.argmax(ys >= s))
+    if ys[k] < s:
+        return rho_curve.max_arg
+    return float(xs[k - 1] + (s - ys[k - 1]) / (ys[k] - ys[k - 1]) * (xs[k] - xs[k - 1]))
 
 
 def doubling_ratio(rho_curve):

@@ -9,6 +9,7 @@ its derived tables (weights, polygon edge functionals, ellipse inverses).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -155,6 +156,12 @@ class _NormKind:
         by default the one functional of a norm smooth at x."""
         return [j1_batch(self.spec, x)]
 
+    def face(self, a):
+        """The vertices of the face of the unit ball that the functional a
+        exposes, as rows of norm one: by default the one support point."""
+        u = self.support(a)[None]
+        return u / self.norm(u)[:, None]
+
     def vertex_angles(self):
         """Angles of the vertices of a polyhedral planar unit sphere."""
         return np.empty(0)
@@ -222,6 +229,19 @@ class _WeightedLp(_NormKind):
         if self.p == 1.0:
             return np.where(_first_argmax(R), np.sign(P) / self.w, 0.0)
         return np.sign(P) * (R / _fold(np.maximum, R)[..., None]) ** (self.q - 1.0)
+
+    def face(self, a):
+        """l1: the vertex sign(a_k)/w_k e_k of every k where |a_k|/w_k ties
+        the largest; linf: sign(a)/w with every sign on the coordinates where
+        a_k = 0.  A face of one vertex is the support point."""
+        if self.p == 1.0:
+            R = np.abs(a) / self.w
+            F = np.diag(np.sign(a) / self.w)[R == np.max(R)]
+        elif math.isinf(self.p):
+            F = np.array(list(itertools.product(*[(s,) if s else (1.0, -1.0) for s in np.sign(a)]))) / self.w
+        else:
+            return super().face(a)
+        return F / self.norm(F)[:, None]
 
     def subdifferential(self, x, nx, tol):
         w = self.w

@@ -4,9 +4,11 @@ rolling-ball checks, and proximal-smoothness certificates.
 Every operation takes the ambient norm explicitly.  A gauge ball or its
 complement may carry its own gauge (the norm whose ball defines it); when it
 is omitted it defaults to the ambient norm at query time.  Each set kind is
-one class below, and one method of it, nearest_rows, gives the table of the
-nearest points of every row of an array (see _SetKind); the one-point
-distance and projection, and the certificates, read it.
+one class below, whose row methods (see _SetKind) give the nearest-point
+table and the boundary residual of every row of an array; the one-point
+distance, projection and membership, and the certificates, read them.  The
+rejection samplers test a block of tries with one call, and the sampled
+cone checks pair all their sample rows with the normal directions at once.
 
 On a gauge sphere that differs from the ambient norm, or is planar and not
 strictly convex (polygon, l1, max norm), the nearest points are those of a
@@ -30,6 +32,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from .moduli import _bracket_roots
 from .norms import (
     DegenerateBody,
     DimensionMismatch,
@@ -251,15 +254,16 @@ def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
     a flat piece, clustered within max(50 tol, 1e-5).
 
     Under a gauge other than the ambient norm each moves to where the
-    distance stops decreasing along the sphere, by bisection on the sign of
-    its derivative within 1.5 table steps; a search on the distance values
-    would stop about 1e-8 short, the distance being flat to second order
-    there.  A point keeps its place where the sign does not change, as on a
-    flat piece of nearest points.  Only the feet whose distance ties the
-    row's least one to rounding stay, so a unique nearest point gives one.
+    distance stops decreasing along the sphere, by a root search on the
+    sign of its derivative within 1.5 table steps (moduli._bracket_roots,
+    down to adjacent floats); a search on the distance values would stop
+    about 1e-8 short, the distance being flat to second order there.  A
+    point keeps its place where the sign does not change, as on a flat
+    piece of nearest points.  Only the feet whose distance ties the row's
+    least one to rounding stay, so a unique nearest point gives one.
 
     The ring distances are tabled _SCAN_BLOCK rows at a time, and the points
-    kept in all rows are refined in one lockstep bisection."""
+    kept in all rows are refined in one root search."""
     h = 2 * np.pi / _RING
     ring = center + radius * g.ops.sphere(_RING)
     idx = np.zeros((V.shape[0], 16), dtype=int)
@@ -288,14 +292,13 @@ def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
         row, col = np.nonzero(keep)
         X = V[row]
         lo, hi = (idx[row, col] - 1.5) * h, (idx[row, col] + 1.5) * h
-        turns = (slope(lo, X) < 0) & (slope(hi, X) > 0)
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if not np.any(turns & (mid != lo) & (mid != hi)):
-                break  # every bracket is down to adjacent floats: no step moves it
-            down = slope(mid, X) < 0
-            lo, hi = np.where(down, mid, lo), np.where(down, hi, mid)
-        K[row, col] = np.where(turns[:, None], center + radius * sphere_points(g, hi), K[row, col])
+        slo, shi = slope(lo, X), slope(hi, X)
+        t = np.flatnonzero((slo < 0) & (shi > 0))  # the brackets where the distance turns
+        X = X[t]
+        # 60 halvings of the 3h bracket reach adjacent floats; a width of 0 breaks the cap
+        hi = _bracket_roots(lambda i, a: slope(a, X[i]), t.shape, lo[t], hi[t], slo[t], shi[t],
+                            3 * h * 2.0 ** -60, False)[1]
+        K[row[t], col[t]] = center + radius * sphere_points(g, hi)
         dists = np.where(keep, norm_batch(n, K - V[:, None]), np.inf)
         dmin = np.min(dists, axis=1)[:, None]
         keep &= dists <= dmin + _TIE_ULPS * np.finfo(float).eps * dmin
@@ -309,11 +312,19 @@ def _pairing_rows(V: np.ndarray, a: np.ndarray) -> np.ndarray:
     return _fold(np.add, V * a)
 
 
+def _dots(P, W):
+    """<p, w> for the broadcast rows p of P and w of W, as stacked 1-by-dim
+    products: each has the bits of the 1-d p @ w, which a matrix of several
+    p, or a sum on the columns (no fused multiply-add), rounds otherwise."""
+    return np.matmul(P[..., None, :], W[..., :, None])[..., 0, 0]
+
+
 def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
     """The unit vectors u that a supports, as rows: the nearest points to v on
     the plane {<a, .> = <a, v> - d |a|_*} are v - d u.  Where a supports a flat
     edge of a planar sphere they form a segment, represented by 16 points from
-    end to end; elsewhere there is the one support point."""
+    end to end; elsewhere they are the vertices of the face that a exposes
+    (the norm kind's face), one support point where the sphere is round."""
     if n.dim == 2 and not n.ops.strictly_convex:
         V = sphere_points(n, n.ops.vertex_angles())
         s = V @ a
@@ -322,7 +333,7 @@ def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
         if len(face) == 2:
             t = np.linspace(0.0, 1.0, 16)[:, None]
             return (1 - t) * face[0] + t * face[1]
-    return support_point(n, a)[None]
+    return n.ops.face(a)
 
 
 class _SetKind:
@@ -332,9 +343,10 @@ class _SetKind:
       nearest points, shape (rows, k, dim), and the mask keep of those that
       stand for a cluster of radius max(50 tol, 1e-5).  The first kept one
       is the row's projection foot.  A row inside the set keeps 0 and the
-      row itself.  distance(n, v) and project(n, v, tol) are its one-row
-      cases, and the certificates run on it;
-    - residual(n, x), the offset of x from the boundary, positive outside;
+      row itself.  The public distance and project are its one-row cases,
+      and the certificates run on it;
+    - residual(n, V), the offset of each row of V from the boundary,
+      positive outside: contains is its one-row case;
     - cone_directions(n, x, tol), the outward unit normals at a boundary point;
     - boundary_sample, sample_inside(rng) and from_json(d).
     A row has the same bits alone and in any batch wherever the ambient norm
@@ -342,16 +354,6 @@ class _SetKind:
 
     def __init__(self, A: ClosedSetSpec):
         self.spec = A
-
-    def contains(self, n, v, tol):
-        return self.residual(n, v) <= tol
-
-    def distance(self, n, v):
-        return float(self.nearest_rows(n, v[None])[0][0])
-
-    def project(self, n, v, tol):
-        _, K, keep = self.nearest_rows(n, v[None], tol)
-        return list(K[0][keep[0]])
 
 
 class _Ball(_SetKind):
@@ -413,8 +415,8 @@ class _Ball(_SetKind):
         dirs = rng.standard_normal((count, self.spec.dim))
         return [self.c + self.r * d / norm_eval(g, d) for d in dirs]
 
-    def residual(self, n, x):
-        return float(self.sign * (norm_batch(_gauge(self.spec, n), x[None] - self.c)[0] - self.r))
+    def residual(self, n, V):
+        return self.sign * (norm_batch(_gauge(self.spec, n), V - self.c) - self.r)
 
     def cone_directions(self, n, x, tol):
         ext = subdifferential_extremes(_gauge(self.spec, n), x - self.c)
@@ -488,12 +490,12 @@ class _Halfspace(_Planes):
         self.b = A.offset
         self.foot = self.b * self.a / float(self.a @ self.a)
 
-    def _levels(self, V):
-        """<a, v> - offset of each row: the residual."""
+    def residual(self, n, V):
+        """<a, v> - offset of each row."""
         return _pairing_rows(V, self.a) - self.b
 
     def nearest_rows(self, n, V, tol=_PROJECT_TOL):
-        s = self._levels(V)
+        s = self.residual(n, V)
         d = s / dual_norm_eval(n, self.a)
         K, keep = self._plane_feet(n, V, d[:, None], np.ones((V.shape[0], 1), dtype=bool), tol)
         return _table(V, d, K, keep, s <= 0)
@@ -506,9 +508,6 @@ class _Halfspace(_Planes):
             w -= (float(a @ w) / float(a @ a)) * a
             out.append(self.foot + w)
         return out
-
-    def residual(self, n, x):
-        return float(self._levels(x))
 
     def cone_directions(self, n, x, tol):
         return [self.a / dual_norm_eval(n, self.a)]
@@ -526,7 +525,8 @@ class _FinitePoints(_SetKind):
         super().__init__(A)
         self.pts = np.asarray(A.points)
 
-    residual = _SetKind.distance
+    def residual(self, n, V):
+        return self.nearest_rows(n, V)[0]
 
     def nearest_rows(self, n, V, tol=_PROJECT_TOL):
         D = norm_batch(n, self.pts - V[:, None])  # from each row to each point
@@ -607,8 +607,8 @@ class _PolytopeComplement(_Planes):
             out.append((1 - t) * a + t * b)
         return out
 
-    def residual(self, n, x):
-        return float(-np.max([_pairing_rows(x, a) - b for a, b in self.facets]))
+    def residual(self, n, V):
+        return -np.max(np.stack([_pairing_rows(V, a) - b for a, b in self.facets], axis=-1), axis=-1)
 
     def cone_directions(self, n, x, tol):
         active = []
@@ -639,9 +639,6 @@ class _Cylinder(_SetKind):
         self.base = A.base
         self.coords = list(A.coords)
 
-    def contains(self, n, v, tol):  # through contains(), so per-layer traces count the base query
-        return contains(self.base, n.ops.restrict(self.coords), v[self.coords], tol)
-
     def nearest_rows(self, n, V, tol=_PROJECT_TOL):
         d, B, keep = self.base.ops.nearest_rows(n.ops.restrict(self.coords), V[:, self.coords], tol)
         K = np.repeat(V[:, None], B.shape[1], axis=1)
@@ -660,8 +657,8 @@ class _Cylinder(_SetKind):
             out.append(y)
         return out
 
-    def residual(self, n, x):
-        return self.base.ops.residual(n.ops.restrict(self.coords), x[self.coords])
+    def residual(self, n, V):
+        return self.base.ops.residual(n.ops.restrict(self.coords), V[:, self.coords])
 
     def cone_directions(self, n, x, tol):
         sub = n.ops.restrict(self.coords)
@@ -706,14 +703,14 @@ def _set_kind(kind: str):
 
 def contains(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-9) -> bool:
     """True when x is at most tol outside A, by its boundary residual."""
-    return A.ops.contains(n, as_vec(x, A.dim), tol)
+    return bool(A.ops.residual(n, as_vec(x, A.dim)[None])[0] <= tol)
 
 
 def distance(A: ClosedSetSpec, n: NormSpec, x) -> float:
     v = as_vec(x, A.dim)
     if contains(A, n, v, tol=0.0):
         return 0.0
-    return A.ops.distance(n, v)
+    return float(A.ops.nearest_rows(n, v[None])[0][0])
 
 
 def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = _PROJECT_TOL):
@@ -721,7 +718,8 @@ def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = _PROJECT_TOL):
     v = as_vec(x, A.dim)
     if contains(A, n, v, tol=0.0):
         return [v.copy()]
-    return A.ops.project(n, v, tol)
+    _, K, keep = A.ops.nearest_rows(n, v[None], tol)
+    return list(K[0][keep[0]])
 
 
 def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0,
@@ -736,6 +734,7 @@ def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0,
 
 def _local_set_samples(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float,
                        count: int, rng) -> list:
+    """Set points within mesh of x, one try at a time: rng is read again."""
     out = []
     tries = 0
     while len(out) < count and tries < 40 * count:
@@ -750,6 +749,37 @@ def _local_set_samples(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float
     return out
 
 
+def _sample_tries(rng, n: NormSpec, count: int, budget: int, spread, scale: float, base, hit) -> list:
+    """The first count hits among up to budget tries, in try order.  Try t
+    (from 1) draws a standard normal u, then s uniform on spread, as a loop
+    of single tries does, and proposes base(t) + scale s u / |u|; hit tests
+    a block of count proposals, as rows, with one table call.  rng is not
+    read afterwards, so the tries past the count-th hit change nothing.  A
+    try with |u| < 1e-12 misses (and, unlike in the one-try loop, draws its
+    uniform: a chance of about 1e-24)."""
+    out, tries = [], 0
+    while len(out) < count and tries < budget:
+        size = min(count, budget - tries)
+        U, s = map(np.array, zip(*[(rng.standard_normal(n.dim), rng.uniform(*spread)) for _ in range(size)]))
+        nu = norm_batch(n, U)
+        Y = base(np.arange(tries + 1, tries + size + 1)) + (scale * s)[:, None] * U / nu[:, None]
+        ok = ~(nu < 1e-12)
+        ok[ok] = hit(Y[ok])
+        out += list(Y[ok])
+        tries += size
+    return out[:count]
+
+
+def _cone_pairings(n: NormSpec, Y: np.ndarray, x, P: np.ndarray):
+    """The rows k of Y farther than 1e-12 from x (one point, or one per row),
+    their pairings <p, y - x> with the directions P, (dirs, dim) or one such
+    stack per row, shape (k, dirs), and their norms |y - x|."""
+    W = Y - x
+    d = norm_batch(n, W)
+    k = np.flatnonzero(~(d < 1e-12))
+    return k, _dots(P if P.ndim == 2 else P[k], W[k, None]), d[k]
+
+
 def normal_directions(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-6) -> tuple:
     """Extreme unit rays of the outward normal cone at a boundary point.
 
@@ -757,7 +787,7 @@ def normal_directions(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-6) -> tu
     InteriorPoint when x is more than 100 tol off the boundary.
     """
     v = as_vec(x, A.dim)
-    res = A.ops.residual(n, v)
+    res = float(A.ops.residual(n, v[None])[0])
     if abs(res) > 100 * tol:
         raise InteriorPoint(f"point is {res:.3g} away from the boundary")
     return tuple(A.ops.cone_directions(n, v, tol))
@@ -780,17 +810,9 @@ def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
         return NormalConeSample(base_point=v, directions=(), quality=(0.0, 0.0, True))
 
     def worst_ratio(scale: float) -> float:
-        pts = _local_set_samples(A, n, v, scale, count, rng)
-        if not pts:
-            return 0.0
-        w = 0.0
-        for a in pts:
-            da = norm_eval(n, a - v)
-            if da < 1e-12:
-                continue
-            for p in dirs:
-                w = max(w, float(p @ (a - v)) / da)
-        return w
+        pts = np.reshape(_local_set_samples(A, n, v, scale, count, rng), (-1, A.dim))
+        _, val, d = _cone_pairings(n, pts, v, np.array(dirs))
+        return max(0.0, float(np.max(val / d[:, None], initial=0.0)))
 
     r1 = worst_ratio(mesh)
     r2 = worst_ratio(mesh / 10.0)
@@ -801,21 +823,14 @@ def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
 def shell_sample(A: ClosedSetSpec, n: NormSpec, R: float, count: int, seed: int = 0):
     """Points u with 0 < dist(u, A) < R, spread near the boundary."""
     rng = np.random.default_rng(seed)
-    anchors = boundary_sample(A, n, max(count, 32), seed=seed + 1)
-    out = []
-    tries = 0
-    budget = 80 * count
-    while len(out) < count and tries < budget:
-        tries += 1
-        b = anchors[tries % len(anchors)]
-        u = rng.standard_normal(A.dim)
-        nu = norm_eval(n, u)
-        if nu < 1e-12:
-            continue
-        y = b + float(rng.uniform(0.02, 0.98)) * R * u / nu
-        d = distance(A, n, y)
-        if 1e-7 < d < R * (1 - 1e-9):
-            out.append(y)
+    anchors = np.array(boundary_sample(A, n, max(count, 32), seed=seed + 1))
+
+    def in_shell(Y):
+        d = A.ops.nearest_rows(n, Y)[0]
+        return (1e-7 < d) & (d < R * (1 - 1e-9))
+
+    out = _sample_tries(rng, n, count, 80 * count, (0.02, 0.98), R,
+                        lambda t: anchors[t % len(anchors)], in_shell)
     if not out:
         raise EmptyShell(f"no points with 0 < dist < {R} found")
     return out
@@ -830,9 +845,7 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
     except EmptyShell:
         return CheckReport("pass", 0.0, None, 0, reason="empty shell")
     rng = np.random.default_rng(seed + 7)
-    worst = -np.inf
-    witness = None
-    used = 0
+    rows, pts = [], []  # (u, x, p) of each used sample, and the set points sampled near x
     _, K, keep = A.ops.nearest_rows(n, np.array(us))
     for u, x in zip(us, _first(K, keep)):
         w = u - x
@@ -841,21 +854,19 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
         p = duality_map(n, w)
         if not isinstance(p, np.ndarray):
             p = p.extremes[0]
-        used += 1
-        pts = _local_set_samples(A, n, x, 1e-3, 80, rng)
-        for a in pts:
-            da = norm_eval(n, a - x)
-            if da < 1e-12:
-                continue
-            ratio = float(p @ (a - x)) / da
-            if ratio > worst:
-                worst = ratio
-                witness = (tuple(u), tuple(x), tuple(p))
-    if used == 0:
+        rows.append((u, x, p))
+        pts.append(_local_set_samples(A, n, x, 1e-3, 80, rng))
+    if not rows:
         return CheckReport("pass", 0.0, None, 0, reason="no usable samples")
-    margin = 2e-3 - max(0.0, worst if np.isfinite(worst) else 0.0)
+    owner = np.repeat(np.arange(len(rows)), [len(a) for a in pts])
+    X, P = (np.array([r[i] for r in rows])[owner] for i in (1, 2))
+    k, val, d = _cone_pairings(n, np.reshape([a for q in pts for a in q], (-1, A.dim)), X, P[:, None])
+    ratio = np.append(val[:, 0] / d, 0.0)  # the first largest ratio, or 0 when none is positive
+    j = int(np.argmax(ratio))
+    margin = 2e-3 - max(0.0, ratio[j])
     verdict = "pass" if margin >= 0 else "fail"
-    return CheckReport(verdict, float(margin), witness if verdict == "fail" else None, used)
+    witness = tuple(tuple(t) for t in rows[owner[k[j]]]) if verdict == "fail" else None
+    return CheckReport(verdict, float(margin), witness, len(rows))
 
 
 # ---------------------------------------------------------------------------

@@ -235,8 +235,7 @@ def test_08_touching_point_construction(capsys, norms, zoo_entries):
         eps = float(rng.uniform(0.05, 0.5))
         done += 1
         try:
-            lam, y, p = bl.touching_point_search(entry.spec, n, z0, z1, eps,
-                                                 seed=7)
+            lam, y, p = bl.touching_point_search(entry.spec, n, z0, z1, eps)
         except bl.ConstructionFailed:
             failures.append((entry.name, "construction"))
             continue

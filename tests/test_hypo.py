@@ -234,8 +234,7 @@ def test_section_bound_convex_members(curve_bank, registry, zoo):
 
 def test_touching_disc_complement_axis():
     A = unit_complement()
-    lam, y, p = bl.touching_point_search(A, E2, [0.2, 0.0], [1.5, 0.0], 0.3,
-                                         seed=1)
+    lam, y, p = bl.touching_point_search(A, E2, [0.2, 0.0], [1.5, 0.0], 0.3)
     assert np.allclose(y, [1.0, 0.0], atol=1e-6)
     assert np.allclose(p, [-1.0, 0.0], atol=1e-6)
     assert 0.0 < lam < 1.0
@@ -243,8 +242,7 @@ def test_touching_disc_complement_axis():
 
 def test_touching_halfplane():
     half = bl.make_halfspace([0.0, 1.0], 0.0)
-    lam, y, p = bl.touching_point_search(half, E2, [0.0, 1.0], [0.0, -2.0],
-                                         0.2, seed=1)
+    lam, y, p = bl.touching_point_search(half, E2, [0.0, 1.0], [0.0, -2.0], 0.2)
     assert abs(y[1]) < 1e-9
     assert np.allclose(p, [0.0, 1.0], atol=1e-9)
 
@@ -269,7 +267,7 @@ def test_touching_outputs_satisfy_definition(registry, zoo):
         z0 = bl.shell_sample(A, n, R, 1, seed=int(rng.integers(1 << 30)))[0]
         z1 = bl.sample_inside(A, rng)
         eps = float(rng.uniform(0.1, 0.5))
-        lam, y, p = bl.touching_point_search(A, n, z0, z1, eps, seed=5)
+        lam, y, p = bl.touching_point_search(A, n, z0, z1, eps)
         _touching_inequalities_hold(A, n, z0, z1, eps, lam, y, p)
         done += 1
     assert done == 4
@@ -283,7 +281,140 @@ def test_touching_requires_outside_start():
 
 def test_touching_deterministic():
     A = unit_complement()
-    a = bl.touching_point_search(A, E2, [0.3, 0.1], [1.4, -0.2], 0.25, seed=9)
-    b = bl.touching_point_search(A, E2, [0.3, 0.1], [1.4, -0.2], 0.25, seed=9)
+    a = bl.touching_point_search(A, E2, [0.3, 0.1], [1.4, -0.2], 0.25)
+    b = bl.touching_point_search(A, E2, [0.3, 0.1], [1.4, -0.2], 0.25)
     assert a[0] == b[0]
     assert np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+
+
+# ---------------------------------------------------------------------------
+# the sampled checks on row batches
+
+
+_FROZEN = {
+    "two_points": {
+        "hypo": (
+            '{"epsilon_band": [0.0, 2.5], "pairs_used": 123, "psi_extended": false, '
+            '"verdict": "pass", "worst_margin": 0.0, "worst_pair": [[-1.0, 0.0], [1.0, 0.0], '
+            '[1.0, 0.0], [-1.0, 1.2246467991473532e-16]]}'),
+        "gamma": (
+            '4.0'),
+        "section": (
+            '{"reason": "no set points in the section", "samples_used": 0, '
+            '"verdict": "pass", "witness": null, "worst_margin": 0.0}'),
+        "shell": (
+            '[[1.2954953312037905, -0.3700230337209935], [-1.2044573142357948, '
+            '-0.16300178374603352], [0.567723657432671, -0.049633449697647006], '
+            '[-0.6910699591287598, 0.020990754679106067]]'),
+        "projection": (
+            '{"samples_used": 6, "verdict": "pass", "witness": null, "worst_margin": 0.002}'),
+        "cone": (
+            '[0.0, 0.0, true]'),
+    },
+    "square_complement": {
+        "hypo": (
+            '{"epsilon_band": [0.0, 0.5], "pairs_used": 34, "psi_extended": false, '
+            '"verdict": "fail", "worst_margin": -0.41492782462221506, '
+            '"worst_pair": [[-0.6145454403274273, 1.0], [-0.0, -1.0], [-1.0, '
+            '0.7635457499096172], [1.0, -0.0]]}'),
+        "gamma": (
+            '0.4080436489869821'),
+        "section": (
+            '{"reason": "eps=0.473051 worst_ratio=0", "samples_used": 40, "verdict": "pass", '
+            '"witness": null, "worst_margin": 0.03819789593157072}'),
+        "shell": (
+            '[[-0.7045046687962095, 0.43477180039945035], [0.03268844375984192, '
+            '0.8369982162539664], [-0.6910699591287598, -0.06337673478681048], '
+            '[0.7571586328427358, 0.8542556515742934]]'),
+        "projection": (
+            '{"samples_used": 6, "verdict": "pass", "witness": null, "worst_margin": 0.002}'),
+        "cone": (
+            '[0.0, 0.0, true]'),
+    },
+    "tube": {
+        "hypo": (
+            '{"epsilon_band": [0.0, 0.5], "pairs_used": 29, "psi_extended": false, '
+            '"verdict": "pass", "worst_margin": 0.0013639868719870865, '
+            '"worst_pair": [[-0.9065001154656835, 0.4222055668281774, -0.2774879183432888], '
+            '[0.9065001154656835, -0.4222055668281774, 0.0], [-0.9009728909493102, '
+            '0.43387538507553347, -0.2857083828061522], [0.9009728909493102, '
+            '-0.43387538507553347, 0.0]]}'),
+        "gamma": (
+            '0.06890523182036563'),
+        "section": (
+            '{"reason": "eps=0.473051 worst_ratio=0.0886271", "samples_used": 40, '
+            '"verdict": "pass", "witness": null, "worst_margin": 0.01014993903612877}'),
+        "shell": (
+            '[[-0.7824794326017043, -0.3403248029263187, 0.08935241807156707], '
+            '[0.9662599582614928, -0.15948577807074285, 1.8040281955151105], '
+            '[-0.6344354370536259, 0.6612465146950798, -0.3365716986247174], '
+            '[0.3232096822303993, -0.7654383206289311, 1.2717340946561206]]'),
+        "projection": (
+            '{"samples_used": 6, "verdict": "pass", "witness": null, "worst_margin": 0.002}'),
+        "cone": (
+            '[0.0, 0.0, true]'),
+    },
+    "box_complement": {
+        "hypo": (
+            '{"epsilon_band": [0.0, 0.5], "pairs_used": 31, "psi_extended": false, '
+            '"verdict": "fail", "worst_margin": -0.586762593507248, '
+            '"worst_pair": [[0.6369228220579988, 1.0], [-0.0, -1.0], [1.0, '
+            '0.6421605598753524], [-1.0, -0.0]]}'),
+        "gamma": (
+            '0.5999999999999839'),
+        "section": (
+            '{"reason": "eps=0.473051 worst_ratio=0.869988", "samples_used": 40, '
+            '"verdict": "fail", "witness": [[1.027316357658885, 0.6564981576437061], [-0.0, '
+            '-1.0]], "worst_margin": -0.15672450251390002}'),
+        "shell": (
+            '[[-0.6218421541692853, -0.54482762784052], [0.7385188824237912, '
+            '-0.35884722255576806], [0.5648835607882925, 0.5066554563086191], '
+            '[-0.6903576548100945, -0.7786257575939263]]'),
+        "projection": (
+            '{"samples_used": 6, "verdict": "fail", "witness": [[-0.6903576548100945, '
+            '-0.7786257575939263], [-0.9117318972161682, -1.0], [1.0, 0.0]], '
+            '"worst_margin": -0.998}'),
+        "cone": (
+            '[0.0, 0.0, true]'),
+    },
+}
+
+
+@pytest.mark.parametrize("sid", list(_FROZEN))
+def test_sampled_check_reports_are_those_of_the_one_try_loops(registry, zoo, sid):
+    """Reports frozen from the per-pair, per-try and per-direction loops
+    that the pair sweep, the block sampler and the cone-ratio kernel
+    replace: hypo_check, gamma's separation band (the max-norm box
+    complement under its own norm takes the exact engine), the section
+    bound, shell_sample, projection_normal_check and the vetting quality of
+    normal_cone_sample.  two_points pairs 16 directions at each point and
+    has no set point in its section; square_complement runs the plane feet
+    of a polytope complement; tube is 3-d."""
+    A, amb = registry[sid]
+    n = bl.ambient_norm(zoo, amb)
+    args = np.linspace(0.0125, 2.0, 40)
+    rho = bl.ModulusCurve(args, bl.hilbert_rho(args), "under")
+    psi = bl.builtin_psi("square", np.linspace(0.0, 2.0, 21))
+    a0 = np.asarray(bl.boundary_sample(A, n, 1, seed=32)[0])
+    got = {
+        "hypo": bl.hypo_check(A, n, psi, 1.0, eps_max=2.5 if sid == "two_points" else 0.5,
+                              pair_budget=256, seed=3).to_json(),
+        "gamma": repr(bl.gamma_estimate(A, n, 2.0 if sid == "two_points" else 0.3,
+                                        budget=512, seed=3)),
+        "section": bl.section_bound_check(A, n, 0.8, rho, a0, 0.4, sample_count=40,
+                                          seed=3).to_json(),
+        "shell": json.dumps([list(map(float, u)) for u in bl.shell_sample(A, n, 0.6, 4, seed=3)]),
+        "projection": bl.projection_normal_check(A, n, 0.6, sample_count=6, seed=3).to_json(),
+        "cone": json.dumps(list(bl.normal_cone_sample(A, n, a0, count=30, seed=3).quality)),
+    }
+    assert got == _FROZEN[sid]
+
+
+def test_section_bound_at_a_square_complement_vertex_has_nothing_to_bound(registry):
+    """At a vertex of the square the complement's normal cone degenerates,
+    so the section bound has no direction to test."""
+    A, _ = registry["square_complement"]
+    args = np.linspace(0.0125, 2.0, 40)
+    rho = bl.ModulusCurve(args, bl.hilbert_rho(args), "under")
+    rep = bl.section_bound_check(A, E2, 0.8, rho, [1.0, 1.0], 0.4, sample_count=40, seed=3)
+    assert (rep.verdict, rep.reason) == ("pass", "degenerate cone, nothing to bound")

@@ -305,6 +305,22 @@ def test_three_dimensional_balls_halfspaces_and_points():
         assert bl.dual_norm_eval(E3, p) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_halfspace_feet_span_the_exposed_face_off_the_plane():
+    """Under the 3-d max norm the nearest points of (0.3, 0.2, 2) on
+    {x3 <= 0} fill the square [-1.7, 2.3] x [-1.8, 2.2] x {0}: its four
+    corners stand for it, and the certificate refuses the halfspace at its
+    first sample.  Under the 3-d l1 norm {x1 + x2 <= 0} has the segment
+    between the feet along e1 and e2."""
+    m3 = bl.lp_norm(np.inf, 3)
+    half = bl.make_halfspace([0.0, 0.0, 1.0], 0.0)
+    feet = bl.project(half, m3, [0.3, 0.2, 2.0])
+    assert np.allclose(feet, [[-1.7, -1.8, 0.0], [-1.7, 2.2, 0.0], [2.3, -1.8, 0.0], [2.3, 2.2, 0.0]])
+    rep = bl.prox_smooth_certificate(half, m3, 1.0, sample_count=8, seed=0)
+    assert (rep.verdict, rep.reason) == ("fail", "nonunique projection at a sampled point")
+    feet = bl.project(bl.make_halfspace([1.0, 1.0, 0.0], 0.0), bl.lp_norm(1, 3), [1.0, 2.0, 0.5])
+    assert np.allclose(feet, [[-2.0, 2.0, 0.5], [1.0, -1.0, 0.5]])
+
+
 def test_cylinder_distance_and_projection(registry, zoo):
     tube, amb = registry["tube"]
     n3 = bl.ambient_norm(zoo, amb)
@@ -506,13 +522,26 @@ def test_row_methods_equal_the_one_point_functions(registry, zoo):
     each row's distance, and its kept representatives in order, the first of
     them the foot, at seeded shell points, at midpoints of shell pairs (as
     the certificate's ridge hunt bisects them) and at points inside the
-    set."""
+    set.  The row residual gives contains at every row, and at boundary
+    points and rows off the boundary it decides where normal_directions
+    answers and where it raises InteriorPoint."""
     rng = np.random.default_rng(19)
     for sid, A, n in _row_cases(registry, zoo):
         shell = np.array(bl.shell_sample(A, n, 1.2, 10, seed=3))
         mids = 0.5 * (shell + shell[::-1])
         inside = np.array([bl.sample_inside(A, rng) for _ in range(4)])
         V = np.concatenate([shell, mids, inside])
+        res = A.ops.residual(n, V)
+        for tol in (0.0, 1e-3):
+            assert (res <= tol).tolist() == [bl.contains(A, n, v, tol=tol) for v in V], sid
+        B = np.concatenate([np.array(bl.boundary_sample(A, n, 4, seed=5)), V])
+        for v, r in zip(B, A.ops.residual(n, B)):
+            try:
+                bl.normal_directions(A, n, v)
+            except InteriorPoint:
+                assert abs(r) > 1e-4, sid
+            else:
+                assert abs(r) <= 1e-4, sid
         d, K, keep = A.ops.nearest_rows(n, V)
         assert d.tolist() == [bl.distance(A, n, v) for v in V], sid
         for v, k, m in zip(V, K, keep):
