@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .moduli import _crossing_max
+from .moduli import _bracket_roots, _crossing_max
 from .norms import NormSpec, j1_batch, norm_batch, norm_eval
 from .psifuncs import PsiSpec
 from .sets import (
@@ -214,7 +214,9 @@ def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float):
 
     Walks from z0 (outside A) toward z1 (inside A) to the first parameter
     where the segment point comes within dd of the set, with
-    dd = min(eps |z1 - z0|, dist(z0, A)) / 2.  Projects that point onto A and
+    dd = min(eps |z1 - z0|, dist(z0, A)) / 2: the first hit of a 201-point
+    grid, closed to adjacent floats by the bracketed root search of the
+    moduli (_bracket_roots).  Projects that point onto A and
     reads the supporting functional off the duality map.  Returns
     (lambda, y, p) after verifying both separation inequalities; raises
     ConstructionFailed if they cannot be met within the shrink budget.
@@ -233,24 +235,16 @@ def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float):
     ts = np.linspace(0.0, 1.0, 201)
     grid = A.ops.nearest_rows(n, z0 + ts[:, None] * (z1 - z0))[0]
     for _ in range(7):
-        phi = lambda t: distance(A, n, z0 + t * (z1 - z0)) - dd
         vals = grid - dd
-        if vals[0] <= 0:
-            dd *= 0.5
-            continue
         hit = np.nonzero(vals <= 0)[0]
-        if hit.size == 0:
+        if vals[0] <= 0 or hit.size == 0:
             dd *= 0.5
             continue
         k = int(hit[0])
-        lo, hi = ts[k - 1], ts[k]
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if phi(mid) > 0:
-                lo = mid
-            else:
-                hi = mid
-        lam = hi
+        # dd minus the distance rises through 0 across [ts[k-1], ts[k]]
+        lam = _bracket_roots(lambda i, t: dd - A.ops.nearest_rows(n, z0 + t[:, None] * (z1 - z0))[0],
+                             (1,), ts[k - 1], ts[k], -vals[k - 1], -vals[k],
+                             (ts[1] - ts[0]) * 2.0 ** -60, False)[1][0]
         y0 = z0 + lam * (z1 - z0)
         y = project(A, n, y0)[0]
         w = y0 - y

@@ -1,6 +1,19 @@
 """Moduli of convexity and smoothness, supporting moduli, and curve calculus.
 
-The estimators are planar, and each works on all of its grid points at once:
+The estimators are planar, and each works on all of its grid points at once.
+A norm whose unit sphere is a polygon (l1, the max norm, polygon norms)
+takes every modulus from its vertices alone, with no scan and no zoom:
+
+- delta: on a pair of sphere edges ||x + y|| is convex and the chords
+  ||x - y|| >= eps cut out the complement of a convex set, so the best pair
+  has x or y at a vertex, and the other point is the first chord crossing
+  from that vertex along one of its two arcs.
+- rho: the objective is convex in each argument, so the supremum sits at
+  vertex pairs.
+- supporting moduli: x at a vertex and y in the kernel of one of its
+  extreme functionals.
+
+Every other norm runs the planar pair engine:
 
 - chord crossings (delta, and the normal-cone defect gamma of hypo): for
   every row angle of the half circle and every chord length, a bracketed
@@ -10,7 +23,7 @@ The estimators are planar, and each works on all of its grid points at once:
   at the crossings.  delta maximizes ||x + y||; at eps = 2 it is the closed
   form 1 - L/2, L the longest segment in the sphere.
 - rho: a scan of the pairs of the half circle for each step size, then a
-  zoom in both angles; polyhedral spheres take the exact vertex pairs.
+  zoom in both angles.
 - supporting moduli: one root search of the support shift over every r and
   every quasiorthogonal pair of a table, then a zoom in the angle of x.
 
@@ -266,32 +279,34 @@ def _zoom_max(f, best, centers, w, warm):
 # modulus of convexity
 
 
-def _chord_crossing(n, X, A, eps, strict, steps=_ROOT_STEPS, warm=None):
-    """The first y on the arc from x to -x (counterclockwise) where the chord
-    ||x - y|| reaches eps, or passes it when strict, for unit rows X at angles
-    A and a column of chord lengths eps; the mask of the rows where y = -x
-    reaches it, outside which y is meaningless; and the bracket (lo, hi) of
-    the angle of y.
+def _chord_crossing(n, X, A, eps, sense=1.0, steps=_ROOT_STEPS, warm=None):
+    """The first y on the arc from x to -x, counterclockwise (sense 1) or
+    clockwise (sense -1), where the chord ||x - y|| reaches eps, for unit
+    rows X at angles A and a column of chord lengths eps; the mask of the
+    rows where y = -x reaches it, outside which y is meaningless; and the
+    bracket (lo, hi) of sense times the angle of y.
 
     By the monotonicity lemma of normed planes the chord does not decrease
-    along that arc, so [a, a + pi] brackets the crossing, and _bracket_roots
-    closes it, from the guess warm where one is given.  The kept end y, the
-    unit vector at hi (or -x), always has a computed chord of at least eps: a
-    value at (x, y) is that of an evaluated feasible pair.
+    along either arc, so [a, a + pi] brackets the crossing in that
+    coordinate, a = sense A, and _bracket_roots closes it, from the guess
+    warm where one is given.  The kept end y, the unit vector at the angle
+    sense hi (or -x), always has a computed chord of at least eps: a value
+    at (x, y) is that of an evaluated feasible pair.
     """
     shape = np.broadcast_shapes(A.shape, eps.shape)
     rows, col = X.reshape(-1, 2), eps.ravel()  # X broadcasts along leading axes
 
     def s(i, t):
-        return (norm_batch(n, np.take(rows, i % len(rows), axis=0) - _ring(n, t))
+        return (norm_batch(n, np.take(rows, i % len(rows), axis=0) - _ring(n, sense * t))
                 - np.take(col, i // shape[-1]))
 
-    far = A + np.pi
+    a = sense * A
+    far = a + np.pi
     shi = norm_batch(n, X + X) - eps  # y = -x
-    feasible = shi > 0 if strict else shi >= 0
-    lo, hi = _bracket_roots(s, shape, np.where(feasible, A, far), far, -eps, shi,
-                            np.pi * 2.0 ** -steps, strict, () if warm is None else list(warm))
-    Y = np.where((hi == far)[..., None], -X, _ring(n, hi))
+    feasible = shi >= 0
+    lo, hi = _bracket_roots(s, shape, np.where(feasible, a, far), far, -eps, shi,
+                            np.pi * 2.0 ** -steps, False, () if warm is None else list(warm))
+    Y = np.where((hi == far)[..., None], -X, _ring(n, sense * hi))
     return Y, feasible, lo, hi
 
 
@@ -300,26 +315,16 @@ def _crossing_max(n, f, eps, count):
     column, -inf where no pair reaches eps; f maps unit rows X and Y to
     values.
 
-    The rows x are the half circle of the count-point sphere table, plus the
-    vertices of a polyhedral sphere, whose flat chord pieces also give their
-    far end.  Every row is ranked at once, and the best row of each eps is
-    polished by a zoom in its angle, each level warm-started from the
-    crossings of the last.
+    The rows x are the half circle of the count-point sphere table, each
+    with its counterclockwise crossing.  Every row is ranked at once, and the
+    best row of each eps is polished by a zoom in its angle, each level
+    warm-started from the crossings of the last.
     """
     A, X = _half_circle(n, count)
-    vang = np.unique(np.mod(sphere_vertex_angles(n), np.pi))
-    if vang.size:
-        A, X = np.concatenate([A, vang]), np.concatenate([X, _ring(n, vang)])
-    strictness = (False, True) if vang.size else (False,)
 
     def best(X, A, warm=None, steps=_ROOT_STEPS):
-        vals, ends = [], []
-        for p, s in enumerate(strictness):
-            Y, feasible, lo, hi = _chord_crossing(n, X, A, eps, s, steps,
-                                                  None if warm is None else warm[p])
-            vals.append(np.where(feasible, f(X, Y), -np.inf))
-            ends.append((lo, hi))
-        return np.max(vals, axis=0), np.array(ends)
+        Y, feasible, lo, hi = _chord_crossing(n, X, A, eps, steps=steps, warm=warm)
+        return np.where(feasible, f(X, Y), -np.inf), np.stack([lo, hi])
 
     F, ends = best(X, A, steps=_RANK_STEPS)
     k = np.argmax(F, axis=1)
@@ -331,11 +336,14 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     """Modulus of convexity on a grid of chord lengths in (0, 2].
 
     For fixed x the best y under ||x - y|| >= eps is the chord crossing on
-    the arc from x to -x, since ||x + y|| does not increase along it, so
-    delta is 1 - max ||x + y|| / 2 over the crossings (_crossing_max).  Each
-    value comes from an evaluated pair with chord at least eps, so it is an
-    "over" estimate.  At eps = 2 the value is the closed form 1 - L/2, with
-    L the longest segment in the unit sphere.
+    either arc from x to -x, since ||x + y|| does not increase along it, so
+    delta is 1 - max ||x + y|| / 2 over the crossings.  A polyhedral sphere
+    takes the crossings from its vertices along both arcs, which is exact up
+    to rounding (see the module docstring); any other norm takes them from
+    the pair engine (_crossing_max).  Each value comes from an evaluated pair
+    with chord at least eps, so it is an "over" estimate.  At eps = 2 the
+    value is the closed form 1 - L/2, with L the longest segment in the unit
+    sphere.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
@@ -347,7 +355,15 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     inner = eps_grid < 2.0
     eps = eps_grid[inner][:, None]
     if eps.size:
-        best = _crossing_max(n, lambda X, Y: norm_batch(n, X + Y), eps, budget.angles)
+        vang = sphere_vertex_angles(n)
+        if vang.size:
+            V = _ring(n, vang)
+            best = np.full(eps.shape[0], -np.inf)
+            for sense in (1.0, -1.0):
+                Y, feasible = _chord_crossing(n, V, vang, eps, sense)[:2]
+                best = np.maximum(best, np.where(feasible, norm_batch(n, V + Y), -np.inf).max(axis=1))
+        else:
+            best = _crossing_max(n, lambda X, Y: norm_batch(n, X + Y), eps, budget.angles)
         # delta is nondecreasing, so top = delta(2) bounds a chord no pair reached
         vals[inner] = np.where(np.isfinite(best), np.maximum(0.0, 1.0 - best / 2.0), top)
     return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")
@@ -379,9 +395,8 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
     vang = sphere_vertex_angles(n)
     if vang.size:
         V = _ring(n, vang)
-        vals = [float(_rho_objective(n, V[:, None, :], V[None, :, :], tau).max())
-                for tau in tau_grid]
-        return ModulusCurve(tau_grid.copy(), np.array(vals), "under", label=f"{n.name}:rho")
+        vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
+        return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=f"{n.name}:rho")
     N = min(budget.angles, 1024) // 4
     A, S = _half_circle(n, N)
     best, c1, c2 = [], [], []
@@ -458,39 +473,38 @@ def _quasiorth(n, X):
 
 
 def _quasiorth_table(n, angles):
-    """Unit pairs (x, y) with y in the kernel of a support functional of x."""
+    """Unit pairs (x, y) with y in the kernel of j1(x), for x on the
+    count-point sphere table and both signs of y, and the angles of x."""
     S = n.ops.sphere(angles)
     K = _quasiorth(n, S)
     ang = 2 * np.pi * np.arange(angles) / angles
-    X = np.concatenate([S, S])
-    Y = np.concatenate([K, -K])
-    A = np.concatenate([ang, ang])
-    refinable = np.ones(X.shape[0], dtype=bool)
-    extra_x, extra_y = [], []
-    for a in sphere_vertex_angles(n):
+    return np.concatenate([S, S]), np.concatenate([K, -K]), np.concatenate([ang, ang])
+
+
+def _vertex_pairs(n, angles):
+    """Unit pairs (x, y) with x at each vertex angle of a polyhedral sphere
+    and y either sign of the kernel of each extreme functional of x."""
+    X, Y = [], []
+    for a in angles:
         x = unit_vector(n, (math.cos(a), math.sin(a)))
         for e in subdifferential_extremes(n, x, tol=1e-9):
             k = np.array([-e[1], e[0]])
             k = k / norm_eval(n, k)
-            extra_x.extend([x, x])
-            extra_y.extend([k, -k])
-    if extra_x:
-        X = np.concatenate([X, np.array(extra_x)])
-        Y = np.concatenate([Y, np.array(extra_y)])
-        A = np.concatenate([A, np.full(len(extra_x), np.nan)])
-        refinable = np.concatenate([refinable, np.zeros(len(extra_x), dtype=bool)])
-    return X, Y, A, refinable
+            X.extend([x, x])
+            Y.extend([k, -k])
+    return np.array(X), np.array(Y)
 
 
 def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     """Envelope of support shifts over quasiorthogonal unit pairs.
 
     which = "lower" takes the infimum (direction "over"), "upper" the
-    supremum (direction "under").  One root search (_lambda_rows) covers
-    every r and every pair of the table; the best table pair of each r is
-    then polished at once by a zoom in the angle of x, with its partner
-    rebuilt from j1, each level warm-started from the shifts of the last.
-    Each shift is rounded outward by the label.
+    supremum (direction "under").  A polyhedral sphere takes one root search
+    (_lambda_rows) over its vertex pairs (_vertex_pairs) at every r.  Any
+    other norm takes one over every r and every pair of the table, and the
+    best table pair of each r is then polished at once by a zoom in the angle
+    of x, with its partner rebuilt from j1, each level warm-started from the
+    shifts of the last.  Each shift is rounded outward by the label.
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
@@ -499,25 +513,26 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid <= 0) or np.any(r_grid > 1 + 1e-12):
         raise ValueError("r grid must lie in (0, 1]")
-    X, Y, A, refinable = _quasiorth_table(n, budget.angles)
     sign = 1.0 if which == "upper" else -1.0
     r = r_grid[:, None, None]
-    lam, ends = _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
-    lam *= sign
-    if not refinable.all():  # no zoom redoes these rows
-        lam[:, ~refinable] = sign * _lambda_rows(n, X[~refinable], Y[~refinable], r, which)[0]
-    k = np.argmax(lam, axis=1)
-    best = lam[np.arange(r_grid.size), k]
-    p = np.flatnonzero(refinable[k])  # a vertex extra has no angle to zoom in
-    r, k = r[p], k[p]
-    branch = np.where(k < budget.angles, 1.0, -1.0)[:, None, None]
+    vang = sphere_vertex_angles(n)
+    if vang.size:
+        X, Y = _vertex_pairs(n, vang)
+        best = (sign * _lambda_rows(n, X, Y, r, which)[0]).max(axis=1)
+    else:
+        X, Y, A = _quasiorth_table(n, budget.angles)
+        lam, ends = _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
+        lam *= sign
+        k = np.argmax(lam, axis=1)
+        branch = np.where(k < budget.angles, 1.0, -1.0)[:, None, None]
 
-    def shifts(Az, warm):
-        Xz = _ring(n, Az)
-        lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
-        return sign * lam, ends
+        def shifts(Az, warm):
+            Xz = _ring(n, Az)
+            lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
+            return sign * lam, ends
 
-    best[p] = _zoom_max(shifts, best[p], A[k], 2.0 * np.pi / budget.angles, _warm(ends[:, p], k))
+        best = _zoom_max(shifts, lam[np.arange(r_grid.size), k], A[k],
+                         2.0 * np.pi / budget.angles, _warm(ends, k))
     direction = "under" if which == "upper" else "over"
     return ModulusCurve(r_grid.copy(), sign * best, direction,
                         label=f"{n.name}:support_{which}")

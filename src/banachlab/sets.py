@@ -18,8 +18,8 @@ not radial, the complement of a polyhedral gauge ball is that of the
 polytope of the gauge's facets.  The nearest points on a plane, for
 halfspaces and polytope complements, come from one helper.
 
-SciPy is imported only by the two searches that use it,
-chord_projection_check and john_ellipse_2d.
+SciPy is imported only by the one search that uses it,
+chord_projection_check.
 """
 
 from __future__ import annotations
@@ -1083,59 +1083,38 @@ def support_gap_check(n: NormSpec, R: float, x0, z, delta_curve, tol: float = 1e
 def john_ellipse_2d(vertices) -> np.ndarray:
     """Maximum-area ellipse {x : x^T Q x <= 1} inscribed in a symmetric polygon.
 
-    Returns Q.  Maximizes log det S over S = Q^{-1} subject to the edge
-    constraints n_i^T S n_i <= 1, then verifies both John inclusions.
+    Returns Q = S^-1, where S maximizes det S subject to the edge constraints
+    e^T S e <= 1.  The optimal ellipse touches two or three of the pairs
+    +-e of edge functionals, so every candidate is enumerated in closed form:
+    for functionals e_i, e_j and B = [e_i e_j], S = B^-T M B^-1, where M, the
+    Gram matrix of the contacts, is [[1, c], [c, 1]] with c = 0 for two
+    contacts, and c = (1 - a^2 - b^2) / (2ab), |c| < 1, for a third contact
+    e_k = a e_i + b e_j.  The feasible candidate (every e^T S e <= 1 + 1e-12)
+    of largest det is kept, and both John inclusions are verified.
     """
-    from scipy.optimize import minimize
-
     verts = np.asarray(vertices, dtype=float)
     gauge = polygon_norm(verts)  # validates symmetry and convex position
-    edges = gauge.ops.edges
+    F = gauge.ops.edges[: len(gauge.vertices) // 2]  # one functional of each pair
     verts = np.asarray(gauge.vertices)
-
-    def unpack(v):
-        return np.array([[v[0], v[1]], [v[1], v[2]]])
-
-    def neg_logdet(v):
-        S = unpack(v)
-        det = S[0, 0] * S[1, 1] - S[0, 1] ** 2
-        if det <= 1e-14 or S[0, 0] <= 0:
-            return 1e6
-        return -np.log(det)
-
-    cons = [{"type": "ineq", "fun": (lambda v, e=e: 1.0 - float(e @ unpack(v) @ e))}
-            for e in edges]
-    rin = 1.0 / max(float(np.linalg.norm(e)) for e in edges)
-    # second-moment start adapts to anisotropic bodies
-    M2 = verts.T @ verts / len(verts)
-    M2 = M2 / max(float(e @ M2 @ e) for e in edges)
-    starts = [np.array([M2[0, 0], M2[0, 1], M2[1, 1]])]
-    rng = np.random.default_rng(23)
-    for k in range(8):
-        s0 = 0.25 * rin ** 2 * (1.0 + 0.3 * rng.uniform(-1, 1)) if k else 0.5 * rin ** 2
-        starts.append(np.array([s0, 0.0 if k < 4 else 0.1 * s0 * rng.uniform(-1, 1), s0]))
-    best = None
-    for start in starts:
-        res = minimize(neg_logdet, start, method="SLSQP", constraints=cons,
-                       options={"maxiter": 400, "ftol": 1e-14})
-        # keep any positive-definite candidate: SLSQP can stall its
-        # linesearch at the optimum and report failure, and the John
-        # inclusions are verified below anyway
-        S = unpack(res.x)
-        if S[0, 0] <= 0 or np.linalg.det(S) <= 1e-14:
-            continue
-        top = max(float(e @ S @ e) for e in edges)
-        if top > 1.0:
-            S = S / top
-        val = np.linalg.det(S)
-        if best is None or val > best[0]:
-            best = (val, S)
-    if best is None:
+    I, J = np.triu_indices(len(F), 1)
+    Binv = np.linalg.inv(np.stack([F[I], F[J]], axis=2))  # B^-1, B = [e_i e_j]
+    ab = np.einsum("pij,kj->pki", Binv, F)  # e_k = a e_i + b e_j
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = (1.0 - ab[..., 0] ** 2 - ab[..., 1] ** 2) / (2.0 * ab[..., 0] * ab[..., 1])
+    c = np.concatenate([np.zeros((len(I), 1)), c], axis=1)  # the two-contact candidate first
+    live = np.abs(c) < 1.0  # k = i and k = j give nan
+    M = np.stack([np.ones_like(c), np.where(live, c, 0.0)], axis=-1)
+    M = np.stack([M, M[..., ::-1]], axis=-2)  # [[1, c], [c, 1]]
+    S = Binv.transpose(0, 2, 1)[:, None] @ M @ Binv[:, None]
+    top = np.einsum("fi,pkij,fj->pkf", F, S, F).max(axis=-1)
+    det = (1.0 - c * c) * np.linalg.det(Binv)[:, None] ** 2
+    ok = live & (top <= 1.0 + 1e-12)
+    if not ok.any():
         raise DegenerateBody("inscribed ellipse search failed")
-    S = best[1]
+    S = S.reshape(-1, 2, 2)[np.argmax(np.where(ok, det, -np.inf))]
     Q = np.linalg.inv(S)
     # John inclusions: ellipse inside the body, body inside sqrt(2) * ellipse
-    if max(float(e @ S @ e) for e in edges) > 1.0 + 1e-9:
+    if max(float(e @ S @ e) for e in F) > 1.0 + 1e-9:
         raise DegenerateBody("inscribed ellipse violates an edge constraint")
     if max(float(v @ Q @ v) for v in verts) > 2.0 + 1e-6:
         raise DegenerateBody("polygon escapes the sqrt(2)-scaled ellipse")

@@ -128,7 +128,7 @@ def test_empty_norm_list_is_a_clean_no_op(tmp_path):
 
 def test_import_and_registry_do_not_load_scipy():
     """A cold start (the package, the norm zoo and the set registry) needs no
-    SciPy: only chord_projection_check and john_ellipse_2d import it."""
+    SciPy: only chord_projection_check imports it."""
     code = ("import sys, banachlab\n"
             "from banachlab import zoo\n"
             "zoo.set_registry(zoo.norm_zoo())\n"

@@ -206,6 +206,154 @@ def test_moduli_estimators_are_planar():
 
 
 # ---------------------------------------------------------------------------
+# polyhedral norms: exact vertex values against plain-numpy oracles
+
+POLYHEDRAL = {"l1": [[1, 0], [0, 1], [-1, 0], [0, -1]],
+              "linf": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+
+
+def _zoo_vertices(norms, nid):
+    """The vertices, in order, of the unit ball of the zoo norm nid."""
+    return np.array(POLYHEDRAL[nid] if nid in POLYHEDRAL else norms[nid].vertices, dtype=float)
+
+
+def _random_polygons(count, seed):
+    """Vertex tables of random centrally symmetric polygons with 4 to 20
+    vertices: the convex hull of 2 to 10 random points and their negatives."""
+    from scipy.spatial import ConvexHull
+
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        ang = np.sort(rng.uniform(0.0, np.pi, rng.integers(2, 11)))
+        raw = rng.uniform(0.5, 1.5, ang.size)[:, None] * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        pts = np.vstack([raw, -raw])
+        V = pts[ConvexHull(pts).vertices]
+        if len(V) >= 4:
+            out.append(V)
+    return out
+
+
+def _edge_functionals(V):
+    """The functional e_i with <e_i, v> = 1 on the edge from V[i] to V[i+1]."""
+    return np.array([np.linalg.solve(np.stack([a, b]), np.ones(2)) for a, b in zip(V, np.roll(V, -1, axis=0))])
+
+
+def _crossing_values(V, X, eps):
+    """The largest ||x + y|| over the y of the polygon sphere with
+    ||x - y|| >= eps, for each row x of X: the crossings of every edge, where
+    <e_k, x - y> = eps for a functional e_k that attains the norm, and the
+    vertices that reach eps."""
+    E = _edge_functionals(V)
+    norm = lambda Z: np.max(Z @ E.T, axis=-1)
+    A, D = V, np.roll(V, -1, axis=0) - V  # edge i is A[i] + s D[i], s in [0, 1]
+    gx = X @ E.T  # (x, k)
+    ga, gd = A @ E.T, D @ E.T  # (edge, k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (gx[:, None, :] - ga[None] - eps) / gd[None]  # (x, edge, k)
+    ok = np.isfinite(s) & (s >= 0.0) & (s <= 1.0)
+    Y = A[None, :, None, :] + np.where(ok, s, 0.0)[..., None] * D[None, :, None, :]
+    ok &= norm(X[:, None, None, :] - Y) <= eps + 1e-12  # e_k attains the norm there
+    best = np.max(np.where(ok, norm(X[:, None, None, :] + Y), -np.inf), axis=(1, 2))
+    W = norm(X[:, None, :] - V[None]) >= eps
+    return np.maximum(best, np.max(np.where(W, norm(X[:, None, :] + V[None]), -np.inf), axis=1))
+
+
+def _polygon_delta(V, eps):
+    """delta of the polygon norm at each eps: some best pair has x at a
+    vertex, and the sphere points y that reach eps from it are the edge
+    crossings or vertices of _crossing_values."""
+    return np.array([1.0 - np.max(_crossing_values(V, V, e)) / 2.0 for e in eps])
+
+
+def _edge_points(V, count):
+    """About count points spread over the edges of the polygon V, vertices
+    left out."""
+    s = (np.arange(count // len(V)) + 0.5) / (count // len(V))
+    return (V[:, None, :] + s[None, :, None] * (np.roll(V, -1, axis=0) - V)[:, None, :]).reshape(-1, 2)
+
+
+def _polyhedral_cases(norms):
+    """(label, norm, vertex table): the three polyhedral zoo norms and eight
+    random symmetric polygons."""
+    cases = [(nid, norms[nid], _zoo_vertices(norms, nid)) for nid in ("l1", "linf", "poly")]
+    return cases + [(f"random{k}", bl.polygon_norm(V), V) for k, V in enumerate(_random_polygons(8, 7))]
+
+
+def test_polygon_delta_matches_the_vertex_oracle(norms):
+    """delta of l1, linf, poly and random symmetric polygons, at the low
+    budget: on the "over" side of the exact value from vertex crossings, and
+    within 1e-12 of it; and no pair of a dense cross-check (about 2,000
+    boundary points x, each with its exact crossings y) lies below the
+    estimate by more than 1e-12."""
+    eps = np.concatenate([np.linspace(0.05, 1.95, 20), [2.0]])
+    for label, n, V in _polyhedral_cases(norms):
+        est = np.asarray(bl.delta_estimate(n, eps, LOW).values)
+        exact = _polygon_delta(V, eps)
+        assert np.all(est >= exact - _side_tol(est)), (label, np.min(est - exact))
+        assert np.all(est - exact <= 1e-12), (label, np.max(est - exact))
+        X = _edge_points(V, 2000)
+        for e, v in zip(eps[::4], est[::4]):
+            dense = 1.0 - np.max(_crossing_values(V, X, e)) / 2.0
+            assert dense >= v - 1e-12, (label, e, dense - v)
+
+
+def _shift_oracle(E, X, Y, r):
+    """The least lam in [0, 1] with ||x + r y - lam x|| <= 1 for the norm
+    max_j <e_j, .>, rows x and y, and a column r: the largest of 0 and
+    1 - (1 - r <e_j, y>) / <e_j, x> over the j with <e_j, x> > 0."""
+    gx, gy = X @ E.T, Y @ E.T
+    with np.errstate(divide="ignore"):
+        b = np.where(gx > 0, 1.0 - (1.0 - r[..., None] * gy) / gx, -np.inf)
+    return np.maximum(0.0, b.max(axis=-1))
+
+
+def test_polygon_supporting_moduli_match_the_vertex_oracle(norms):
+    """Both supporting moduli of l1, linf, poly and random symmetric
+    polygons: on their label side of the exact shift over the vertex pairs
+    (x a vertex, y either sign of the direction of an edge at x) and within
+    1e-12 of it; and no pair inside an edge (about 2,000 points x, y along
+    their edge) beats the estimate by more than 1e-12 on its label side."""
+    r = np.linspace(0.05, 1.0, 12)
+    for label, n, V in _polyhedral_cases(norms):
+        E = _edge_functionals(V)
+        norm = lambda Z: np.max(Z @ E.T, axis=-1)
+        D = np.roll(V, -1, axis=0) - V
+        D = D / norm(D)[:, None]
+        Xv = np.repeat(V, 4, axis=0)  # vertex i with the edges i and i - 1
+        Yv = np.stack([D, -D, np.roll(D, 1, axis=0), -np.roll(D, 1, axis=0)], axis=1).reshape(-1, 2)
+        Xd = _edge_points(V, 2000)
+        Yd = np.repeat(D, len(Xd) // len(V), axis=0)
+        Xd, Yd = np.concatenate([Xd, Xd]), np.concatenate([Yd, -Yd])
+        vertex = _shift_oracle(E, Xv, Yv, r[:, None])
+        dense = _shift_oracle(E, Xd, Yd, r[:, None])
+        up = np.asarray(bl.supporting_modulus_estimate(n, r, "upper", LOW).values)
+        lo = np.asarray(bl.supporting_modulus_estimate(n, r, "lower", LOW).values)
+        hi_exact, lo_exact = vertex.max(axis=1), vertex.min(axis=1)
+        assert np.all(up <= hi_exact + _side_tol(up)) and np.all(hi_exact - up <= 1e-12), label
+        assert np.all(lo >= lo_exact - _side_tol(lo)) and np.all(lo - lo_exact <= 1e-12), label
+        assert np.all(dense.max(axis=1) <= up + 1e-12), (label, np.max(dense.max(axis=1) - up))
+        assert np.all(dense.min(axis=1) >= lo - 1e-12), (label, np.min(dense.min(axis=1) - lo))
+
+
+@pytest.mark.parametrize("nid", ["l1", "linf", "poly"])
+def test_polyhedral_moduli_run_no_scan_and_no_zoom(norms, nid, monkeypatch):
+    """delta, rho and both supporting moduli of a polyhedral norm read its
+    vertices only: the half-circle table and the zoom never run."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a polyhedral modulus scanned the half circle or zoomed")
+
+    monkeypatch.setattr(M, "_half_circle", refuse)
+    monkeypatch.setattr(M, "_zoom_max", refuse)
+    n = norms[nid]
+    grid = np.array([0.1, 0.5, 1.0])
+    bl.delta_estimate(n, np.append(grid, 2.0), LOW)
+    bl.rho_estimate(n, grid, LOW)
+    for which in ("lower", "upper"):
+        bl.supporting_modulus_estimate(n, grid, which, LOW)
+
+
+# ---------------------------------------------------------------------------
 # support shift and supporting moduli
 
 
@@ -441,30 +589,30 @@ def _warm_guesses(lo, hi):
 
 @pytest.mark.parametrize("nid", ZOO)
 def test_root_searches_keep_the_label_contract(norms, nid):
-    """Every kept chord end has a computed chord of at least eps, and more
-    than eps on the strict pass; the lower end of its bracket is short of
-    eps.  Every support shift of "lower" has a residual below -tol at its
+    """Every kept chord end has a computed chord of at least eps, and the
+    lower end of its bracket is short of eps: on the counterclockwise arcs
+    from the half circle, and on both arcs from the vertices of a polyhedral
+    sphere.  Every support shift of "lower" has a residual below -tol at its
     returned (upper) end, and every one of "upper" a residual above tol at
     its returned (lower) end, unless that end is the a priori bound, 1 or
     0.  Checked on the full and the rank passes, cold and from warm brackets
     that hold the root or miss it on either side."""
     n = norms[nid]
     A, X = M._half_circle(n, LOW.angles)
-    vang = np.unique(np.mod(M.sphere_vertex_angles(n), np.pi))
-    if vang.size:
-        A, X = np.concatenate([A, vang]), np.concatenate([X, M._ring(n, vang)])
-    for strict in (False, True):
-        up = np.greater if strict else np.greater_equal
+    vang = M.sphere_vertex_angles(n)
+    V = M._ring(n, vang)
+    arcs = [(X, A, 1.0)] + ([(V, vang, 1.0), (V, vang, -1.0)] if vang.size else [])
+    for X, A, sense in arcs:
         for steps in (M._ROOT_STEPS, M._RANK_STEPS):
-            Y, feasible, lo, hi = M._chord_crossing(n, X, A, CHORDS, strict, steps)
+            Y, feasible, lo, hi = M._chord_crossing(n, X, A, CHORDS, sense, steps)
             for warm in [None] + _warm_guesses(lo, hi):
-                Y, f, lo, hi = M._chord_crossing(n, X, A, CHORDS, strict, steps, warm)
+                Y, f, lo, hi = M._chord_crossing(n, X, A, CHORDS, sense, steps, warm)
                 assert np.array_equal(f, feasible)
                 chord = bl.norm_batch(n, X - Y)
-                assert up(chord, CHORDS)[f].all(), (nid, strict, steps, warm is None)
-                short = bl.norm_batch(n, X - M._ring(n, lo))
-                assert not up(short, CHORDS)[f].any(), (nid, strict, steps, warm is None)
-    X, Y, _, _ = M._quasiorth_table(n, LOW.angles)
+                assert (chord >= CHORDS)[f].all(), (nid, sense, steps, warm is None)
+                short = bl.norm_batch(n, X - M._ring(n, sense * lo))
+                assert not (short >= CHORDS)[f].any(), (nid, sense, steps, warm is None)
+    X, Y, _ = M._quasiorth_table(n, LOW.angles)
     B = X + SHIFTS * Y
     for which in ("lower", "upper"):
         for steps in (M._SHIFT_STEPS, M._RANK_STEPS):
@@ -522,5 +670,5 @@ def test_root_search_spends_at_most_bisection_and_spare(monkeypatch):
         assert np.all((lo <= roots) & (roots <= hi) & (hi - lo <= width))
         assert counts[-1].max() <= M._RANK_STEPS + M._ITP_SPARE
     for eps in (0.1, 0.5, 1.0, 1.9):
-        M._chord_crossing(euclid, x, np.zeros(1), np.array([[eps]]), False)
+        M._chord_crossing(euclid, x, np.zeros(1), np.array([[eps]]))
         assert counts[-1][0] <= M._ROOT_STEPS // 4, eps
