@@ -168,6 +168,11 @@ def _rec(check, anchor, verdict, margin, artifacts=()):
     }
 
 
+def _bound(check, anchor, margin, artifacts=()):
+    """A record that passes when its margin is nonnegative."""
+    return _rec(check, anchor, "pass" if margin >= 0 else "fail", margin, artifacts)
+
+
 def _fmt(v) -> str:
     return "%.12g" % float(v)
 
@@ -259,28 +264,23 @@ def cmd_moduli(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
         rho_twice = np.array([rho.eval(t) for t in 2.0 * r])
         chord_gap = 1.0 - np.sqrt(np.maximum(0.0, 1.0 - r * r))
 
-        m_lower = float(np.min(np.minimum(d2r + tol - lo_v, chord_gap + tol - d2r)))
-        records.append(_rec(f"moduli/{nid}/support-shift-sandwich-lower",
-                            "support-shift-vs-convexity", "pass" if m_lower >= 0 else "fail", m_lower))
-        m_upper = float(np.min(np.minimum(hi_v - rho_half + tol, rho_twice + tol - hi_v)))
-        records.append(_rec(f"moduli/{nid}/support-shift-sandwich-upper",
-                            "support-shift-vs-smoothness", "pass" if m_upper >= 0 else "fail", m_upper))
-        m_order = float(np.min(np.minimum.reduce([lo_v + tol, hi_v - lo_v + tol, r - hi_v + tol])))
-        records.append(_rec(f"moduli/{nid}/support-shift-order",
-                            "support-shift-order", "pass" if m_order >= 0 else "fail", m_order))
+        records.append(_bound(f"moduli/{nid}/support-shift-sandwich-lower", "support-shift-vs-convexity",
+                              np.min(np.minimum(d2r + tol - lo_v, chord_gap + tol - d2r))))
+        records.append(_bound(f"moduli/{nid}/support-shift-sandwich-upper", "support-shift-vs-smoothness",
+                              np.min(np.minimum(hi_v - rho_half + tol, rho_twice + tol - hi_v))))
+        records.append(_bound(f"moduli/{nid}/support-shift-order", "support-shift-order",
+                              np.min(np.minimum.reduce([lo_v + tol, hi_v - lo_v + tol, r - hi_v + tol]))))
 
         d_vals = np.asarray(delta.values)
         r_vals = np.asarray(rho.values)
-        m_dn = float(min(np.min(M.hilbert_delta(np.asarray(delta.args)) + tol - d_vals),
-                         np.min(r_vals - M.hilbert_rho(np.asarray(rho.args)) + tol)))
-        records.append(_rec(f"moduli/{nid}/roundest-space-extremality",
-                            "roundest-space-extremality", "pass" if m_dn >= 0 else "fail", m_dn))
+        records.append(_bound(f"moduli/{nid}/roundest-space-extremality", "roundest-space-extremality",
+                              min(np.min(M.hilbert_delta(np.asarray(delta.args)) + tol - d_vals),
+                                  np.min(r_vals - M.hilbert_rho(np.asarray(rho.args)) + tol))))
 
         if nid in _SMOOTH_UC:
             lo_b, hi_b = M.doubling_ratio(rho)
-            m_db = float(min(4.15 - hi_b, lo_b - 1.85))
-            records.append(_rec(f"moduli/{nid}/doubling-window", "smoothness-doubling-window",
-                                "pass" if m_db >= 0 else "fail", m_db))
+            records.append(_bound(f"moduli/{nid}/doubling-window", "smoothness-doubling-window",
+                                  min(4.15 - hi_b, lo_b - 1.85)))
         else:
             records.append(_rec(f"moduli/{nid}/doubling-window", "smoothness-doubling-window",
                                 "skip", None))
@@ -345,6 +345,16 @@ def _ambient_curves(nid: str, norms: dict, budget, r_grid, cache: RunCache):
     return cache.curve(M.delta_estimate, n, args, budget), cache.curve(M.rho_estimate, n, args, budget)
 
 
+def _hypo_verdict(spec, n, psi, R: float, pairs: int, seed: int):
+    """The verdict and margin of hypo_check at eps_max = 2R; a set with no
+    feasible pair passes, with no margin."""
+    try:
+        rep = H.hypo_check(spec, n, psi, R, eps_max=2.0 * R, pair_budget=pairs, seed=seed)
+    except H.NoFeasiblePairs:
+        return "pass", None
+    return rep.verdict, rep.worst_margin
+
+
 def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     norms = Z.norm_zoo()
     registry = Z.set_registry(norms)
@@ -371,12 +381,10 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
             worst = min(worst, g - (lo - 5e-3), (hi + 5e-3) - g)
         fname = f"gamma_{nid}.csv"
         _write_rows(out / fname, ("eps", "gamma", "lower_bound", "upper_bound"), rows)
-        records.append(_rec(f"hypo/{nid}/gamma-sandwich", "pairing-defect-sandwich",
-                            "pass" if worst >= 0 else "fail", float(worst), [fname]))
+        records.append(_bound(f"hypo/{nid}/gamma-sandwich", "pairing-defect-sandwich", worst, [fname]))
         if nid == "euclid":
-            m = float(min(1e-3 - abs(g - e * e) for e, g, _, _ in rows))
-            records.append(_rec("hypo/euclid/gamma-quadratic", "euclidean-pairing-defect",
-                                "pass" if m >= 0 else "fail", m, [fname]))
+            records.append(_bound("hypo/euclid/gamma-quadratic", "euclidean-pairing-defect",
+                                  min(1e-3 - abs(g - e * e) for e, g, _, _ in rows), [fname]))
 
     # one-seventeenth smoothness certificate per test norm
     for nid in cfg.norms:
@@ -388,8 +396,9 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
         records.append(_rec(f"hypo/{nid}/seventeenth-smoothness", "seventeenth-smoothness-certificate",
                             rep.verdict, rep.worst_margin))
 
-    # desk-scale forward implications over the configured sets
-    omega_results = {}
+    # desk-scale forward implications over the configured sets, and the
+    # section bound for members that clear the rolling-ball normal check
+    sections = []
     for sid, R in cfg.sets:
         R = float(R)
         spec, ambient_id = registry[sid]
@@ -403,38 +412,21 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
                                 "skip", None))
             continue
         omn = cache.rolling_normal(spec, n, R, counts["roll"], cfg.seed)
-        omega_results[tag] = omn
         delta_c, rho_c = _ambient_curves(ambient_id, norms, budget, cfg.r_grid, cache)
-        psi4 = P.psi_from_curve(rho_c, scale=4.0, name="four-smoothness")
-        psi2d = P.psi_from_curve(delta_c, scale=2.0, name="two-convexity")
+        smooth = (_hypo_verdict(spec, n, P.psi_from_curve(rho_c, scale=4.0, name="four-smoothness"), R,
+                                counts["pairs"], cfg.seed) if omn.verdict == "pass" else ("skip", None))
+        convex = _hypo_verdict(spec, n, P.psi_from_curve(delta_c, scale=2.0, name="two-convexity"), R,
+                               counts["pairs"], cfg.seed)[0] == "pass"
+        records.append(_rec(f"hypo/{tag}/forward-smoothness", "rolling-ball-implies-hypomonotone",
+                            *smooth))
+        records.append(_rec(f"hypo/{tag}/forward-convexity", "hypomonotone-implies-rolling-ball",
+                            *((omn.verdict, omn.worst_margin) if convex else ("skip", None))))
         if omn.verdict == "pass":
-            try:
-                rep = H.hypo_check(spec, n, psi4, R, eps_max=2.0 * R,
-                                   pair_budget=counts["pairs"], seed=cfg.seed)
-                ok = rep.verdict == "pass"
-                records.append(_rec(f"hypo/{tag}/forward-smoothness",
-                                    "rolling-ball-implies-hypomonotone",
-                                    "pass" if ok else "fail", rep.worst_margin))
-            except H.NoFeasiblePairs:
-                records.append(_rec(f"hypo/{tag}/forward-smoothness",
-                                    "rolling-ball-implies-hypomonotone", "pass", None))
-        else:
-            records.append(_rec(f"hypo/{tag}/forward-smoothness",
-                                "rolling-ball-implies-hypomonotone", "skip", None))
-        try:
-            rep2 = H.hypo_check(spec, n, psi2d, R, eps_max=2.0 * R,
-                                pair_budget=counts["pairs"], seed=cfg.seed)
-            hyp_pass = rep2.verdict == "pass"
-        except H.NoFeasiblePairs:
-            hyp_pass = True
-        if hyp_pass:
-            ok = omn.verdict == "pass"
-            records.append(_rec(f"hypo/{tag}/forward-convexity",
-                                "hypomonotone-implies-rolling-ball",
-                                "pass" if ok else "fail", omn.worst_margin))
-        else:
-            records.append(_rec(f"hypo/{tag}/forward-convexity",
-                                "hypomonotone-implies-rolling-ball", "skip", None))
+            a0 = np.asarray(S.boundary_sample(spec, n, 1, seed=cfg.seed + 29)[0])
+            rep = H.section_bound_check(spec, n, R, rho_c, a0, delta=R / 2.0,
+                                        sample_count=counts["section"], seed=cfg.seed)
+            sections.append(_rec(f"hypo/{tag}/section-bound", "boundary-section-bound",
+                                 rep.verdict, rep.worst_margin))
 
     # renorming transfer: box complement, max-norm certificate moved to euclid
     box = Z.linf_box_complement(norms)
@@ -449,22 +441,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     records.append(_rec("hypo/renorm-transfer", "equivalent-norm-transfer",
                         "pass" if ok else "fail",
                         min(rep_inf.worst_margin, rep_e.worst_margin)))
-
-    # section bound for members that clear the rolling-ball normal check
-    for sid, R in cfg.sets:
-        R = float(R)
-        tag = f"{sid}@{R:g}"
-        omn = omega_results.get(tag)
-        if omn is None or omn.verdict != "pass":
-            continue
-        spec, ambient_id = registry[sid]
-        n = Z.ambient_norm(norms, ambient_id)
-        _, rho_c = _ambient_curves(ambient_id, norms, budget, cfg.r_grid, cache)
-        a0 = np.asarray(S.boundary_sample(spec, n, 1, seed=cfg.seed + 29)[0])
-        rep = H.section_bound_check(spec, n, R, rho_c, a0, delta=R / 2.0,
-                                    sample_count=counts["section"], seed=cfg.seed)
-        records.append(_rec(f"hypo/{tag}/section-bound", "boundary-section-bound",
-                            rep.verdict, rep.worst_margin))
+    records += sections
 
     # constructive touching points across the zoo
     if not cfg.sets:
@@ -488,11 +465,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
         eps = float(rng.uniform(0.05, 0.5))
         attempts += 1
         try:
-            lam, y, p = H.touching_point_search(spec, n, z0, z1, eps)
-            gap = S.norm_eval(n, np.asarray(z1) - np.asarray(z0))
-            zlam = np.asarray(z0) + lam * (np.asarray(z1) - np.asarray(z0))
-            if not (S.norm_eval(n, zlam - y) < eps * gap and float(p @ (np.asarray(z1) - np.asarray(z0))) < eps * gap):
-                failures += 1
+            H.touching_point_search(spec, n, z0, z1, eps)  # it checks both separation inequalities
         except (H.ConstructionFailed, ValueError):
             failures += 1
     records.append(_rec("hypo/touching-construction", "near-touch-construction",

@@ -127,15 +127,18 @@ def hypo_check(A: ClosedSetSpec, n: NormSpec, psi: PsiSpec, R: float,
                       psi_extended=extended)
 
 
-def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, band: float = 0.05,
-                   budget: int = 4096, seed: int = 0) -> float:
+_BAND = 0.05  # the relative half-width of gamma's separation band
+
+
+def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int = 4096,
+                   seed: int = 0) -> float:
     """Worst antimonotonicity of the normal cone at pair separation eps.
 
     Maximizes -<p1 - p2, x1 - x2> over boundary pairs at distance eps.  The
     complement of a planar ball whose gauge is the ambient norm takes the
     chord-crossing engine of the moduli (_gamma_exact_2d), which pins the
     separation at eps.  Every other set, a ball with a foreign gauge included,
-    relaxes the separation to the band [eps(1-band), eps(1+band)] and takes
+    relaxes the separation to the band [eps(1-_BAND), eps(1+_BAND)] and takes
     the best sampled pair.  budget sets the engine's rows (budget // 16,
     within [128, 512]) or the band's pair count.  Neither value has a
     certified side: the engine's pairs sit at a computed separation of at
@@ -143,13 +146,11 @@ def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, band: float = 0.05
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
-    if not (0 < band <= 0.2):
-        raise ValueError("band must lie in (0, 0.2]")
     if A.kind == "ball_complement" and A.dim == 2 and _gauge(A, n) == n:
         return _gamma_exact_2d(A, n, eps, budget)
-    G = _pair_sweep(A, n, budget, seed, eps * (1 - band), eps * (1 + band))[-1]
+    G = _pair_sweep(A, n, budget, seed, eps * (1 - _BAND), eps * (1 + _BAND))[-1]
     if not G.size:
-        raise NoFeasiblePairs(f"no boundary pairs at separation {eps} (band {band})")
+        raise NoFeasiblePairs(f"no boundary pairs at separation {eps} (band {_BAND})")
     return -float(G.flat[np.argmin(G)])  # the first largest -<p1 - p2, x1 - x2>, the same bits
 
 

@@ -7,8 +7,10 @@ is omitted it defaults to the ambient norm at query time.  Each set kind is
 one class below, whose row methods (see _SetKind) give the nearest-point
 table and the boundary residual of every row of an array; the one-point
 distance, projection and membership, and the certificates, read them.  The
-rejection samplers test a block of tries with one call, and the sampled
-cone checks pair all their sample rows with the normal directions at once.
+sampled checks draw their points from one block sampler, which tests a block
+of tries with one call, and pair all their sample rows with the normal
+directions at once.  The certificate and the rolling-projection check share
+one projection-ray kernel.
 
 On a gauge sphere that differs from the ambient norm, or is planar and not
 strictly convex (polygon, l1, max norm), the nearest points are those of a
@@ -17,9 +19,6 @@ under a foreign gauge; elsewhere the nearest point is radial.  Where it is
 not radial, the complement of a polyhedral gauge ball is that of the
 polytope of the gauge's facets.  The nearest points on a plane, for
 halfspaces and polytope complements, come from one helper.
-
-SciPy is imported only by the one search that uses it,
-chord_projection_check.
 """
 
 from __future__ import annotations
@@ -206,7 +205,8 @@ def _gauge(A: ClosedSetSpec, n: NormSpec) -> NormSpec:
 # set kinds: one class per kind, one instance per spec (ClosedSetSpec.ops)
 
 
-_PROJECT_TOL = 1e-8  # the default tol of nearest_rows and project
+_PROJECT_TOL = 1e-8  # the tie tolerance of the nearest-point tables
+_CLUSTER = 1e-5  # the radius, in the max norm of coordinates, of a kept point's cluster
 _TIE_ULPS = 8  # feet within this many ulps of the least distance tie with it
 _RING = 4096  # points of the gauge-sphere ring that the nearest-point scan reads
 _SCAN_BLOCK = 128  # rows per block of the (rows, _RING) ring-distance table
@@ -246,12 +246,12 @@ def _table(V, d, K, keep, inside):
 
 
 def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
-                         n: NormSpec, V: np.ndarray, tol: float):
+                         n: NormSpec, V: np.ndarray):
     """Representatives of the nearest points to each row of V on a 2D gauge
     sphere (the sphere table raises DimensionMismatch for any other), as
     (rows, 16, 2) points and a mask of the representatives: the ring points
-    within 10 tol of the row's least ring distance, at most 16 spread across
-    a flat piece, clustered within max(50 tol, 1e-5).
+    within 10 _PROJECT_TOL of the row's least ring distance, at most 16
+    spread across a flat piece, clustered within _CLUSTER.
 
     Under a gauge other than the ambient norm each moves to where the
     distance stops decreasing along the sphere, by a root search on the
@@ -271,7 +271,7 @@ def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
     for s in range(0, V.shape[0], _SCAN_BLOCK):
         X = V[s:s + _SCAN_BLOCK]
         D = norm_batch(n, ring - X[:, None])
-        near = D <= np.min(D, axis=1)[:, None] + 10 * tol
+        near = D <= np.min(D, axis=1)[:, None] + 10 * _PROJECT_TOL
         count = np.sum(near, axis=1)
         rank = np.tile(np.arange(16), (X.shape[0], 1))
         big = count > 16  # spread representatives across the whole flat piece
@@ -302,7 +302,7 @@ def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
         dists = np.where(keep, norm_batch(n, K - V[:, None]), np.inf)
         dmin = np.min(dists, axis=1)[:, None]
         keep &= dists <= dmin + _TIE_ULPS * np.finfo(float).eps * dmin
-    return K, _cluster_mask(K, keep, max(50 * tol, 1e-5))
+    return K, _cluster_mask(K, keep, _CLUSTER)
 
 
 def _pairing_rows(V: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -338,12 +338,11 @@ def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
 
 class _SetKind:
     """Each kind provides, for an ambient norm n:
-    - nearest_rows(n, V, tol), the nearest-point table (d, K, keep) of the
-      rows of V: the distance d of each row, representatives K of its
-      nearest points, shape (rows, k, dim), and the mask keep of those that
-      stand for a cluster of radius max(50 tol, 1e-5).  The first kept one
-      is the row's projection foot.  A row inside the set keeps 0 and the
-      row itself.  The public distance and project are its one-row cases,
+    - nearest_rows(n, V), the nearest-point table (d, K, keep) of the rows
+      of V: the distance d of each row, representatives K of its nearest
+      points, shape (rows, k, dim), and the mask keep of those that stand
+      for a cluster of radius _CLUSTER.  The first kept one is the row's
+      projection foot.  A row inside the set keeps 0 and the row itself.  The public distance and project are its one-row cases,
       and the certificates run on it;
     - residual(n, V), the offset of each row of V from the boundary,
       positive outside: contains is its one-row case;
@@ -385,7 +384,7 @@ class _Ball(_SetKind):
         dirs = np.random.default_rng(11).standard_normal((16, dim))
         return c + R * dirs / norm_batch(g, dirs)[:, None]
 
-    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+    def nearest_rows(self, n, V):
         g = _gauge(self.spec, n)
         c, R = self.c, self.r
         r = norm_batch(g, V - c)
@@ -402,7 +401,7 @@ class _Ball(_SetKind):
             keep = (np.arange(K.shape[1]) == 0) | center[:, None]
         else:
             K, keep = np.zeros((V.shape[0], 16, V.shape[1])), np.zeros((V.shape[0], 16), dtype=bool)
-            K[~inside], keep[~inside] = _sphere_nearest_rows(g, c, R, n, V[~inside], tol)
+            K[~inside], keep[~inside] = _sphere_nearest_rows(g, c, R, n, V[~inside])
             if not same:
                 d = np.min(np.where(keep, norm_batch(n, K - V[:, None]), np.inf), axis=1)
         return _table(V, d, K, keep, inside)
@@ -445,15 +444,15 @@ class _BallComplement(_Ball):
         super().__init__(A)
         self._polytopes = {}  # gauge -> the polytope complement of its facets, or None
 
-    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+    def nearest_rows(self, n, V):
         g = _gauge(self.spec, n)
         if not self._radial(g, n):
             if g not in self._polytopes:
                 facets = g.ops.facets(self.c, self.r)
                 self._polytopes[g] = None if facets is None else make_polytope_complement(facets).ops
             if self._polytopes[g] is not None:
-                return self._polytopes[g].nearest_rows(n, V, tol)
-        return super().nearest_rows(n, V, tol)
+                return self._polytopes[g].nearest_rows(n, V)
+        return super().nearest_rows(n, V)
 
 
 class _Planes(_SetKind):
@@ -467,7 +466,7 @@ class _Planes(_SetKind):
         self.normals = normals
         self._dirs = {}  # ambient norm -> the stacked plane directions and the facet of each
 
-    def _plane_feet(self, n, V, G, kept, tol):
+    def _plane_feet(self, n, V, G, kept):
         """The feet of the rows V on the facet planes at gaps G (rows, facets)
         that some row keeps, as (rows, k, dim) points, and the cluster mask of
         those on each row's kept facets."""
@@ -478,7 +477,7 @@ class _Planes(_SetKind):
         on = kept[:, f].any(axis=0)
         U, f = U[on], f[on]
         K = V[:, None] - G[:, f, None] * U
-        return K, _cluster_mask(K, kept[:, f], max(50 * tol, 1e-5))
+        return K, _cluster_mask(K, kept[:, f], _CLUSTER)
 
 
 class _Halfspace(_Planes):
@@ -494,10 +493,10 @@ class _Halfspace(_Planes):
         """<a, v> - offset of each row."""
         return _pairing_rows(V, self.a) - self.b
 
-    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+    def nearest_rows(self, n, V):
         s = self.residual(n, V)
         d = s / dual_norm_eval(n, self.a)
-        K, keep = self._plane_feet(n, V, d[:, None], np.ones((V.shape[0], 1), dtype=bool), tol)
+        K, keep = self._plane_feet(n, V, d[:, None], np.ones((V.shape[0], 1), dtype=bool))
         return _table(V, d, K, keep, s <= 0)
 
     def boundary_sample(self, n, count, rng, seed, scale):
@@ -528,11 +527,11 @@ class _FinitePoints(_SetKind):
     def residual(self, n, V):
         return self.nearest_rows(n, V)[0]
 
-    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+    def nearest_rows(self, n, V):
         D = norm_batch(n, self.pts - V[:, None])  # from each row to each point
         d = np.min(D, axis=-1)  # exactly 0 at a point of the set
         K = np.repeat(self.pts[None], V.shape[0], axis=0)
-        return _table(V, d, K, D <= d[:, None] + tol, d <= 0)
+        return _table(V, d, K, D <= d[:, None] + _PROJECT_TOL, d <= 0)
 
     def boundary_sample(self, n, count, rng, seed, scale):
         return [self.pts[i % self.pts.shape[0]].copy() for i in range(count)]
@@ -560,13 +559,13 @@ class _PolytopeComplement(_Planes):
         self.facets = [(np.asarray(a, dtype=float), float(b)) for a, b in A.facets]
         super().__init__(A, [a for a, _ in self.facets])
 
-    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
+    def nearest_rows(self, n, V):
         # (<a, v> - b) / |a|_* for each facet (a, b), one per column: minus the
         # distance to the facet plane where <a, v> <= b.  From inside the
         # polytope the distance to the complement is that to the nearest one.
         G = np.stack([(_pairing_rows(V, a) - b) / dual_norm_eval(n, a) for a, b in self.facets], axis=-1)
         top = np.max(G, axis=-1)
-        K, keep = self._plane_feet(n, V, G, G >= top[:, None] - tol, tol)
+        K, keep = self._plane_feet(n, V, G, G >= top[:, None] - _PROJECT_TOL)
         return _table(V, -top, K, keep, top >= 0)
 
     def _edges_2d(self):
@@ -639,8 +638,8 @@ class _Cylinder(_SetKind):
         self.base = A.base
         self.coords = list(A.coords)
 
-    def nearest_rows(self, n, V, tol=_PROJECT_TOL):
-        d, B, keep = self.base.ops.nearest_rows(n.ops.restrict(self.coords), V[:, self.coords], tol)
+    def nearest_rows(self, n, V):
+        d, B, keep = self.base.ops.nearest_rows(n.ops.restrict(self.coords), V[:, self.coords])
         K = np.repeat(V[:, None], B.shape[1], axis=1)
         K[:, :, self.coords] = B
         return d, K, keep
@@ -713,12 +712,12 @@ def distance(A: ClosedSetSpec, n: NormSpec, x) -> float:
     return float(A.ops.nearest_rows(n, v[None])[0][0])
 
 
-def project(A: ClosedSetSpec, n: NormSpec, x, tol: float = _PROJECT_TOL):
+def project(A: ClosedSetSpec, n: NormSpec, x):
     """Metric projection: representatives of the nearest-point set."""
     v = as_vec(x, A.dim)
     if contains(A, n, v, tol=0.0):
         return [v.copy()]
-    _, K, keep = A.ops.nearest_rows(n, v[None], tol)
+    _, K, keep = A.ops.nearest_rows(n, v[None])
     return list(K[0][keep[0]])
 
 
@@ -732,42 +731,35 @@ def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0,
 # normal cones
 
 
-def _local_set_samples(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float,
-                       count: int, rng) -> list:
-    """Set points within mesh of x, one try at a time: rng is read again."""
-    out = []
-    tries = 0
-    while len(out) < count and tries < 40 * count:
-        tries += 1
-        u = rng.standard_normal(A.dim)
-        nu = norm_eval(n, u)
-        if nu < 1e-12:
-            continue
-        y = x + mesh * float(rng.uniform(0.05, 1.0)) * u / nu
-        if contains(A, n, y, tol=0.0):
-            out.append(y)
-    return out
-
-
 def _sample_tries(rng, n: NormSpec, count: int, budget: int, spread, scale: float, base, hit) -> list:
     """The first count hits among up to budget tries, in try order.  Try t
     (from 1) draws a standard normal u, then s uniform on spread, as a loop
     of single tries does, and proposes base(t) + scale s u / |u|; hit tests
-    a block of count proposals, as rows, with one table call.  rng is not
-    read afterwards, so the tries past the count-th hit change nothing.  A
-    try with |u| < 1e-12 misses (and, unlike in the one-try loop, draws its
-    uniform: a chance of about 1e-24)."""
+    a block of count proposals, as rows, with one table call.  The block
+    that holds the count-th hit is drawn again from its saved generator
+    state up to that hit, so rng is left where the one-try loop leaves it.
+    A try with |u| < 1e-12 misses (and, unlike in the one-try loop, draws
+    its uniform: a chance of about 1e-24)."""
+
+    def draw(size):
+        return map(np.array, zip(*[(rng.standard_normal(n.dim), rng.uniform(*spread)) for _ in range(size)]))
+
     out, tries = [], 0
     while len(out) < count and tries < budget:
         size = min(count, budget - tries)
-        U, s = map(np.array, zip(*[(rng.standard_normal(n.dim), rng.uniform(*spread)) for _ in range(size)]))
+        state = rng.bit_generator.state
+        U, s = draw(size)
         nu = norm_batch(n, U)
         Y = base(np.arange(tries + 1, tries + size + 1)) + (scale * s)[:, None] * U / nu[:, None]
         ok = ~(nu < 1e-12)
         ok[ok] = hit(Y[ok])
-        out += list(Y[ok])
+        k = np.flatnonzero(ok)[: count - len(out)]
+        if len(out) + len(k) == count:
+            rng.bit_generator.state = state
+            draw(k[-1] + 1)
+        out += list(Y[k])
         tries += size
-    return out[:count]
+    return out
 
 
 def _cone_pairings(n: NormSpec, Y: np.ndarray, x, P: np.ndarray):
@@ -793,14 +785,20 @@ def normal_directions(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-6) -> tu
     return tuple(A.ops.cone_directions(n, v, tol))
 
 
-def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
-                       count: int = 200, seed: int = 0, tol: float = 1e-6) -> NormalConeSample:
+def _set_points_near(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float, count: int, rng):
+    """Up to count points of A within mesh of x, as rows, from 40 count tries."""
+    return np.reshape(_sample_tries(rng, n, count, 40 * count, (0.05, 1.0), mesh, lambda t: x,
+                                    lambda Y: A.ops.residual(n, Y) <= 0), (-1, A.dim))
+
+
+def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, count: int = 200, seed: int = 0,
+                       tol: float = 1e-6) -> NormalConeSample:
     """Extreme rays of the outward normal cone at a boundary point, vetted.
 
     The directions are those of `normal_directions`.  The vetting is a
     diagnostic reported in `.quality`: a two-scale sampled cone test in which
-    the worst ratio <p, a-x>/|a-x| over set points a within `mesh` of x must
-    not persist when the mesh shrinks tenfold.  It never changes the
+    the worst ratio <p, a-x>/|a-x| over set points a within 1e-3 of x must
+    not persist when that mesh shrinks tenfold.  It never changes the
     directions, so the certificates call `normal_directions` and skip it.
     """
     v = as_vec(x, A.dim)
@@ -810,12 +808,11 @@ def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, mesh: float = 1e-3,
         return NormalConeSample(base_point=v, directions=(), quality=(0.0, 0.0, True))
 
     def worst_ratio(scale: float) -> float:
-        pts = np.reshape(_local_set_samples(A, n, v, scale, count, rng), (-1, A.dim))
-        _, val, d = _cone_pairings(n, pts, v, np.array(dirs))
+        _, val, d = _cone_pairings(n, _set_points_near(A, n, v, scale, count, rng), v, np.array(dirs))
         return max(0.0, float(np.max(val / d[:, None], initial=0.0)))
 
-    r1 = worst_ratio(mesh)
-    r2 = worst_ratio(mesh / 10.0)
+    r1 = worst_ratio(1e-3)
+    r2 = worst_ratio(1e-4)
     ok = r2 <= max(0.5 * r1, 2e-3)
     return NormalConeSample(base_point=v, directions=dirs, quality=(r1, r2, ok))
 
@@ -855,12 +852,12 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
         if not isinstance(p, np.ndarray):
             p = p.extremes[0]
         rows.append((u, x, p))
-        pts.append(_local_set_samples(A, n, x, 1e-3, 80, rng))
+        pts.append(_set_points_near(A, n, x, 1e-3, 80, rng))
     if not rows:
         return CheckReport("pass", 0.0, None, 0, reason="no usable samples")
     owner = np.repeat(np.arange(len(rows)), [len(a) for a in pts])
     X, P = (np.array([r[i] for r in rows])[owner] for i in (1, 2))
-    k, val, d = _cone_pairings(n, np.reshape([a for q in pts for a in q], (-1, A.dim)), X, P[:, None])
+    k, val, d = _cone_pairings(n, np.concatenate(pts), X, P[:, None])
     ratio = np.append(val[:, 0] / d, 0.0)  # the first largest ratio, or 0 when none is positive
     j = int(np.argmax(ratio))
     margin = 2e-3 - max(0.0, ratio[j])
@@ -873,23 +870,23 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
 # proximal smoothness certificate
 
 
-_GRADIENT_STEPS = np.array([1e-4, 1e-5])
-
-
 def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
                             sample_count: int = 48, seed: int = 0) -> CheckReport:
     """Certify single-valued projections and C^1 distance on the open R-shell.
 
-    Three stages: (a) projection uniqueness at sampled shell points,
-    (b) stability of the central-difference distance gradient under step
-    refinement (1e-4 vs 1e-5, within 5e-3 relative), and (c) a bisection hunt
-    for two-branch ridge points between shell samples whose projections
-    disagree, which catches the measure-zero nonuniqueness sets that random
-    sampling misses.
+    Three stages on the same shell samples: (a) projection uniqueness at
+    each sample; (b) a bisection hunt for two-branch ridge points between
+    samples whose projections disagree, which catches the measure-zero
+    nonuniqueness sets that random sampling misses; (c) the projection-ray
+    test (Federer; Clarke, Stern and Wolenski), d(x + R w/|w|) = R for the
+    foot x of each sample u and w = u - x, on the kernel of
+    rolling_ball_check_projection.  (c) catches sets above their reach whose
+    ridge no sampled segment crosses, such as the centre of a disc
+    complement.
 
     Every stage runs on row batches of the set kind's nearest_rows, and
-    reports what a one-point loop would: the first failing sample, and the
-    first failing pair in shuffled order.
+    reports what a one-point loop would: the first failing sample, the
+    first failing pair in shuffled order, and the worst ray.
     """
     try:
         us = shell_sample(A, n, R, sample_count, seed)
@@ -897,7 +894,7 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
         return CheckReport("pass", 0.0, None, 0, reason="empty shell")
     # (a) pointwise uniqueness
     U = np.array(us)
-    d, K, keep = A.ops.nearest_rows(n, U)
+    _, K, keep = A.ops.nearest_rows(n, U)
     P = _first(K, keep)
     spread = _spread(n, K, keep, P)
     for k in np.flatnonzero(spread > 1e-4 * max(1.0, R))[:1]:
@@ -905,21 +902,7 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
         return CheckReport("fail", -float(spread[k]), (tuple(us[k]), tuple(reps[0]), tuple(reps[1])),
                            int(k) + 1, reason="nonunique projection at a sampled point")
     used = len(us)
-    # (b) gradient step-stability: the distances at u +- h e_i for both steps h
-    # of every sample away from the shell's ends, in one batch
-    ks = np.flatnonzero(~((d < 2e-4) | (d > R - 2e-4)))
-    E = _GRADIENT_STEPS[:, None, None] * np.eye(U.shape[1])
-    X = U[ks, None, None, :]
-    D = A.ops.nearest_rows(n, np.stack([X + E, X - E], axis=2).reshape(-1, U.shape[1]))[0]
-    D = D.reshape(len(ks), 2, 2, U.shape[1])
-    G = (D[:, :, 0] - D[:, :, 1]) / (2 * _GRADIENT_STEPS[:, None])
-    for k, (g4, g5) in zip(ks, G):
-        ref = max(float(np.linalg.norm(g4)), float(np.linalg.norm(g5)), 1e-9)
-        rel = float(np.linalg.norm(g4 - g5)) / ref
-        if rel > 5e-3:
-            return CheckReport("fail", -rel, (tuple(us[k]),), used,
-                               reason="distance gradient unstable under step refinement")
-    # (c) ridge hunt between samples with far-apart projections, all at once
+    # (b) ridge hunt between samples with far-apart projections, all at once
     rng = np.random.default_rng(seed + 13)
     idx = np.arange(len(us))
     pairs = [(int(i), int(j)) for i in idx for j in idx[i + 1:]]
@@ -931,6 +914,12 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     if hit is not None:
         return CheckReport("fail", hit[0], hit[1], used,
                            reason="two projection branches meet inside the shell")
+    # (c) the projection-ray test
+    X, U, pushed, m = _ray_margins(A, n, R, U, K, keep)
+    if np.min(m, initial=0.0) < -1e-6:
+        k = int(np.argmin(m))
+        return CheckReport("fail", float(m[k]), (tuple(X[k]), tuple(U[k]), tuple(pushed[k])), used,
+                           reason="the distance falls short of R along a projection ray")
     return CheckReport("pass", 0.0, None, used)
 
 
@@ -972,6 +961,22 @@ def _ridge_hunt(A: ClosedSetSpec, n: NormSpec, R: float, lo, hi, plo, phi):
 # rolling-ball (exterior sphere) checks
 
 
+def _ray_margins(A: ClosedSetSpec, n: NormSpec, R: float, U, K, keep):
+    """The rows u of U whose nearest point x, from their table (K, keep), is
+    unique and not u itself, pushed along their projection ray to
+    x + R w/|w|, w = u - x.  Returns x, u, the pushed points, and their
+    distances minus R: negative where the ray loses its foot before R."""
+    X = _first(K, keep)
+    W = U - X
+    nw = norm_batch(n, W)
+    ok = ~(_spread(n, K, keep, X) > 1e-6) & ~(nw < 1e-9)
+    X, U, W, nw = X[ok], U[ok], W[ok], nw[ok]
+    pushed = X + (R / nw)[:, None] * W
+    if not ok.any():  # a table of no rows has no plane feet to index
+        return X, U, pushed, nw
+    return X, U, pushed, A.ops.nearest_rows(n, pushed)[0] - R
+
+
 def rolling_ball_check_projection(A: ClosedSetSpec, n: NormSpec, R: float,
                                   sample_count: int = 64, seed: int = 0) -> CheckReport:
     """Push each uniquely-projecting shell point to distance R along its ray;
@@ -981,21 +986,13 @@ def rolling_ball_check_projection(A: ClosedSetSpec, n: NormSpec, R: float,
     except EmptyShell:
         return CheckReport("pass", 0.0, None, 0, reason="empty shell")
     U = np.array(us)
-    _, K, keep = A.ops.nearest_rows(n, U)
-    X = _first(K, keep)
-    W = U - X
-    nw = norm_batch(n, W)
-    ok = ~(_spread(n, K, keep, X) > 1e-6) & ~(nw < 1e-9)
-    used = int(np.count_nonzero(ok))
-    if used == 0:
+    X, U, pushed, m = _ray_margins(A, n, R, U, *A.ops.nearest_rows(n, U)[1:])
+    if not len(m):
         return CheckReport("pass", 0.0, None, 0, reason="no unique-projection samples")
-    X, U, W, nw = X[ok], U[ok], W[ok], nw[ok]
-    pushed = X + (R / nw)[:, None] * W
-    m = A.ops.nearest_rows(n, pushed)[0] - R
     k = int(np.argmin(m))
     verdict = "pass" if m[k] >= -1e-6 else "fail"
     witness = (tuple(X[k]), tuple(U[k]), tuple(pushed[k]))
-    return CheckReport(verdict, float(m[k]), witness if verdict == "fail" else None, used)
+    return CheckReport(verdict, float(m[k]), witness if verdict == "fail" else None, len(m))
 
 
 def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
@@ -1026,9 +1023,12 @@ def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
 def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
     """For a unit vector x with support functional p and a point z on the
     supporting line {<p, .> = 1}, the sphere point y cut out by the line
-    through z parallel to x satisfies 2|z - x| >= |x - y| - tol."""
-    from scipy.optimize import brentq, minimize_scalar
+    through z parallel to x satisfies 2|z - x| >= |x - y| - tol.
 
+    y = z - s x at the first root s of the convex g(s) = |z - s x| - 1 on
+    [0, 4], before the minimum of g, where its nondecreasing slope
+    -<grad|z - s x|, x> turns up; both by moduli._bracket_roots, down to
+    adjacent floats.  Raises NoIntersection when min g exceeds 1e-10."""
     xv = as_vec(x, n.dim)
     zv = as_vec(z, n.dim)
     if abs(norm_eval(n, xv) - 1.0) > 1e-7:
@@ -1039,17 +1039,24 @@ def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
     if abs(float(p @ zv) - 1.0) > 1e-6:
         raise ValueError("z must lie on the supporting line of x")
 
-    def g(s):
-        return norm_eval(n, zv - s * xv) - 1.0
+    def g(i, s):
+        return norm_batch(n, zv - s[:, None] * xv) - 1.0
 
-    if g(0.0) <= tol:
+    def slope(i, s):
+        return -(n.ops.gradient(zv - s[:, None] * xv) @ xv)
+
+    def first_up(f, lo, hi):  # where f, which rises through 0 at most once, turns up on [lo, hi]
+        return _bracket_roots(f, (1,), lo, hi, f(0, np.array([lo]))[0], f(0, np.array([hi]))[0],
+                              4.0 * 2.0 ** -60, False)[1][0]
+
+    g0 = float(g(0, np.zeros(1))[0])
+    if g0 <= tol:
         y = zv.copy()
     else:
-        res = minimize_scalar(g, bounds=(0.0, 4.0), method="bounded",
-                              options={"xatol": 1e-13})
-        if res.fun > 1e-10:
+        s_min = first_up(slope, 0.0, 4.0)
+        if g(0, np.array([s_min]))[0] > 1e-10:
             raise NoIntersection("line through z parallel to x misses the sphere")
-        s_star = brentq(g, 0.0, res.x, xtol=1e-14) if g(0.0) > 0 else 0.0
+        s_star = first_up(lambda i, s: -g(i, s), 0.0, s_min) if g0 > 0 else 0.0
         y = zv - s_star * xv
     lhs = 2 * norm_eval(n, zv - xv)
     rhs = norm_eval(n, xv - y)

@@ -126,17 +126,29 @@ def test_empty_norm_list_is_a_clean_no_op(tmp_path):
     assert report["records"] == []
 
 
-def test_import_and_registry_do_not_load_scipy():
-    """A cold start (the package, the norm zoo and the set registry) needs no
-    SciPy: only chord_projection_check imports it."""
-    code = ("import sys, banachlab\n"
-            "from banachlab import zoo\n"
-            "zoo.set_registry(zoo.norm_zoo())\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+def _scipy_modules_after(code: str) -> str:
+    """The SciPy modules loaded in a fresh interpreter after running code."""
+    code += "\nimport sys\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_import_and_registry_do_not_load_scipy():
+    """A cold start (the package, the norm zoo and the set registry) needs no
+    SciPy, which is a test dependency only: numpy is the one runtime
+    dependency."""
+    assert _scipy_modules_after("import banachlab\nfrom banachlab import zoo\n"
+                                "zoo.set_registry(zoo.norm_zoo())") == "[]"
+
+
+def test_chord_projection_check_does_not_load_scipy():
+    """The chord search, the last one that used SciPy, runs on the bracketed
+    root search of the moduli."""
+    assert _scipy_modules_after("import banachlab as bl\n"
+                                "print(bl.chord_projection_check(bl.lp_norm(3), [1.0, 0.0], [1.0, 0.4])[0])"
+                                ) == "True\n[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,12 @@
 """Closed sets: distance, projection, normal cones, smoothness checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 import banachlab as bl
-from banachlab.sets import EmptyShell, InteriorPoint, NoIntersection
+from banachlab.sets import EmptyShell, InteriorPoint, NoIntersection, _sample_tries
 from conftest import LOW
 
 
@@ -452,6 +454,42 @@ def test_normal_directions_pass_the_sampled_vetting(registry, zoo):
             assert sample.quality[2] is True, (sid, sample.quality)
 
 
+def _one_try_samples(A, n, x, mesh, count, rng):
+    """The one-try loop that the block sampler replaced, kept as its
+    reference: set points within mesh of x, one try at a time."""
+    out = []
+    tries = 0
+    while len(out) < count and tries < 40 * count:
+        tries += 1
+        u = rng.standard_normal(A.dim)
+        nu = bl.norm_eval(n, u)
+        if nu < 1e-12:
+            continue
+        y = x + mesh * float(rng.uniform(0.05, 1.0)) * u / nu
+        if bl.contains(A, n, y, tol=0.0):
+            out.append(y)
+    return out
+
+
+def test_block_sampler_is_the_one_try_loop(registry, zoo):
+    """_sample_tries returns the bits of the one-try loop's samples and
+    leaves the generator where that loop leaves it: the next draw matches.
+    Small meshes hit about half the tries, a wide one splits the count-th
+    hit's block, and the two points, which no try hits, spend the budget."""
+    for sid, (A, amb) in registry.items():
+        n = bl.ambient_norm(zoo, amb)
+        for seed, x in enumerate(bl.boundary_sample(A, n, 2, seed=4)):
+            x = np.asarray(x, dtype=float)
+            for mesh, count in ((1e-3, 20), (0.5, 7), (1e-4, 3)):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = _one_try_samples(A, n, x, mesh, count, a)
+                got = _sample_tries(b, n, count, 40 * count, (0.05, 1.0), mesh, lambda t: x,
+                                    lambda Y: A.ops.residual(n, Y) <= 0)
+                assert len(got) == len(want), (sid, mesh)
+                assert all(np.array_equal(g, w) for g, w in zip(got, want)), (sid, mesh)
+                assert a.standard_normal(3).tolist() == b.standard_normal(3).tolist(), (sid, mesh)
+
+
 def test_normal_directions_reject_interior_point():
     A = bl.make_ball_complement([0.0, 0.0], 1.0)
     with pytest.raises(InteriorPoint):
@@ -490,6 +528,33 @@ def test_certificate_fails_past_the_reach():
     assert rep.witness is not None
     ridge = np.asarray(rep.witness[0], dtype=float)
     assert abs(ridge[0]) < 0.5  # near the bisector between the two points
+
+
+# The closed-form reach of each registry set (Federer 1959): the largest R
+# with a C^1 distance on the open R-shell.  The square and the max-norm box
+# complements have corners, so theirs is 0.
+_REACH = {"disc_complement": 1.0, "l15_ball_complement": 1.0, "l3_ball_complement": 1.0,
+          "tube": 1.0, "two_points": 1.0, "halfplane": math.inf, "disc": math.inf,
+          "square_complement": 0.0, "box_complement": 0.0}
+
+
+def test_certificate_fails_only_above_the_reach(registry, zoo):
+    """A reach sweep: the certificate on every registry set at five scales
+    and two seeds.  Every fail lies above the set's reach, so the convex
+    sets pass at every R, and every set of reach 1 fails at R = 1.5, the
+    disc complements and the tube by the projection-ray test (their only
+    ridge is the centre, which no sampled segment crosses)."""
+    assert set(_REACH) == set(registry)
+    for sid, (A, amb) in registry.items():
+        n = bl.ambient_norm(zoo, amb)
+        for R in (1 / 64, 0.25, 0.9, 1.5, 4.0):
+            for seed in (0, 11):
+                rep = bl.prox_smooth_certificate(A, n, R, sample_count=20, seed=seed)
+                assert rep.verdict == "pass" or R > _REACH[sid], (sid, R, seed, rep.reason)
+                if _REACH[sid] == 1.0 and R == 1.5:
+                    assert rep.verdict == "fail" and rep.witness is not None, (sid, seed)
+                    if sid != "two_points":
+                        assert rep.reason.endswith("along a projection ray"), (sid, seed)
 
 
 def test_certificate_fails_on_square_complement():
@@ -621,17 +686,21 @@ def test_rolling_ball_checks_agree_with_certificate(registry, zoo):
 
 def test_ball_complement_beyond_unit_radius_fails_rolling_checks():
     """The unit-ball complement supports a rolling ball only up to radius
-    one; at radius 1.3 both outward-ball checks refuse it.
+    one; at radius 1.3 both outward-ball checks and the certificate refuse
+    it.
 
-    The sampling certificate stays blind here: the distance function loses
-    smoothness only at the single center point, which random shell samples
-    never hit. The rolling-ball checks see the defect from the boundary
-    side, which is why the reference zoo keeps ball complements at R <= 1
-    where all three checks agree.
+    The distance function loses smoothness only at the single center point,
+    which random shell samples never hit and no sampled segment crosses, so
+    the certificate's ridge hunt finds nothing.  Its projection-ray stage
+    sees the defect as the rolling-projection check does: pushed to 1.3
+    along its ray, a shell point passes the center and comes within 0.7 of
+    the set.
     """
     A = bl.make_ball_complement([0.0, 0.0], 1.0)
     assert bl.rolling_ball_check_normal(A, E2, 1.3, sample_count=16, seed=8).verdict == "fail"
     assert bl.rolling_ball_check_projection(A, E2, 1.3, sample_count=16, seed=8).verdict == "fail"
+    cert = bl.prox_smooth_certificate(A, E2, 1.3, sample_count=16, seed=8)
+    assert cert.verdict == "fail" and cert.worst_margin == pytest.approx(-0.6, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
