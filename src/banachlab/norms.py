@@ -4,7 +4,10 @@ case), symmetric polygons, ellipses.
 Evaluation, dual norms, the normalized duality mapping, Birkhoff-James
 orthogonality and support points.  Specs are frozen dataclasses; each spec's
 `ops` is the object of its kind, built once, which holds the kind's code and
-its derived tables (weights, polygon edge functionals, ellipse inverses).
+its derived tables (polygon edge functionals, the map of a linear image).
+Only lp and polygons have formulas of their own: the ellipse and weighted lp
+are linear images of euclid and lp.  Every kind sums on the coordinate
+columns, so a row has the same bits alone and in any batch.
 """
 
 from __future__ import annotations
@@ -136,7 +139,6 @@ class _NormKind:
     below."""
 
     strictly_convex = False
-    vertices = None  # vertex table of a polygon unit ball
 
     def __init__(self, n):
         self.spec = n
@@ -182,125 +184,98 @@ class _NormKind:
         raise ValueError(f"norm kind {self.spec.kind!r} does not restrict to a coordinate subspace")
 
 
-class _WeightedLp(_NormKind):
+class _Lp(_NormKind):
+    """The lp norm, p in [1, inf].  A weighted spec whose weights are not all
+    1 is the image of lp under diag(w^(1/p)), diag(w) for the max norm:
+    __new__ builds that _LinearImage instead."""
+
+    def __new__(cls, n):
+        w = np.array(n.weights)
+        if np.all(w == 1.0):
+            return super().__new__(cls)
+        return _LinearImage(n, lp_norm(n.p, n.dim), np.diag(w if math.isinf(n.p) else w ** (1.0 / n.p)))
+
     def __init__(self, n):
         super().__init__(n)
         self.p = p = n.p
         self.q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
-        self.w = w = np.array(n.weights)
         self.strictly_convex = 1.0 < p < math.inf
-        # The norm and its dual are plain lp and lq norms of scaled rows.  Unit
-        # weights (lp_norm) skip the scaling: it would change no bit, only cost
-        # a pass over every batch.
-        if np.all(w == 1.0):
-            self.scales = (None, None)
-        elif self.strictly_convex and p != 2.0:
-            self.scales = (w ** (1.0 / p), w ** (-1.0 / p))
-        else:  # for p = 2 the scales multiply the squares
-            self.scales = (w, 1.0 / w)
         self._restricted = {}
 
     def norm(self, X):
-        return _lp_reduce(X, self.p, self.scales[0])
+        return _lp_reduce(X, self.p)
 
     def dual(self, P):
-        return _lp_reduce(P, self.q, self.scales[1])
+        return _lp_reduce(P, self.q)
 
     def gradient(self, X):
-        """w sign(y) |y|^(p-1) with y = x/|x|; l1: w sign(x), which is 0 on a
-        zero coordinate; linf: w_k sign(x_k) e_k at the first arg-max k of
-        w|x|."""
-        w = self.w
+        """sign(y) |y|^(p-1) with y = x/|x|, which is y for p = 2; l1: sign(x),
+        which is 0 on a zero coordinate; linf: sign(x_k) e_k at the first
+        arg-max k of |x|."""
         if self.p == 1.0:
-            return w * np.sign(X)
+            return np.sign(X)
         if math.isinf(self.p):
-            return np.where(_first_argmax(w * np.abs(X)), w * np.sign(X), 0.0)
-        Y = X / np.expand_dims(self.norm(X), -1)
-        return w * np.sign(Y) * np.abs(Y) ** (self.p - 1.0)
+            return np.where(_first_argmax(np.abs(X)), np.sign(X), 0.0)
+        Y = X / self.norm(X)[..., None]
+        return Y if self.p == 2.0 else np.sign(Y) * np.abs(Y) ** (self.p - 1.0)
 
     def support(self, P):
-        """sign(p) (|p|/w)^(q-1), scaled by the largest |p|/w to keep the
-        power in range; l1: the vertex sign(p_k)/w_k e_k at the first arg-max
-        k of |p|/w; linf: sign(p)/w, the centre of the face when some p_k is
-        0."""
+        """sign(p) |p|^(q-1), scaled by the largest |p| to keep the power in
+        range; l1: the vertex sign(p_k) e_k at the first arg-max k of |p|;
+        linf: sign(p), the centre of the face when some p_k is 0."""
         if math.isinf(self.p):
-            return np.sign(P) / self.w
-        R = np.abs(P) / self.w
+            return np.sign(P)
+        R = np.abs(P)
         if self.p == 1.0:
-            return np.where(_first_argmax(R), np.sign(P) / self.w, 0.0)
+            return np.where(_first_argmax(R), np.sign(P), 0.0)
         return np.sign(P) * (R / _fold(np.maximum, R)[..., None]) ** (self.q - 1.0)
 
     def face(self, a):
-        """l1: the vertex sign(a_k)/w_k e_k of every k where |a_k|/w_k ties
-        the largest; linf: sign(a)/w with every sign on the coordinates where
+        """l1: the vertex sign(a_k) e_k of every k where |a_k| ties the
+        largest; linf: sign(a) with every sign on the coordinates where
         a_k = 0.  A face of one vertex is the support point."""
         if self.p == 1.0:
-            R = np.abs(a) / self.w
-            F = np.diag(np.sign(a) / self.w)[R == np.max(R)]
-        elif math.isinf(self.p):
-            F = np.array(list(itertools.product(*[(s,) if s else (1.0, -1.0) for s in np.sign(a)]))) / self.w
-        else:
-            return super().face(a)
-        return F / self.norm(F)[:, None]
+            return np.diag(np.sign(a))[np.abs(a) == np.max(np.abs(a))]
+        if math.isinf(self.p):
+            return np.array(list(itertools.product(*[(s,) if s else (1.0, -1.0) for s in np.sign(a)])))
+        return super().face(a)
 
     def subdifferential(self, x, nx, tol):
-        w = self.w
         if self.p == 1.0:
-            free = np.abs(x) <= tol * nx
-            if not free.any():
-                return [w * np.sign(x)]
-            idx = np.where(free)[0][:4]
-            out = []
-            base = w * np.sign(x)
-            for mask in range(2 ** len(idx)):
-                p = base.copy()
-                for k, i in enumerate(idx):
-                    p[i] = w[i] if (mask >> k) & 1 else -w[i]
-                out.append(p)
-            return out
+            free = np.flatnonzero(np.abs(x) <= tol * nx)[:4]
+            F = np.repeat(np.sign(x)[None], 2 ** len(free), axis=0)
+            # row m takes + on free[k] where bit k of m is set
+            F[:, free] = [s[::-1] for s in itertools.product((-1.0, 1.0), repeat=len(free))]
+            return list(F)
         if math.isinf(self.p):
-            vals = w * np.abs(x)
-            active = np.where(vals >= _fold(np.maximum, vals) * (1 - tol))[0]
-            out = []
-            for i in active:
-                p = np.zeros(x.shape[0])
-                p[i] = w[i] * np.sign(x[i])
-                out.append(p)
-            return out
+            vals = np.abs(x)
+            active = np.flatnonzero(vals >= _fold(np.maximum, vals) * (1 - tol))
+            return [np.where(np.arange(x.shape[0]) == i, np.sign(x[i]), 0.0) for i in active]
         return super().subdifferential(x, nx, tol)
 
     def vertex_angles(self):
-        if self.p == 1.0:
-            return np.array([0.0, np.pi / 2, np.pi, -np.pi / 2])
-        if math.isinf(self.p):
-            w = self.spec.weights
-            corners = np.array([[1 / w[0], 1 / w[1]], [-1 / w[0], 1 / w[1]],
-                                [-1 / w[0], -1 / w[1]], [1 / w[0], -1 / w[1]]])
-            return np.arctan2(corners[:, 1], corners[:, 0])
-        return np.empty(0)
+        k = {1.0: [0.0, 2.0, 4.0, -2.0], math.inf: [1.0, 3.0, -3.0, -1.0]}.get(self.p, [])
+        return np.pi / 4 * np.array(k)
 
     def longest_segment(self):
-        """An edge of the l1 or max-norm sphere, from a vertex to the next,
-        has length 2 whatever the weights."""
+        """An edge of the l1 or max-norm sphere has length 2."""
         return 0.0 if self.strictly_convex else 2.0
 
     def facets(self, center, radius):
         d = center.shape[0]
         if math.isinf(self.p):
-            rows = [np.where(np.arange(d) == i, s * self.w[i], 0.0) for i in range(d) for s in (1.0, -1.0)]
+            rows = [np.where(np.arange(d) == i, s, 0.0) for i in range(d) for s in (1.0, -1.0)]
         elif self.p == 1.0:
-            rows = [self.w * np.where(np.asarray(s) == 0, 1.0, -1.0) for s in np.ndindex(*([2] * d))]
+            rows = [np.where(np.asarray(s) == 0, 1.0, -1.0) for s in np.ndindex(*([2] * d))]
         else:
             return None
         return [(a, radius + float(a @ center)) for a in rows]
 
     def restrict(self, coords):
         cs = tuple(coords)
-        if cs == tuple(range(self.spec.dim)):
-            return self.spec
-        if cs not in self._restricted:
-            self._restricted[cs] = weighted_lp_norm(self.p, self.w[list(cs)])
-        return self._restricted[cs]
+        if cs != tuple(range(self.spec.dim)) and cs not in self._restricted:
+            self._restricted[cs] = weighted_lp_norm(self.p, [1.0] * len(cs))
+        return self._restricted.get(cs, self.spec)
 
     @staticmethod
     def from_json(d):
@@ -314,13 +289,9 @@ class _WeightedLp(_NormKind):
 class _Polygon(_NormKind):
     def __init__(self, n):
         super().__init__(n)
-        V = np.array(n.vertices, dtype=float)
-        m = V.shape[0]
-        E = np.empty((m, 2))
-        for i in range(m):
-            E[i] = np.linalg.solve(np.stack([V[i], V[(i + 1) % m]]), np.ones(2))
-        self.vertices = V
-        self.edges = E  # row i supports the edge from vertex i to i+1 at level 1
+        self.vertices = V = np.array(n.vertices, dtype=float)
+        # row i supports the edge from vertex i to i+1 at level 1
+        self.edges = np.array([np.linalg.solve(e, np.ones(2)) for e in zip(V, np.roll(V, -1, axis=0))])
 
     def norm(self, X):
         return np.max(_pairings(X, self.edges), axis=0)
@@ -331,12 +302,12 @@ class _Polygon(_NormKind):
     def gradient(self, X):
         """The edge functional with the largest value at x (the first in
         vertex order at a vertex)."""
-        return self.edges[np.argmax(X @ self.edges.T, axis=-1)]
+        return self.edges[np.argmax(_pairings(X, self.edges), axis=0)]
 
     def support(self, P):
         """The vertex with the largest pairing (the first in vertex order when
         p is normal to an edge)."""
-        return self.vertices[np.argmax(P @ self.vertices.T, axis=-1)]
+        return self.vertices[np.argmax(_pairings(P, self.vertices), axis=0)]
 
     def subdifferential(self, x, nx, tol):
         vals = self.edges @ x
@@ -358,34 +329,63 @@ class _Polygon(_NormKind):
         return polygon_norm(d["vertices"], name=d.get("name", ""))
 
 
-class _Ellipse(_NormKind):
-    strictly_convex = True
+class _LinearImage(_NormKind):
+    """x -> |Tx| for an invertible T and a base norm: each operation is the
+    base's moved by T.  T is an isometry onto the base, so the moduli, the
+    longest segment and strict convexity are the base's."""
 
-    def __init__(self, n):
+    def __init__(self, n, base, T):
         super().__init__(n)
-        self.Q = np.array(n.matrix, dtype=float)
-        self.Qi = np.linalg.inv(self.Q)
+        self.base = base.ops
+        self.T, self.Ti = T, np.linalg.inv(T)
+        self.strictly_convex, self.longest_segment = self.base.strictly_convex, self.base.longest_segment
 
     def norm(self, X):
-        return _quadratic_root(X, self.Q)
+        return self.base.norm(_apply(self.T, X))
 
     def dual(self, P):
-        return _quadratic_root(P, self.Qi)
+        """|T^-T p|_*."""
+        return self.base.dual(_apply(self.Ti.T, P))
 
     def gradient(self, X):
-        """Qx/|x|."""
-        return X @ self.Q.T / np.expand_dims(self.norm(X), -1)
+        """T^T grad(Tx)."""
+        return _apply(self.T.T, self.base.gradient(_apply(self.T, X)))
 
     def support(self, P):
-        """Q^-1 p."""
-        return P @ self.Qi.T
+        """T^-1 support(T^-T p)."""
+        return _apply(self.Ti, self.base.support(_apply(self.Ti.T, P)))
+
+    def face(self, a):
+        F = _apply(self.Ti, self.base.face(_apply(self.Ti.T, a)))
+        return F / self.norm(F)[:, None]
+
+    def subdifferential(self, x, nx, tol):
+        """T^T f over the base's extreme functionals f at Tx."""
+        return [_apply(self.T.T, f) for f in self.base.subdifferential(_apply(self.T, x), nx, tol)]
+
+    def vertex_angles(self):
+        a = self.base.vertex_angles()
+        V = _apply(self.Ti, np.stack([np.cos(a), np.sin(a)], axis=-1))
+        return np.arctan2(V[:, 1], V[:, 0])
+
+    def facets(self, center, radius):
+        """(T^T a, b) over the base's facets (a, b) of the ball about Tc."""
+        F = self.base.facets(_apply(self.T, center), radius)
+        return None if F is None else [(_apply(self.T.T, a), b) for a, b in F]
+
+
+class _Ellipse(_LinearImage):
+    """x -> sqrt(x^T Q x): euclid under R = cholesky(Q)^T, as Q = R^T R."""
+
+    def __init__(self, n):
+        super().__init__(n, lp_norm(2, 2), np.linalg.cholesky(np.array(n.matrix)).T)
 
     @staticmethod
     def from_json(d):
         return ellipse_norm(d["matrix"], name=d.get("name", ""))
 
 
-_KINDS = {"weighted_lp": _WeightedLp, "polygon": _Polygon, "ellipse": _Ellipse}
+_KINDS = {"weighted_lp": _Lp, "polygon": _Polygon, "ellipse": _Ellipse}
 
 
 def _fold(ufunc, A):
@@ -396,23 +396,25 @@ def _fold(ufunc, A):
 
 
 def _pairings(X, F):
-    """<f, x> for each row f of F (first axis) and each planar row x of X,
-    summed on the coordinate columns: a row has the same bits in any batch,
+    """<f, x> for each row f of F (first axis) and each row x of X, summed on
+    the coordinate columns in order: a row has the same bits in any batch,
     where a matmul rounds by the shape of its operands."""
     P = np.multiply.outer(F[:, 0], X[..., 0])
-    P += np.multiply.outer(F[:, 1], X[..., 1])
+    for k in range(1, F.shape[1]):
+        P += np.multiply.outer(F[:, k], X[..., k])
     return P
+
+
+def _apply(T, X):
+    """Tx for each row x of X: the transposed view of _pairings(X, T), whose
+    columns are its contiguous rows."""
+    P = _pairings(X, T)
+    return P.transpose(*range(1, P.ndim), 0)
 
 
 def _first_argmax(A):
     """Mask of the first largest entry of each row of A."""
     return np.arange(A.shape[-1]) == np.argmax(A, axis=-1)[..., None]
-
-
-def _quadratic_root(X, Q):
-    """sqrt(x^T Q x) of planar rows, summed on the columns in the order of einsum."""
-    x, y = X[..., 0], X[..., 1]
-    return np.sqrt(x * Q[0, 0] * x + x * Q[0, 1] * y + y * Q[1, 0] * x + y * Q[1, 1] * y)
 
 
 def _norm_kind(kind):
@@ -432,11 +434,9 @@ def as_vec(x, dim):
     return v
 
 
-def _lp_reduce(X, p, scale=None):
-    """lp norm of each row of X, with |X| (X * X for p = 2) scaled first; see _fold."""
+def _lp_reduce(X, p):
+    """lp norm of each row of X; see _fold."""
     a = X * X if p == 2.0 else np.abs(X)
-    if scale is not None:
-        a *= scale
     if p == 2.0:
         return np.sqrt(_fold(np.add, a))
     if p == 1.0:

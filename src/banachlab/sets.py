@@ -474,8 +474,9 @@ class _Planes(_SetKind):
             U = [_plane_dirs(n, a) for a in self.normals]
             self._dirs[n] = np.concatenate(U), np.repeat(np.arange(len(U)), [len(u) for u in U])
         U, f = self._dirs[n]
-        on = kept[:, f].any(axis=0)
-        U, f = U[on], f[on]
+        if len(V):  # only the directions of kept facets; a table of no rows keeps them all
+            on = kept[:, f].any(axis=0)
+            U, f = U[on], f[on]
         K = V[:, None] - G[:, f, None] * U
         return K, _cluster_mask(K, kept[:, f], _CLUSTER)
 
@@ -972,8 +973,6 @@ def _ray_margins(A: ClosedSetSpec, n: NormSpec, R: float, U, K, keep):
     ok = ~(_spread(n, K, keep, X) > 1e-6) & ~(nw < 1e-9)
     X, U, W, nw = X[ok], U[ok], W[ok], nw[ok]
     pushed = X + (R / nw)[:, None] * W
-    if not ok.any():  # a table of no rows has no plane feet to index
-        return X, U, pushed, nw
     return X, U, pushed, A.ops.nearest_rows(n, pushed)[0] - R
 
 

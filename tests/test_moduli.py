@@ -157,15 +157,17 @@ def test_oracles_at_the_default_budget(norms, nid):
 
 
 @settings(max_examples=8, deadline=None)
-@given(p=st.floats(min_value=1.05, max_value=8.0, allow_nan=False))
-def test_lp_moduli_match_hanner(p):
-    """Unit-weight l_p for random p: delta and rho on their label side of
-    Hanner's forms, and within 1e-9 of them."""
-    n = bl.lp_norm(p)
+@given(p=st.floats(min_value=1.05, max_value=8.0, allow_nan=False),
+       w=st.lists(st.floats(min_value=0.1, max_value=10.0), min_size=2, max_size=2))
+def test_lp_moduli_match_hanner(p, w):
+    """l_p for random p, with unit and with random weights: weighted l_p is
+    isometric to l_p, so delta and rho sit on their label side of Hanner's
+    forms, and within 1e-9 of them."""
     eps = np.array([0.2, 1.0, 1.9, 2.0])
     tau = np.array([0.1, 0.6, 1.5])
-    _assert_on_side(bl.delta_estimate(n, eps, LOW), _hanner_delta(eps, p), "over")
-    _assert_on_side(bl.rho_estimate(n, tau, LOW), _hanner_rho(tau, p), "under")
+    for n in (bl.lp_norm(p), bl.weighted_lp_norm(p, w)):
+        _assert_on_side(bl.delta_estimate(n, eps, LOW), _hanner_delta(eps, p), "over")
+        _assert_on_side(bl.rho_estimate(n, tau, LOW), _hanner_rho(tau, p), "under")
 
 
 def test_linf_is_not_uniformly_convex(curve_bank):
@@ -210,6 +212,7 @@ def test_moduli_estimators_are_planar():
 
 POLYHEDRAL = {"l1": [[1, 0], [0, 1], [-1, 0], [0, -1]],
               "linf": [[1, 1], [-1, 1], [-1, -1], [1, -1]]}
+WEIGHTS = [0.6, 2.2]
 
 
 def _zoo_vertices(norms, nid):
@@ -274,18 +277,22 @@ def _edge_points(V, count):
 
 
 def _polyhedral_cases(norms):
-    """(label, norm, vertex table): the three polyhedral zoo norms and eight
-    random symmetric polygons."""
+    """(label, norm, vertex table): the three polyhedral zoo norms, a
+    weighted l1 and a weighted max norm, and eight random symmetric
+    polygons."""
     cases = [(nid, norms[nid], _zoo_vertices(norms, nid)) for nid in ("l1", "linf", "poly")]
+    s = 1.0 / np.array(WEIGHTS)  # the vertices of the weighted balls sit at 1/w_k
+    cases += [("wl1", bl.weighted_lp_norm(1, WEIGHTS), np.array(POLYHEDRAL["l1"]) * s),
+              ("wlinf", bl.weighted_lp_norm(np.inf, WEIGHTS), np.array(POLYHEDRAL["linf"]) * s)]
     return cases + [(f"random{k}", bl.polygon_norm(V), V) for k, V in enumerate(_random_polygons(8, 7))]
 
 
 def test_polygon_delta_matches_the_vertex_oracle(norms):
-    """delta of l1, linf, poly and random symmetric polygons, at the low
-    budget: on the "over" side of the exact value from vertex crossings, and
-    within 1e-12 of it; and no pair of a dense cross-check (about 2,000
-    boundary points x, each with its exact crossings y) lies below the
-    estimate by more than 1e-12."""
+    """delta of l1, linf, poly, a weighted l1 and a weighted max norm and
+    random symmetric polygons, at the low budget: on the "over" side of the
+    exact value from vertex crossings, and within 1e-12 of it; and no pair
+    of a dense cross-check (about 2,000 boundary points x, each with its
+    exact crossings y) lies below the estimate by more than 1e-12."""
     eps = np.concatenate([np.linspace(0.05, 1.95, 20), [2.0]])
     for label, n, V in _polyhedral_cases(norms):
         est = np.asarray(bl.delta_estimate(n, eps, LOW).values)
@@ -309,11 +316,12 @@ def _shift_oracle(E, X, Y, r):
 
 
 def test_polygon_supporting_moduli_match_the_vertex_oracle(norms):
-    """Both supporting moduli of l1, linf, poly and random symmetric
-    polygons: on their label side of the exact shift over the vertex pairs
-    (x a vertex, y either sign of the direction of an edge at x) and within
-    1e-12 of it; and no pair inside an edge (about 2,000 points x, y along
-    their edge) beats the estimate by more than 1e-12 on its label side."""
+    """Both supporting moduli of l1, linf, poly, a weighted l1 and a weighted
+    max norm and random symmetric polygons: on their label side of the exact
+    shift over the vertex pairs (x a vertex, y either sign of the direction
+    of an edge at x) and within 1e-12 of it; and no pair inside an edge
+    (about 2,000 points x, y along their edge) beats the estimate by more
+    than 1e-12 on its label side."""
     r = np.linspace(0.05, 1.0, 12)
     for label, n, V in _polyhedral_cases(norms):
         E = _edge_functionals(V)

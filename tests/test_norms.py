@@ -55,12 +55,10 @@ def test_weighted_lp_values():
     assert bl.norm_eval(n, [0.0, 2.0]) == pytest.approx(1.0, abs=1e-12)
 
 
-def _plain_lp(X, p, scale=None):
+def _plain_lp(X, p):
     """The formulas of the former separate lp kind, kept as the reference:
-    NumPy reductions over the last axis, after an optional weight scaling."""
+    NumPy reductions over the last axis."""
     a = X * X if p == 2.0 else np.abs(X)
-    if scale is not None:
-        a = a * scale
     if p == 2.0:
         return np.sqrt(np.sum(a, axis=-1))
     if p == 1.0:
@@ -72,6 +70,10 @@ def _plain_lp(X, p, scale=None):
     return m * np.sum(scaled ** p, axis=-1) ** (1.0 / p)
 
 
+def _conjugate(p):
+    return {1.0: np.inf, 2.0: 2.0, np.inf: 1.0}.get(p) or p / (p - 1.0)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0, np.inf])
 def test_lp_is_unit_weight_weighted_lp_bit_for_bit(p, dim):
@@ -79,7 +81,7 @@ def test_lp_is_unit_weight_weighted_lp_bit_for_bit(p, dim):
     equal the plain lp formulas exactly, for single rows and stacks of rows."""
     n = bl.lp_norm(p, dim)
     assert n.kind == "weighted_lp" and n.weights == (1.0,) * dim
-    q = {1.0: np.inf, 2.0: 2.0, np.inf: 1.0}.get(p) or p / (p - 1.0)
+    q = _conjugate(p)
     rng = np.random.default_rng(31)
     for shape in [(dim,), (7, dim), (4, 5, dim)]:
         X = rng.normal(size=shape) * 3.0
@@ -153,26 +155,32 @@ def _exact_pairing_max(x, F, absolute):
     return float(max(abs(v) for v in vals) if absolute else max(vals))
 
 
-def _exact_quadratic_root(x, Q):
-    """sqrt(x^T Q x) in 60-digit decimal arithmetic, rounded once to a float."""
+def _exact_image_norm(x, T):
+    """The Euclidean norm |Tx| in 60-digit decimal arithmetic, rounded once to
+    a float."""
     with decimal.localcontext() as ctx:
         ctx.prec = 60
-        d, D = [decimal.Decimal(float(v)) for v in x], np.vectorize(decimal.Decimal)(Q)
-        return float(sum(d[i] * D[i, j] * d[j] for i in range(2) for j in range(2)).sqrt())
+        d = [decimal.Decimal(float(v)) for v in x]
+        y = [sum(decimal.Decimal(float(t)) * v for t, v in zip(row, d)) for row in T]
+        return float(sum(v * v for v in y).sqrt())
 
 
 @pytest.mark.parametrize("nid", NORM_IDS + [f"wlp{p:g}/{d}" for d in (1, 3)
                                             for p in (1.0, 1.5, 2.0, 3.0, np.inf)])
 def test_norm_kernels_equal_the_reductions_over_the_last_axis(zoo, nid):
     """The column kernels give the bits of the NumPy reductions they replace
-    (np.sum and np.max), on one vector and on stacks of rows.  An ellipse
-    value is sqrt(x^T Q x) up to its rounding: four products and three sums,
-    each term rounded at most five times, move x^T Q x by at most
-    5u |x|^T |Q| |x| (u = 2^-53), the root by half that relative to it, and
-    the root itself and the reference round once more.  A polygon value is
-    the largest pairing <f, x> with an edge functional f (|<v, p>| with a
-    vertex v for the dual norm) up to its rounding: two products and a sum
-    move a pairing by at most 2u (|x1 f1| + |x2 f2|), and the reference
+    (np.sum and np.max), on one vector and on stacks of rows.  A weighted lp
+    norm is lp of the rows scaled by t = w^(1/p) (t = w for the max norm),
+    and its dual norm lq of the rows scaled by 1/t, bit for bit; unit weights
+    scale by 1.  An ellipse value is the Euclidean |Rx| with Q = R^T R (the
+    dual |R^-T p|) up to its rounding: the sums of Rx err by at most
+    u |R| |x| + u |Rx| componentwise (u = 2^-53), which moves |Rx| by at most
+    (c + 1) u |Rx| with c = | |R| |x| | / |Rx|; squaring, summing and the
+    root add 2u, and the reference rounds once more, so the two differ by at
+    most c + 3.5 ulps to first order in u (the test allows c + 4).  A polygon
+    value is the largest pairing <f, x> with an edge functional f (|<v, p>|
+    with a vertex v for the dual norm) up to its rounding: two products and
+    a sum move a pairing by at most 2u (|x1 f1| + |x2 f2|), and the reference
     rounds once more.  (The matmul X @ E.T that the polygon kernel replaces
     rounds by the shape of its operands.)"""
     if nid in zoo:
@@ -184,11 +192,11 @@ def test_norm_kernels_equal_the_reductions_over_the_last_axis(zoo, nid):
     for shape in [(), (9,), (3, 4)]:
         X = rng.normal(size=shape + (n.dim,)) * 10.0 ** rng.integers(-3, 4, size=shape + (n.dim,))
         if n.kind == "ellipse":
-            for Q, got in ((n.ops.Q, bl.norm_batch(n, X)), (n.ops.Qi, bl.dual_norm_batch(n, X))):
+            for T, got in ((n.ops.T, bl.norm_batch(n, X)), (n.ops.Ti.T, bl.dual_norm_batch(n, X))):
                 rows, got = X.reshape(-1, 2), np.reshape(got, -1)
-                ref = np.array([_exact_quadratic_root(x, Q) for x in rows])
-                kappa = np.einsum("ni,ij,nj->n", np.abs(rows), np.abs(Q), np.abs(rows)) / ref ** 2
-                assert np.all(np.abs(got - ref) <= (3 * kappa + 2) * np.spacing(ref))
+                ref = np.array([_exact_image_norm(x, T) for x in rows])
+                c = np.sqrt(np.sum((np.abs(rows) @ np.abs(T).T) ** 2, axis=-1)) / ref
+                assert np.all(np.abs(got - ref) <= (c + 4) * np.spacing(ref))
             continue
         if n.kind == "polygon":
             for F, absolute, got in ((n.ops.edges, False, bl.norm_batch(n, X)),
@@ -198,27 +206,33 @@ def test_norm_kernels_equal_the_reductions_over_the_last_axis(zoo, nid):
                 kappa = np.max(np.abs(rows) @ np.abs(F).T, axis=-1) / ref
                 assert np.all(np.abs(got - ref) <= (2 * kappa + 1) * np.spacing(ref))
             continue
-        want = (_plain_lp(X, n.ops.p, n.ops.scales[0]), _plain_lp(X, n.ops.q, n.ops.scales[1]))
-        assert np.array_equal(bl.norm_batch(n, X), want[0])
-        assert np.array_equal(bl.dual_norm_batch(n, X), want[1])
+        w = np.array(n.weights)
+        t = w if math.isinf(n.p) else w ** (1.0 / n.p)
+        assert np.array_equal(bl.norm_batch(n, X), _plain_lp(X * t, n.p))
+        assert np.array_equal(bl.dual_norm_batch(n, X), _plain_lp(X * (1.0 / t), _conjugate(n.p)))
 
 
 def test_ellipse_row_has_the_same_bits_in_any_batch(zoo):
-    """An ellipse, l15, l3 or polygon row has one value alone (norm_eval), in
-    a (1, 2, 2) batch and in an (E, 2, 2) batch, for the norm and the dual
-    norm; an ellipse or polygon row also as a bare vector, whose l15 and l3
-    sums end as 0-d scalars."""
+    """A row of the ellipse, l15, l3, the polygon, a weighted l3 and a
+    weighted max norm has one value alone (norm_eval, or a one-row batch),
+    in a (1, 2, 2) batch and in an (E, 2, 2) batch, for the norm, the dual
+    norm, j1 and the support point; an ellipse or polygon row also as a bare
+    vector, whose l15 and l3 sums end as 0-d scalars."""
     X = np.random.default_rng(17).normal(size=(150, 2, 2))
-    for nid in ("ellipse", "l15", "l3", "poly"):
-        n = zoo[nid]
-        pairs = ((bl.norm_batch, bl.norm_eval), (bl.dual_norm_batch, bl.dual_norm_eval))
-        for f, one in pairs:
+    norms = {nid: zoo[nid] for nid in ("ellipse", "l15", "l3", "poly")}
+    norms["wl3"] = bl.weighted_lp_norm(3, [0.7, 2.5])
+    norms["wlinf"] = bl.weighted_lp_norm(np.inf, [0.7, 2.5])
+    support = lambda n, P: n.ops.support(P)
+    for nid, n in norms.items():
+        for f, one in ((bl.norm_batch, bl.norm_eval), (bl.dual_norm_batch, bl.dual_norm_eval),
+                       (j1_batch, lambda n, x: j1_batch(n, x[None])[0]),
+                       (support, lambda n, x: support(n, x[None])[0])):
             whole = f(n, X)
             for e in range(X.shape[0]):
                 assert np.array_equal(f(n, X[e:e + 1])[0], whole[e]), nid
                 if nid in ("ellipse", "poly"):
-                    assert [float(f(n, x)) for x in X[e]] == whole[e].tolist(), nid
-                assert [one(n, x) for x in X[e]] == whole[e].tolist(), nid
+                    assert np.array_equal([f(n, x) for x in X[e]], whole[e]), nid
+                assert np.array_equal([one(n, x) for x in X[e]], whole[e]), nid
 
 
 def test_dimension_mismatch():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import banachlab as bl
-from banachlab.sets import EmptyShell, InteriorPoint, NoIntersection, _sample_tries
+from banachlab.sets import EmptyShell, InteriorPoint, NoIntersection, _first, _sample_tries
 from conftest import LOW
 
 
@@ -589,7 +589,8 @@ def test_row_methods_equal_the_one_point_functions(registry, zoo):
     the certificate's ridge hunt bisects them) and at points inside the
     set.  The row residual gives contains at every row, and at boundary
     points and rows off the boundary it decides where normal_directions
-    answers and where it raises InteriorPoint."""
+    answers and where it raises InteriorPoint.  A table of no rows is empty,
+    with at least one representative column for the feet to index."""
     rng = np.random.default_rng(19)
     for sid, A, n in _row_cases(registry, zoo):
         shell = np.array(bl.shell_sample(A, n, 1.2, 10, seed=3))
@@ -615,6 +616,9 @@ def test_row_methods_equal_the_one_point_functions(registry, zoo):
         _, K, keep = A.ops.nearest_rows(n, inside)
         assert np.array_equal(K[:, 0], inside) and keep.sum(axis=1).tolist() == [1] * 4, sid
         assert keep[:, 0].all(), sid
+        d, K, keep = A.ops.nearest_rows(n, np.zeros((0, A.dim)))
+        assert d.shape == (0,) and keep.shape == K.shape[:2] and K.shape[2] == A.dim, sid
+        assert K.shape[1] >= 1 and _first(K, keep).shape == (0, A.dim), sid
 
 
 @pytest.mark.parametrize("sid, R, want", [
