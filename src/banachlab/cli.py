@@ -334,15 +334,14 @@ def _hilbert_curves(nid: str, args: np.ndarray):
                            label=f"{nid}-rho"))
 
 
-def _ambient_curves(nid: str, norms: dict, budget, r_grid, cache: RunCache):
-    """Convexity and smoothness curves for an ambient norm id (estimated in
-    2D, closed-form for the Euclidean ambients)."""
+def _ambient_curve(estimator, nid: str, norms: dict, budget, r_grid, cache: RunCache):
+    """The M.delta_estimate or M.rho_estimate curve of an ambient norm id
+    (estimated in 2D, closed-form for the Euclidean ambients)."""
     args = np.unique(np.concatenate([np.asarray(r_grid), np.linspace(0.0125, 0.1, 8),
                                      np.linspace(1.1, 2.0, 6)]))
     if nid in ("euclid", "euclid3"):
-        return _hilbert_curves(nid, args)
-    n = norms[nid]
-    return cache.curve(M.delta_estimate, n, args, budget), cache.curve(M.rho_estimate, n, args, budget)
+        return _hilbert_curves(nid, args)[estimator is M.rho_estimate]
+    return cache.curve(estimator, norms[nid], args, budget)
 
 
 def _hypo_verdict(spec, n, psi, R: float, pairs: int, seed: int):
@@ -390,7 +389,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     for nid in cfg.norms:
         n = norms[nid]
         A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n)
-        _, rho = _ambient_curves(nid, norms, budget, cfg.r_grid, cache)
+        rho = _ambient_curve(M.rho_estimate, nid, norms, budget, cfg.r_grid, cache)
         psi = P.psi_from_curve(rho, scale=1.0 / 17.0, name="seventeenth-smoothness")
         rep = H.hypo_check(A, n, psi, 1.0, eps_max=0.4, pair_budget=counts["pairs"], seed=cfg.seed)
         records.append(_rec(f"hypo/{nid}/seventeenth-smoothness", "seventeenth-smoothness-certificate",
@@ -412,7 +411,8 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
                                 "skip", None))
             continue
         omn = cache.rolling_normal(spec, n, R, counts["roll"], cfg.seed)
-        delta_c, rho_c = _ambient_curves(ambient_id, norms, budget, cfg.r_grid, cache)
+        delta_c, rho_c = (_ambient_curve(e, ambient_id, norms, budget, cfg.r_grid, cache)
+                          for e in (M.delta_estimate, M.rho_estimate))
         smooth = (_hypo_verdict(spec, n, P.psi_from_curve(rho_c, scale=4.0, name="four-smoothness"), R,
                                 counts["pairs"], cfg.seed) if omn.verdict == "pass" else ("skip", None))
         convex = _hypo_verdict(spec, n, P.psi_from_curve(delta_c, scale=2.0, name="two-convexity"), R,

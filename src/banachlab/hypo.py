@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .moduli import _bracket_roots, _crossing_max
-from .norms import NormSpec, j1_batch, norm_batch, norm_eval
+from .norms import NormSpec, j1_batch, norm_batch, norm_eval, subdifferential_extremes
 from .psifuncs import PsiSpec
 from .sets import (
     CheckReport,
@@ -33,7 +33,6 @@ from .sets import (
     boundary_sample,
     contains,
     distance,
-    duality_map,
     normal_directions,
     project,
 )
@@ -80,7 +79,7 @@ def _pair_sweep(A: ClosedSetSpec, n: NormSpec, budget: int, seed: int, lo: float
     X, P = [], []
     for x in boundary_sample(A, n, m, seed=seed):
         try:
-            dirs = A.ops.cone_directions(n, x, tol=1e-6)
+            dirs = A.ops.cone_directions(n, x)
         except ValueError:
             continue
         if dirs:
@@ -252,9 +251,7 @@ def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float):
         if norm_eval(n, w) < 1e-12:
             dd *= 0.5
             continue
-        p = duality_map(n, w)
-        if not isinstance(p, np.ndarray):
-            p = p.extremes[0]
+        p = subdifferential_extremes(n, w)[0]
         ok1 = norm_eval(n, y0 - y) < eps * gap
         ok2 = float(p @ (z1 - z0)) < eps * gap
         if ok1 and ok2:

@@ -54,6 +54,7 @@ from .norms import (
     norm_batch,
     norm_eval,
     pairing_interval,
+    sphere_points,
     sphere_vertex_angles,
     subdifferential_extremes,
     unit_vector,
@@ -134,12 +135,8 @@ _HALF_ULP = np.finfo(float).eps / 2.0  # rounding of a residual, a difference of
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # zoom points across a window of half-width w
 _ZOOM_LEVELS = 10  # each level shrinks the window 16-fold
 _BLOCK = 4096  # the most rows a root search keeps active
-
-
-def _ring(n, A):
-    """Unit vectors at the angles A, of any shape."""
-    D = np.stack([np.cos(A), np.sin(A)], axis=-1)
-    return D / norm_batch(n, D)[..., None]
+_SCALINGS = (0.5, 1.0, 2.0)  # the argument scalings equivalence_probe tries
+_FIGIEL_K_MAX = 64.0  # the largest quadratic-ratio constant a Figiel check passes
 
 
 def _half_circle(n, count):
@@ -297,7 +294,7 @@ def _chord_crossing(n, X, A, eps, sense=1.0, steps=_ROOT_STEPS, warm=None):
     rows, col = X.reshape(-1, 2), eps.ravel()  # X broadcasts along leading axes
 
     def s(i, t):
-        return (norm_batch(n, np.take(rows, i % len(rows), axis=0) - _ring(n, sense * t))
+        return (norm_batch(n, np.take(rows, i % len(rows), axis=0) - sphere_points(n, sense * t))
                 - np.take(col, i // shape[-1]))
 
     a = sense * A
@@ -306,7 +303,7 @@ def _chord_crossing(n, X, A, eps, sense=1.0, steps=_ROOT_STEPS, warm=None):
     feasible = shi >= 0
     lo, hi = _bracket_roots(s, shape, np.where(feasible, a, far), far, -eps, shi,
                             np.pi * 2.0 ** -steps, False, () if warm is None else list(warm))
-    Y = np.where((hi == far)[..., None], -X, _ring(n, sense * hi))
+    Y = np.where((hi == far)[..., None], -X, sphere_points(n, sense * hi))
     return Y, feasible, lo, hi
 
 
@@ -328,7 +325,7 @@ def _crossing_max(n, f, eps, count):
 
     F, ends = best(X, A, steps=_RANK_STEPS)
     k = np.argmax(F, axis=1)
-    return _zoom_max(lambda Az, warm: best(_ring(n, Az), Az, warm), F[np.arange(F.shape[0]), k],
+    return _zoom_max(lambda Az, warm: best(sphere_points(n, Az), Az, warm), F[np.arange(F.shape[0]), k],
                      A[k], 2.0 * np.pi / count, _warm(ends, k))
 
 
@@ -357,7 +354,7 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     if eps.size:
         vang = sphere_vertex_angles(n)
         if vang.size:
-            V = _ring(n, vang)
+            V = sphere_points(n, vang)
             best = np.full(eps.shape[0], -np.inf)
             for sense in (1.0, -1.0):
                 Y, feasible = _chord_crossing(n, V, vang, eps, sense)[:2]
@@ -394,7 +391,7 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
         raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
     vang = sphere_vertex_angles(n)
     if vang.size:
-        V = _ring(n, vang)
+        V = sphere_points(n, vang)
         vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
         return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=f"{n.name}:rho")
     N = min(budget.angles, 1024) // 4
@@ -410,7 +407,7 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
     rows, Z, w = np.arange(tau_grid.size), _ZOOM.size, 2.0 * np.pi / N
     for _ in range(_ZOOM_LEVELS):
         a1, a2 = c1[:, None] + w * _ZOOM, c2[:, None] + w * _ZOOM
-        F = _rho_objective(n, _ring(n, a1)[:, :, None, :], _ring(n, a2)[:, None, :, :],
+        F = _rho_objective(n, sphere_points(n, a1)[:, :, None, :], sphere_points(n, a2)[:, None, :, :],
                            tau_grid[:, None, None, None]).reshape(-1, Z * Z)
         k = np.argmax(F, axis=1)
         best, c1, c2 = np.maximum(best, F[rows, k]), a1[rows, k // Z], a2[rows, k % Z]
@@ -527,7 +524,7 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
         branch = np.where(k < budget.angles, 1.0, -1.0)[:, None, None]
 
         def shifts(Az, warm):
-            Xz = _ring(n, Az)
+            Xz = sphere_points(n, Az)
             lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
             return sign * lam, ends
 
@@ -596,13 +593,14 @@ class EquivalenceReport:
     upper_ratio: float
 
 
-def equivalence_probe(f, g, scalings=(0.5, 1.0, 2.0)):
+def equivalence_probe(f, g):
     """Rough two-sided comparison of sampled curves over the smallest shared
-    decade: consistent when g stays within a factor 64 of f at some scaling."""
+    decade: consistent when g stays within a factor 64 of f(b t) at some
+    scaling b of _SCALINGS."""
     t0 = max(float(f.args[0]), float(g.args[0]))
     lo_ratio, lo_scale = -np.inf, None
     hi_ratio, hi_scale = np.inf, None
-    for b in scalings:
+    for b in _SCALINGS:
         te = min(10.0 * t0, g.max_arg, f.max_arg / b)
         if te <= t0:
             continue
@@ -630,7 +628,7 @@ class FigielReport:
     mode: str
 
 
-def figiel_check(curve, K_max=64.0, mode="smoothness"):
+def figiel_check(curve, K_max=_FIGIEL_K_MAX, mode="smoothness"):
     """Quadratic ratio regularity of a sampled curve.
 
     mode "smoothness": v(s)/s^2 <= K * v(t)/t^2 for t <= s (ratio quasi

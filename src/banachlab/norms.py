@@ -492,17 +492,17 @@ def unit_vector(n, d):
 def sphere_points(n, count_or_angles):
     """Points on the unit sphere of a planar norm.
 
-    Accepts either a point count (uniform angle grid) or an explicit array
-    of angles.
+    Accepts either a point count (uniform angle grid) or an array of angles
+    of any shape, which gives one point per angle, along a last axis.
     """
     if n.dim != 2:
         raise DimensionMismatch("sphere_points is for planar norms")
     if np.isscalar(count_or_angles):
         ang = np.linspace(0.0, 2.0 * np.pi, int(count_or_angles), endpoint=False)
     else:
-        ang = np.asarray(count_or_angles, dtype=float).reshape(-1)
-    D = np.stack([np.cos(ang), np.sin(ang)], axis=1)
-    return D / norm_batch(n, D)[:, None]
+        ang = np.asarray(count_or_angles, dtype=float)
+    D = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    return D / norm_batch(n, D)[..., None]
 
 
 def sphere_vertex_angles(n):
@@ -547,10 +547,10 @@ def subdifferential_extremes(n, x, tol=1e-6):
     return n.ops.subdifferential(x, nx, tol)
 
 
-def duality_map(n, x, tol=1e-6):
+def duality_map(n, x):
     """Normalized duality mapping. Returns a vector, or MultiValued with the
     extreme functionals when the norm is not differentiable at x."""
-    ext = subdifferential_extremes(n, x, tol=tol)
+    ext = subdifferential_extremes(n, x)
     if len(ext) == 1:
         return ext[0]
     return MultiValued(extremes=ext)
@@ -559,27 +559,30 @@ def duality_map(n, x, tol=1e-6):
 # ---------------------------------------------------------------------------
 # orthogonality and support
 
-def pairing_interval(n, x, y, tol=1e-9):
+_ORTHOGONAL_TOL = 1e-9  # of the active support functionals, and of James's criterion relative to |y|
+
+
+def pairing_interval(n, x, y):
     """Least and greatest <f, y> over the extreme support functionals f of x
     (dual norm one), which subdifferential_extremes finds at tolerance
-    max(tol, 1e-9)."""
-    vals = [float(np.dot(e, y)) for e in subdifferential_extremes(n, x, tol=max(tol, 1e-9))]
+    1e-9."""
+    vals = [float(np.dot(e, y)) for e in subdifferential_extremes(n, x, tol=_ORTHOGONAL_TOL)]
     return min(vals), max(vals)
 
 
-def birkhoff_orthogonal(n, y, x, tol=1e-9):
+def birkhoff_orthogonal(n, y, x):
     """True when x is Birkhoff-James orthogonal to y: no multiple of y
     shortens x.  By James's criterion, some support functional of x
     annihilates y: the range of <f, y> over the extreme support functionals
-    f of x meets [-tol |y|, tol |y|].  tol is relative to |y|, so the answer
-    does not change when x or y is scaled."""
+    f of x meets [-1e-9 |y|, 1e-9 |y|].  The tolerance is relative to |y|,
+    so the answer does not change when x or y is scaled."""
     x = as_vec(x, n.dim)
     y = as_vec(y, n.dim)
     if norm_eval(n, x) == 0.0:
         return True
-    ny = norm_eval(n, y)
-    lo, hi = pairing_interval(n, x, y, tol)
-    return lo <= tol * ny and hi >= -tol * ny
+    tol = _ORTHOGONAL_TOL * norm_eval(n, y)
+    lo, hi = pairing_interval(n, x, y)
+    return lo <= tol and hi >= -tol
 
 
 def support_point(n, p):

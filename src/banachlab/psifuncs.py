@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moduli import FigielReport, ModulusCurve, figiel_check
+from .moduli import _FIGIEL_K_MAX, FigielReport, ModulusCurve, figiel_check
 
 
 class NonzeroAtZero(ValueError):
@@ -117,11 +117,11 @@ def rescale_psi(psi, arg_scale=1.0, value_scale=1.0, name=""):
                    name=name or f"rescaled:{psi.name}")
 
 
-def figiel_class_check(psi, K_max=64.0):
+def figiel_class_check(psi):
     """Membership test for the quadratically regular certificate class:
-    the quadratic-ratio condition plus boundedness of t^2 / psi toward 0."""
-    rep = figiel_check((psi.knots[1:], psi.values[1:]), K_max=K_max,
-                       mode="smoothness")
+    the quadratic-ratio condition plus boundedness of t^2 / psi toward 0,
+    both with figiel_check's constant."""
+    rep = figiel_check((psi.knots[1:], psi.values[1:]), mode="smoothness")
     t = psi.knots[1:]
     v = psi.values[1:]
     with np.errstate(divide="ignore"):
@@ -129,7 +129,7 @@ def figiel_class_check(psi, K_max=64.0):
     t0 = t[0]
     small = r[t <= 10.0 * t0]
     large = r[t >= t[-1] / 10.0]
-    bounded = bool(np.max(small) <= K_max * max(np.max(large), 1e-300))
+    bounded = bool(np.max(small) <= _FIGIEL_K_MAX * max(np.max(large), 1e-300))
     passed = bool(rep.passed and bounded)
     return FigielReport(passed, rep.constant, "class")
 

@@ -39,7 +39,6 @@ from .norms import (
     _fold,
     as_vec,
     dual_norm_eval,
-    duality_map,
     norm_batch,
     norm_eval,
     norm_from_json,
@@ -210,6 +209,9 @@ _CLUSTER = 1e-5  # the radius, in the max norm of coordinates, of a kept point's
 _TIE_ULPS = 8  # feet within this many ulps of the least distance tie with it
 _RING = 4096  # points of the gauge-sphere ring that the nearest-point scan reads
 _SCAN_BLOCK = 128  # rows per block of the (rows, _RING) ring-distance table
+_CONE_TOL = 1e-6  # a facet is active within 10 times this, a normal cone is taken within 100
+_SLACK = 1e-6  # the slack of the chord-projection and support-gap inequalities
+_SPAN = 2.0  # a boundary sample's free coordinates are uniform on [-_SPAN, _SPAN]
 
 
 def _cluster_mask(K, keep, radius):
@@ -342,12 +344,16 @@ class _SetKind:
       of V: the distance d of each row, representatives K of its nearest
       points, shape (rows, k, dim), and the mask keep of those that stand
       for a cluster of radius _CLUSTER.  The first kept one is the row's
-      projection foot.  A row inside the set keeps 0 and the row itself.  The public distance and project are its one-row cases,
-      and the certificates run on it;
+      projection foot.  A row inside the set keeps 0 and the row itself.
+      The public distance and project are its one-row cases, and the
+      certificates run on it;
     - residual(n, V), the offset of each row of V from the boundary,
       positive outside: contains is its one-row case;
-    - cone_directions(n, x, tol), the outward unit normals at a boundary point;
-    - boundary_sample, sample_inside(rng) and from_json(d).
+    - cone_directions(n, x), the outward unit normals at a boundary point;
+    - boundary_sample(n, count, rng), count boundary points drawn from the
+      caller's generator alone (a cylinder draws its base points from it,
+      then its free coordinates);
+    - sample_inside(rng) and from_json(d).
     A row has the same bits alone and in any batch wherever the ambient norm
     gives it the same bits, as every norm kind does."""
 
@@ -406,7 +412,7 @@ class _Ball(_SetKind):
                 d = np.min(np.where(keep, norm_batch(n, K - V[:, None]), np.inf), axis=1)
         return _table(V, d, K, keep, inside)
 
-    def boundary_sample(self, n, count, rng, seed, scale):
+    def boundary_sample(self, n, count, rng):
         g = _gauge(self.spec, n)
         if self.spec.dim == 2:
             th = rng.uniform(0.0, 2 * np.pi, size=count)
@@ -417,7 +423,7 @@ class _Ball(_SetKind):
     def residual(self, n, V):
         return self.sign * (norm_batch(_gauge(self.spec, n), V - self.c) - self.r)
 
-    def cone_directions(self, n, x, tol):
+    def cone_directions(self, n, x):
         ext = subdifferential_extremes(_gauge(self.spec, n), x - self.c)
         if self.sign < 0 and len(ext) > 1:
             return []  # gauge-ball vertex: the complement cone there degenerates
@@ -500,16 +506,16 @@ class _Halfspace(_Planes):
         K, keep = self._plane_feet(n, V, d[:, None], np.ones((V.shape[0], 1), dtype=bool))
         return _table(V, d, K, keep, s <= 0)
 
-    def boundary_sample(self, n, count, rng, seed, scale):
+    def boundary_sample(self, n, count, rng):
         a = self.a
         out = []
         for _ in range(count):
-            w = rng.uniform(-scale, scale, size=self.dim)
+            w = rng.uniform(-_SPAN, _SPAN, size=self.dim)
             w -= (float(a @ w) / float(a @ a)) * a
             out.append(self.foot + w)
         return out
 
-    def cone_directions(self, n, x, tol):
+    def cone_directions(self, n, x):
         return [self.a / dual_norm_eval(n, self.a)]
 
     def sample_inside(self, rng):
@@ -534,10 +540,10 @@ class _FinitePoints(_SetKind):
         K = np.repeat(self.pts[None], V.shape[0], axis=0)
         return _table(V, d, K, D <= d[:, None] + _PROJECT_TOL, d <= 0)
 
-    def boundary_sample(self, n, count, rng, seed, scale):
+    def boundary_sample(self, n, count, rng):
         return [self.pts[i % self.pts.shape[0]].copy() for i in range(count)]
 
-    def cone_directions(self, n, x, tol):
+    def cone_directions(self, n, x):
         if n.dim == 2:
             th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
             raw = np.stack([np.cos(th), np.sin(th)], axis=1)
@@ -593,7 +599,7 @@ class _PolytopeComplement(_Planes):
         m = len(verts)
         return [(verts[i], verts[(i + 1) % m]) for i in range(m)]
 
-    def boundary_sample(self, n, count, rng, seed, scale):
+    def boundary_sample(self, n, count, rng):
         if self.dim != 2:
             raise ValueError("polytope complement sampling implemented for dim 2 only")
         segs = self._edges_2d()
@@ -610,10 +616,10 @@ class _PolytopeComplement(_Planes):
     def residual(self, n, V):
         return -np.max(np.stack([_pairing_rows(V, a) - b for a, b in self.facets], axis=-1), axis=-1)
 
-    def cone_directions(self, n, x, tol):
+    def cone_directions(self, n, x):
         active = []
         for a, b in self.facets:
-            if abs(float(a @ x) - b) <= 10 * tol * max(1.0, abs(b), float(np.max(np.abs(a)))):
+            if abs(float(a @ x) - b) <= 10 * _CONE_TOL * max(1.0, abs(b), float(np.max(np.abs(a)))):
                 active.append(a)
         if len(active) != 1:
             return []  # complement vertex (or numerical corner): degenerate
@@ -645,25 +651,21 @@ class _Cylinder(_SetKind):
         K[:, :, self.coords] = B
         return d, K, keep
 
-    def boundary_sample(self, n, count, rng, seed, scale):
-        base_pts = boundary_sample(self.base, n.ops.restrict(self.coords), count, seed, scale)
+    def boundary_sample(self, n, count, rng):
+        Y = np.zeros((count, self.dim))
+        base = self.base.ops.boundary_sample(n.ops.restrict(self.coords), count, rng)
+        Y[:, self.coords] = np.reshape(base, (count, len(self.coords)))
         free = [i for i in range(self.dim) if i not in self.coords]
-        out = []
-        for bp in base_pts:
-            y = np.zeros(self.dim)
-            y[self.coords] = bp
-            if free:
-                y[free] = rng.uniform(-scale, scale, size=len(free))
-            out.append(y)
-        return out
+        Y[:, free] = rng.uniform(-_SPAN, _SPAN, size=(count, len(free)))
+        return list(Y)
 
     def residual(self, n, V):
         return self.base.ops.residual(n.ops.restrict(self.coords), V[:, self.coords])
 
-    def cone_directions(self, n, x, tol):
+    def cone_directions(self, n, x):
         sub = n.ops.restrict(self.coords)
         out = []
-        for p in self.base.ops.cone_directions(sub, x[self.coords], tol):
+        for p in self.base.ops.cone_directions(sub, x[self.coords]):
             q = np.zeros(self.dim)
             q[self.coords] = p
             out.append(q / dual_norm_eval(n, q))
@@ -722,10 +724,9 @@ def project(A: ClosedSetSpec, n: NormSpec, x):
     return list(K[0][keep[0]])
 
 
-def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0,
-                    scale: float = 2.0):
+def boundary_sample(A: ClosedSetSpec, n: NormSpec, count: int, seed: int = 0):
     """Sample points on the boundary of A (deterministic under the seed)."""
-    return A.ops.boundary_sample(n, count, np.random.default_rng(seed), seed, scale)
+    return A.ops.boundary_sample(n, count, np.random.default_rng(seed))
 
 
 # ---------------------------------------------------------------------------
@@ -773,17 +774,17 @@ def _cone_pairings(n: NormSpec, Y: np.ndarray, x, P: np.ndarray):
     return k, _dots(P if P.ndim == 2 else P[k], W[k, None]), d[k]
 
 
-def normal_directions(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-6) -> tuple:
+def normal_directions(A: ClosedSetSpec, n: NormSpec, x) -> tuple:
     """Extreme unit rays of the outward normal cone at a boundary point.
 
     The analytic directions of the set kind, without sampled vetting.  Raises
-    InteriorPoint when x is more than 100 tol off the boundary.
+    InteriorPoint when x is more than 1e-4 off the boundary.
     """
     v = as_vec(x, A.dim)
     res = float(A.ops.residual(n, v[None])[0])
-    if abs(res) > 100 * tol:
+    if abs(res) > 100 * _CONE_TOL:
         raise InteriorPoint(f"point is {res:.3g} away from the boundary")
-    return tuple(A.ops.cone_directions(n, v, tol))
+    return tuple(A.ops.cone_directions(n, v))
 
 
 def _set_points_near(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float, count: int, rng):
@@ -792,8 +793,8 @@ def _set_points_near(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float, 
                                     lambda Y: A.ops.residual(n, Y) <= 0), (-1, A.dim))
 
 
-def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, count: int = 200, seed: int = 0,
-                       tol: float = 1e-6) -> NormalConeSample:
+def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, count: int = 200,
+                       seed: int = 0) -> NormalConeSample:
     """Extreme rays of the outward normal cone at a boundary point, vetted.
 
     The directions are those of `normal_directions`.  The vetting is a
@@ -803,7 +804,7 @@ def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, count: int = 200, seed:
     directions, so the certificates call `normal_directions` and skip it.
     """
     v = as_vec(x, A.dim)
-    dirs = normal_directions(A, n, v, tol)
+    dirs = normal_directions(A, n, v)
     rng = np.random.default_rng(seed)
     if not dirs:
         return NormalConeSample(base_point=v, directions=(), quality=(0.0, 0.0, True))
@@ -849,10 +850,7 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
         w = u - x
         if norm_eval(n, w) < 1e-9:
             continue
-        p = duality_map(n, w)
-        if not isinstance(p, np.ndarray):
-            p = p.extremes[0]
-        rows.append((u, x, p))
+        rows.append((u, x, subdifferential_extremes(n, w)[0]))
         pts.append(_set_points_near(A, n, x, 1e-3, 80, rng))
     if not rows:
         return CheckReport("pass", 0.0, None, 0, reason="no usable samples")
@@ -1019,10 +1017,10 @@ def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
 # supporting-chord and sphere-separation checks
 
 
-def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
+def chord_projection_check(n: NormSpec, x, z):
     """For a unit vector x with support functional p and a point z on the
     supporting line {<p, .> = 1}, the sphere point y cut out by the line
-    through z parallel to x satisfies 2|z - x| >= |x - y| - tol.
+    through z parallel to x satisfies 2|z - x| >= |x - y| - 1e-6.
 
     y = z - s x at the first root s of the convex g(s) = |z - s x| - 1 on
     [0, 4], before the minimum of g, where its nondecreasing slope
@@ -1032,9 +1030,7 @@ def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
     zv = as_vec(z, n.dim)
     if abs(norm_eval(n, xv) - 1.0) > 1e-7:
         raise ValueError("x must be a unit vector")
-    p = duality_map(n, xv)
-    if not isinstance(p, np.ndarray):
-        p = p.extremes[0]
+    p = subdifferential_extremes(n, xv)[0]
     if abs(float(p @ zv) - 1.0) > 1e-6:
         raise ValueError("z must lie on the supporting line of x")
 
@@ -1049,7 +1045,7 @@ def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
                               4.0 * 2.0 ** -60, False)[1][0]
 
     g0 = float(g(0, np.zeros(1))[0])
-    if g0 <= tol:
+    if g0 <= _SLACK:
         y = zv.copy()
     else:
         s_min = first_up(slope, 0.0, 4.0)
@@ -1059,12 +1055,13 @@ def chord_projection_check(n: NormSpec, x, z, tol: float = 1e-6):
         y = zv - s_star * xv
     lhs = 2 * norm_eval(n, zv - xv)
     rhs = norm_eval(n, xv - y)
-    return lhs >= rhs - tol, y, float(lhs - rhs)
+    return lhs >= rhs - _SLACK, y, float(lhs - rhs)
 
 
-def support_gap_check(n: NormSpec, R: float, x0, z, delta_curve, tol: float = 1e-6):
+def support_gap_check(n: NormSpec, R: float, x0, z, delta_curve):
     """Inner points of a sphere sit quantitatively on the far side of the
-    supporting functional at -x0, with gap 2 R delta(|z - x0| / R)."""
+    supporting functional at -x0, with gap 2 R delta(|z - x0| / R), less
+    1e-6."""
     x0v = as_vec(x0, n.dim)
     zv = as_vec(z, n.dim)
     if abs(norm_eval(n, x0v) - R) > 1e-6 * max(1.0, R):
@@ -1073,13 +1070,11 @@ def support_gap_check(n: NormSpec, R: float, x0, z, delta_curve, tol: float = 1e
         raise ValueError("z must be an interior point of the R-ball")
     if getattr(delta_curve, "direction", "over") != "over":
         raise ValueError("need an upper convexity-modulus curve for a sound check")
-    p0 = duality_map(n, -x0v)
-    if not isinstance(p0, np.ndarray):
-        p0 = p0.extremes[0]
+    p0 = subdifferential_extremes(n, -x0v)[0]
     lhs = float(p0 @ (zv - x0v))
     rhs = 2 * R * delta_curve.eval(norm_eval(n, zv - x0v) / R)
     margin = lhs - rhs
-    return margin > -tol, float(margin)
+    return margin > -_SLACK, float(margin)
 
 
 # ---------------------------------------------------------------------------

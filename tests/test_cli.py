@@ -223,6 +223,17 @@ def test_hypo_gamma_artifacts(tmp_path):
         assert float(r["lower_bound"]) - 5e-3 <= g <= float(r["upper_bound"]) + 5e-3
 
 
+def test_hypo_estimates_only_the_curves_it_reads(tmp_path, monkeypatch):
+    """The seventeenth-smoothness records read rho alone, so hypo on a norm
+    with no sets estimates no delta curve."""
+    calls = []
+    delta_estimate = cli.M.delta_estimate
+    monkeypatch.setattr(cli.M, "delta_estimate", lambda *a: calls.append(a) or delta_estimate(*a))
+    path = write_config(tmp_path, dict(TINY, norms=["poly"], sets=[]))
+    run_cli(["hypo", "--config", path, "--out", str(tmp_path / "out")])
+    assert calls == []
+
+
 def test_gamma_sweep_script_on_a_polygon(tmp_path):
     """scripts/gamma_sweep.py, the one caller that reaches gamma on a
     polyhedral norm: finite gamma cells, and the supporting-modulus cell

@@ -333,22 +333,20 @@ _FROZEN = {
     },
     "tube": {
         "hypo": (
-            '{"epsilon_band": [0.0, 0.5], "pairs_used": 29, "psi_extended": false, '
-            '"verdict": "pass", "worst_margin": 0.0013639868719870865, '
-            '"worst_pair": [[-0.9065001154656835, 0.4222055668281774, -0.2774879183432888], '
-            '[0.9065001154656835, -0.4222055668281774, 0.0], [-0.9009728909493102, '
-            '0.43387538507553347, -0.2857083828061522], [0.9009728909493102, '
-            '-0.43387538507553347, 0.0]]}'),
+            '{"epsilon_band": [0.0, 0.5], "pairs_used": 10, "psi_extended": false, "verdict": '
+            '"pass", "worst_margin": 0.0006658942411485042, "worst_pair": [[0.1457329237121422, '
+            '-0.9893239686504673, -0.5228547756223203], [-0.1457329237121422, 0.9893239686504673, '
+            '0.0], [0.42620989789246017, -0.9046242993301135, -0.5268726594436757], '
+            '[-0.42620989789246017, 0.9046242993301135, 0.0]]}'),
         "gamma": (
-            '0.06890523182036563'),
+            '0.08584136702832405'),
         "section": (
-            '{"reason": "eps=0.473051 worst_ratio=0.0886271", "samples_used": 40, '
-            '"verdict": "pass", "witness": null, "worst_margin": 0.01014993903612877}'),
+            '{"reason": "eps=0.473051 worst_ratio=0.0886271", "samples_used": 40, "verdict": '
+            '"pass", "witness": null, "worst_margin": 0.010149939036128776}'),
         "shell": (
-            '[[-0.7824794326017043, -0.3403248029263187, 0.08935241807156707], '
-            '[0.9662599582614928, -0.15948577807074285, 1.8040281955151105], '
-            '[-0.6344354370536259, 0.6612465146950798, -0.3365716986247174], '
-            '[0.3232096822303993, -0.7654383206289311, 1.2717340946561206]]'),
+            '[[-0.7824794326017043, -0.3403248029263187, 0.372105409402304], [0.9662599582614928, '
+            '-0.15948577807074285, -1.029613066149352], [-0.6344354370536259, 0.6612465146950798, '
+            '0.8606854236002959], [0.3232096822303993, -0.7654383206289311, -0.03171509138550076]]'),
         "projection": (
             '{"samples_used": 6, "verdict": "pass", "witness": null, "worst_margin": 0.002}'),
         "cone": (
@@ -389,7 +387,9 @@ def test_sampled_check_reports_are_those_of_the_one_try_loops(registry, zoo, sid
     bound, shell_sample, projection_normal_check and the vetting quality of
     normal_cone_sample.  two_points pairs 16 directions at each point and
     has no set point in its section; square_complement runs the plane feet
-    of a polytope complement; tube is 3-d."""
+    of a polytope complement.  The tube, which is 3-d, is frozen from the
+    kernels instead: its entry pins the mended cylinder sampler, which draws
+    the base points and then the free coordinates from one generator."""
     A, amb = registry[sid]
     n = bl.ambient_norm(zoo, amb)
     args = np.linspace(0.0125, 2.0, 40)

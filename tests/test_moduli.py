@@ -608,7 +608,7 @@ def test_root_searches_keep_the_label_contract(norms, nid):
     n = norms[nid]
     A, X = M._half_circle(n, LOW.angles)
     vang = M.sphere_vertex_angles(n)
-    V = M._ring(n, vang)
+    V = bl.sphere_points(n, vang)
     arcs = [(X, A, 1.0)] + ([(V, vang, 1.0), (V, vang, -1.0)] if vang.size else [])
     for X, A, sense in arcs:
         for steps in (M._ROOT_STEPS, M._RANK_STEPS):
@@ -618,7 +618,7 @@ def test_root_searches_keep_the_label_contract(norms, nid):
                 assert np.array_equal(f, feasible)
                 chord = bl.norm_batch(n, X - Y)
                 assert (chord >= CHORDS)[f].all(), (nid, sense, steps, warm is None)
-                short = bl.norm_batch(n, X - M._ring(n, sense * lo))
+                short = bl.norm_batch(n, X - bl.sphere_points(n, sense * lo))
                 assert not (short >= CHORDS)[f].any(), (nid, sense, steps, warm is None)
     X, Y, _ = M._quasiorth_table(n, LOW.angles)
     B = X + SHIFTS * Y

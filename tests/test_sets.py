@@ -391,6 +391,18 @@ def test_boundary_sample_sits_on_boundary(registry, zoo):
             assert bl.contains(A, n, nudged, tol=1e-6), sid
 
 
+@pytest.mark.parametrize("seed", [0, 5, 11])
+def test_tube_boundary_samples_cover_the_cylinder(registry, zoo, seed):
+    """A tube sample draws its base point and its free height from one
+    generator, so the samples lie on no curve such as the helix
+    z = 2 (theta / pi - 1): each half-turn holds heights of both signs."""
+    A, amb = registry["tube"]
+    X = np.array(bl.boundary_sample(A, bl.ambient_norm(zoo, amb), 64, seed=seed))
+    theta = np.mod(np.arctan2(X[:, 1], X[:, 0]), 2 * np.pi)
+    for half in (theta < np.pi, theta >= np.pi):
+        assert (X[half, 2] > 0).any() and (X[half, 2] < 0).any()
+
+
 # ---------------------------------------------------------------------------
 # normal cone sampling
 
