@@ -326,22 +326,11 @@ def cmd_sets(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
 # hypo command
 
 
-def _hilbert_curves(nid: str, args: np.ndarray):
-    """The closed-form convexity and smoothness curves of a Euclidean norm id."""
-    return (M.ModulusCurve(args=args, values=M.hilbert_delta(args), direction="over",
-                           label=f"{nid}-delta"),
-            M.ModulusCurve(args=args, values=M.hilbert_rho(args), direction="under",
-                           label=f"{nid}-rho"))
-
-
 def _ambient_curve(estimator, nid: str, norms: dict, budget, r_grid, cache: RunCache):
-    """The M.delta_estimate or M.rho_estimate curve of an ambient norm id
-    (estimated in 2D, closed-form for the Euclidean ambients)."""
+    """The M.delta_estimate or M.rho_estimate curve of an ambient norm id."""
     args = np.unique(np.concatenate([np.asarray(r_grid), np.linspace(0.0125, 0.1, 8),
                                      np.linspace(1.1, 2.0, 6)]))
-    if nid in ("euclid", "euclid3"):
-        return _hilbert_curves(nid, args)[estimator is M.rho_estimate]
-    return cache.curve(estimator, norms[nid], args, budget)
+    return cache.curve(estimator, Z.ambient_norm(norms, nid), args, budget)
 
 
 def _hypo_verdict(spec, n, psi, R: float, pairs: int, seed: int):
@@ -367,8 +356,7 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
         n = norms[nid]
         A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n)
         rho_args = np.unique(np.concatenate([eps_arr / 4.0, np.asarray(cfg.r_grid)]))
-        rho = (_hilbert_curves(nid, rho_args)[1] if nid == "euclid"
-               else cache.curve(M.rho_estimate, n, rho_args, budget))
+        rho = cache.curve(M.rho_estimate, n, rho_args, budget)
         lam_hi = cache.curve(M.supporting_modulus_estimate, n, np.unique(2.0 * eps_arr), budget, "upper")
         rows = []
         worst = np.inf

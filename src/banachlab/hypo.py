@@ -134,14 +134,15 @@ def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int = 4096
     """Worst antimonotonicity of the normal cone at pair separation eps.
 
     Maximizes -<p1 - p2, x1 - x2> over boundary pairs at distance eps.  The
-    complement of a planar ball whose gauge is the ambient norm takes the
-    chord-crossing engine of the moduli (_gamma_exact_2d), which pins the
-    separation at eps.  Every other set, a ball with a foreign gauge included,
-    relaxes the separation to the band [eps(1-_BAND), eps(1+_BAND)] and takes
-    the best sampled pair.  budget sets the engine's rows (budget // 16,
-    within [128, 512]) or the band's pair count.  Neither value has a
-    certified side: the engine's pairs sit at a computed separation of at
-    least eps, the band's anywhere in the band.
+    complement of a planar ball whose gauge is the ambient norm takes
+    _gamma_exact_2d, which pins the separation at eps: the closed form
+    eps^2/r on an inner-product norm, the chord-crossing engine of the
+    moduli on any other.  Every other set, a ball with a foreign gauge
+    included, relaxes the separation to the band
+    [eps(1-_BAND), eps(1+_BAND)] and takes the best sampled pair.  budget
+    sets the engine's rows (budget // 16, within [128, 512]) or the band's
+    pair count.  No value has a certified side: the engine's pairs sit at a
+    computed separation of at least eps, the band's anywhere in the band.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -157,18 +158,30 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
     """gamma on the complement of the ball c + r B_n.  Its boundary point
     c + r u has the outward normal -j1(u), and two such points lie r|u1 - u2|
     apart, so gamma(eps) is r times the largest <j1(u1) - j1(u2), u1 - u2>
-    over the unit pairs at chord eps/r."""
+    over the unit pairs at chord eps/r.  On an inner-product norm every such
+    pair gives |u1 - u2|^2, so gamma(eps) = eps^2/r, with no pair where
+    eps > 2r, as in the engine."""
     r = A.radius
+    if n.ops.inner_product:
+        best = float(eps * eps / r) if eps / r <= 2.0 else -np.inf
+    else:
+        best = _gamma_engine(n, r, eps, budget)
+    if not np.isfinite(best):
+        raise NoFeasiblePairs(f"no boundary pairs at separation {eps}")
+    return best
+
+
+def _gamma_engine(n: NormSpec, r: float, eps: float, budget: int) -> float:
+    """The largest r <j1(u1) - j1(u2), u1 - u2> over the unit pairs at chord
+    eps/r, from the chord-crossing engine of the moduli on budget // 16 rows
+    (within [128, 512]); -inf where no pair reaches that chord."""
     rows = max(128, min(512, budget // 16))
 
     def pairing(X, Y):
         D, E = j1_batch(n, X) - j1_batch(n, Y), X - Y
         return r * (D[..., 0] * E[..., 0] + D[..., 1] * E[..., 1])
 
-    best = float(_crossing_max(n, pairing, np.array([[eps / r]]), 2 * rows)[0])
-    if not np.isfinite(best):
-        raise NoFeasiblePairs(f"no boundary pairs at separation {eps}")
-    return best
+    return float(_crossing_max(n, pairing, np.array([[eps / r]]), 2 * rows)[0])
 
 
 def section_bound_check(A: ClosedSetSpec, n: NormSpec, R: float, rho_curve,

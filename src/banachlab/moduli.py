@@ -1,8 +1,11 @@
 """Moduli of convexity and smoothness, supporting moduli, and curve calculus.
 
-The estimators are planar, and each works on all of its grid points at once.
-A norm whose unit sphere is a polygon (l1, the max norm, polygon norms)
-takes every modulus from its vertices alone, with no scan and no zoom:
+Each estimator works on all of its grid points at once and dispatches on
+the norm kind.  An inner-product norm (euclid, the ellipse, weighted l2, in
+any dimension) takes the Hilbert values in closed form, rounded outward by
+the label (_outward).  A norm whose unit sphere is a polygon (l1, the max
+norm, polygon norms) takes every modulus from its vertices alone, with no
+scan and no zoom:
 
 - delta: on a pair of sphere edges ||x + y|| is convex and the chords
   ||x - y|| >= eps cut out the complement of a convex set, so the best pair
@@ -13,7 +16,8 @@ takes every modulus from its vertices alone, with no scan and no zoom:
 - supporting moduli: x at a vertex and y in the kernel of one of its
   extreme functionals.
 
-Every other norm runs the planar pair engine:
+Every other planar norm runs the pair engine (_delta_engine, _rho_engine,
+_support_engine):
 
 - chord crossings (delta, and the normal-cone defect gamma of hypo): for
   every row angle of the half circle and every chord length, a bracketed
@@ -33,11 +37,11 @@ count of evaluations plus a few) on the active rows only, each row stopping
 where bisection would.  Each zoom level starts its searches from brackets
 around the roots of the level before.
 
-Every value comes from an evaluated pair on its label side: "over" for
-infima (delta, the lower supporting modulus), "under" for suprema (rho, the
-upper one).  Each grid point keeps its own fixed array shapes, so its value
-does not depend on the rest of its grid.  Other dimensions raise
-DimensionMismatch.
+Every value is on its label side: "over" for infima (delta, the lower
+supporting modulus), "under" for suprema (rho, the upper one); off the
+closed forms it comes from an evaluated pair.  Each grid point keeps its own
+fixed array shapes, so its value does not depend on the rest of its grid.
+Other dimensions raise DimensionMismatch, except on inner-product norms.
 """
 
 from __future__ import annotations
@@ -117,6 +121,26 @@ def hilbert_delta(eps):
 def hilbert_rho(tau):
     tau = np.asarray(tau, dtype=float)
     return np.sqrt(1.0 + tau * tau) - 1.0
+
+
+# ---------------------------------------------------------------------------
+# inner-product norms: the Hilbert moduli in closed form
+
+_OUTWARD = 4.0 * np.finfo(float).eps  # the factored forms below err by under 2 eps relative
+
+
+def _hilbert_shift(r):
+    """1 - sqrt(1 - r^2) as r^2 / (1 + sqrt((1 - r)(1 + r))), which does not
+    cancel: the support shift, and delta(2r).  r is clamped to the grids'
+    end 1, which they may pass by rounding."""
+    r = np.minimum(r, 1.0)
+    return r * r / (1.0 + np.sqrt((1.0 - r) * (1.0 + r)))
+
+
+def _outward(v, side, top=np.inf):
+    """v moved outward by _OUTWARD relative, up for "over" and down for
+    "under", and clamped to the a priori bound top."""
+    return np.minimum(v * (1.0 + _OUTWARD), top) if side == "over" else v * (1.0 - _OUTWARD)
 
 
 # ---------------------------------------------------------------------------
@@ -329,22 +353,32 @@ def _crossing_max(n, f, eps, count):
                      A[k], 2.0 * np.pi / count, _warm(ends, k))
 
 
+def _delta_engine(n, eps, count):
+    """Largest ||x + y|| over the chord crossings of the pair engine at each
+    eps of a column (see _crossing_max)."""
+    return _crossing_max(n, lambda X, Y: norm_batch(n, X + Y), eps, count)
+
+
 def delta_estimate(n, eps_grid, budget=SearchBudget()):
     """Modulus of convexity on a grid of chord lengths in (0, 2].
 
-    For fixed x the best y under ||x - y|| >= eps is the chord crossing on
-    either arc from x to -x, since ||x + y|| does not increase along it, so
-    delta is 1 - max ||x + y|| / 2 over the crossings.  A polyhedral sphere
-    takes the crossings from its vertices along both arcs, which is exact up
-    to rounding (see the module docstring); any other norm takes them from
-    the pair engine (_crossing_max).  Each value comes from an evaluated pair
-    with chord at least eps, so it is an "over" estimate.  At eps = 2 the
-    value is the closed form 1 - L/2, with L the longest segment in the unit
-    sphere.
+    An inner-product norm takes the closed form (see the module docstring).
+    For any other norm and fixed x the best y under ||x - y|| >= eps is the
+    chord crossing on either arc from x to -x, since ||x + y|| does not
+    increase along it, so delta is 1 - max ||x + y|| / 2 over the crossings.
+    A polyhedral sphere takes the crossings from its vertices along both
+    arcs, which is exact up to rounding; any other planar norm takes them
+    from the pair engine (_delta_engine).  Each value comes from an
+    evaluated pair with chord at least eps, so it is an "over" estimate.  At
+    eps = 2 the value is the closed form 1 - L/2, with L the longest segment
+    in the unit sphere.
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
         raise ValueError("chord grid must lie in (0, 2]")
+    if n.ops.inner_product:
+        return ModulusCurve(eps_grid.copy(), _outward(_hilbert_shift(eps_grid / 2.0), "over", 1.0), "over",
+                            label=f"{n.name}:delta")
     if n.dim != 2:
         raise DimensionMismatch("the modulus of convexity is implemented for planar norms")
     top = 1.0 - n.ops.longest_segment() / 2.0
@@ -360,7 +394,7 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
                 Y, feasible = _chord_crossing(n, V, vang, eps, sense)[:2]
                 best = np.maximum(best, np.where(feasible, norm_batch(n, V + Y), -np.inf).max(axis=1))
         else:
-            best = _crossing_max(n, lambda X, Y: norm_batch(n, X + Y), eps, budget.angles)
+            best = _delta_engine(n, eps, budget.angles)
         # delta is nondecreasing, so top = delta(2) bounds a chord no pair reached
         vals[inner] = np.where(np.isfinite(best), np.maximum(0.0, 1.0 - best / 2.0), top)
     return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")
@@ -374,27 +408,12 @@ def _rho_objective(n, X, Y, tau):
     return (norm_batch(n, X + tau * Y) + norm_batch(n, X - tau * Y)) / 2.0 - 1.0
 
 
-def rho_estimate(n, tau_grid, budget=SearchBudget()):
-    """Modulus of smoothness on a grid of step sizes in (0, 2].
-
-    The value is a sampled supremum over evaluated unit pairs, so it is an
-    "under" estimate.  Polyhedral spheres: the objective is convex in each
-    argument, so the supremum sits at vertex pairs and is exact.  Otherwise
-    each tau scans the pairs of the half circle (the objective is invariant
-    under y -> -y and (x, y) -> (-x, -y)), and the best pair of every tau is
-    polished at once by a zoom in both angles.
-    """
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
-        raise ValueError("step grid must lie in (0, 2]")
-    if n.dim != 2:
-        raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
-    vang = sphere_vertex_angles(n)
-    if vang.size:
-        V = sphere_points(n, vang)
-        vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
-        return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=f"{n.name}:rho")
-    N = min(budget.angles, 1024) // 4
+def _rho_engine(n, tau_grid, angles):
+    """rho of a planar norm from the pair engine: for each tau a scan of the
+    pairs of the half circle (the objective is invariant under y -> -y and
+    (x, y) -> (-x, -y)), then a zoom of the best pair of every tau at once
+    in both angles."""
+    N = min(angles, 1024) // 4
     A, S = _half_circle(n, N)
     best, c1, c2 = [], [], []
     for tau in tau_grid:
@@ -412,7 +431,33 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
         k = np.argmax(F, axis=1)
         best, c1, c2 = np.maximum(best, F[rows, k]), a1[rows, k // Z], a2[rows, k % Z]
         w /= (Z - 1) / 2
-    return ModulusCurve(tau_grid.copy(), best, "under", label=f"{n.name}:rho")
+    return best
+
+
+def rho_estimate(n, tau_grid, budget=SearchBudget()):
+    """Modulus of smoothness on a grid of step sizes in (0, 2].
+
+    An inner-product norm takes the closed form (see the module docstring).
+    Otherwise the value is a sampled supremum over evaluated unit pairs, so
+    it is an "under" estimate.  Polyhedral spheres: the objective is convex
+    in each argument, so the supremum sits at vertex pairs and is exact.
+    Any other planar norm runs the pair engine (_rho_engine).
+    """
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
+        raise ValueError("step grid must lie in (0, 2]")
+    if n.ops.inner_product:
+        vals = _outward(tau_grid * tau_grid / (1.0 + np.sqrt(1.0 + tau_grid * tau_grid)), "under")
+        return ModulusCurve(tau_grid.copy(), vals, "under", label=f"{n.name}:rho")
+    if n.dim != 2:
+        raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
+    vang = sphere_vertex_angles(n)
+    if vang.size:
+        V = sphere_points(n, vang)
+        vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
+        return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=f"{n.name}:rho")
+    return ModulusCurve(tau_grid.copy(), _rho_engine(n, tau_grid, budget.angles), "under",
+                        label=f"{n.name}:rho")
 
 
 # ---------------------------------------------------------------------------
@@ -492,47 +537,58 @@ def _vertex_pairs(n, angles):
     return np.array(X), np.array(Y)
 
 
+def _support_engine(n, r_grid, which, angles):
+    """The supporting modulus of a planar norm from the pair engine: one
+    root search (_lambda_rows) over every r and every pair of the
+    count-point quasiorthogonal table, then a zoom of the best table pair of
+    each r at once in the angle of x, with its partner rebuilt from j1, each
+    level warm-started from the shifts of the last."""
+    sign = 1.0 if which == "upper" else -1.0
+    r = r_grid[:, None, None]
+    X, Y, A = _quasiorth_table(n, angles)
+    lam, ends = _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
+    lam *= sign
+    k = np.argmax(lam, axis=1)
+    branch = np.where(k < angles, 1.0, -1.0)[:, None, None]
+
+    def shifts(Az, warm):
+        Xz = sphere_points(n, Az)
+        lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
+        return sign * lam, ends
+
+    return sign * _zoom_max(shifts, lam[np.arange(r_grid.size), k], A[k], 2.0 * np.pi / angles, _warm(ends, k))
+
+
 def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     """Envelope of support shifts over quasiorthogonal unit pairs.
 
     which = "lower" takes the infimum (direction "over"), "upper" the
-    supremum (direction "under").  A polyhedral sphere takes one root search
-    (_lambda_rows) over its vertex pairs (_vertex_pairs) at every r.  Any
-    other norm takes one over every r and every pair of the table, and the
-    best table pair of each r is then polished at once by a zoom in the angle
-    of x, with its partner rebuilt from j1, each level warm-started from the
-    shifts of the last.  Each shift is rounded outward by the label.
+    supremum (direction "under").  An inner-product norm takes the closed
+    form 1 - sqrt(1 - r^2) (see the module docstring).  A polyhedral sphere
+    takes one root search (_lambda_rows) over its vertex pairs
+    (_vertex_pairs) at every r.  Any other planar norm runs the pair engine
+    (_support_engine).  Each shift is rounded outward by the label.
     """
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
-    if n.dim != 2:
-        raise DimensionMismatch("supporting moduli are implemented for planar norms")
     r_grid = np.asarray(r_grid, dtype=float)
     if np.any(r_grid <= 0) or np.any(r_grid > 1 + 1e-12):
         raise ValueError("r grid must lie in (0, 1]")
-    sign = 1.0 if which == "upper" else -1.0
-    r = r_grid[:, None, None]
+    direction = "under" if which == "upper" else "over"
+    label = f"{n.name}:support_{which}"
+    if n.ops.inner_product:
+        return ModulusCurve(r_grid.copy(), _outward(_hilbert_shift(r_grid), direction, np.minimum(r_grid, 1.0)), direction,
+                            label=label)
+    if n.dim != 2:
+        raise DimensionMismatch("supporting moduli are implemented for planar norms")
     vang = sphere_vertex_angles(n)
     if vang.size:
+        sign = 1.0 if which == "upper" else -1.0
         X, Y = _vertex_pairs(n, vang)
-        best = (sign * _lambda_rows(n, X, Y, r, which)[0]).max(axis=1)
+        vals = sign * (sign * _lambda_rows(n, X, Y, r_grid[:, None, None], which)[0]).max(axis=1)
     else:
-        X, Y, A = _quasiorth_table(n, budget.angles)
-        lam, ends = _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
-        lam *= sign
-        k = np.argmax(lam, axis=1)
-        branch = np.where(k < budget.angles, 1.0, -1.0)[:, None, None]
-
-        def shifts(Az, warm):
-            Xz = sphere_points(n, Az)
-            lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
-            return sign * lam, ends
-
-        best = _zoom_max(shifts, lam[np.arange(r_grid.size), k], A[k],
-                         2.0 * np.pi / budget.angles, _warm(ends, k))
-    direction = "under" if which == "upper" else "over"
-    return ModulusCurve(r_grid.copy(), sign * best, direction,
-                        label=f"{n.name}:support_{which}")
+        vals = _support_engine(n, r_grid, which, budget.angles)
+    return ModulusCurve(r_grid.copy(), vals, direction, label=label)
 
 
 # ---------------------------------------------------------------------------

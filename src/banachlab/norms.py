@@ -136,9 +136,10 @@ class _NormKind:
     the norm's gradient at rows where the norm is smooth and one extreme
     functional of the subdifferential elsewhere; support(P), a maximizer of
     <p, u> over the unit ball (not scaled to norm one); and the defaults
-    below."""
+    below.  inner_product marks a norm that an inner product induces, whose
+    moduli are the Hilbert ones."""
 
-    strictly_convex = False
+    strictly_convex = inner_product = False
 
     def __init__(self, n):
         self.spec = n
@@ -200,6 +201,7 @@ class _Lp(_NormKind):
         self.p = p = n.p
         self.q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
         self.strictly_convex = 1.0 < p < math.inf
+        self.inner_product = p == 2.0
         self._restricted = {}
 
     def norm(self, X):
@@ -332,13 +334,15 @@ class _Polygon(_NormKind):
 class _LinearImage(_NormKind):
     """x -> |Tx| for an invertible T and a base norm: each operation is the
     base's moved by T.  T is an isometry onto the base, so the moduli, the
-    longest segment and strict convexity are the base's."""
+    longest segment, strict convexity and an inner product are the base's:
+    the ellipse, euclid under T, takes the Hilbert moduli in closed form."""
 
     def __init__(self, n, base, T):
         super().__init__(n)
         self.base = base.ops
         self.T, self.Ti = T, np.linalg.inv(T)
         self.strictly_convex, self.longest_segment = self.base.strictly_convex, self.base.longest_segment
+        self.inner_product = self.base.inner_product
 
     def norm(self, X):
         return self.base.norm(_apply(self.T, X))

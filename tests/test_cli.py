@@ -108,13 +108,21 @@ def test_rejects_negative_seed_option(tmp_path):
     assert run_cli(["moduli", "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
 
 
-def test_hilbert_curves_are_arrays():
-    """The closed-form Euclidean curves of the hypo stage carry ndarray
-    arguments and values, so the curve helpers accept them."""
-    delta, rho = cli._hilbert_curves("euclid", np.array([0.01, 0.02, 0.04, 0.08]))
-    assert isinstance(rho.args, np.ndarray) and isinstance(delta.values, np.ndarray)
-    lo, hi = bl.doubling_ratio(rho)
-    assert 3.9 < lo <= hi < 4.0
+def test_euclidean_ambient_curves_are_closed_form_arrays():
+    """The hypo stage reads the curves of the Euclidean ambients, euclid3
+    included, from the estimators' closed forms: ndarray arguments and
+    values, so the curve helpers accept them, with the bits of the planar
+    euclid curves."""
+    low, norms = bl.SearchBudget.preset("low"), bl.norm_zoo()
+    grid = [0.01, 0.02, 0.04, 0.08]
+    for nid in ("euclid", "euclid3"):
+        delta, rho = (cli._ambient_curve(e, nid, norms, low, grid, cli.RunCache())
+                      for e in (bl.delta_estimate, bl.rho_estimate))
+        assert isinstance(rho.args, np.ndarray) and isinstance(delta.values, np.ndarray)
+        assert np.array_equal(rho.values, bl.rho_estimate(norms["euclid"], rho.args, low).values)
+        assert np.array_equal(delta.values, bl.delta_estimate(norms["euclid"], delta.args, low).values)
+        lo, hi = bl.doubling_ratio(rho)
+        assert 3.9 < lo <= hi < 4.0
 
 
 def test_empty_norm_list_is_a_clean_no_op(tmp_path):

@@ -42,6 +42,20 @@ def test_gamma_euclid_is_quadratic(zoo, nid):
         assert g == pytest.approx(eps * eps, abs=1e-12)
 
 
+@pytest.mark.parametrize("nid", ["euclid", "ellipse"])
+def test_gamma_has_no_pair_beyond_the_diameter(zoo, nid):
+    """On an inner-product complement of radius r no two boundary points lie
+    more than 2r apart: gamma raises NoFeasiblePairs there, as the engine
+    does, and takes its closed form at 2r."""
+    n = zoo[nid]
+    for r in (0.5, 1.0):
+        A = bl.make_ball_complement([0.0, 0.0], r, gauge=n)
+        assert bl.gamma_estimate(A, n, 2.0 * r, budget=1024) == pytest.approx(4.0 * r, rel=1e-15)
+        for eps in (2.0 * r * (1 + 1e-12), 2.0 * r + 0.1):
+            with pytest.raises(NoFeasiblePairs):
+                bl.gamma_estimate(A, n, eps, budget=1024)
+
+
 @pytest.mark.parametrize("nid", ["l1", "linf"])
 def test_gamma_polyhedral_is_twice_eps(zoo, nid):
     """On the l1 and max-norm unit spheres take u1 and u2 on the two edges

@@ -1,10 +1,13 @@
 """Convexity / smoothness moduli, supporting moduli and curve calculus."""
 
+import decimal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import banachlab as bl
+from banachlab import hypo as H
 from banachlab import moduli as M
 from banachlab.moduli import (
     NotQuasiorthogonal,
@@ -199,12 +202,121 @@ def test_delta_rejects_out_of_range_grid():
 
 
 def test_moduli_estimators_are_planar():
-    """The estimators search the planar unit sphere; a 3-d norm is refused."""
-    euclid3 = bl.ambient_norm(bl.norm_zoo(), "euclid3")
+    """The estimators search the planar unit sphere; a 3-d norm that is not
+    inner-product is refused."""
+    l3_3d = bl.lp_norm(3, 3)
     with pytest.raises(bl.DimensionMismatch):
-        bl.delta_estimate(euclid3, [0.5], LOW)
+        bl.delta_estimate(l3_3d, [0.5], LOW)
     with pytest.raises(bl.DimensionMismatch):
-        bl.rho_estimate(euclid3, [0.5], LOW)
+        bl.rho_estimate(l3_3d, [0.5], LOW)
+    for which in ("lower", "upper"):
+        with pytest.raises(bl.DimensionMismatch):
+            bl.supporting_modulus_estimate(l3_3d, [0.5], which, LOW)
+
+
+# ---------------------------------------------------------------------------
+# inner-product norms: the closed forms, and the pair engine under them
+
+INNER_PRODUCT = {"euclid": bl.lp_norm(2), "ellipse": bl.norm_zoo()["ellipse"],
+                 "weighted l2": bl.weighted_lp_norm(2, [1, 5]),
+                 "euclid3": bl.ambient_norm(bl.norm_zoo(), "euclid3")}
+
+
+def test_inner_product_attribute_of_the_norm_kinds(norms):
+    """lp with p = 2 and its linear images are inner-product; no other kind is."""
+    assert [nid for nid, n in norms.items() if n.ops.inner_product] == ["euclid", "ellipse"]
+    assert all(n.ops.inner_product for n in INNER_PRODUCT.values())
+    assert not bl.weighted_lp_norm(2.001, [1, 5]).ops.inner_product
+    assert not bl.lp_norm(3, 3).ops.inner_product
+
+
+def test_inner_product_norms_take_the_closed_forms(monkeypatch):
+    """delta, rho and both supporting moduli of euclid, the ellipse,
+    weighted l2 and euclid3, and gamma on the euclid and ellipse unit
+    complements, never reach the root search of the pair engine; the values
+    are those of planar euclid, bit for bit."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("an inner-product norm ran the pair engine")
+
+    monkeypatch.setattr(M, "_bracket_roots", refuse)
+    grid = np.array([0.1, 0.5, 1.0])
+    runs = [lambda n: bl.delta_estimate(n, np.append(grid, 2.0), LOW),
+            lambda n: bl.rho_estimate(n, np.append(grid, 2.0), LOW),
+            lambda n: bl.supporting_modulus_estimate(n, grid, "lower", LOW),
+            lambda n: bl.supporting_modulus_estimate(n, grid, "upper", LOW)]
+    for run in runs:
+        want = run(INNER_PRODUCT["euclid"])
+        for nid, n in INNER_PRODUCT.items():
+            got = run(n)
+            assert got.direction == want.direction and np.array_equal(got.values, want.values), nid
+    for nid in ("euclid", "ellipse"):
+        n = INNER_PRODUCT[nid]
+        A = bl.make_ball_complement([0.0, 0.0], 1.0, gauge=n)
+        assert bl.gamma_estimate(A, n, 0.3, budget=1024) == 0.3 * 0.3, nid
+
+
+def _decimal_oracle(kind, t):
+    """The Hilbert delta, rho or support shift at the float t, to 60 digits,
+    from the plain forms 1 - sqrt(1 - e^2/4), sqrt(1 + t^2) - 1 and
+    1 - sqrt(1 - r^2)."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        t = decimal.Decimal(float(t))
+        if kind == "delta":
+            return 1 - (1 - t * t / 4).sqrt()
+        if kind == "rho":
+            return (1 + t * t).sqrt() - 1
+        return 1 - (1 - t * t).sqrt()
+
+
+@pytest.mark.parametrize("kind", ["delta", "rho", "lower", "upper"])
+def test_closed_forms_sit_on_their_label_side_of_60_digit_values(kind):
+    """Every closed-form value lies on its label side of the 60-digit
+    value, and within 8 ulps relative of it, from 1e-6 to the end of the
+    range (eps = 2, tau = 2, r = 1) and within 1e-12 below that end.
+    delta(2) and the lower shift at r = 1 are exactly 1."""
+    end = 1.0 if kind in ("lower", "upper") else 2.0
+    t = np.unique(np.concatenate([np.geomspace(1e-6, end, 1500), end - np.geomspace(1e-16, 1e-12, 40),
+                                  [np.nextafter(end, 0.0), end]]))
+    n = bl.lp_norm(2)
+    if kind == "delta":
+        c = bl.delta_estimate(n, t, LOW)
+    elif kind == "rho":
+        c = bl.rho_estimate(n, t, LOW)
+    else:
+        c = bl.supporting_modulus_estimate(n, t, kind, LOW)
+    side = 1 if c.direction == "over" else -1
+    for a, v in zip(t, c.values):
+        exact = _decimal_oracle(kind, a)
+        err = (decimal.Decimal(float(v)) - exact) / exact
+        assert side * err >= 0, (kind, a, float(err))
+        assert abs(err) <= 8 * np.finfo(float).eps, (kind, a, float(err))
+    if kind in ("delta", "lower"):
+        assert c.values[-1] == 1.0
+    if kind == "lower":
+        assert np.all(c.values <= t)
+
+
+@pytest.mark.parametrize("budget", ["low", "default"])
+@pytest.mark.parametrize("nid", ["euclid", "ellipse"])
+def test_pair_engine_meets_the_hilbert_oracle(norms, nid, budget):
+    """The pair engine, which inner-product norms no longer reach through
+    the estimators, still finds the Hilbert values on euclid and the
+    ellipse: delta and rho on their label side within 1e-11 relative and
+    within 1e-9, both supporting moduli on their side within 1e-6, and the
+    gamma pairing within 1e-12 of eps^2."""
+    n, count = norms[nid], SearchBudget.preset(budget).angles
+    eps = np.array([0.3, 1.0, 1.7, 1.99])
+    delta = bl.ModulusCurve(eps, 1.0 - M._delta_engine(n, eps[:, None], count) / 2.0, "over")
+    _assert_on_side(delta, bl.hilbert_delta(eps), "over")
+    tau = np.array([0.05, 0.5, 2.0])
+    _assert_on_side(bl.ModulusCurve(tau, M._rho_engine(n, tau, count), "under"), bl.hilbert_rho(tau), "under")
+    r = np.array([0.25, 0.5, 1.0])
+    for which, side in (("lower", "over"), ("upper", "under")):
+        c = bl.ModulusCurve(r, M._support_engine(n, r, which, count), side)
+        _assert_on_side(c, 1 - np.sqrt(1 - r * r), side, accuracy=1e-6)
+    for e in (0.1, 0.3, 0.5):
+        assert H._gamma_engine(n, 1.0, e, count) == pytest.approx(e * e, abs=1e-12), e
 
 
 # ---------------------------------------------------------------------------
