@@ -177,6 +177,13 @@ def _fmt(v) -> str:
     return "%.12g" % float(v)
 
 
+def _grid(*parts):
+    """The sorted distinct values of the parts, as np.unique gives them;
+    np.unique's first call would import numpy.ma, a cost of every run."""
+    v = np.sort(np.concatenate([np.ravel(np.asarray(p, dtype=float)) for p in parts]))
+    return v[np.concatenate([[True], v[1:] != v[:-1]])]
+
+
 def _write_rows(path: Path, header, rows):
     lines = [",".join(header)]
     for row in rows:
@@ -241,10 +248,11 @@ def cmd_moduli(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     records = []
     tol = 5e-3
     r = np.asarray(cfg.r_grid, dtype=float)
-    eps_full = np.unique(np.concatenate([np.asarray(cfg.eps_grid), 2.0 * r]))
-    tau_full = np.unique(np.concatenate([np.asarray(cfg.tau_grid), r / 2.0, 2.0 * r]))
+    eps_full = _grid(cfg.eps_grid, 2.0 * r)
+    tau_full = _grid(cfg.tau_grid, r / 2.0, 2.0 * r)
+    norms = Z.norm_zoo()
     for nid in cfg.norms:
-        n = Z.norm_zoo()[nid]
+        n = norms[nid]
         delta = cache.curve(M.delta_estimate, n, eps_full, budget)
         rho = cache.curve(M.rho_estimate, n, tau_full, budget)
         lam_lo = cache.curve(M.supporting_modulus_estimate, n, r, budget, "lower")
@@ -328,8 +336,7 @@ def cmd_sets(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
 
 def _ambient_curve(estimator, nid: str, norms: dict, budget, r_grid, cache: RunCache):
     """The M.delta_estimate or M.rho_estimate curve of an ambient norm id."""
-    args = np.unique(np.concatenate([np.asarray(r_grid), np.linspace(0.0125, 0.1, 8),
-                                     np.linspace(1.1, 2.0, 6)]))
+    args = _grid(r_grid, np.linspace(0.0125, 0.1, 8), np.linspace(1.1, 2.0, 6))
     return cache.curve(estimator, Z.ambient_norm(norms, nid), args, budget)
 
 
@@ -355,9 +362,9 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     for nid in [x for x in cfg.norms if x in _SMOOTH_UC]:
         n = norms[nid]
         A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n)
-        rho_args = np.unique(np.concatenate([eps_arr / 4.0, np.asarray(cfg.r_grid)]))
+        rho_args = _grid(eps_arr / 4.0, cfg.r_grid)
         rho = cache.curve(M.rho_estimate, n, rho_args, budget)
-        lam_hi = cache.curve(M.supporting_modulus_estimate, n, np.unique(2.0 * eps_arr), budget, "upper")
+        lam_hi = cache.curve(M.supporting_modulus_estimate, n, _grid(2.0 * eps_arr), budget, "upper")
         rows = []
         worst = np.inf
         for eps in eps_arr:

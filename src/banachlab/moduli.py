@@ -1,47 +1,55 @@
 """Moduli of convexity and smoothness, supporting moduli, and curve calculus.
 
 Each estimator works on all of its grid points at once and dispatches on
-the norm kind.  An inner-product norm (euclid, the ellipse, weighted l2, in
-any dimension) takes the Hilbert values in closed form, rounded outward by
-the label (_outward).  A norm whose unit sphere is a polygon (l1, the max
-norm, polygon norms) takes every modulus from its vertices alone, with no
-scan and no zoom:
+the norm kind, in this order:
 
-- delta: on a pair of sphere edges ||x + y|| is convex and the chords
-  ||x - y|| >= eps cut out the complement of a convex set, so the best pair
-  has x or y at a vertex, and the other point is the first chord crossing
-  from that vertex along one of its two arcs.
-- rho: the objective is convex in each argument, so the supremum sits at
-  vertex pairs.
-- supporting moduli: x at a vertex and y in the kernel of one of its
-  extreme functionals.
+1. An inner-product norm (euclid, the ellipse, weighted l2, in any dimension
+   >= 2) takes every modulus from the Hilbert closed forms, rounded outward
+   by the label (_outward).
+2. Any other norm isometric to lp, 1 < p < inf (lp and its linear images,
+   weighted lp among them, in any dimension >= 2) takes delta and rho from
+   Hanner's forms (_hanner_delta, _hanner_rho).  Its supporting moduli have
+   no known closed form and run the pair engine (_support_engine).
+3. A norm whose unit sphere is a polygon (l1, the max norm, polygon norms)
+   takes every modulus from its vertices alone, with no scan and no zoom:
 
-Every other planar norm runs the pair engine (_delta_engine, _rho_engine,
-_support_engine):
+   - delta: on a pair of sphere edges ||x + y|| is convex and the chords
+     ||x - y|| >= eps cut out the complement of a convex set, so the best
+     pair has x or y at a vertex, and the other point is the first chord
+     crossing from that vertex along one of its two arcs.
+   - rho: the objective is convex in each argument, so the supremum sits at
+     vertex pairs.
+   - supporting moduli: x at a vertex and y in the kernel of one of its
+     extreme functionals.
 
-- chord crossings (delta, and the normal-cone defect gamma of hypo): for
+Every norm kind meets one of the three, so delta and rho take no search
+over a table.  The pair engine serves two planar quantities:
+
+- chord crossings (_crossing_max, the normal-cone defect gamma of hypo): for
   every row angle of the half circle and every chord length, a bracketed
   root search finds where the chord crosses eps on the arc from x to -x (the
   chord does not decrease along it, by the monotonicity lemma of normed
   planes), and a zoom in the row angle polishes the best row of an objective
-  at the crossings.  delta maximizes ||x + y||; at eps = 2 it is the closed
-  form 1 - L/2, L the longest segment in the sphere.
-- rho: a scan of the pairs of the half circle for each step size, then a
-  zoom in both angles.
-- supporting moduli: one root search of the support shift over every r and
-  every quasiorthogonal pair of a table, then a zoom in the angle of x.
+  at the crossings.
+- supporting moduli (_support_engine): one root search of the support
+  shift over every r and every quasiorthogonal pair of a table, then a
+  zoom in the angle of x.
 
-Both root searches run on one routine, _bracket_roots: ITP steps (regula
-falsi with a truncation and a projection that keep it within bisection's
-count of evaluations plus a few) on the active rows only, each row stopping
-where bisection would.  Each zoom level starts its searches from brackets
-around the roots of the level before.
+Both root searches, and Hanner's delta for p < 2, run on one routine,
+_bracket_roots: ITP steps (regula falsi with a truncation and a projection
+that keep it within bisection's count of evaluations plus a few) on the
+active rows only, each row stopping where bisection would.  Each zoom
+level starts its searches from brackets around the roots of the level
+before.
 
 Every value is on its label side: "over" for infima (delta, the lower
 supporting modulus), "under" for suprema (rho, the upper one); off the
 closed forms it comes from an evaluated pair.  Each grid point keeps its own
 fixed array shapes, so its value does not depend on the rest of its grid.
-Other dimensions raise DimensionMismatch, except on inner-product norms.
+A 1-d norm raises DimensionMismatch in every estimator, and so does a norm
+of 3 or more dimensions that no closed form serves.  delta and rho take a
+budget for the estimators' common signature, but no value of theirs
+depends on it.
 """
 
 from __future__ import annotations
@@ -137,10 +145,99 @@ def _hilbert_shift(r):
     return r * r / (1.0 + np.sqrt((1.0 - r) * (1.0 + r)))
 
 
+def _refuse_a_line(n):
+    """A 1-d norm has moduli of its own, which no branch here gives: the only
+    pair at chord eps > 0 is y = -x, so delta = 1, rho(t) = max(0, t - 1),
+    and no unit pair is quasiorthogonal."""
+    if n.dim < 2:
+        raise DimensionMismatch("the moduli are implemented for dimension 2 and up")
+
+
 def _outward(v, side, top=np.inf):
     """v moved outward by _OUTWARD relative, up for "over" and down for
     "under", and clamped to the a priori bound top."""
     return np.minimum(v * (1.0 + _OUTWARD), top) if side == "over" else v * (1.0 - _OUTWARD)
+
+
+# ---------------------------------------------------------------------------
+# lp, 1 < p < inf: Hanner's delta (1956) and the rho that Lindenstrauss
+# duality (1963) gives from it.  l_p^2 sits isometrically in l_p^n and in
+# L_p, and delta and rho are monotone under subspaces, so these are the
+# moduli of l_p^n in every dimension n >= 2.
+
+_HANNER_ROUNDING = 16.0 * np.finfo(float).eps  # twice the error bounds argued below
+_BRACKET_FLOOR = 1e-300  # a width no bracket reaches: the search stops at adjacent floats
+_UNDERFLOW = 2.0 * np.finfo(float).smallest_subnormal
+
+
+def _pow1p(x, p):
+    """(1 + x)^p - 1 as expm1(p log1p(x)), which does not cancel at small x.
+    log1p, the product and expm1 each err by an ulp or less relative, and
+    expm1 magnifies the error of its argument z = p log1p(x) by at most
+    1 + z, so the value errs by under 8 eps relative where z <= p log 2 and
+    p < 2, and in general by under 3 eps (1 + |z|) relative."""
+    with np.errstate(divide="ignore"):
+        return np.expm1(p * np.log1p(x))
+
+
+def _hanner_delta(h, p):
+    """delta(2h) of lp, rounded up ("over"), for h in (0, 1].
+
+    p > 2: 1 - (1 - h^p)^(1/p), as -expm1(L/p) with L = log(1 - h^p), taken
+    as log1p(-h^p) where h^p < 1/2 and as log(-expm1(p log h)) above, so no
+    step cancels; rounded up by _HANNER_ROUNDING, raised by the two
+    subnormal ulps that h^p and L/p may lose to underflow (a no-op on
+    normal values), and clamped to 1.
+
+    p < 2: the root of (1 - delta + h)^p + |1 - delta - h|^p = 2, whose left
+    side falls on [0, 1], solved for delta itself, since 1 - delta would
+    cancel at small h.  The residual is the sum of two _pow1p terms A and B,
+    and the kept end of each bracket has a sum below 0 by more than the
+    rounding bound _HANNER_ROUNDING (|A| + |B|), so it lies over the root.
+    The brackets run from 0 to the Hilbert value, which bounds delta from
+    above (Nordlander); at h = 1 the kept end is 1.
+    """
+    h = np.minimum(h, 1.0)
+    if p > 2.0:
+        hp = h ** p
+        with np.errstate(divide="ignore"):
+            L = np.where(hp < 0.5, np.log1p(-hp), np.log(-np.expm1(p * np.log(h))))
+        return np.minimum(-np.expm1(L / p) * (1.0 + _HANNER_ROUNDING) + _UNDERFLOW, 1.0)
+
+    def residual(h, d):  # rises through 0 where d passes the root, by the rounding bound
+        A = _pow1p(h - d, p)
+        B = _pow1p(np.where(d + h <= 1.0, -(d + h), (d - 1.0) + (h - 1.0)), p)
+        return -(A + B) - _HANNER_ROUNDING * (np.abs(A) + np.abs(B))
+
+    top = _outward(_hilbert_shift(h), "over", 1.0)
+    flat = h.ravel()
+    return _bracket_roots(lambda i, d: residual(flat[i], d), h.shape, 0.0, top, residual(h, 0.0),
+                          residual(h, top), _BRACKET_FLOOR, False)[1]
+
+
+def _hanner_rho(tau, p):
+    """rho(tau) of lp, rounded down ("under").
+
+    p < 2: (1 + tau^p)^(1/p) - 1 as expm1(log1p(tau^p)/p), rounded down by
+    _HANNER_ROUNDING.
+
+    p > 2: (((1 + tau)^p + |1 - tau|^p) / 2)^(1/p) - 1 as expm1(log1p(m)/p),
+    with m = (A + B)/2 from the _pow1p terms A = (1 + tau)^p - 1 and
+    B = |1 - tau|^p - 1.  A and B cancel to first order in tau, so m errs by
+    up to the terms' error times (|A| + |B|)/(A + B): the value is rounded
+    down by _HANNER_ROUNDING (1 + (1 + p log1p(tau)) (|A| + |B|)/(A + B)).
+    Where that bound reaches the value, A + B <= 0 among them (tau below
+    about 1e-16), the value is 0, an "under" value since rho >= 0.
+    """
+    if p < 2.0:
+        return np.expm1(np.log1p(tau ** p) / p) * (1.0 - _HANNER_ROUNDING)
+    zA = p * np.log1p(tau)
+    A = np.expm1(zA)
+    B = _pow1p(np.where(tau <= 1.0, -tau, tau - 2.0), p)  # tau - 2 is exact on [1, 4]
+    s = A + B
+    spread = (1.0 + zA) * (np.abs(A) + np.abs(B)) / np.where(s > 0.0, s, 1.0)
+    v = np.expm1(np.log1p(s / 2.0) / p) * (1.0 - _HANNER_ROUNDING * (1.0 + spread))
+    return np.where(s > 0.0, np.maximum(v, 0.0), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -353,48 +450,42 @@ def _crossing_max(n, f, eps, count):
                      A[k], 2.0 * np.pi / count, _warm(ends, k))
 
 
-def _delta_engine(n, eps, count):
-    """Largest ||x + y|| over the chord crossings of the pair engine at each
-    eps of a column (see _crossing_max)."""
-    return _crossing_max(n, lambda X, Y: norm_batch(n, X + Y), eps, count)
-
-
 def delta_estimate(n, eps_grid, budget=SearchBudget()):
     """Modulus of convexity on a grid of chord lengths in (0, 2].
 
-    An inner-product norm takes the closed form (see the module docstring).
-    For any other norm and fixed x the best y under ||x - y|| >= eps is the
-    chord crossing on either arc from x to -x, since ||x + y|| does not
-    increase along it, so delta is 1 - max ||x + y|| / 2 over the crossings.
-    A polyhedral sphere takes the crossings from its vertices along both
-    arcs, which is exact up to rounding; any other planar norm takes them
-    from the pair engine (_delta_engine).  Each value comes from an
+    An inner-product norm takes the Hilbert closed form and any other lp
+    norm Hanner's (see the module docstring).  On a polyhedral sphere, for
+    fixed x the best y under ||x - y|| >= eps is the chord crossing on
+    either arc from x to -x, since ||x + y|| does not increase along it, so
+    delta is 1 - max ||x + y|| / 2 over the crossings of the vertices along
+    both arcs, which is exact up to rounding.  Each value comes from an
     evaluated pair with chord at least eps, so it is an "over" estimate.  At
     eps = 2 the value is the closed form 1 - L/2, with L the longest segment
-    in the unit sphere.
+    in the unit sphere.  budget is unused (see the module docstring).
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
         raise ValueError("chord grid must lie in (0, 2]")
+    _refuse_a_line(n)
     if n.ops.inner_product:
         return ModulusCurve(eps_grid.copy(), _outward(_hilbert_shift(eps_grid / 2.0), "over", 1.0), "over",
                             label=f"{n.name}:delta")
+    if n.ops.lp_exponent is not None:
+        return ModulusCurve(eps_grid.copy(), _hanner_delta(eps_grid / 2.0, n.ops.lp_exponent), "over",
+                            label=f"{n.name}:delta")
     if n.dim != 2:
         raise DimensionMismatch("the modulus of convexity is implemented for planar norms")
+    vang = sphere_vertex_angles(n)
     top = 1.0 - n.ops.longest_segment() / 2.0
     vals = np.full(eps_grid.shape, top)
     inner = eps_grid < 2.0
     eps = eps_grid[inner][:, None]
     if eps.size:
-        vang = sphere_vertex_angles(n)
-        if vang.size:
-            V = sphere_points(n, vang)
-            best = np.full(eps.shape[0], -np.inf)
-            for sense in (1.0, -1.0):
-                Y, feasible = _chord_crossing(n, V, vang, eps, sense)[:2]
-                best = np.maximum(best, np.where(feasible, norm_batch(n, V + Y), -np.inf).max(axis=1))
-        else:
-            best = _delta_engine(n, eps, budget.angles)
+        V = sphere_points(n, vang)
+        best = np.full(eps.shape[0], -np.inf)
+        for sense in (1.0, -1.0):
+            Y, feasible = _chord_crossing(n, V, vang, eps, sense)[:2]
+            best = np.maximum(best, np.where(feasible, norm_batch(n, V + Y), -np.inf).max(axis=1))
         # delta is nondecreasing, so top = delta(2) bounds a chord no pair reached
         vals[inner] = np.where(np.isfinite(best), np.maximum(0.0, 1.0 - best / 2.0), top)
     return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")
@@ -408,56 +499,31 @@ def _rho_objective(n, X, Y, tau):
     return (norm_batch(n, X + tau * Y) + norm_batch(n, X - tau * Y)) / 2.0 - 1.0
 
 
-def _rho_engine(n, tau_grid, angles):
-    """rho of a planar norm from the pair engine: for each tau a scan of the
-    pairs of the half circle (the objective is invariant under y -> -y and
-    (x, y) -> (-x, -y)), then a zoom of the best pair of every tau at once
-    in both angles."""
-    N = min(angles, 1024) // 4
-    A, S = _half_circle(n, N)
-    best, c1, c2 = [], [], []
-    for tau in tau_grid:
-        F = _rho_objective(n, S[:, None, :], S[None, :, :], tau)
-        i, j = np.unravel_index(np.argmax(F), F.shape)
-        best.append(F[i, j])
-        c1.append(A[i])
-        c2.append(A[j])
-    best, c1, c2 = np.array(best), np.array(c1), np.array(c2)
-    rows, Z, w = np.arange(tau_grid.size), _ZOOM.size, 2.0 * np.pi / N
-    for _ in range(_ZOOM_LEVELS):
-        a1, a2 = c1[:, None] + w * _ZOOM, c2[:, None] + w * _ZOOM
-        F = _rho_objective(n, sphere_points(n, a1)[:, :, None, :], sphere_points(n, a2)[:, None, :, :],
-                           tau_grid[:, None, None, None]).reshape(-1, Z * Z)
-        k = np.argmax(F, axis=1)
-        best, c1, c2 = np.maximum(best, F[rows, k]), a1[rows, k // Z], a2[rows, k % Z]
-        w /= (Z - 1) / 2
-    return best
-
-
 def rho_estimate(n, tau_grid, budget=SearchBudget()):
     """Modulus of smoothness on a grid of step sizes in (0, 2].
 
-    An inner-product norm takes the closed form (see the module docstring).
-    Otherwise the value is a sampled supremum over evaluated unit pairs, so
-    it is an "under" estimate.  Polyhedral spheres: the objective is convex
-    in each argument, so the supremum sits at vertex pairs and is exact.
-    Any other planar norm runs the pair engine (_rho_engine).
+    An inner-product norm takes the Hilbert closed form and any other lp
+    norm Hanner's (see the module docstring).  On a polyhedral sphere the
+    objective is convex in each argument, so the supremum sits at vertex
+    pairs, and the value is their largest: exact up to rounding, and taken
+    at evaluated pairs, so it is an "under" estimate.  budget is unused
+    (see the module docstring).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
         raise ValueError("step grid must lie in (0, 2]")
+    _refuse_a_line(n)
     if n.ops.inner_product:
         vals = _outward(tau_grid * tau_grid / (1.0 + np.sqrt(1.0 + tau_grid * tau_grid)), "under")
         return ModulusCurve(tau_grid.copy(), vals, "under", label=f"{n.name}:rho")
+    if n.ops.lp_exponent is not None:
+        return ModulusCurve(tau_grid.copy(), _hanner_rho(tau_grid, n.ops.lp_exponent), "under",
+                            label=f"{n.name}:rho")
     if n.dim != 2:
         raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
-    vang = sphere_vertex_angles(n)
-    if vang.size:
-        V = sphere_points(n, vang)
-        vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
-        return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=f"{n.name}:rho")
-    return ModulusCurve(tau_grid.copy(), _rho_engine(n, tau_grid, budget.angles), "under",
-                        label=f"{n.name}:rho")
+    V = sphere_points(n, sphere_vertex_angles(n))
+    vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
+    return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=f"{n.name}:rho")
 
 
 # ---------------------------------------------------------------------------
@@ -576,6 +642,7 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
         raise ValueError("r grid must lie in (0, 1]")
     direction = "under" if which == "upper" else "over"
     label = f"{n.name}:support_{which}"
+    _refuse_a_line(n)
     if n.ops.inner_product:
         return ModulusCurve(r_grid.copy(), _outward(_hilbert_shift(r_grid), direction, np.minimum(r_grid, 1.0)), direction,
                             label=label)

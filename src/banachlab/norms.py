@@ -136,10 +136,17 @@ class _NormKind:
     the norm's gradient at rows where the norm is smooth and one extreme
     functional of the subdifferential elsewhere; support(P), a maximizer of
     <p, u> over the unit ball (not scaled to norm one); and the defaults
-    below.  inner_product marks a norm that an inner product induces, whose
+    below.  lp_exponent is the p of a kind isometric to lp with 1 < p < inf,
+    whose delta and rho are Hanner's, and None on every other kind;
+    inner_product, p = 2, marks a norm that an inner product induces, whose
     moduli are the Hilbert ones."""
 
-    strictly_convex = inner_product = False
+    strictly_convex = False
+    lp_exponent = None
+
+    @property
+    def inner_product(self):
+        return self.lp_exponent == 2.0
 
     def __init__(self, n):
         self.spec = n
@@ -201,7 +208,7 @@ class _Lp(_NormKind):
         self.p = p = n.p
         self.q = math.inf if p == 1.0 else 1.0 if math.isinf(p) else p / (p - 1.0)
         self.strictly_convex = 1.0 < p < math.inf
-        self.inner_product = p == 2.0
+        self.lp_exponent = p if self.strictly_convex else None
         self._restricted = {}
 
     def norm(self, X):
@@ -334,15 +341,16 @@ class _Polygon(_NormKind):
 class _LinearImage(_NormKind):
     """x -> |Tx| for an invertible T and a base norm: each operation is the
     base's moved by T.  T is an isometry onto the base, so the moduli, the
-    longest segment, strict convexity and an inner product are the base's:
-    the ellipse, euclid under T, takes the Hilbert moduli in closed form."""
+    longest segment, strict convexity and the lp exponent are the base's:
+    the ellipse, euclid under T, takes the Hilbert moduli in closed form, and
+    weighted lp, lp under a diagonal T, takes Hanner's delta and rho."""
 
     def __init__(self, n, base, T):
         super().__init__(n)
         self.base = base.ops
         self.T, self.Ti = T, np.linalg.inv(T)
         self.strictly_convex, self.longest_segment = self.base.strictly_convex, self.base.longest_segment
-        self.inner_product = self.base.inner_product
+        self.lp_exponent = self.base.lp_exponent
 
     def norm(self, X):
         return self.base.norm(_apply(self.T, X))
