@@ -140,9 +140,11 @@ def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int = 4096
     moduli on any other.  Every other set, a ball with a foreign gauge
     included, relaxes the separation to the band
     [eps(1-_BAND), eps(1+_BAND)] and takes the best sampled pair.  budget
-    sets the engine's rows (budget // 16, within [128, 512]) or the band's
-    pair count.  No value has a certified side: the engine's pairs sit at a
-    computed separation of at least eps, the band's anywhere in the band.
+    sets the band's pair count, or the engine's sphere table of 2 m points,
+    m = budget // 16 within [128, 512], whose arc the engine scans: m rows
+    on a half turn, and m / 2 on lp, whose unit ball a quarter turn keeps.
+    No value has a certified side: the engine's pairs sit at a computed
+    separation of at least eps, the band's anywhere in the band.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -173,8 +175,9 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
 
 def _gamma_engine(n: NormSpec, r: float, eps: float, budget: int) -> float:
     """The largest r <j1(u1) - j1(u2), u1 - u2> over the unit pairs at chord
-    eps/r, from the chord-crossing engine of the moduli on budget // 16 rows
-    (within [128, 512]); -inf where no pair reaches that chord."""
+    eps/r, from the chord-crossing engine of the moduli on the arc of a
+    sphere table of 2 m points, m = budget // 16 within [128, 512]; -inf
+    where no pair reaches that chord."""
     rows = max(128, min(512, budget // 16))
 
     def pairing(X, Y):

@@ -13,27 +13,33 @@ the norm kind, in this order:
 3. A norm whose unit sphere is a polygon (l1, the max norm, polygon norms)
    takes every modulus from its vertices alone, with no scan and no zoom:
 
-   - delta: on a pair of sphere edges ||x + y|| is convex and the chords
-     ||x - y|| >= eps cut out the complement of a convex set, so the best
-     pair has x or y at a vertex, and the other point is the first chord
-     crossing from that vertex along one of its two arcs.
+   - delta: exactly 0 up to the longest edge, since a chord that fits on
+     an edge has its midpoint on the sphere.  Above it, on a pair of sphere
+     edges ||x + y|| is convex and the chords ||x - y|| >= eps cut out the
+     complement of a convex set, so the best pair has x or y at a vertex,
+     and the other point is the first chord crossing from that vertex
+     along one of its two arcs.
    - rho: the objective is convex in each argument, so the supremum sits at
      vertex pairs.
    - supporting moduli: x at a vertex and y in the kernel of one of its
      extreme functionals.
 
 Every norm kind meets one of the three, so delta and rho take no search
-over a table.  The pair engine serves two planar quantities:
+over a table.  The pair engine serves two planar quantities, and scans for
+both the rows x of the count-point sphere table on the arc [0, turn) (_arc),
+where turn is the least rotation known to map the unit ball onto itself: a
+quarter turn on lp, a half turn on every other norm.  The rotation is an
+isometry, so every pair of the whole circle has an equal pair over the arc.
 
 - chord crossings (_crossing_max, the normal-cone defect gamma of hypo): for
-  every row angle of the half circle and every chord length, a bracketed
-  root search finds where the chord crosses eps on the arc from x to -x (the
+  every row angle of the arc and every chord length, a bracketed root
+  search finds where the chord crosses eps on the arc from x to -x (the
   chord does not decrease along it, by the monotonicity lemma of normed
   planes), and a zoom in the row angle polishes the best row of an objective
   at the crossings.
 - supporting moduli (_support_engine): one root search of the support
-  shift over every r and every quasiorthogonal pair of a table, then a
-  zoom in the angle of x.
+  shift over every r and every quasiorthogonal pair (x, +-y) with x on the
+  arc, then a zoom in the angle of x.
 
 Both root searches, and Hanner's delta for p < 2, run on one routine,
 _bracket_roots: ITP steps (regula falsi with a truncation and a projection
@@ -122,13 +128,15 @@ class ModulusCurve:
 
 
 def hilbert_delta(eps):
-    eps = np.asarray(eps, dtype=float)
-    return 1.0 - np.sqrt(1.0 - eps * eps / 4.0)
+    """1 - sqrt(1 - eps^2/4), taken without cancellation (_hilbert_shift)."""
+    return _hilbert_shift(np.asarray(eps, dtype=float) / 2.0)
 
 
 def hilbert_rho(tau):
+    """sqrt(1 + tau^2) - 1 as tau^2 / (1 + sqrt(1 + tau^2)), which does not
+    cancel."""
     tau = np.asarray(tau, dtype=float)
-    return np.sqrt(1.0 + tau * tau) - 1.0
+    return tau * tau / (1.0 + np.sqrt(1.0 + tau * tau))
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +268,15 @@ _SCALINGS = (0.5, 1.0, 2.0)  # the argument scalings equivalence_probe tries
 _FIGIEL_K_MAX = 64.0  # the largest quadratic-ratio constant a Figiel check passes
 
 
-def _half_circle(n, count):
-    """Angles in [0, pi) of the count-point sphere table and its rows."""
-    half = count // 2
-    return np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)[:half], n.ops.sphere(count)[:half]
+def _arc(n, count):
+    """The angles of the count-point sphere table that cover [0, turn), and
+    their rows: the first ceil(count / m) of them, m = 2 pi / turn.  turn
+    (n.ops.turn, pi or pi/2) is the least rotation known to map the unit
+    ball onto itself.  It is an isometry, so it keeps the support shift,
+    the chords and gamma's pairing, and the arc meets every pair of the
+    whole circle up to that rotation."""
+    rows = -(-count // round(2.0 * np.pi / n.ops.turn))
+    return np.linspace(0.0, 2.0 * np.pi, count, endpoint=False)[:rows], n.ops.sphere(count)[:rows]
 
 
 def _columns(V):
@@ -433,12 +446,12 @@ def _crossing_max(n, f, eps, count):
     column, -inf where no pair reaches eps; f maps unit rows X and Y to
     values.
 
-    The rows x are the half circle of the count-point sphere table, each
+    The rows x are the arc of the count-point sphere table (_arc), each
     with its counterclockwise crossing.  Every row is ranked at once, and the
     best row of each eps is polished by a zoom in its angle, each level
     warm-started from the crossings of the last.
     """
-    A, X = _half_circle(n, count)
+    A, X = _arc(n, count)
 
     def best(X, A, warm=None, steps=_ROOT_STEPS):
         Y, feasible, lo, hi = _chord_crossing(n, X, A, eps, steps=steps, warm=warm)
@@ -454,21 +467,24 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     """Modulus of convexity on a grid of chord lengths in (0, 2].
 
     An inner-product norm takes the Hilbert closed form and any other lp
-    norm Hanner's (see the module docstring).  On a polyhedral sphere, for
-    fixed x the best y under ||x - y|| >= eps is the chord crossing on
-    either arc from x to -x, since ||x + y|| does not increase along it, so
-    delta is 1 - max ||x + y|| / 2 over the crossings of the vertices along
-    both arcs, which is exact up to rounding.  Each value comes from an
+    norm Hanner's (see the module docstring).  On a polyhedral sphere with
+    longest segment (edge) L, delta is exactly 0 for eps <= L, L rounded
+    down by _RESIDUAL_ULPS ulps relative: a chord of that length fits on an
+    edge, and its midpoint stays on the sphere.  Above L, for fixed x the
+    best y under ||x - y|| >= eps is the chord crossing on either arc from x
+    to -x, since ||x + y|| does not increase along it, so delta is
+    1 - max ||x + y|| / 2 over the crossings of the vertices along both
+    arcs, which is exact up to rounding.  Each such value comes from an
     evaluated pair with chord at least eps, so it is an "over" estimate.  At
-    eps = 2 the value is the closed form 1 - L/2, with L the longest segment
-    in the unit sphere.  budget is unused (see the module docstring).
+    eps = 2 the value is the closed form 1 - L/2.  budget is unused (see the
+    module docstring).
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
         raise ValueError("chord grid must lie in (0, 2]")
     _refuse_a_line(n)
     if n.ops.inner_product:
-        return ModulusCurve(eps_grid.copy(), _outward(_hilbert_shift(eps_grid / 2.0), "over", 1.0), "over",
+        return ModulusCurve(eps_grid.copy(), _outward(hilbert_delta(eps_grid), "over", 1.0), "over",
                             label=f"{n.name}:delta")
     if n.ops.lp_exponent is not None:
         return ModulusCurve(eps_grid.copy(), _hanner_delta(eps_grid / 2.0, n.ops.lp_exponent), "over",
@@ -476,9 +492,12 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     if n.dim != 2:
         raise DimensionMismatch("the modulus of convexity is implemented for planar norms")
     vang = sphere_vertex_angles(n)
-    top = 1.0 - n.ops.longest_segment() / 2.0
-    vals = np.full(eps_grid.shape, top)
-    inner = eps_grid < 2.0
+    segment = n.ops.longest_segment()
+    top = 1.0 - segment / 2.0
+    # a chord that fits on an edge has its midpoint on the sphere
+    flat = eps_grid <= segment * (1.0 - _RESIDUAL_ULPS * np.finfo(float).eps)
+    vals = np.where(flat, 0.0, top)
+    inner = ~flat & (eps_grid < 2.0)
     eps = eps_grid[inner][:, None]
     if eps.size:
         V = sphere_points(n, vang)
@@ -514,8 +533,8 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
         raise ValueError("step grid must lie in (0, 2]")
     _refuse_a_line(n)
     if n.ops.inner_product:
-        vals = _outward(tau_grid * tau_grid / (1.0 + np.sqrt(1.0 + tau_grid * tau_grid)), "under")
-        return ModulusCurve(tau_grid.copy(), vals, "under", label=f"{n.name}:rho")
+        return ModulusCurve(tau_grid.copy(), _outward(hilbert_rho(tau_grid), "under"), "under",
+                            label=f"{n.name}:rho")
     if n.ops.lp_exponent is not None:
         return ModulusCurve(tau_grid.copy(), _hanner_rho(tau_grid, n.ops.lp_exponent), "under",
                             label=f"{n.name}:rho")
@@ -581,11 +600,11 @@ def _quasiorth(n, X):
 
 
 def _quasiorth_table(n, angles):
-    """Unit pairs (x, y) with y in the kernel of j1(x), for x on the
-    count-point sphere table and both signs of y, and the angles of x."""
-    S = n.ops.sphere(angles)
+    """Unit pairs (x, y) with y in the kernel of j1(x), for x on the arc
+    (_arc) of the count-point sphere table and both signs of y, and the
+    angles of x."""
+    ang, S = _arc(n, angles)
     K = _quasiorth(n, S)
-    ang = 2 * np.pi * np.arange(angles) / angles
     return np.concatenate([S, S]), np.concatenate([K, -K]), np.concatenate([ang, ang])
 
 
@@ -606,16 +625,16 @@ def _vertex_pairs(n, angles):
 def _support_engine(n, r_grid, which, angles):
     """The supporting modulus of a planar norm from the pair engine: one
     root search (_lambda_rows) over every r and every pair of the
-    count-point quasiorthogonal table, then a zoom of the best table pair of
-    each r at once in the angle of x, with its partner rebuilt from j1, each
-    level warm-started from the shifts of the last."""
+    quasiorthogonal table (_quasiorth_table), then a zoom of the best table
+    pair of each r at once in the angle of x, with its partner rebuilt from
+    j1, each level warm-started from the shifts of the last."""
     sign = 1.0 if which == "upper" else -1.0
     r = r_grid[:, None, None]
     X, Y, A = _quasiorth_table(n, angles)
     lam, ends = _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
     lam *= sign
     k = np.argmax(lam, axis=1)
-    branch = np.where(k < angles, 1.0, -1.0)[:, None, None]
+    branch = np.where(k < len(X) // 2, 1.0, -1.0)[:, None, None]
 
     def shifts(Az, warm):
         Xz = sphere_points(n, Az)

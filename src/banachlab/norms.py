@@ -139,10 +139,13 @@ class _NormKind:
     below.  lp_exponent is the p of a kind isometric to lp with 1 < p < inf,
     whose delta and rho are Hanner's, and None on every other kind;
     inner_product, p = 2, marks a norm that an inner product induces, whose
-    moduli are the Hilbert ones."""
+    moduli are the Hilbert ones.  turn is the least rotation of the first two
+    coordinates known to map the unit ball onto itself: pi by default,
+    since every norm is even."""
 
     strictly_convex = False
     lp_exponent = None
+    turn = math.pi
 
     @property
     def inner_product(self):
@@ -195,7 +198,10 @@ class _NormKind:
 class _Lp(_NormKind):
     """The lp norm, p in [1, inf].  A weighted spec whose weights are not all
     1 is the image of lp under diag(w^(1/p)), diag(w) for the max norm:
-    __new__ builds that _LinearImage instead."""
+    __new__ builds that _LinearImage instead.  The quarter turn
+    (x1, x2) -> (-x2, x1) is a signed permutation, an isometry of lp."""
+
+    turn = math.pi / 2.0
 
     def __new__(cls, n):
         w = np.array(n.weights)
@@ -343,7 +349,9 @@ class _LinearImage(_NormKind):
     base's moved by T.  T is an isometry onto the base, so the moduli, the
     longest segment, strict convexity and the lp exponent are the base's:
     the ellipse, euclid under T, takes the Hilbert moduli in closed form, and
-    weighted lp, lp under a diagonal T, takes Hanner's delta and rho."""
+    weighted lp, lp under a diagonal T, takes Hanner's delta and rho.  A
+    rotation of the base's ball need not map this ball onto itself, so turn
+    stays pi."""
 
     def __init__(self, n, base, T):
         super().__init__(n)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 import banachlab as bl
 from banachlab import hypo as H
 from banachlab import moduli as M
+from banachlab import norms as N
 from banachlab.moduli import (
     NotQuasiorthogonal,
     NotUnitVectors,
@@ -307,7 +308,10 @@ def test_closed_forms_sit_on_their_label_side_of_60_digit_values(kind):
     """Every closed-form value lies on its label side of the 60-digit
     value, and within 8 ulps relative of it, from 1e-6 to the end of the
     range (eps = 2, tau = 2, r = 1) and within 1e-12 below that end.
-    delta(2) and the lower shift at r = 1 are exactly 1."""
+    delta(2) and the lower shift at r = 1 are exactly 1.  The unrounded
+    hilbert_delta and hilbert_rho are within 2 ulps relative, which the
+    cancelling forms 1 - sqrt(1 - eps^2/4) and sqrt(1 + tau^2) - 1 miss by
+    far at small arguments (6.6e-4 relative at 1e-6)."""
     end = 1.0 if kind in ("lower", "upper") else 2.0
     t = np.unique(np.concatenate([np.geomspace(1e-6, end, 1500), end - np.geomspace(1e-16, 1e-12, 40),
                                   [np.nextafter(end, 0.0), end]]))
@@ -319,11 +323,14 @@ def test_closed_forms_sit_on_their_label_side_of_60_digit_values(kind):
     else:
         c = bl.supporting_modulus_estimate(n, t, kind, LOW)
     side = 1 if c.direction == "over" else -1
+    raw = {"delta": bl.hilbert_delta, "rho": bl.hilbert_rho}.get(kind)
     for a, v in zip(t, c.values):
         exact = _decimal_oracle(kind, a)
         err = (decimal.Decimal(float(v)) - exact) / exact
         assert side * err >= 0, (kind, a, float(err))
         assert abs(err) <= 8 * np.finfo(float).eps, (kind, a, float(err))
+        if raw is not None:
+            assert abs((decimal.Decimal(float(raw(a))) - exact) / exact) <= 2 * np.finfo(float).eps, (kind, a)
     if kind in ("delta", "lower"):
         assert c.values[-1] == 1.0
     if kind == "lower":
@@ -344,6 +351,120 @@ def test_pair_engine_meets_the_hilbert_oracle(norms, nid, budget):
         _assert_on_side(c, 1 - np.sqrt(1 - r * r), side, accuracy=1e-6)
     for e in (0.1, 0.3, 0.5):
         assert H._gamma_engine(n, 1.0, e, count) == pytest.approx(e * e, abs=1e-12), e
+
+
+def _image(base, T, name):
+    """The norm x -> |Tx|_base, as a spec of its own."""
+    n = bl.NormSpec(kind="image", dim=2, matrix=tuple(map(tuple, T)), name=name)
+    n.__dict__["ops"] = N._LinearImage(n, base, np.asarray(T, dtype=float))
+    return n
+
+
+def _rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
+
+
+def _random_images(seed):
+    """lp, the l1 and max norms and the zoo polygon under random rotations
+    and shears."""
+    rng, out = np.random.default_rng(seed), []
+    for base in (bl.lp_norm(1.5), bl.lp_norm(3), bl.lp_norm(1), bl.lp_norm(np.inf), bl.norm_zoo()["poly"]):
+        a, t = rng.uniform(0.0, np.pi, 2)
+        out.append(_image(base, _rotation(a), f"{base.name} rotated {a:.3f}"))
+        out.append(_image(base, np.array([[1.0, t], [0.0, 1.0]]) @ _rotation(a), f"{base.name} sheared {t:.3f}"))
+    return out
+
+
+def test_turn_is_an_isometry_of_every_norm_kind(norms):
+    """turn is pi/2 on lp (the signed permutations are its isometries) and
+    pi on every other kind, linear images included; rows rotated by turn
+    keep their norm within 4 ulps on every zoo norm and on random rotated
+    and sheared linear images."""
+    assert {nid: n.ops.turn for nid, n in norms.items()} == {
+        "euclid": np.pi / 2, "l15": np.pi / 2, "l3": np.pi / 2, "l1": np.pi / 2, "linf": np.pi / 2,
+        "poly": np.pi, "ellipse": np.pi}
+    assert bl.weighted_lp_norm(3, [1, 5]).ops.turn == np.pi
+    rng = np.random.default_rng(7)
+    X = rng.standard_normal((500, 2)) * rng.uniform(0.1, 10.0, (500, 1))
+    for n in list(norms.values()) + _random_images(8):
+        turn = np.rint(_rotation(n.ops.turn))  # exact: turn is a quarter or a half
+        before, after = bl.norm_batch(n, X), bl.norm_batch(n, X @ turn.T)
+        assert np.all(np.abs(after - before) <= 4 * np.finfo(float).eps * before), n.name
+
+
+def _full_circle(n, count):
+    """The whole count-point sphere table, which the engines scanned before
+    they took only the arc that the turn leaves distinct."""
+    return np.linspace(0.0, 2.0 * np.pi, count, endpoint=False), n.ops.sphere(count)
+
+
+ARC_CASES = {"l15": bl.lp_norm(1.5), "l3": bl.lp_norm(3), "weighted l3": bl.weighted_lp_norm(3, [1, 5]),
+             "rotated l3": _image(bl.lp_norm(3), _rotation(0.7), "rotated l3"),
+             "sheared l3": _image(bl.lp_norm(3), np.linalg.inv(_rotation(2.1) @ [[1.0, 3.0], [0.0, 1.0]]),
+                                  "sheared l3")}
+
+
+@pytest.mark.parametrize("budget", ["low", "default"])
+@pytest.mark.parametrize("cid", list(ARC_CASES))
+def test_the_arc_finds_the_values_of_the_full_circle(cid, budget, monkeypatch):
+    """Both supporting moduli and the gamma pairing scanned on the arc agree
+    with the same engines on the whole sphere table within 1e-12 relative,
+    or 1e-15 absolute for the smallest shifts, whose roots round by about
+    an ulp of 1: the turn maps every pair of the table to an equal pair on
+    the arc.  The sheared l3 maps the extreme directions of l3 (the axes
+    and diagonals) into (pi/2, pi), so a quarter turn taken for its half
+    turn would miss them."""
+    n, count = ARC_CASES[cid], SearchBudget.preset(budget).angles
+    r = np.linspace(0.02, 1.0, 25)
+    eps = (0.1, 0.5, 1.0, 1.6)
+    arc = [M._support_engine(n, r, which, count) for which in ("lower", "upper")]
+    arc_gamma = [H._gamma_engine(n, 1.0, e, count) for e in eps]
+    monkeypatch.setattr(M, "_arc", _full_circle)
+    full = [M._support_engine(n, r, which, count) for which in ("lower", "upper")]
+    full_gamma = [H._gamma_engine(n, 1.0, e, count) for e in eps]
+    for a, f in zip(arc + [np.array(arc_gamma)], full + [np.array(full_gamma)]):
+        assert np.all(np.abs(a - f) <= 1e-12 * np.abs(f) + 1e-15), (cid, np.max(np.abs(a - f) / np.abs(f)))
+
+
+def test_an_angle_count_off_the_quarters_still_covers_the_arc(norms):
+    """A count that is no multiple of 4 takes ceil(count / 4) rows on lp and
+    ceil(count / 2) on the other kinds, whose last angle lies below the
+    turn; the estimators run at SearchBudget(angles=1001) and keep the
+    values of the default budget within 1e-6."""
+    for nid, rows in (("l3", 251), ("poly", 501)):
+        A, X = M._arc(norms[nid], 1001)
+        assert len(A) == len(X) == rows and A[-1] < norms[nid].ops.turn <= A[-1] + 2 * np.pi / 1001
+    r, odd = np.array([0.25, 0.5, 1.0]), SearchBudget(angles=1001)
+    for which in ("lower", "upper"):
+        got = bl.supporting_modulus_estimate(norms["l3"], r, which, odd).values
+        ref = bl.supporting_modulus_estimate(norms["l3"], r, which).values
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-6), which
+
+
+def test_polyhedral_delta_is_zero_up_to_the_longest_edge(norms, monkeypatch):
+    """delta of l1 and the max norm (longest edge 2) is 0 on the whole grid
+    below 2 with no chord crossing; poly is 0 up to its longest edge, with
+    no crossing there, and searches the crossings above it."""
+    calls, crossing = [], M._chord_crossing
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("delta searched a chord crossing below the longest edge")
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return crossing(*args, **kwargs)
+
+    monkeypatch.setattr(M, "_chord_crossing", refuse)
+    eps = np.linspace(0.05, 2.0, 40)
+    for nid in ("l1", "linf"):
+        assert np.array_equal(bl.delta_estimate(norms[nid], eps, LOW).values, np.zeros(eps.size)), nid
+    poly = norms["poly"]
+    edge = poly.ops.longest_segment()
+    below = eps[eps <= edge]
+    assert np.array_equal(bl.delta_estimate(poly, below, LOW).values, np.zeros(below.size))
+    monkeypatch.setattr(M, "_chord_crossing", counted)
+    above = bl.delta_estimate(poly, eps[(eps > edge) & (eps < 2.0)], LOW).values
+    assert calls and np.all(above > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -572,11 +693,11 @@ def test_polygon_supporting_moduli_match_the_vertex_oracle(norms):
 @pytest.mark.parametrize("nid", ["l1", "linf", "poly"])
 def test_polyhedral_moduli_run_no_scan_and_no_zoom(norms, nid, monkeypatch):
     """delta, rho and both supporting moduli of a polyhedral norm read its
-    vertices only: the half-circle table and the zoom never run."""
+    vertices only: the arc table and the zoom never run."""
     def refuse(*args, **kwargs):
-        raise AssertionError("a polyhedral modulus scanned the half circle or zoomed")
+        raise AssertionError("a polyhedral modulus scanned the arc or zoomed")
 
-    monkeypatch.setattr(M, "_half_circle", refuse)
+    monkeypatch.setattr(M, "_arc", refuse)
     monkeypatch.setattr(M, "_zoom_max", refuse)
     n = norms[nid]
     grid = np.array([0.1, 0.5, 1.0])
@@ -824,14 +945,14 @@ def _warm_guesses(lo, hi):
 def test_root_searches_keep_the_label_contract(norms, nid):
     """Every kept chord end has a computed chord of at least eps, and the
     lower end of its bracket is short of eps: on the counterclockwise arcs
-    from the half circle, and on both arcs from the vertices of a polyhedral
+    from the arc table, and on both arcs from the vertices of a polyhedral
     sphere.  Every support shift of "lower" has a residual below -tol at its
     returned (upper) end, and every one of "upper" a residual above tol at
     its returned (lower) end, unless that end is the a priori bound, 1 or
     0.  Checked on the full and the rank passes, cold and from warm brackets
     that hold the root or miss it on either side."""
     n = norms[nid]
-    A, X = M._half_circle(n, LOW.angles)
+    A, X = M._arc(n, LOW.angles)
     vang = M.sphere_vertex_angles(n)
     V = bl.sphere_points(n, vang)
     arcs = [(X, A, 1.0)] + ([(V, vang, 1.0), (V, vang, -1.0)] if vang.size else [])
