@@ -81,7 +81,7 @@ def load_config(path, seed=None, budget=None, out_dir=None) -> SuiteConfig:
     if path is not None:
         try:
             raw = json.loads(Path(path).read_text())
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError) as e:  # bad UTF-8 and over-long integers too
             raise ConfigError(f"cannot read config: {e}")
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
@@ -95,6 +95,9 @@ def load_config(path, seed=None, budget=None, out_dir=None) -> SuiteConfig:
         grids = raw.get("grids", {})
         if not isinstance(grids, dict):
             raise ConfigError("grids must be a JSON object")
+        for key in grids:
+            if key not in {"eps", "tau", "r"}:
+                raise ConfigError(f"unknown grids key {key!r}")
         for key, attr in (("eps", "eps_grid"), ("tau", "tau_grid"), ("r", "r_grid")):
             if key in grids:
                 if not isinstance(grids[key], list):
@@ -105,7 +108,9 @@ def load_config(path, seed=None, budget=None, out_dir=None) -> SuiteConfig:
         if "budget" in raw:
             cfg.budget = str(raw["budget"])
         if "out_dir" in raw:
-            cfg.out_dir = str(raw["out_dir"])
+            if not isinstance(raw["out_dir"], str):
+                raise ConfigError(f"out_dir must be a string, got {raw['out_dir']!r}")
+            cfg.out_dir = raw["out_dir"]
     if seed is not None:
         cfg.seed = seed
     if budget is not None:
@@ -117,10 +122,15 @@ def load_config(path, seed=None, budget=None, out_dir=None) -> SuiteConfig:
 
 
 def _number(v, what: str) -> float:
-    """v as a float, when it is a finite JSON number."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not np.isfinite(v):
-        raise ConfigError(f"{what} must be a finite number, got {v!r}")
-    return float(v)
+    """v as a float, when it is a JSON number that a float holds finitely."""
+    if isinstance(v, (int, float)) and not isinstance(v, bool):
+        try:
+            x = float(v)
+        except OverflowError:  # an integer beyond the float range
+            x = np.inf
+        if np.isfinite(x):
+            return x
+    raise ConfigError(f"{what} must be a finite number, got {v!r}")
 
 
 def _validate(cfg: SuiteConfig):

@@ -67,24 +67,14 @@ import numpy as np
 
 from .norms import (
     DimensionMismatch,
-    as_vec,
     j1_batch,
     norm_batch,
     norm_eval,
-    pairing_interval,
     sphere_points,
     sphere_vertex_angles,
     subdifferential_extremes,
     unit_vector,
 )
-
-
-class NotUnitVectors(ValueError):
-    pass
-
-
-class NotQuasiorthogonal(ValueError):
-    pass
 
 
 _PRESETS = {"low": 1024, "default": 4096, "high": 8192}
@@ -264,8 +254,6 @@ _HALF_ULP = np.finfo(float).eps / 2.0  # rounding of a residual, a difference of
 _ZOOM = np.linspace(-1.0, 1.0, 33)  # zoom points across a window of half-width w
 _ZOOM_LEVELS = 10  # each level shrinks the window 16-fold
 _BLOCK = 4096  # the most rows a root search keeps active
-_SCALINGS = (0.5, 1.0, 2.0)  # the argument scalings equivalence_probe tries
-_FIGIEL_K_MAX = 64.0  # the largest quadratic-ratio constant a Figiel check passes
 
 
 def _arc(n, count):
@@ -548,21 +536,6 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
 # ---------------------------------------------------------------------------
 # supporting moduli
 
-def support_shift(n, x, y, r):
-    """Sphere crossing shift for a unit pair with y quasiorthogonal to x:
-    the least lam with ||x + r y - lam x|| = 1, rounded up."""
-    x = as_vec(x, n.dim)
-    y = as_vec(y, n.dim)
-    if abs(norm_eval(n, x) - 1.0) > 1e-8 or abs(norm_eval(n, y) - 1.0) > 1e-8:
-        raise NotUnitVectors("x and y must lie on the unit sphere")
-    if not (0.0 < r <= 1.0):
-        raise ValueError("r must lie in (0, 1]")
-    lo, hi = pairing_interval(n, x, y)
-    if lo > 1e-8 or hi < -1e-8:
-        raise NotQuasiorthogonal("no support functional of x annihilates y")
-    return float(_lambda_rows(n, x[None], y[None], r, "lower")[0][0])
-
-
 def _lambda_rows(n, X, Y, r, which, steps=_SHIFT_STEPS, warm=None):
     """Support shift of each pair of rows of X and Y at r (broadcast; X along
     leading axes only), rounded outward, and the brackets (2, ...) it closes.
@@ -680,24 +653,6 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
 # ---------------------------------------------------------------------------
 # curve calculus
 
-def omega_inverse(rho_curve, s):
-    """Leftmost t with curve(t) >= s: the first knot at or above s, inverted
-    on its segment (the last knot when s is within 1e-12 above the range).
-    Clamps to 0 on the left, errors when s exceeds the sampled range."""
-    s = float(s)
-    if s <= 0:
-        return 0.0
-    top = rho_curve.eval(rho_curve.max_arg)
-    if s > top + 1e-12:
-        raise ValueError(f"value {s:g} beyond curve range (max {top:g})")
-    xs = np.concatenate([[0.0], rho_curve.args])
-    ys = np.concatenate([[0.0], rho_curve.values])
-    k = int(np.argmax(ys >= s))
-    if ys[k] < s:
-        return rho_curve.max_arg
-    return float(xs[k - 1] + (s - ys[k - 1]) / (ys[k] - ys[k - 1]) * (xs[k] - xs[k - 1]))
-
-
 def doubling_ratio(rho_curve):
     """(min, max) of curve(2t)/curve(t) over the smallest covered decade.
 
@@ -724,74 +679,3 @@ def doubling_ratio(rho_curve):
         else:
             ratios.append(b / a)
     return float(np.min(ratios)), float(np.max(ratios))
-
-
-@dataclass
-class EquivalenceReport:
-    consistent: bool
-    lower_scale: float
-    lower_ratio: float
-    upper_scale: float
-    upper_ratio: float
-
-
-def equivalence_probe(f, g):
-    """Rough two-sided comparison of sampled curves over the smallest shared
-    decade: consistent when g stays within a factor 64 of f(b t) at some
-    scaling b of _SCALINGS."""
-    t0 = max(float(f.args[0]), float(g.args[0]))
-    lo_ratio, lo_scale = -np.inf, None
-    hi_ratio, hi_scale = np.inf, None
-    for b in _SCALINGS:
-        te = min(10.0 * t0, g.max_arg, f.max_arg / b)
-        if te <= t0:
-            continue
-        ts = np.geomspace(t0, te, 64)
-        fv = np.array([f.eval(b * t) for t in ts])
-        gv = np.array([g.eval(float(t)) for t in ts])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            r = np.where(fv > 0, gv / np.where(fv > 0, fv, 1.0),
-                         np.where(gv > 0, np.inf, 1.0))
-        rinf, rsup = float(np.min(r)), float(np.max(r))
-        if rinf > lo_ratio:
-            lo_ratio, lo_scale = rinf, b
-        if rsup < hi_ratio:
-            hi_ratio, hi_scale = rsup, b
-    if lo_scale is None:
-        raise ValueError("no overlapping decade between the curves")
-    ok = (lo_ratio >= 1.0 / 64.0) and (hi_ratio <= 64.0)
-    return EquivalenceReport(bool(ok), lo_scale, lo_ratio, hi_scale, hi_ratio)
-
-
-@dataclass
-class FigielReport:
-    passed: bool
-    constant: float
-    mode: str
-
-
-def figiel_check(curve, K_max=_FIGIEL_K_MAX, mode="smoothness"):
-    """Quadratic ratio regularity of a sampled curve.
-
-    mode "smoothness": v(s)/s^2 <= K * v(t)/t^2 for t <= s (ratio quasi
-    decreasing). mode "convexity": same control with the roles flipped,
-    v(s)/s^2 <= L * v(t)/t^2 for s <= t. Returns the minimal grid constant.
-    """
-    if isinstance(curve, ModulusCurve):
-        args, vals = curve.args, curve.values
-    else:
-        args, vals = (np.asarray(curve[0], float), np.asarray(curve[1], float))
-    if np.any(vals < -1e-12):
-        raise ValueError("curve must be nonnegative")
-    q = vals / (args * args)
-    if np.all(q <= 1e-15):
-        return FigielReport(False, np.inf, mode)
-    if mode == "smoothness":
-        runmin = np.minimum.accumulate(q)
-    elif mode == "convexity":
-        runmin = np.minimum.accumulate(q[::-1])[::-1]
-    else:
-        raise ValueError("mode must be 'smoothness' or 'convexity'")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        K = float(np.max(np.where(runmin > 0, q / np.where(runmin > 0, runmin, 1.0), np.inf)))
-    return FigielReport(bool(K <= K_max), K, mode)

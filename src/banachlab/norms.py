@@ -1,8 +1,9 @@
 """Norms on R^d given by finite data: weighted lp (lp is the unit-weight
 case), symmetric polygons, ellipses.
 
-Evaluation, dual norms, the normalized duality mapping, Birkhoff-James
-orthogonality and support points.  Specs are frozen dataclasses; each spec's
+Evaluation, dual norms, the normalized duality mapping (the gradient
+j1_batch and the extreme functionals of subdifferential_extremes) and
+support points.  Specs are frozen dataclasses; each spec's
 `ops` is the object of its kind, built once, which holds the kind's code and
 its derived tables (polygon edge functionals, the map of a linear image).
 Only lp and polygons have formulas of their own: the ellipse and weighted lp
@@ -535,13 +536,6 @@ def sphere_vertex_angles(n):
 # ---------------------------------------------------------------------------
 # duality mapping
 
-@dataclass
-class MultiValued:
-    """Extreme points of a multivalued duality mapping image."""
-
-    extremes: list
-
-
 def j1_batch(n, X):
     """Normalized duality mapping of each row of X: the norm's gradient in
     closed form, scaled to dual norm one.
@@ -567,43 +561,8 @@ def subdifferential_extremes(n, x, tol=1e-6):
     return n.ops.subdifferential(x, nx, tol)
 
 
-def duality_map(n, x):
-    """Normalized duality mapping. Returns a vector, or MultiValued with the
-    extreme functionals when the norm is not differentiable at x."""
-    ext = subdifferential_extremes(n, x)
-    if len(ext) == 1:
-        return ext[0]
-    return MultiValued(extremes=ext)
-
-
 # ---------------------------------------------------------------------------
-# orthogonality and support
-
-_ORTHOGONAL_TOL = 1e-9  # of the active support functionals, and of James's criterion relative to |y|
-
-
-def pairing_interval(n, x, y):
-    """Least and greatest <f, y> over the extreme support functionals f of x
-    (dual norm one), which subdifferential_extremes finds at tolerance
-    1e-9."""
-    vals = [float(np.dot(e, y)) for e in subdifferential_extremes(n, x, tol=_ORTHOGONAL_TOL)]
-    return min(vals), max(vals)
-
-
-def birkhoff_orthogonal(n, y, x):
-    """True when x is Birkhoff-James orthogonal to y: no multiple of y
-    shortens x.  By James's criterion, some support functional of x
-    annihilates y: the range of <f, y> over the extreme support functionals
-    f of x meets [-1e-9 |y|, 1e-9 |y|].  The tolerance is relative to |y|,
-    so the answer does not change when x or y is scaled."""
-    x = as_vec(x, n.dim)
-    y = as_vec(y, n.dim)
-    if norm_eval(n, x) == 0.0:
-        return True
-    tol = _ORTHOGONAL_TOL * norm_eval(n, y)
-    lo, hi = pairing_interval(n, x, y)
-    return lo <= tol and hi >= -tol
-
+# support
 
 def support_point(n, p):
     """A unit vector u maximizing <p, u>, i.e. where p supports the ball.

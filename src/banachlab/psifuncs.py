@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moduli import _FIGIEL_K_MAX, FigielReport, ModulusCurve, figiel_check
-
 
 class NonzeroAtZero(ValueError):
     pass
@@ -97,13 +95,10 @@ def builtin_psi(name, knots):
 
 
 def psi_from_curve(curve, scale=1.0, name=""):
-    """Certificate function from a sampled modulus curve, zero anchored."""
-    if isinstance(curve, ModulusCurve):
-        args, vals = curve.args, curve.values
-    else:
-        args, vals = np.asarray(curve[0], float), np.asarray(curve[1], float)
-    k = np.concatenate([[0.0], args])
-    v = scale * np.concatenate([[0.0], np.maximum(vals, 0.0)])
+    """Certificate function from a sampled modulus curve (a ModulusCurve),
+    zero anchored."""
+    k = np.concatenate([[0.0], curve.args])
+    v = scale * np.concatenate([[0.0], np.maximum(curve.values, 0.0)])
     slopes = np.diff(v) / np.diff(k)
     return PsiSpec(k, v, float(np.abs(slopes).max()), name=name or "curve")
 
@@ -115,23 +110,6 @@ def rescale_psi(psi, arg_scale=1.0, value_scale=1.0, name=""):
     slopes = np.diff(v) / np.diff(k)
     return PsiSpec(k, v, float(np.abs(slopes).max()),
                    name=name or f"rescaled:{psi.name}")
-
-
-def figiel_class_check(psi):
-    """Membership test for the quadratically regular certificate class:
-    the quadratic-ratio condition plus boundedness of t^2 / psi toward 0,
-    both with figiel_check's constant."""
-    rep = figiel_check((psi.knots[1:], psi.values[1:]), mode="smoothness")
-    t = psi.knots[1:]
-    v = psi.values[1:]
-    with np.errstate(divide="ignore"):
-        r = np.where(v > 0, t * t / np.where(v > 0, v, 1.0), np.inf)
-    t0 = t[0]
-    small = r[t <= 10.0 * t0]
-    large = r[t >= t[-1] / 10.0]
-    bounded = bool(np.max(small) <= _FIGIEL_K_MAX * max(np.max(large), 1e-300))
-    passed = bool(rep.passed and bounded)
-    return FigielReport(passed, rep.constant, "class")
 
 
 def _upper_concave_hull(x, y):

@@ -93,14 +93,29 @@ def test_rejects_bad_budget(tmp_path):
     {"grids": 5},
     {"grids": {"eps": [0.1, "a"]}},
     {"grids": {"tau": [0.1, math.nan]}},
+    {"grids": {"tau": [0.1, 10 ** 400]}},
+    {"sets": [["disc", 10 ** 400]]},
+    {"grids": {"tua": [0.5]}},
+    {"out_dir": None},
 ], ids=["scale-text", "scale-inf", "scale-negative", "set-id-number", "sets-number",
         "norm-id-list", "seed-text", "seed-negative", "seed-fraction", "grid-number",
-        "grids-number", "grid-text", "grid-nan"])
+        "grids-number", "grid-text", "grid-nan", "grid-huge-integer", "scale-huge-integer",
+        "grids-unknown-key", "out-dir-null"])
 def test_rejects_bad_values(tmp_path, change):
-    """Non-numeric, non-finite and negative config values are configuration
-    errors, not failing records (exit 1) or tracebacks."""
+    """Non-numeric, non-finite and negative config values, integers beyond the
+    float range, unknown grid names and a non-string out_dir are
+    configuration errors, not failing records (exit 1), tracebacks or a
+    silently ignored entry."""
     path = write_config(tmp_path, dict(TINY, **change))
     assert run_cli(["sets", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b'{"seed": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "integer-beyond-int-parsing"])
+def test_rejects_unreadable_config(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    assert run_cli(["moduli", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_rejects_negative_seed_option(tmp_path):

@@ -10,11 +10,7 @@ import banachlab as bl
 from banachlab import hypo as H
 from banachlab import moduli as M
 from banachlab import norms as N
-from banachlab.moduli import (
-    NotQuasiorthogonal,
-    NotUnitVectors,
-    SearchBudget,
-)
+from banachlab.moduli import SearchBudget
 from conftest import LOW, R_GRID
 
 ZOO = ["euclid", "l15", "l3", "l1", "linf", "poly", "ellipse"]
@@ -715,20 +711,8 @@ def test_support_shift_euclid_closed_form():
     """For orthonormal x, y the shift solves (1-s)^2 + r^2 = 1."""
     n = bl.lp_norm(2)
     for r in (0.1, 0.3, 0.7):
-        got = bl.support_shift(n, [1.0, 0.0], [0.0, 1.0], r)
+        got = M._lambda_rows(n, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), r, "lower")[0][0]
         assert got == pytest.approx(1 - np.sqrt(1 - r * r), abs=1e-9)
-
-
-def test_support_shift_requires_unit_vectors():
-    n = bl.lp_norm(2)
-    with pytest.raises(NotUnitVectors):
-        bl.support_shift(n, [2.0, 0.0], [0.0, 1.0], 0.3)
-
-
-def test_support_shift_requires_quasiorthogonal_direction():
-    n = bl.lp_norm(2)
-    with pytest.raises(NotQuasiorthogonal):
-        bl.support_shift(n, [1.0, 0.0], [1.0, 0.0], 0.3)
 
 
 def test_supporting_moduli_exact_for_polyhedral_norms(curve_bank):
@@ -781,7 +765,7 @@ def test_support_shift_is_exact_at_the_end_of_the_range():
     """At r = 1 the shift has infinite slope: a residual that rounds to 0
     must not stop the bisection short of 1."""
     n = bl.lp_norm(2)
-    assert bl.support_shift(n, [1.0, 0.0], [0.0, 1.0], 1.0) == 1.0
+    assert M._lambda_rows(n, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 1.0, "lower")[0][0] == 1.0
     for nid in ("euclid", "ellipse"):
         m = bl.norm_zoo()[nid]
         assert bl.supporting_modulus_estimate(m, [1.0], "lower", LOW).values[0] == 1.0, nid
@@ -794,26 +778,7 @@ def test_supporting_modulus_which_flag():
 
 
 # ---------------------------------------------------------------------------
-# omega transform
-
-
-def test_omega_round_trip(curve_bank):
-    rho = curve_bank["euclid"]["rho"]
-    for tau in (0.1, 0.3, 0.8):
-        s = rho.eval(tau)
-        assert bl.omega_inverse(rho, s) == pytest.approx(tau, abs=1e-6)
-
-
-def test_omega_inverse_clamps_and_errors(curve_bank):
-    rho = curve_bank["euclid"]["rho"]
-    assert bl.omega_inverse(rho, 0.0) == 0.0
-    assert bl.omega_inverse(rho, -1.0) == 0.0
-    with pytest.raises(ValueError):
-        bl.omega_inverse(rho, 1e6)
-
-
-# ---------------------------------------------------------------------------
-# doubling ratio and equivalence
+# doubling ratio
 
 
 def test_doubling_ratio_euclid(curve_bank):
@@ -836,51 +801,6 @@ def test_doubling_window_for_smooth_norms(curve_bank):
     for nid in ("euclid", "l15", "l3", "ellipse"):
         lo, hi = bl.doubling_ratio(curve_bank[nid]["rho"])
         assert 1.85 <= lo <= hi <= 4.15, nid
-
-
-def test_equivalence_probe_quadratic(curve_bank):
-    d = curve_bank["euclid"]["delta"]
-    args = np.asarray(d.args)
-    quad = bl.ModulusCurve(args, args * args / 8.0, "over", "quad")
-    rep = bl.equivalence_probe(quad, d)
-    assert rep.consistent
-
-
-def test_equivalence_probe_detects_mismatch():
-    """Linear vs quadratic growth diverges once the grid reaches small
-    arguments; the probe must refuse the equivalence."""
-    t = np.geomspace(1e-4, 1e-1, 60)
-    lin = bl.ModulusCurve(t, t.copy(), "under", "lin")
-    quad = bl.ModulusCurve(t, t * t, "under", "quad")
-    rep = bl.equivalence_probe(quad, lin)
-    assert not rep.consistent
-
-
-# ---------------------------------------------------------------------------
-# quadratic-ratio (Figiel-type) checks
-
-
-def _power_curve(a):
-    t = np.geomspace(1e-3, 1.0, 80)
-    return bl.ModulusCurve(t, t ** a, "over", f"t^{a}")
-
-
-def test_figiel_check_powers():
-    assert bl.figiel_check(_power_curve(2.0)).passed
-    assert bl.figiel_check(_power_curve(1.5)).passed
-    assert not bl.figiel_check(_power_curve(3.0)).passed
-
-
-def test_figiel_check_convexity_mode(curve_bank):
-    d = curve_bank["euclid"]["delta"]
-    rep = bl.figiel_check(d, K_max=4.2, mode="convexity")
-    assert rep.passed and rep.constant <= 4.2
-
-
-def test_figiel_check_smoothness_on_estimated_curves(curve_bank):
-    for nid in ("euclid", "l15", "l3", "ellipse"):
-        rep = bl.figiel_check(curve_bank[nid]["rho"], mode="smoothness")
-        assert rep.passed, nid
 
 
 # ---------------------------------------------------------------------------
@@ -1005,13 +925,15 @@ def _counting(monkeypatch):
 def test_root_search_spends_at_most_bisection_and_spare(monkeypatch):
     """No row of the shared root search evaluates its residual more often
     than bisection's count of halvings plus _ITP_SPARE, plus its probes: not
-    on the tangent support shift at r = 1 (support_shift(euclid, x, y, 1)
-    and its "upper" twin, whose residual vanishes to second order), nor on a
-    triple root or a jump.  A simple chord root takes far fewer."""
+    on the tangent support shift at r = 1 (the "lower" shift of euclid's
+    orthonormal pair and its "upper" twin, whose residual vanishes to second
+    order), nor on a triple root or a jump.  A simple chord root takes far
+    fewer."""
     counts = _counting(monkeypatch)
     euclid = bl.lp_norm(2)
     x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-    assert bl.support_shift(euclid, x[0], y[0], 1.0) == 1.0
+    lam, _ = M._lambda_rows(euclid, x, y, 1.0, "lower")
+    assert lam[0] == 1.0
     assert counts[-1][0] <= M._SHIFT_STEPS + M._ITP_SPARE + 1
     lam, _ = M._lambda_rows(euclid, x, y, 1.0, "upper")
     assert 1.0 - 1e-7 < lam[0] < 1.0

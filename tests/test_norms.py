@@ -1,4 +1,4 @@
-"""Norm evaluation, duality maps and orthogonality predicates."""
+"""Norm evaluation, duality maps and support points."""
 
 import decimal
 import math
@@ -12,7 +12,6 @@ from scipy.spatial import ConvexHull
 import banachlab as bl
 from banachlab.norms import (
     DimensionMismatch,
-    MultiValued,
     NotSymmetric,
     ZeroVector,
     j1_batch,
@@ -300,31 +299,26 @@ def test_dual_norm_lp_conjugate():
 
 def test_duality_map_euclid():
     n = bl.lp_norm(2)
-    j = bl.duality_map(n, [3.0, 4.0])
+    j, = bl.subdifferential_extremes(n, [3.0, 4.0])
     assert np.allclose(j, [0.6, 0.8], atol=1e-9)
 
 
 def test_duality_map_l3_diagonal():
     n = bl.lp_norm(3)
-    j = bl.duality_map(n, [1.0, 1.0])
+    j, = bl.subdifferential_extremes(n, [1.0, 1.0])
     assert np.allclose(j, [2.0 ** (-2.0 / 3.0)] * 2, atol=1e-9)
 
 
 def test_duality_map_multivalued_at_linf_corner():
-    n = bl.lp_norm(np.inf)
-    out = bl.duality_map(n, [1.0, 1.0])
-    assert isinstance(out, MultiValued)
-    ext = sorted(map(tuple, np.round(out.extremes, 9)))
-    assert ext == [(0.0, 1.0), (1.0, 0.0)]
-    ext2 = sorted(map(tuple, np.round(bl.subdifferential_extremes(n, [1.0, 1.0]), 9)))
-    assert ext2 == ext
+    ext = bl.subdifferential_extremes(bl.lp_norm(np.inf), [1.0, 1.0])
+    assert sorted(map(tuple, np.round(ext, 9))) == [(0.0, 1.0), (1.0, 0.0)]
 
 
 def test_duality_map_multivalued_on_l1_axis():
     n = bl.lp_norm(1)
-    out = bl.duality_map(n, [1.0, 0.0])
-    assert isinstance(out, MultiValued)
-    for p in out.extremes:
+    ext = bl.subdifferential_extremes(n, [1.0, 0.0])
+    assert len(ext) == 2
+    for p in ext:
         assert bl.dual_norm_eval(n, p) == pytest.approx(1.0, abs=1e-8)
         assert bl.pairing(p, [1.0, 0.0]) == pytest.approx(1.0, abs=1e-8)
 
@@ -336,24 +330,14 @@ def test_duality_map_constraints(x):
     if np.linalg.norm(x) < 1e-3:
         return
     for n in (bl.lp_norm(2), bl.lp_norm(3), bl.lp_norm(1.5)):
-        p = bl.duality_map(n, x)
+        p, = bl.subdifferential_extremes(n, x)
         assert bl.dual_norm_eval(n, p) == pytest.approx(1.0, abs=1e-6)
         assert bl.pairing(p, x) == pytest.approx(bl.norm_eval(n, x), abs=1e-6)
 
 
 def test_duality_map_zero_vector_rejected():
     with pytest.raises(ZeroVector):
-        bl.duality_map(bl.lp_norm(2), [0.0, 0.0])
-
-
-def test_support_point_inverts_duality(zoo):
-    """support_point(J(x)) recovers x/|x| for smooth strictly convex norms."""
-    for nid in ("euclid", "l15", "l3", "ellipse"):
-        n = zoo[nid]
-        x = bl.unit_vector(n, [0.8, -0.6])
-        p = bl.duality_map(n, x)
-        y = bl.support_point(n, p)
-        assert np.allclose(y, x, atol=1e-9)
+        bl.subdifferential_extremes(bl.lp_norm(2), [0.0, 0.0])
 
 
 # closed-form duality map and support point on random norms
@@ -425,60 +409,6 @@ def test_support_point_inverts_j1_on_strictly_convex_norms(n, data):
 def test_support_point_rejects_the_zero_functional():
     with pytest.raises(ZeroVector):
         bl.support_point(bl.lp_norm(3), [0.0, 0.0])
-
-
-# ---------------------------------------------------------------------------
-# Birkhoff orthogonality
-
-
-def test_birkhoff_euclid_matches_inner_product():
-    n = bl.lp_norm(2)
-    assert bl.birkhoff_orthogonal(n, [0.0, 1.0], [2.0, 0.0])
-    assert not bl.birkhoff_orthogonal(n, [0.1, 1.0], [2.0, 0.0])
-
-
-def test_birkhoff_sees_a_small_tilt():
-    """|x + t y| for x = (1, 0), y = (3e-5, 1) dips only 4.5e-10 below |x|,
-    but the support functional of x does not annihilate y."""
-    assert not bl.birkhoff_orthogonal(bl.lp_norm(2), [3e-5, 1.0], [1.0, 0.0])
-
-
-def test_birkhoff_is_not_symmetric_in_l1():
-    """In the taxicab norm the relation holds one way round but not the other
-    for a generic pair."""
-    n = bl.lp_norm(1)
-    x = np.array([1.0, 0.0])
-    y = np.array([1.0, 2.0])
-    # |x + t y|_1 >= 1 for all t: the x-term contributes |1 + t|, the y-term 2|t|
-    assert bl.birkhoff_orthogonal(n, y, x)
-    assert not bl.birkhoff_orthogonal(n, x, y)
-
-
-@settings(max_examples=40, deadline=None)
-@given(x=vec2(lo=-3, hi=3), y=vec2(lo=-3, hi=3),
-       a=st.floats(min_value=0.125, max_value=4, width=32),
-       b=st.floats(min_value=0.125, max_value=4, width=32))
-def test_birkhoff_scaling_invariance(x, y, a, b):
-    if np.linalg.norm(x) < 1e-2 or np.linalg.norm(y) < 1e-2:
-        return
-    n = bl.lp_norm(3)
-    assert (bl.birkhoff_orthogonal(n, y, x)
-            == bl.birkhoff_orthogonal(n, a * y, b * x))
-
-
-def test_birkhoff_duality_characterization(zoo):
-    """y is orthogonal to x exactly when some support functional of x
-    annihilates y; spot check on smooth norms where J is single valued."""
-    rng = np.random.default_rng(19)
-    for nid in ("euclid", "l3", "ellipse"):
-        n = zoo[nid]
-        for _ in range(10):
-            x = rng.normal(size=2)
-            if np.linalg.norm(x) < 1e-2:
-                continue
-            p = bl.duality_map(n, x)
-            y = np.array([-p[1], p[0]])  # annihilated by p
-            assert bl.birkhoff_orthogonal(n, y, x)
 
 
 # ---------------------------------------------------------------------------

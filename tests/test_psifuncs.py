@@ -141,14 +141,3 @@ def test_regularized_output_is_valid_certificate():
         again = bl.validate_psi(out.knots, out.values, atol=1e-7)
         assert again.lipschitz > 0
 
-
-def test_regularized_output_in_quadratic_class():
-    out = bl.regularize_psi(bl.builtin_psi("linear", GRID))
-    rep = bl.figiel_class_check(out)
-    assert rep.passed
-
-
-def test_figiel_class_rejects_cubic():
-    psi = bl.builtin_psi("power:3", GRID)
-    rep = bl.figiel_class_check(psi)
-    assert not rep.passed

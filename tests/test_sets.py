@@ -50,14 +50,15 @@ def test_distance_ball_and_halfspace():
 def test_halfspace_foot_under_smooth_planar_norms(zoo, nid):
     """Under a strictly convex norm the foot is unique and exact: it lies on
     the boundary line, realizes the distance, and the duality map of v - foot
-    is the unit normal of the halfspace."""
+    is the unit normal of the halfspace: its one extreme functional."""
     n = zoo[nid]
     a, v = np.array([0.3, 1.0]), np.array([0.4, 2.0])
     half = bl.make_halfspace(a, 0.0)
     y, = bl.project(half, n, v)
     assert abs(float(a @ y)) <= 1e-12
     assert bl.norm_eval(n, v - y) == pytest.approx(bl.distance(half, n, v), rel=1e-12)
-    assert np.allclose(bl.duality_map(n, v - y), a / bl.dual_norm_eval(n, a), atol=1e-9)
+    j, = bl.subdifferential_extremes(n, v - y)
+    assert np.allclose(j, a / bl.dual_norm_eval(n, a), atol=1e-9)
 
 
 def test_distance_finite_points():
@@ -752,7 +753,7 @@ def test_chord_inequality_random_norms(zoo):
         n = zoo[nid]
         for _ in range(10):
             x = bl.unit_vector(n, rng.normal(size=2))
-            p = bl.duality_map(n, x)
+            p, = bl.subdifferential_extremes(n, x)
             tang = np.array([-p[1], p[0]])
             z = x + rng.uniform(-0.6, 0.6) * tang
             try:
