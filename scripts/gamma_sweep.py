@@ -34,7 +34,8 @@ def main(argv=None):
     parser.add_argument("--eps-max", type=float, default=0.8)
     parser.add_argument("--steps", type=int, default=40)
     parser.add_argument("--budget", type=int, default=4096,
-                        help="gamma_estimate budget: budget // 16 engine rows, within [128, 512]")
+                        help="gamma_estimate budget: budget // 16 engine rows, within [128, 512]; "
+                             "the closed form of lp with p <= 2 (euclid, ellipse, l15) ignores it")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--bounds", action="store_true",
                         help="add the pinching bound columns (slower)")

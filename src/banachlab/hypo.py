@@ -19,8 +19,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .moduli import _bracket_roots, _crossing_max
-from .norms import NormSpec, j1_batch, norm_batch, norm_eval, subdifferential_extremes
+from .moduli import _bracket_roots, _crossing_max, _isometric_base
+from .norms import NormSpec, j1_batch, norm_batch, norm_eval
 from .psifuncs import PsiSpec
 from .sets import (
     CheckReport,
@@ -136,15 +136,17 @@ def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int = 4096
     Maximizes -<p1 - p2, x1 - x2> over boundary pairs at distance eps.  The
     complement of a planar ball whose gauge is the ambient norm takes
     _gamma_exact_2d, which pins the separation at eps: the closed form
-    eps^2/r on an inner-product norm, the chord-crossing engine of the
-    moduli on any other.  Every other set, a ball with a foreign gauge
-    included, relaxes the separation to the band
-    [eps(1-_BAND), eps(1+_BAND)] and takes the best sampled pair.  budget
-    sets the band's pair count, or the engine's sphere table of 2 m points,
-    m = budget // 16 within [128, 512], whose arc the engine scans: m rows
-    on a half turn, and m / 2 on lp, whose unit ball a quarter turn keeps.
-    No value has a certified side: the engine's pairs sit at a computed
-    separation of at least eps, the band's anywhere in the band.
+    r 2^(2-p) (eps/r)^p on lp with 1 < p <= 2 and its linear images (eps^2/r
+    on an inner-product norm), the chord-crossing engine of the moduli on
+    any other norm.  Every other set, a ball with a foreign gauge included,
+    relaxes the separation to the band [eps(1-_BAND), eps(1+_BAND)] and
+    takes the best sampled pair.  budget sets the band's pair count, or the
+    engine's sphere table of 2 m points, m = budget // 16 within [128, 512],
+    whose arc the engine scans: m rows on a half turn, and m / 2 on lp, whose
+    unit ball a quarter turn keeps; the closed form ignores it.  No value
+    has a certified side: the closed form is exact up to rounding, the
+    engine's pairs sit at a computed separation of at least eps, the band's
+    anywhere in the band.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -160,14 +162,26 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
     """gamma on the complement of the ball c + r B_n.  Its boundary point
     c + r u has the outward normal -j1(u), and two such points lie r|u1 - u2|
     apart, so gamma(eps) is r times the largest <j1(u1) - j1(u2), u1 - u2>
-    over the unit pairs at chord eps/r.  On an inner-product norm every such
-    pair gives |u1 - u2|^2, so gamma(eps) = eps^2/r, with no pair where
-    eps > 2r, as in the engine."""
+    over the unit pairs at chord eps/r: an isometry invariant, computed on
+    the base of a linear image (moduli._isometric_base).
+
+    On lp with 1 < p <= 2, j1(u) = |u|^(p-1) sgn u coordinatewise, and
+    t -> |t|^(p-1) sgn t is (p-1)-Hoelder with the sharp constant 2^(2-p),
+    so the pairing is at most 2^(2-p) |u1 - u2|^p, with equality at
+    u1 = (a, b), u2 = (a, -b), whose chord is 2b.  So gamma(eps) =
+    r 2^(2-p) (eps/r)^p, eps^2/r on an inner-product norm, with no pair
+    where eps > 2r.  Any other norm runs the chord-crossing engine; on lp
+    with p > 2 that pair is far from the largest, the form falling to
+    1/15 of gamma at p = 2.5, eps = 0.02."""
     r = A.radius
-    if n.ops.inner_product:
-        best = float(eps * eps / r) if eps / r <= 2.0 else -np.inf
-    else:
+    n = _isometric_base(n)
+    p = n.ops.lp_exponent
+    if p is None or p > 2.0:
         best = _gamma_engine(n, r, eps, budget)
+    elif eps / r > 2.0:
+        best = -np.inf
+    else:
+        best = float(eps * eps / r if p == 2.0 else r * 2.0 ** (2.0 - p) * (eps / r) ** p)
     if not np.isfinite(best):
         raise NoFeasiblePairs(f"no boundary pairs at separation {eps}")
     return best
@@ -177,7 +191,8 @@ def _gamma_engine(n: NormSpec, r: float, eps: float, budget: int) -> float:
     """The largest r <j1(u1) - j1(u2), u1 - u2> over the unit pairs at chord
     eps/r, from the chord-crossing engine of the moduli on the arc of a
     sphere table of 2 m points, m = budget // 16 within [128, 512]; -inf
-    where no pair reaches that chord."""
+    where no pair reaches that chord.  Each value is that of an evaluated
+    pair whose computed chord is at least eps/r."""
     rows = max(128, min(512, budget // 16))
 
     def pairing(X, Y):
@@ -267,7 +282,7 @@ def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float):
         if norm_eval(n, w) < 1e-12:
             dd *= 0.5
             continue
-        p = subdifferential_extremes(n, w)[0]
+        p = j1_batch(n, w)
         ok1 = norm_eval(n, y0 - y) < eps * gap
         ok2 = float(p @ (z1 - z0)) < eps * gap
         if ok1 and ok2:

@@ -1,7 +1,9 @@
 """Moduli of convexity and smoothness, supporting moduli, and curve calculus.
 
-Each estimator works on all of its grid points at once and dispatches on
-the norm kind, in this order:
+Each estimator works on all of its grid points at once.  A linear image
+x -> |Tx| is isometric to its base through T, so every estimator computes
+on the base (_isometric_base), and the curve keeps the caller's name.  It
+then dispatches on the norm kind, in this order:
 
 1. An inner-product norm (euclid, the ellipse, weighted l2, in any dimension
    >= 2) takes every modulus from the Hilbert closed forms, rounded outward
@@ -31,12 +33,13 @@ where turn is the least rotation known to map the unit ball onto itself: a
 quarter turn on lp, a half turn on every other norm.  The rotation is an
 isometry, so every pair of the whole circle has an equal pair over the arc.
 
-- chord crossings (_crossing_max, the normal-cone defect gamma of hypo): for
-  every row angle of the arc and every chord length, a bracketed root
-  search finds where the chord crosses eps on the arc from x to -x (the
-  chord does not decrease along it, by the monotonicity lemma of normed
-  planes), and a zoom in the row angle polishes the best row of an objective
-  at the crossings.
+- chord crossings (_crossing_max): the normal-cone defect gamma of hypo,
+  where it has no closed form (lp with p > 2, l1, the max norm, polygons,
+  and their linear images).  For every row angle of the arc and every
+  chord length, a bracketed root search finds where the chord crosses eps
+  on the arc from x to -x (the chord does not decrease along it, by the
+  monotonicity lemma of normed planes), and a zoom in the row angle
+  polishes the best row of an objective at the crossings.
 - supporting moduli (_support_engine): one root search of the support
   shift over every r and every quasiorthogonal pair (x, +-y) with x on the
   arc, then a zoom in the angle of x.
@@ -143,12 +146,20 @@ def _hilbert_shift(r):
     return r * r / (1.0 + np.sqrt((1.0 - r) * (1.0 + r)))
 
 
-def _refuse_a_line(n):
-    """A 1-d norm has moduli of its own, which no branch here gives: the only
-    pair at chord eps > 0 is y = -x, so delta = 1, rho(t) = max(0, t - 1),
-    and no unit pair is quasiorthogonal."""
+def _isometric_base(n):
+    """The norm whose moduli are computed for n: the base of a linear image,
+    walked down through ops.base, and n itself otherwise.  x -> |Tx| is
+    isometric to its base through T, so every modulus, and gamma on the
+    complement of a ball under its own gauge, is the base's, computed on the
+    base's own tables.  A 1-d norm is refused: it has moduli of its own,
+    which no branch here gives (the only pair at chord eps > 0 is y = -x, so
+    delta = 1, rho(t) = max(0, t - 1), and no unit pair is
+    quasiorthogonal)."""
     if n.dim < 2:
         raise DimensionMismatch("the moduli are implemented for dimension 2 and up")
+    while hasattr(n.ops, "base"):
+        n = n.ops.base.spec
+    return n
 
 
 def _outward(v, side, top=np.inf):
@@ -470,13 +481,14 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     eps_grid = np.asarray(eps_grid, dtype=float)
     if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
         raise ValueError("chord grid must lie in (0, 2]")
-    _refuse_a_line(n)
+    label = f"{n.name}:delta"
+    n = _isometric_base(n)
     if n.ops.inner_product:
         return ModulusCurve(eps_grid.copy(), _outward(hilbert_delta(eps_grid), "over", 1.0), "over",
-                            label=f"{n.name}:delta")
+                            label=label)
     if n.ops.lp_exponent is not None:
         return ModulusCurve(eps_grid.copy(), _hanner_delta(eps_grid / 2.0, n.ops.lp_exponent), "over",
-                            label=f"{n.name}:delta")
+                            label=label)
     if n.dim != 2:
         raise DimensionMismatch("the modulus of convexity is implemented for planar norms")
     vang = sphere_vertex_angles(n)
@@ -495,7 +507,7 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
             best = np.maximum(best, np.where(feasible, norm_batch(n, V + Y), -np.inf).max(axis=1))
         # delta is nondecreasing, so top = delta(2) bounds a chord no pair reached
         vals[inner] = np.where(np.isfinite(best), np.maximum(0.0, 1.0 - best / 2.0), top)
-    return ModulusCurve(eps_grid.copy(), vals, "over", label=f"{n.name}:delta")
+    return ModulusCurve(eps_grid.copy(), vals, "over", label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -519,18 +531,19 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
         raise ValueError("step grid must lie in (0, 2]")
-    _refuse_a_line(n)
+    label = f"{n.name}:rho"
+    n = _isometric_base(n)
     if n.ops.inner_product:
         return ModulusCurve(tau_grid.copy(), _outward(hilbert_rho(tau_grid), "under"), "under",
-                            label=f"{n.name}:rho")
+                            label=label)
     if n.ops.lp_exponent is not None:
         return ModulusCurve(tau_grid.copy(), _hanner_rho(tau_grid, n.ops.lp_exponent), "under",
-                            label=f"{n.name}:rho")
+                            label=label)
     if n.dim != 2:
         raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
     V = sphere_points(n, sphere_vertex_angles(n))
     vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
-    return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=f"{n.name}:rho")
+    return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -634,7 +647,7 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
         raise ValueError("r grid must lie in (0, 1]")
     direction = "under" if which == "upper" else "over"
     label = f"{n.name}:support_{which}"
-    _refuse_a_line(n)
+    n = _isometric_base(n)
     if n.ops.inner_product:
         return ModulusCurve(r_grid.copy(), _outward(_hilbert_shift(r_grid), direction, np.minimum(r_grid, 1.0)), direction,
                             label=label)

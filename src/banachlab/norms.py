@@ -134,11 +134,13 @@ def ellipse_norm(matrix, name=""):
 
 class _NormKind:
     """What every kind provides: norm(X) and dual(P) over rows; gradient(X),
-    the norm's gradient at rows where the norm is smooth and one extreme
-    functional of the subdifferential elsewhere; support(P), a maximizer of
-    <p, u> over the unit ball (not scaled to norm one); and the defaults
-    below.  lp_exponent is the p of a kind isometric to lp with 1 < p < inf,
-    whose delta and rho are Hanner's, and None on every other kind;
+    the norm's gradient at rows where the norm is smooth and one functional
+    of the subdifferential elsewhere; support(P), a maximizer of <p, u> over
+    the unit ball (not scaled to norm one); and the defaults below.  lp and
+    polygons also give longest_segment(), which the modulus of convexity
+    reads.  lp_exponent is the p of a kind isometric to lp with 1 < p < inf,
+    whose delta and rho are Hanner's, and whose gamma on a ball complement
+    has a closed form for p <= 2, and None on every other kind;
     inner_product, p = 2, marks a norm that an inner product induces, whose
     moduli are the Hilbert ones.  turn is the least rotation of the first two
     coordinates known to map the unit ball onto itself: pi by default,
@@ -179,11 +181,6 @@ class _NormKind:
     def vertex_angles(self):
         """Angles of the vertices of a polyhedral planar unit sphere."""
         return np.empty(0)
-
-    def longest_segment(self):
-        """Length in the norm of the longest segment in the unit sphere: 0
-        when the sphere is strictly convex."""
-        return 0.0
 
     def facets(self, center, radius):
         """Facets (a_i, b_i) of the ball center + radius * B, when polyhedral."""
@@ -274,7 +271,9 @@ class _Lp(_NormKind):
         return np.pi / 4 * np.array(k)
 
     def longest_segment(self):
-        """An edge of the l1 or max-norm sphere has length 2."""
+        """Length in the norm of the longest segment in the unit sphere: 0
+        when it is strictly convex, and 2, an edge, on l1 and the max
+        norm."""
         return 0.0 if self.strictly_convex else 2.0
 
     def facets(self, center, radius):
@@ -347,19 +346,17 @@ class _Polygon(_NormKind):
 
 class _LinearImage(_NormKind):
     """x -> |Tx| for an invertible T and a base norm: each operation is the
-    base's moved by T.  T is an isometry onto the base, so the moduli, the
-    longest segment, strict convexity and the lp exponent are the base's:
-    the ellipse, euclid under T, takes the Hilbert moduli in closed form, and
-    weighted lp, lp under a diagonal T, takes Hanner's delta and rho.  A
-    rotation of the base's ball need not map this ball onto itself, so turn
-    stays pi."""
+    base's moved by T.  T is an isometry onto the base, so strict convexity
+    and the lp exponent are the base's (the ellipse, euclid under T, is an
+    inner-product norm), and so are the moduli, which the estimators
+    compute on the base itself (moduli._isometric_base).  A rotation of the
+    base's ball need not map this ball onto itself, so turn stays pi."""
 
     def __init__(self, n, base, T):
         super().__init__(n)
         self.base = base.ops
         self.T, self.Ti = T, np.linalg.inv(T)
-        self.strictly_convex, self.longest_segment = self.base.strictly_convex, self.base.longest_segment
-        self.lp_exponent = self.base.lp_exponent
+        self.strictly_convex, self.lp_exponent = self.base.strictly_convex, self.base.lp_exponent
 
     def norm(self, X):
         return self.base.norm(_apply(self.T, X))
@@ -540,9 +537,10 @@ def j1_batch(n, X):
     """Normalized duality mapping of each row of X: the norm's gradient in
     closed form, scaled to dual norm one.
 
-    Single valued: where the norm is not smooth it gives the one extreme
-    functional that the kind's gradient picks (see _NormKind); use
-    subdifferential_extremes for all of them.
+    Single valued: where the norm is not smooth it gives the one functional
+    of the subdifferential that the kind's gradient picks (see _NormKind),
+    which has dual norm one and pairs with x to |x|; use
+    subdifferential_extremes for the extreme ones.
     """
     G = n.ops.gradient(np.asarray(X, dtype=float))
     return G / dual_norm_batch(n, G)[..., None]

@@ -39,6 +39,7 @@ from .norms import (
     _fold,
     as_vec,
     dual_norm_eval,
+    j1_batch,
     norm_batch,
     norm_eval,
     norm_from_json,
@@ -850,7 +851,7 @@ def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
         w = u - x
         if norm_eval(n, w) < 1e-9:
             continue
-        rows.append((u, x, subdifferential_extremes(n, w)[0]))
+        rows.append((u, x, j1_batch(n, w)))
         pts.append(_set_points_near(A, n, x, 1e-3, 80, rng))
     if not rows:
         return CheckReport("pass", 0.0, None, 0, reason="no usable samples")
@@ -1030,7 +1031,7 @@ def chord_projection_check(n: NormSpec, x, z):
     zv = as_vec(z, n.dim)
     if abs(norm_eval(n, xv) - 1.0) > 1e-7:
         raise ValueError("x must be a unit vector")
-    p = subdifferential_extremes(n, xv)[0]
+    p = j1_batch(n, xv)
     if abs(float(p @ zv) - 1.0) > 1e-6:
         raise ValueError("z must lie on the supporting line of x")
 
@@ -1070,7 +1071,7 @@ def support_gap_check(n: NormSpec, R: float, x0, z, delta_curve):
         raise ValueError("z must be an interior point of the R-ball")
     if getattr(delta_curve, "direction", "over") != "over":
         raise ValueError("need an upper convexity-modulus curve for a sound check")
-    p0 = subdifferential_extremes(n, -x0v)[0]
+    p0 = j1_batch(n, -x0v)
     lhs = float(p0 @ (zv - x0v))
     rhs = 2 * R * delta_curve.eval(norm_eval(n, zv - x0v) / R)
     margin = lhs - rhs

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import banachlab as bl
+from banachlab import norms as N
 from banachlab.moduli import SearchBudget
 
 
@@ -17,6 +18,17 @@ LOW = SearchBudget.preset("low")
 R_GRID = np.linspace(0.05, 1.0, 20)
 EPS_GRID = np.arange(0.05, 1.901, 0.05)
 TAU_GRID = np.array(sorted({min(1.0, 0.01 * 2.0 ** (k / 3.0)) for k in range(20)} | {1.0}))
+
+
+def _image(base, T, name):
+    """The norm x -> |Tx|_base, as a spec of its own."""
+    n = bl.NormSpec(kind="image", dim=2, matrix=tuple(map(tuple, T)), name=name)
+    n.__dict__["ops"] = N._LinearImage(n, base, np.asarray(T, dtype=float))
+    return n
+
+
+def _rotation(a):
+    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
 
 
 @pytest.fixture(scope="session")

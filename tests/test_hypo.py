@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 import banachlab as bl
+from banachlab import hypo as H
+from banachlab import moduli as M
 from banachlab.hypo import NoFeasiblePairs
-from conftest import LOW
+from banachlab.norms import j1_batch
+from conftest import LOW, _image, _rotation
 
 
 E2 = bl.lp_norm(2)
@@ -31,29 +34,97 @@ def unit_complement(n=None):
 # the defect functional Gamma
 
 
-@pytest.mark.parametrize("nid", ["euclid", "ellipse"])
+# lp with 1 < p <= 2 and its linear images, by id, with their exponents
+LP_UP_TO_2 = {"euclid": 2.0, "ellipse": 2.0, "l15": 1.5, "weighted l15": 1.5}
+
+
+def _lp_up_to_2(zoo, nid):
+    """The norm of an id of LP_UP_TO_2, and the complement of its unit ball
+    of radius r (the default gauge for euclid)."""
+    n = bl.weighted_lp_norm(1.5, [1.0, 5.0]) if nid == "weighted l15" else zoo[nid]
+    return n, lambda r=1.0: bl.make_ball_complement([0.0, 0.0], r, gauge=None if nid == "euclid" else n)
+
+
+@pytest.mark.parametrize("nid", list(LP_UP_TO_2))
 def test_gamma_euclid_is_quadratic(zoo, nid):
     """Inner-product norms, the ellipse a linear image of the Euclidean
-    plane: gamma(eps) = eps^2."""
-    n = zoo[nid]
-    A = unit_complement(None if nid == "euclid" else n)
+    plane: gamma(eps) = eps^2; on l15 and weighted l15, its linear image,
+    the lp form 2^(2-p) eps^p = sqrt(2) eps^1.5."""
+    n, complement = _lp_up_to_2(zoo, nid)
     for eps in (0.1, 0.3, 0.5):
-        g = bl.gamma_estimate(A, n, eps, budget=1024, seed=0)
-        assert g == pytest.approx(eps * eps, abs=1e-12)
+        g = bl.gamma_estimate(complement(), n, eps, budget=1024, seed=0)
+        assert g == pytest.approx(eps * eps if LP_UP_TO_2[nid] == 2.0 else np.sqrt(2.0) * eps ** 1.5,
+                                  abs=1e-12)
 
 
-@pytest.mark.parametrize("nid", ["euclid", "ellipse"])
+@pytest.mark.parametrize("nid", list(LP_UP_TO_2))
 def test_gamma_has_no_pair_beyond_the_diameter(zoo, nid):
-    """On an inner-product complement of radius r no two boundary points lie
-    more than 2r apart: gamma raises NoFeasiblePairs there, as the engine
-    does, and takes its closed form at 2r."""
-    n = zoo[nid]
+    """On an lp complement of radius r, 1 < p <= 2, no two boundary points
+    lie more than 2r apart: gamma raises NoFeasiblePairs there, as the
+    engine does, and takes its closed form 4r at 2r."""
+    n, complement = _lp_up_to_2(zoo, nid)
     for r in (0.5, 1.0):
-        A = bl.make_ball_complement([0.0, 0.0], r, gauge=n)
+        A = complement(r)
         assert bl.gamma_estimate(A, n, 2.0 * r, budget=1024) == pytest.approx(4.0 * r, rel=1e-15)
         for eps in (2.0 * r * (1 + 1e-12), 2.0 * r + 0.1):
             with pytest.raises(NoFeasiblePairs):
                 bl.gamma_estimate(A, n, eps, budget=1024)
+
+
+def test_gamma_on_lp_up_to_2_takes_the_closed_form(monkeypatch):
+    """gamma on the unit complement of lp with 1 < p <= 2, of weighted lp
+    (weights up to 1e5) and of rotated and sheared images of l15 never
+    reaches the root search of the pair engine, and has the bits of the
+    closed form 2^(2-p) eps^p on lp itself."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("gamma on lp with p <= 2 ran the pair engine")
+
+    monkeypatch.setattr(M, "_bracket_roots", refuse)
+    a, t = np.random.default_rng(3).uniform(0.0, np.pi, (2, 2))
+    specs = [(p, bl.lp_norm(p)) for p in (1.1, 1.5, 1.9, 2.0)]
+    specs += [(p, bl.weighted_lp_norm(p, [1.0, w])) for p in (1.5, 2.0) for w in (5.0, 1e3, 1e5)]
+    specs += [(1.5, _image(bl.lp_norm(1.5), _rotation(a[0]), "rotated l15")),
+              (1.5, _image(bl.lp_norm(1.5), _rotation(a[1]) @ [[1.0, t[0]], [0.0, 1.0]], "sheared l15"))]
+    for p, n in specs:
+        A = bl.make_ball_complement([0.0, 0.0], 1.0, gauge=n)
+        for eps in (0.02, 0.3, 1.0, 1.7, 2.0):
+            want = eps * eps if p == 2.0 else 2.0 ** (2.0 - p) * eps ** p
+            assert bl.gamma_estimate(A, n, eps, budget=1024) == want, (n.name, eps)
+
+
+def _diagonal_mirror_pair(n, c):
+    """The pairing <j1(u1) - j1(u2), u1 - u2> of the unit pair u1 = (a, b),
+    u2 = (b, a) whose chord is c, bisected in the angle of u1 on
+    [-pi/4, pi/4], where the chord falls from 2 to 0, to adjacent floats on
+    the side of chord at least c."""
+    lo, hi = -np.pi / 4, np.pi / 4
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        u = bl.sphere_points(n, np.array([mid]))[0]
+        lo, hi = (mid, hi) if bl.norm_eval(n, u - u[::-1]) >= c else (lo, mid)
+    U = bl.sphere_points(n, np.array([lo, lo]))
+    U[1] = U[1, ::-1]
+    J = j1_batch(n, U)
+    return float((J[0] - J[1]) @ (U[0] - U[1]))
+
+
+@pytest.mark.parametrize("budget", [1024, 8192])
+def test_gamma_engine_meets_the_lp_oracles(budget):
+    """The chord-crossing engine, which gamma no longer runs on lp with
+    p <= 2, finds the closed form 2^(2-p) eps^p there within 2e-14
+    relative.  For p > 2 the lp form is no bound; the engine's value is at
+    least that of the attained diagonal-mirror pair, less 1e-12 relative."""
+    eps = np.linspace(0.02, 1.98, 9)
+    for p in (1.1, 1.5, 1.9):
+        n = bl.lp_norm(p)
+        got = np.array([H._gamma_engine(n, 1.0, e, budget) for e in eps])
+        want = 2.0 ** (2.0 - p) * eps ** p
+        assert np.all(np.abs(got - want) <= 2e-14 * want), (p, np.max(np.abs(got - want) / want))
+    for p in (2.5, 3.0, 5.0):
+        n = bl.lp_norm(p)
+        for e in eps:
+            pair = _diagonal_mirror_pair(n, e)
+            assert H._gamma_engine(n, 1.0, e, budget) >= pair * (1.0 - 1e-12), (p, e)
 
 
 @pytest.mark.parametrize("nid", ["l1", "linf"])

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 import banachlab as bl
 from banachlab import hypo as H
 from banachlab import moduli as M
-from banachlab import norms as N
 from banachlab.moduli import SearchBudget
-from conftest import LOW, R_GRID
+from conftest import LOW, R_GRID, _image, _rotation
 
 ZOO = ["euclid", "l15", "l3", "l1", "linf", "poly", "ellipse"]
 
@@ -349,17 +348,6 @@ def test_pair_engine_meets_the_hilbert_oracle(norms, nid, budget):
         assert H._gamma_engine(n, 1.0, e, count) == pytest.approx(e * e, abs=1e-12), e
 
 
-def _image(base, T, name):
-    """The norm x -> |Tx|_base, as a spec of its own."""
-    n = bl.NormSpec(kind="image", dim=2, matrix=tuple(map(tuple, T)), name=name)
-    n.__dict__["ops"] = N._LinearImage(n, base, np.asarray(T, dtype=float))
-    return n
-
-
-def _rotation(a):
-    return np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-
-
 def _random_images(seed):
     """lp, the l1 and max norms and the zoo polygon under random rotations
     and shears."""
@@ -420,6 +408,33 @@ def test_the_arc_finds_the_values_of_the_full_circle(cid, budget, monkeypatch):
     full_gamma = [H._gamma_engine(n, 1.0, e, count) for e in eps]
     for a, f in zip(arc + [np.array(arc_gamma)], full + [np.array(full_gamma)]):
         assert np.all(np.abs(a - f) <= 1e-12 * np.abs(f) + 1e-15), (cid, np.max(np.abs(a - f) / np.abs(f)))
+
+
+def test_linear_images_take_the_moduli_and_gamma_of_their_base():
+    """x -> |Tx| is isometric to its base through T, so delta, rho, both
+    supporting moduli and gamma on the unit complement of weighted l15 and
+    l3 (weights up to 1e5), and of random rotated and sheared images of
+    l15, l3, l1, the max norm and poly, have the bits of their base's; each
+    curve keeps the image's name."""
+    weighted = [(bl.lp_norm(p), bl.weighted_lp_norm(p, [1.0, w], name=f"w{p:g} {w:g}"))
+                for p in (1.5, 3.0) for w in (5.0, 1e4, 1e5)]
+    images = [(n.ops.base.spec, n) for n in _random_images(11)]
+    grid, r, eps = np.array([0.1, 0.5, 1.0, 1.9]), np.array([0.02, 0.3, 0.7, 1.0]), (0.1, 0.5, 1.0, 1.6)
+
+    def values(n):
+        A = bl.make_ball_complement([0.0, 0.0], 1.0, gauge=n)
+        curves = [bl.delta_estimate(n, grid, LOW), bl.rho_estimate(n, grid, LOW),
+                  bl.supporting_modulus_estimate(n, r, "lower", LOW),
+                  bl.supporting_modulus_estimate(n, r, "upper", LOW)]
+        assert all(c.label.startswith(f"{n.name}:") for c in curves)
+        return [c.values for c in curves] + [np.array([bl.gamma_estimate(A, n, e, budget=1024) for e in eps])]
+
+    want = {}
+    for base, n in weighted + images:
+        if base.name not in want:
+            want[base.name] = values(base)
+        for got, ref in zip(values(n), want[base.name]):
+            assert np.array_equal(got, ref), n.name
 
 
 def test_an_angle_count_off_the_quarters_still_covers_the_arc(norms):

@@ -335,6 +335,26 @@ def test_duality_map_constraints(x):
         assert bl.pairing(p, x) == pytest.approx(bl.norm_eval(n, x), abs=1e-6)
 
 
+def test_j1_lies_in_the_subdifferential_next_to_a_face_edge(zoo):
+    """Where a polyhedral norm is smooth but within 1e-6 of a vertex, or at
+    the vertex, j1 gives a functional of dual norm 1 that pairs with x to
+    |x|, within rounding, on l1, the max norm, poly and their linear
+    images.  At x = (1, 1e-7) on l1 the one such functional is (1, 1),
+    where the first of subdifferential_extremes(x), whose tie tolerance is
+    1e-6, is (1, -1), which pairs with x to 0.9999999 < |x|."""
+    x = np.array([1.0, 1e-7])
+    assert np.array_equal(j1_batch(zoo["l1"], x), [1.0, 1.0])
+    assert bl.pairing(bl.subdifferential_extremes(zoo["l1"], x)[0], x) < bl.norm_eval(zoo["l1"], x)
+    for n in (zoo["l1"], zoo["linf"], zoo["poly"], bl.weighted_lp_norm(1, [1.0, 5.0]),
+              bl.weighted_lp_norm(np.inf, [3.0, 1.0])):
+        V = bl.sphere_points(n, sphere_vertex_angles(n))
+        ccw = np.stack([-V[:, 1], V[:, 0]], axis=-1)
+        for z in np.concatenate([V, V + 1e-7 * ccw, V - 1e-7 * ccw, 3.0 * V, [x, -x]]):
+            p = j1_batch(n, z)
+            assert bl.dual_norm_eval(n, p) == pytest.approx(1.0, rel=1e-12), (n.name, z)
+            assert bl.pairing(p, z) == pytest.approx(bl.norm_eval(n, z), rel=1e-12), (n.name, z)
+
+
 def test_duality_map_zero_vector_rejected():
     with pytest.raises(ZeroVector):
         bl.subdifferential_extremes(bl.lp_norm(2), [0.0, 0.0])

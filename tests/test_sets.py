@@ -785,6 +785,23 @@ def test_support_gap_needs_safe_side_curve(curve_bank):
         bl.support_gap_check(E2, 1.0, [1.0, 0.0], [0.3, 0.2], rho)
 
 
+def test_the_checks_take_the_supporting_functional_next_to_an_l1_vertex():
+    """At x = (1, 1e-7) / |x| on l1 the only functional of dual norm 1 that
+    pairs with x to 1 is (1, 1), whose supporting line is z1 + z2 = 1.
+    chord_projection_check accepts z = (0.5, 0.5) on that line, and
+    support_gap_check at x0 = -x gains <(1, 1), z - x0> = 1.5 at
+    z = (0, 0.5), where delta of l1 is 0.  (1, -1), the first functional
+    that subdifferential_extremes lists within its tie tolerance 1e-6, would
+    refuse z and gain 0.5."""
+    n = bl.lp_norm(1)
+    x = np.array([1.0, 1e-7]) / (1.0 + 1e-7)
+    ok, y, margin = bl.chord_projection_check(n, x, [0.5, 0.5])
+    assert ok and np.array_equal(y, [0.5, 0.5])
+    delta = bl.delta_estimate(n, [0.5, 1.0, 1.5, 2.0], LOW)
+    ok, margin = bl.support_gap_check(n, 1.0, -x, [0.0, 0.5], delta)
+    assert ok and margin == pytest.approx(1.5, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # largest inscribed ellipse
 
