@@ -596,11 +596,13 @@ def _quasiorth_table(n, angles):
 
 def _vertex_pairs(n, angles):
     """Unit pairs (x, y) with x at each vertex angle of a polyhedral sphere
-    and y either sign of the kernel of each extreme functional of x."""
+    and y either sign of the kernel of each extreme functional at the
+    corner nearest x (a thin polygon's x sits off it past a tie's rounding)."""
+    C = n.ops.corners
     X, Y = [], []
     for a in angles:
         x = unit_vector(n, (math.cos(a), math.sin(a)))
-        for e in subdifferential_extremes(n, x, tol=1e-9):
+        for e in subdifferential_extremes(n, C[np.argmin(np.sum((C - x) ** 2, axis=1))]):
             k = np.array([-e[1], e[0]])
             k = k / norm_eval(n, k)
             X.extend([x, x])

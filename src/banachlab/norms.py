@@ -3,17 +3,17 @@ case), symmetric polygons, ellipses.
 
 Evaluation, dual norms, the normalized duality mapping (the gradient
 j1_batch and the extreme functionals of subdifferential_extremes) and
-support points.  Specs are frozen dataclasses; each spec's
-`ops` is the object of its kind, built once, which holds the kind's code and
-its derived tables (polygon edge functionals, the map of a linear image).
-Only lp and polygons have formulas of their own: the ellipse and weighted lp
-are linear images of euclid and lp.  Every kind sums on the coordinate
+support points.  Specs are frozen dataclasses; each spec's `ops` is the
+object of its kind, built once, which holds the kind's code and its tables:
+the map of a linear image, and the vertex tables of a polyhedral ball and
+its dual, read by the one tie rule of _ties, with no tolerance argument.
+Only lp and polygons have formulas of their own: the ellipse and weighted
+lp are linear images of euclid and lp.  Every kind sums on the coordinate
 columns, so a row has the same bits alone and in any batch.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -89,13 +89,13 @@ def polygon_norm(vertices, name=""):
     # dedupe
     keep = []
     for v in V:
-        if not any(np.allclose(v, u, atol=1e-12) for u in keep):
+        if not any(np.allclose(v, u, rtol=0.0, atol=1e-12) for u in keep):
             keep.append(v)
     V = np.array(keep)
     if V.shape[0] % 2 != 0:
         raise NotSymmetric("odd vertex count cannot be centrally symmetric")
     for v in V:
-        if not any(np.allclose(-v, u, atol=1e-9) for u in V):
+        if not any(np.allclose(-v, u, rtol=0.0, atol=1e-9) for u in V):
             raise NotSymmetric(f"missing antipode of {v}")
     ang = np.arctan2(V[:, 1], V[:, 0])
     order = np.argsort(ang)
@@ -119,7 +119,7 @@ def ellipse_norm(matrix, name=""):
     Q = np.asarray(matrix, dtype=float)
     if Q.shape != (2, 2):
         raise DimensionMismatch("ellipse matrix must be 2x2")
-    if not np.allclose(Q, Q.T, atol=1e-12):
+    if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
         raise NotSymmetric("ellipse matrix must be symmetric")
     evals = np.linalg.eigvalsh(Q)
     if evals[0] <= 1e-14:
@@ -144,11 +144,16 @@ class _NormKind:
     inner_product, p = 2, marks a norm that an inner product induces, whose
     moduli are the Hilbert ones.  turn is the least rotation of the first two
     coordinates known to map the unit ball onto itself: pi by default,
-    since every norm is even."""
+    since every norm is even.  corners and dual_corners are the vertex
+    tables of the unit ball and its dual, which face and subdifferential
+    read by the tie rule of _ties, and facets in full: +-e_k and the sign
+    vectors on l1, swapped on the max norm, vertices and edge functionals
+    on a polygon, the base's moved by T on its linear images, None if smooth."""
 
     strictly_convex = False
     lp_exponent = None
     turn = math.pi
+    corners = dual_corners = None
 
     @property
     def inner_product(self):
@@ -167,24 +172,29 @@ class _NormKind:
             self._spheres[count] = S
         return S
 
-    def subdifferential(self, x, nx, tol):
-        """Extreme functionals of the subdifferential at x, of dual norm one:
-        by default the one functional of a norm smooth at x."""
-        return [j1_batch(self.spec, x)]
-
     def face(self, a):
-        """The vertices of the face of the unit ball that the functional a
-        exposes, as rows of norm one: by default the one support point."""
-        u = self.support(a)[None]
-        return u / self.norm(u)[:, None]
+        """The vertices of the face of the unit ball that a exposes, rows of
+        norm one: the corners that tie (_ties), else the support point."""
+        if self.corners is None:
+            u = self.support(a)[None]
+            return u / self.norm(u)[:, None]
+        return _ties(self.corners, a)
+
+    def subdifferential(self, x):
+        """Extreme functionals of the subdifferential at x, of dual norm one:
+        the face of the dual ball that x exposes, the dual corners that tie
+        (_ties), or the one functional j1 where there are none."""
+        return [j1_batch(self.spec, x)] if self.dual_corners is None else list(_ties(self.dual_corners, x))
 
     def vertex_angles(self):
         """Angles of the vertices of a polyhedral planar unit sphere."""
         return np.empty(0)
 
     def facets(self, center, radius):
-        """Facets (a_i, b_i) of the ball center + radius * B, when polyhedral."""
-        return None
+        """Facets (a, radius + <a, center>) of the ball center + radius * B,
+        one per dual corner a, in table order; None where there are none."""
+        F = self.dual_corners
+        return None if F is None else [(a, radius + float(a @ center)) for a in F]
 
     def restrict(self, coords):
         """The norm on the coordinate subspace of the axes in coords."""
@@ -215,6 +225,10 @@ class _Lp(_NormKind):
         self.lp_exponent = p if self.strictly_convex else None
         self._restricted = {}
 
+    # lq's corners are the dual corners; built on first read, as l1 has 2^d of them
+    corners = cached_property(lambda self: _lp_corners(self.p, self.spec.dim))
+    dual_corners = cached_property(lambda self: _lp_corners(self.q, self.spec.dim))
+
     def norm(self, X):
         return _lp_reduce(X, self.p)
 
@@ -243,29 +257,6 @@ class _Lp(_NormKind):
             return np.where(_first_argmax(R), np.sign(P), 0.0)
         return np.sign(P) * (R / _fold(np.maximum, R)[..., None]) ** (self.q - 1.0)
 
-    def face(self, a):
-        """l1: the vertex sign(a_k) e_k of every k where |a_k| ties the
-        largest; linf: sign(a) with every sign on the coordinates where
-        a_k = 0.  A face of one vertex is the support point."""
-        if self.p == 1.0:
-            return np.diag(np.sign(a))[np.abs(a) == np.max(np.abs(a))]
-        if math.isinf(self.p):
-            return np.array(list(itertools.product(*[(s,) if s else (1.0, -1.0) for s in np.sign(a)])))
-        return super().face(a)
-
-    def subdifferential(self, x, nx, tol):
-        if self.p == 1.0:
-            free = np.flatnonzero(np.abs(x) <= tol * nx)[:4]
-            F = np.repeat(np.sign(x)[None], 2 ** len(free), axis=0)
-            # row m takes + on free[k] where bit k of m is set
-            F[:, free] = [s[::-1] for s in itertools.product((-1.0, 1.0), repeat=len(free))]
-            return list(F)
-        if math.isinf(self.p):
-            vals = np.abs(x)
-            active = np.flatnonzero(vals >= _fold(np.maximum, vals) * (1 - tol))
-            return [np.where(np.arange(x.shape[0]) == i, np.sign(x[i]), 0.0) for i in active]
-        return super().subdifferential(x, nx, tol)
-
     def vertex_angles(self):
         k = {1.0: [0.0, 2.0, 4.0, -2.0], math.inf: [1.0, 3.0, -3.0, -1.0]}.get(self.p, [])
         return np.pi / 4 * np.array(k)
@@ -275,16 +266,6 @@ class _Lp(_NormKind):
         when it is strictly convex, and 2, an edge, on l1 and the max
         norm."""
         return 0.0 if self.strictly_convex else 2.0
-
-    def facets(self, center, radius):
-        d = center.shape[0]
-        if math.isinf(self.p):
-            rows = [np.where(np.arange(d) == i, s, 0.0) for i in range(d) for s in (1.0, -1.0)]
-        elif self.p == 1.0:
-            rows = [np.where(np.asarray(s) == 0, 1.0, -1.0) for s in np.ndindex(*([2] * d))]
-        else:
-            return None
-        return [(a, radius + float(a @ center)) for a in rows]
 
     def restrict(self, coords):
         cs = tuple(coords)
@@ -307,6 +288,7 @@ class _Polygon(_NormKind):
         self.vertices = V = np.array(n.vertices, dtype=float)
         # row i supports the edge from vertex i to i+1 at level 1
         self.edges = np.array([np.linalg.solve(e, np.ones(2)) for e in zip(V, np.roll(V, -1, axis=0))])
+        self.corners, self.dual_corners = V / self.norm(V)[:, None], self.edges
 
     def norm(self, X):
         return np.max(_pairings(X, self.edges), axis=0)
@@ -324,20 +306,12 @@ class _Polygon(_NormKind):
         p is normal to an edge)."""
         return self.vertices[np.argmax(_pairings(P, self.vertices), axis=0)]
 
-    def subdifferential(self, x, nx, tol):
-        vals = self.edges @ x
-        active = np.where(vals >= nx * (1 - tol))[0]
-        return [self.edges[i].copy() for i in active]
-
     def vertex_angles(self):
         return np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
 
     def longest_segment(self):
         V = self.vertices
         return float(np.max(self.norm(np.roll(V, -1, axis=0) - V)))
-
-    def facets(self, center, radius):
-        return [(e, radius + float(e @ center)) for e in self.edges]
 
     @staticmethod
     def from_json(d):
@@ -346,7 +320,9 @@ class _Polygon(_NormKind):
 
 class _LinearImage(_NormKind):
     """x -> |Tx| for an invertible T and a base norm: each operation is the
-    base's moved by T.  T is an isometry onto the base, so strict convexity
+    base's moved by T, and so are the vertex tables, whose ties are read
+    here, as a tie read at Tx carries the rounding of x times the condition
+    number of T.  T is an isometry onto the base, so strict convexity
     and the lp exponent are the base's (the ellipse, euclid under T, is an
     inner-product norm), and so are the moduli, which the estimators
     compute on the base itself (moduli._isometric_base).  A rotation of the
@@ -357,6 +333,18 @@ class _LinearImage(_NormKind):
         self.base = base.ops
         self.T, self.Ti = T, np.linalg.inv(T)
         self.strictly_convex, self.lp_exponent = self.base.strictly_convex, self.base.lp_exponent
+
+    @cached_property
+    def corners(self):
+        """T^-1 c over the base's corners c, at norm one."""
+        C = self.base.corners
+        return None if C is None else _apply(self.Ti, C) / self.norm(_apply(self.Ti, C))[:, None]
+
+    @cached_property
+    def dual_corners(self):
+        """T^T f over the base's dual corners f."""
+        F = self.base.dual_corners
+        return None if F is None else _apply(self.T.T, F)
 
     def norm(self, X):
         return self.base.norm(_apply(self.T, X))
@@ -373,23 +361,10 @@ class _LinearImage(_NormKind):
         """T^-1 support(T^-T p)."""
         return _apply(self.Ti, self.base.support(_apply(self.Ti.T, P)))
 
-    def face(self, a):
-        F = _apply(self.Ti, self.base.face(_apply(self.Ti.T, a)))
-        return F / self.norm(F)[:, None]
-
-    def subdifferential(self, x, nx, tol):
-        """T^T f over the base's extreme functionals f at Tx."""
-        return [_apply(self.T.T, f) for f in self.base.subdifferential(_apply(self.T, x), nx, tol)]
-
     def vertex_angles(self):
         a = self.base.vertex_angles()
         V = _apply(self.Ti, np.stack([np.cos(a), np.sin(a)], axis=-1))
         return np.arctan2(V[:, 1], V[:, 0])
-
-    def facets(self, center, radius):
-        """(T^T a, b) over the base's facets (a, b) of the ball about Tc."""
-        F = self.base.facets(_apply(self.T, center), radius)
-        return None if F is None else [(_apply(self.T.T, a), b) for a, b in F]
 
 
 class _Ellipse(_LinearImage):
@@ -411,6 +386,28 @@ def _fold(ufunc, A):
     order: many times faster than a reduction over a short last axis.  The sums
     have the bits of np.sum up to 7 columns; from 8 on np.sum adds pairwise."""
     return reduce(ufunc, [A[..., i] for i in range(A.shape[-1])])
+
+
+def _lp_corners(p, d):
+    """The vertices of the lp ball on R^d: e_0, -e_0, e_1, ... for p = 1, the
+    sign vectors in lexicographic order, + first, for p = inf (up to d = 16,
+    8 MB), else None."""
+    if p == 1.0:
+        return np.array([np.where(np.arange(d) == k, s, 0.0) for k in range(d) for s in (1.0, -1.0)])
+    if math.isinf(p):
+        if d > 16:
+            raise DimensionMismatch(f"the 2^{d} vertices of the max-norm ball are listed up to dim 16")
+        return 1.0 - 2.0 * (np.arange(2 ** d)[:, None] >> np.arange(d - 1, -1, -1) & 1)
+    return None
+
+
+def _ties(F, v):
+    """The rows of a symmetric table F whose pairing with v ties the largest
+    within 8 ulps of the largest rounding bound sum |f_k v_k|: the face of
+    conv(F) that v exposes.  The one tie rule; a corner of F's polar ties
+    within 2 ulps of that bound, one rebuilt from its angle may not."""
+    s = _pairings(v, F)
+    return F[s >= np.max(s) - 8.0 * np.finfo(float).eps * np.max(_pairings(np.abs(v), np.abs(F)))]
 
 
 def _pairings(X, F):
@@ -546,17 +543,17 @@ def j1_batch(n, X):
     return G / dual_norm_batch(n, G)[..., None]
 
 
-def subdifferential_extremes(n, x, tol=1e-6):
-    """Extreme functionals of the norm's subdifferential at x (dual norm one).
-
-    Smooth kinds give a single element. Polyhedral kinds (weighted lp with p
-    in {1, inf}, polygons) enumerate the active structure.
+def subdifferential_extremes(n, x):
+    """Extreme functionals of the norm's subdifferential at x (dual norm one):
+    the vertices of the face of the dual ball that x exposes.  A smooth kind
+    gives the one functional j1; a polyhedral kind lists the rows of its
+    dual_corners table that pair with x to |x| within 8 ulps of the
+    pairing's rounding bound (_ties), with no tolerance argument.
     """
     x = as_vec(x, n.dim)
-    nx = norm_eval(n, x)
-    if nx <= 0:
+    if norm_eval(n, x) <= 0:
         raise ZeroVector("duality mapping undefined at 0")
-    return n.ops.subdifferential(x, nx, tol)
+    return n.ops.subdifferential(x)
 
 
 # ---------------------------------------------------------------------------

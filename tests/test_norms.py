@@ -10,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from scipy.spatial import ConvexHull
 
 import banachlab as bl
+from banachlab import moduli as M
 from banachlab.norms import (
     DimensionMismatch,
     NotSymmetric,
@@ -17,6 +18,7 @@ from banachlab.norms import (
     j1_batch,
     sphere_vertex_angles,
 )
+from conftest import _image, _rotation
 
 
 def vec2(lo=-5.0, hi=5.0):
@@ -240,8 +242,20 @@ def test_dimension_mismatch():
 
 
 def test_polygon_rejects_asymmetric_vertices():
+    """Also an antipode 1e-6 off, which would give |(1, 0)| = 1 but
+    |(-1, 0)| = 0.999999, and a vertex 1e-6 off another, which is not a
+    duplicate: five vertices are refused, not cut to the four of a square."""
+    for V in ([[1, 0], [0, 1], [-1, 0], [0, -0.5]], [[1, 0], [0, 1], [-1.000001, 0], [0, -1]],
+              [[1, 0], [1.000001, 0], [0, 1], [-1, 0], [0, -1]]):
+        with pytest.raises(NotSymmetric):
+            bl.polygon_norm(V)
+
+
+def test_ellipse_rejects_a_near_symmetric_matrix():
+    """A matrix 4e-6 off its transpose is refused: its squared norm at
+    (1, 1) would be 3.000008, where x^T Q x is 3.000004."""
     with pytest.raises(NotSymmetric):
-        bl.polygon_norm([[1, 0], [0, 1], [-1, 0], [0, -0.5]])
+        bl.ellipse_norm([[1, 0.5], [0.500004, 1]])
 
 
 @settings(max_examples=60, deadline=None)
@@ -335,24 +349,172 @@ def test_duality_map_constraints(x):
         assert bl.pairing(p, x) == pytest.approx(bl.norm_eval(n, x), abs=1e-6)
 
 
+def _polyhedral_norms(zoo):
+    return (zoo["l1"], zoo["linf"], zoo["poly"], bl.weighted_lp_norm(1, [1.0, 5.0]),
+            bl.weighted_lp_norm(np.inf, [3.0, 1.0]))
+
+
+def _vertex_probes(n):
+    """Two sets of points of a planar polyhedral norm: each vertex and three
+    times it, where two edges meet; and the smooth points 1e-7 from each
+    vertex, either way along the vertex turned a quarter turn, and
+    +-(1, 1e-7)."""
+    V = bl.sphere_points(n, sphere_vertex_angles(n))
+    ccw = np.stack([-V[:, 1], V[:, 0]], axis=-1)
+    x = np.array([[1.0, 1e-7]])
+    return np.concatenate([V, 3.0 * V]), np.concatenate([V + 1e-7 * ccw, V - 1e-7 * ccw, x, -x])
+
+
+def _assert_in_the_subdifferential(n, z, P):
+    """Each functional p of P has dual norm 1 and pairs with z to |z|."""
+    for p in P:
+        assert bl.dual_norm_eval(n, p) == pytest.approx(1.0, rel=0.0, abs=1e-12), (n.name, z)
+        assert bl.pairing(p, z) == pytest.approx(bl.norm_eval(n, z), rel=1e-12), (n.name, z)
+
+
 def test_j1_lies_in_the_subdifferential_next_to_a_face_edge(zoo):
     """Where a polyhedral norm is smooth but within 1e-6 of a vertex, or at
     the vertex, j1 gives a functional of dual norm 1 that pairs with x to
     |x|, within rounding, on l1, the max norm, poly and their linear
-    images.  At x = (1, 1e-7) on l1 the one such functional is (1, 1),
-    where the first of subdifferential_extremes(x), whose tie tolerance is
-    1e-6, is (1, -1), which pairs with x to 0.9999999 < |x|."""
-    x = np.array([1.0, 1e-7])
-    assert np.array_equal(j1_batch(zoo["l1"], x), [1.0, 1.0])
-    assert bl.pairing(bl.subdifferential_extremes(zoo["l1"], x)[0], x) < bl.norm_eval(zoo["l1"], x)
-    for n in (zoo["l1"], zoo["linf"], zoo["poly"], bl.weighted_lp_norm(1, [1.0, 5.0]),
-              bl.weighted_lp_norm(np.inf, [3.0, 1.0])):
-        V = bl.sphere_points(n, sphere_vertex_angles(n))
-        ccw = np.stack([-V[:, 1], V[:, 0]], axis=-1)
-        for z in np.concatenate([V, V + 1e-7 * ccw, V - 1e-7 * ccw, 3.0 * V, [x, -x]]):
-            p = j1_batch(n, z)
-            assert bl.dual_norm_eval(n, p) == pytest.approx(1.0, rel=1e-12), (n.name, z)
-            assert bl.pairing(p, z) == pytest.approx(bl.norm_eval(n, z), rel=1e-12), (n.name, z)
+    images.  At x = (1, 1e-7) on l1 the one such functional is (1, 1)."""
+    assert np.array_equal(j1_batch(zoo["l1"], [1.0, 1e-7]), [1.0, 1.0])
+    for n in _polyhedral_norms(zoo):
+        for z in np.concatenate(_vertex_probes(n)):
+            _assert_in_the_subdifferential(n, z, [j1_batch(n, z)])
+
+
+def test_subdifferential_extremes_are_the_face_of_the_dual_ball(zoo):
+    """On l1, the max norm, poly and their linear images every listed
+    functional has dual norm 1 and pairs with z to |z|, within rounding: two
+    at a planar vertex and its multiples, one within 1e-7 of a vertex, where
+    the norm is smooth.  At (1, 1e-7) on l1 that one is (1, 1); (1, -1)
+    pairs with it to 0.9999999.  In 3-d the corners of l1 list the four
+    sign vectors that agree on their one nonzero coordinate, and those of
+    the max norm the three signed axes."""
+    ext = bl.subdifferential_extremes(zoo["l1"], [1.0, 1e-7])
+    assert np.array_equal(ext, [[1.0, 1.0]])
+    for n in _polyhedral_norms(zoo):
+        vertices, smooth = _vertex_probes(n)
+        for count, Z in ((2, vertices), (1, smooth)):
+            for z in Z:
+                ext = bl.subdifferential_extremes(n, z)
+                assert len(ext) == count, (n.name, z)
+                _assert_in_the_subdifferential(n, z, ext)
+    for p, count in ((1, 4), (np.inf, 3)):
+        n = bl.lp_norm(p, 3)
+        for z in np.concatenate([n.ops.corners, 3.0 * n.ops.corners]):
+            ext = bl.subdifferential_extremes(n, z)
+            assert len(ext) == count, (n.name, z)
+            _assert_in_the_subdifferential(n, z, ext)
+
+
+def _thin_polygon(a, aspect):
+    """The rhombus (+-1, 0), (0, +-aspect) turned by a."""
+    V = np.array([[1.0, 0.0], [0.0, aspect], [-1.0, 0.0], [0.0, -aspect]]) @ _rotation(a).T
+    return bl.polygon_norm(V.tolist(), name=f"thin {a} {aspect}")
+
+
+def _ill_conditioned_norms():
+    """Two thin rhombi, and l1 and the max norm turned, sheared and squeezed
+    by a map of condition number 1e3."""
+    T = _rotation(0.4) @ [[1.0, 3.0], [0.0, 1.0]] @ np.diag([1.0, 1e-3]) @ _rotation(1.1)
+    assert 999.0 < np.linalg.cond(T) < 1001.0
+    return [_thin_polygon(0.3, 0.01), _thin_polygon(0.7, 1e-3),
+            _image(bl.lp_norm(1), T, "l1 sheared"), _image(bl.lp_norm(np.inf), T, "linf sheared")]
+
+
+@pytest.mark.parametrize("n", _ill_conditioned_norms(), ids=lambda n: n.name)
+def test_subdifferential_extremes_tie_on_ill_conditioned_norms(n):
+    """Where the functionals are large, or the norm is a linear image of
+    condition number 1e3, the ties are still read to the rounding of the
+    pairing: each corner (ops.corners, a linear image's the base's moved by
+    T^-1) and three times it lists both functionals of its two edges, and a
+    point 1e-7 from the corner along either edge line lists one."""
+    for c in n.ops.corners:
+        ext = bl.subdifferential_extremes(n, c)
+        assert len(ext) == 2, (n.name, c)
+        assert len(bl.subdifferential_extremes(n, 3.0 * c)) == 2, (n.name, c)
+        _assert_in_the_subdifferential(n, c, ext)
+        for e in ext:
+            t = np.array([-e[1], e[0]]) / np.hypot(*e)
+            for z in (c + 1e-7 * t, c - 1e-7 * t):
+                one = bl.subdifferential_extremes(n, z)
+                assert len(one) == 1, (n.name, z)
+                _assert_in_the_subdifferential(n, z, one)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.7, 1.0, 1.3])
+@pytest.mark.parametrize("aspect", [0.01, 1e-3])
+def test_vertex_pairs_of_a_thin_polygon_keep_both_functionals(a, aspect):
+    """The supporting moduli of a polygon run on the pairs of its vertices:
+    two functionals at each of the four vertices, and both signs of y, so 16
+    pairs, though x rebuilt from its angle sits off a thin rhombus's vertex
+    by more than a tie's rounding."""
+    n = _thin_polygon(a, aspect)
+    X, Y = M._vertex_pairs(n, sphere_vertex_angles(n))
+    assert len(X) == len(Y) == 16
+
+
+def test_sign_vector_tables_stop_at_dim_16():
+    """l1 lists its 2 d corners in any dimension, but the 2^d sign vectors,
+    l1's dual corners and the max norm's corners, are listed up to dim 16:
+    above it face, subdifferential and facets that read them raise."""
+    assert len(bl.lp_norm(1, 16).ops.dual_corners) == 2 ** 16
+    n1, ninf = bl.lp_norm(1, 17), bl.lp_norm(np.inf, 17)
+    x = np.arange(1.0, 18.0)
+    assert np.array_equal(n1.ops.face(x), [np.eye(17)[16]])
+    assert np.array_equal(bl.subdifferential_extremes(ninf, x), [np.eye(17)[16]])
+    with pytest.raises(DimensionMismatch):
+        bl.subdifferential_extremes(n1, x)
+    with pytest.raises(DimensionMismatch):
+        ninf.ops.face(x)
+    with pytest.raises(DimensionMismatch):
+        n1.ops.facets(np.zeros(17), 1.0)
+
+
+@pytest.mark.parametrize("p, dim, corners, dual_corners", [
+    (1, 2, 4, 4), (np.inf, 2, 4, 4), (1, 3, 6, 8), (np.inf, 3, 8, 6),
+], ids=["l1", "linf", "l1-3d", "linf-3d"])
+def test_lp_vertex_tables_are_the_vertices_of_the_ball_and_its_dual(p, dim, corners, dual_corners):
+    """l1 has the 2 d rows +-e_k and the 2^d sign vectors, the max norm the
+    two swapped; a smooth lp has neither table."""
+    n = bl.lp_norm(p, dim)
+    C, D = n.ops.corners, n.ops.dual_corners
+    assert (len(C), len(D)) == (corners, dual_corners)
+    assert np.array_equal(bl.norm_batch(n, C), np.ones(len(C)))
+    assert np.array_equal(bl.dual_norm_batch(n, D), np.ones(len(D)))
+    assert np.array_equal(np.max(D @ C.T, axis=1), np.ones(len(D)))
+    assert bl.lp_norm(3, dim).ops.corners is None and bl.lp_norm(3, dim).ops.dual_corners is None
+
+
+def test_polygon_vertex_tables_and_the_faces_of_its_edges(zoo):
+    """poly's corners are its vertices at norm 1 and its dual corners its
+    edge functionals, each of dual norm 1 and pairing to 1 with the two
+    ends of its edge, which face returns, in vertex order."""
+    ops = zoo["poly"].ops
+    C, D = ops.corners, ops.dual_corners
+    assert np.allclose(bl.norm_batch(zoo["poly"], C), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(bl.dual_norm_batch(zoo["poly"], D), 1.0, rtol=0.0, atol=1e-12)
+    assert np.allclose(np.max(D @ C.T, axis=1), 1.0, rtol=0.0, atol=1e-12)
+    for i, e in enumerate(D):
+        ends = C[[i, (i + 1) % len(C)]]
+        assert np.array_equal(ops.face(e), ends if i + 1 < len(C) else ends[::-1]), i
+
+
+@pytest.mark.parametrize("p, rows", [
+    (1, [[1, 1, 1], [1, 1, -1], [1, -1, 1], [1, -1, -1],
+         [-1, 1, 1], [-1, 1, -1], [-1, -1, 1], [-1, -1, -1]]),
+    (np.inf, [[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0], [0, 0, 1], [0, 0, -1]]),
+], ids=["l1", "linf"])
+def test_facets_of_the_3d_polyhedral_balls_keep_their_row_order(p, rows):
+    """facets(c, R) lists (a, R + <a, c>) over the dual corners in table
+    order, with +0 zeros: the plane feet of the polytope complement follow
+    that order, and their sums the signs of those zeros."""
+    c = np.array([0.2, -0.1, 0.3])
+    F = bl.lp_norm(p, 3).ops.facets(c, 1.2)
+    A = np.array([a for a, _ in F])
+    assert np.array_equal(A, rows) and not np.signbit(A[A == 0]).any()
+    assert [b for _, b in F] == [1.2 + float(np.dot(a, c)) for a in np.array(rows, dtype=float)]
 
 
 def test_duality_map_zero_vector_rejected():

@@ -503,6 +503,17 @@ def test_block_sampler_is_the_one_try_loop(registry, zoo):
                 assert a.standard_normal(3).tolist() == b.standard_normal(3).tolist(), (sid, mesh)
 
 
+def test_l1_ball_has_one_normal_at_a_smooth_point_next_to_a_vertex():
+    """At x = (1, 1e-7) / |x| the l1 sphere is smooth: the l1 unit ball has
+    the one outward normal (1, 1), and its complement the one normal
+    -(1, 1), so the complement keeps x, which is not a vertex."""
+    n = bl.lp_norm(1)
+    x = np.array([1.0, 1e-7]) / (1.0 + 1e-7)
+    for make, sign in ((bl.make_ball, 1.0), (bl.make_ball_complement, -1.0)):
+        d, = bl.normal_directions(make([0.0, 0.0], 1.0, gauge=n), n, x)
+        assert np.array_equal(d, [sign, sign])
+
+
 def test_normal_directions_reject_interior_point():
     A = bl.make_ball_complement([0.0, 0.0], 1.0)
     with pytest.raises(InteriorPoint):
@@ -790,9 +801,8 @@ def test_the_checks_take_the_supporting_functional_next_to_an_l1_vertex():
     pairs with x to 1 is (1, 1), whose supporting line is z1 + z2 = 1.
     chord_projection_check accepts z = (0.5, 0.5) on that line, and
     support_gap_check at x0 = -x gains <(1, 1), z - x0> = 1.5 at
-    z = (0, 0.5), where delta of l1 is 0.  (1, -1), the first functional
-    that subdifferential_extremes lists within its tie tolerance 1e-6, would
-    refuse z and gain 0.5."""
+    z = (0, 0.5), where delta of l1 is 0.  (1, -1), of dual norm 1 but not
+    in the subdifferential at x, would refuse z and gain 0.5."""
     n = bl.lp_norm(1)
     x = np.array([1.0, 1e-7]) / (1.0 + 1e-7)
     ok, y, margin = bl.chord_projection_check(n, x, [0.5, 0.5])
