@@ -13,7 +13,8 @@ then dispatches on the norm kind, in this order:
    Hanner's forms (_hanner_delta, _hanner_rho).  Its supporting moduli have
    no known closed form and run the pair engine (_support_engine).
 3. A norm whose unit sphere is a polygon (l1, the max norm, polygon norms)
-   takes every modulus from its vertices alone, with no scan and no zoom:
+   takes every modulus from its vertices alone, the rows of its corners
+   table, with no scan and no zoom:
 
    - delta: exactly 0 up to the longest edge, since a chord that fits on
      an edge has its midpoint on the sphere.  Above it, on a pair of sphere
@@ -22,7 +23,7 @@ then dispatches on the norm kind, in this order:
      and the other point is the first chord crossing from that vertex
      along one of its two arcs.
    - rho: the objective is convex in each argument, so the supremum sits at
-     vertex pairs.
+     vertex pairs; the largest is rounded down by its rounding bound.
    - supporting moduli: x at a vertex and y in the kernel of one of its
      extreme functionals.
 
@@ -53,8 +54,9 @@ before.
 
 Every value is on its label side: "over" for infima (delta, the lower
 supporting modulus), "under" for suprema (rho, the upper one); off the
-closed forms it comes from an evaluated pair.  Each grid point keeps its own
-fixed array shapes, so its value does not depend on the rest of its grid.
+closed forms it comes from an evaluated pair, and polyhedral rho is lowered
+by its rounding bound.  Each grid point keeps its own fixed array shapes,
+so its value does not depend on the rest of its grid.
 A 1-d norm raises DimensionMismatch in every estimator, and so does a norm
 of 3 or more dimensions that no closed form serves.  delta and rho take a
 budget for the estimators' common signature, but no value of theirs
@@ -63,7 +65,6 @@ depends on it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,9 +75,7 @@ from .norms import (
     norm_batch,
     norm_eval,
     sphere_points,
-    sphere_vertex_angles,
     subdifferential_extremes,
-    unit_vector,
 )
 
 
@@ -473,7 +472,8 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     best y under ||x - y|| >= eps is the chord crossing on either arc from x
     to -x, since ||x + y|| does not increase along it, so delta is
     1 - max ||x + y|| / 2 over the crossings of the vertices along both
-    arcs, which is exact up to rounding.  Each such value comes from an
+    arcs, from the exact corners (ops.corners) at the angles arctan2 gives
+    them, which is exact up to rounding.  Each such value comes from an
     evaluated pair with chord at least eps, so it is an "over" estimate.  At
     eps = 2 the value is the closed form 1 - L/2.  budget is unused (see the
     module docstring).
@@ -491,7 +491,6 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
                             label=label)
     if n.dim != 2:
         raise DimensionMismatch("the modulus of convexity is implemented for planar norms")
-    vang = sphere_vertex_angles(n)
     segment = n.ops.longest_segment()
     top = 1.0 - segment / 2.0
     # a chord that fits on an edge has its midpoint on the sphere
@@ -500,7 +499,8 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     inner = ~flat & (eps_grid < 2.0)
     eps = eps_grid[inner][:, None]
     if eps.size:
-        V = sphere_points(n, vang)
+        V = n.ops.corners
+        vang = np.arctan2(V[:, 1], V[:, 0])
         best = np.full(eps.shape[0], -np.inf)
         for sense in (1.0, -1.0):
             Y, feasible = _chord_crossing(n, V, vang, eps, sense)[:2]
@@ -523,10 +523,11 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
 
     An inner-product norm takes the Hilbert closed form and any other lp
     norm Hanner's (see the module docstring).  On a polyhedral sphere the
-    objective is convex in each argument, so the supremum sits at vertex
-    pairs, and the value is their largest: exact up to rounding, and taken
-    at evaluated pairs, so it is an "under" estimate.  budget is unused
-    (see the module docstring).
+    objective is convex in each argument, so the supremum sits at pairs of
+    corners (ops.corners), and the value is their largest, exact up to
+    rounding.  It is lowered by the objective's rounding bound,
+    _RESIDUAL_ULPS ulps of 1 + tau, and clamped at 0, so it is an "under"
+    estimate.  budget is unused (see the module docstring).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
@@ -541,9 +542,10 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
                             label=label)
     if n.dim != 2:
         raise DimensionMismatch("the modulus of smoothness is implemented for planar norms")
-    V = sphere_points(n, sphere_vertex_angles(n))
-    vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None])
-    return ModulusCurve(tau_grid.copy(), vals.max(axis=(1, 2)), "under", label=label)
+    V = n.ops.corners
+    vals = _rho_objective(n, V[:, None, :], V[None, :, :], tau_grid[:, None, None, None]).max(axis=(1, 2))
+    vals = np.maximum(vals - _RESIDUAL_ULPS * np.finfo(float).eps * (1.0 + tau_grid), 0.0)
+    return ModulusCurve(tau_grid.copy(), vals, "under", label=label)
 
 
 # ---------------------------------------------------------------------------
@@ -594,15 +596,13 @@ def _quasiorth_table(n, angles):
     return np.concatenate([S, S]), np.concatenate([K, -K]), np.concatenate([ang, ang])
 
 
-def _vertex_pairs(n, angles):
-    """Unit pairs (x, y) with x at each vertex angle of a polyhedral sphere
-    and y either sign of the kernel of each extreme functional at the
-    corner nearest x (a thin polygon's x sits off it past a tie's rounding)."""
-    C = n.ops.corners
+def _vertex_pairs(n):
+    """Unit pairs (x, y) with x at each corner of a polyhedral sphere
+    (ops.corners) and y either sign of the kernel of each extreme functional
+    there."""
     X, Y = [], []
-    for a in angles:
-        x = unit_vector(n, (math.cos(a), math.sin(a)))
-        for e in subdifferential_extremes(n, C[np.argmin(np.sum((C - x) ** 2, axis=1))]):
+    for x in n.ops.corners:
+        for e in subdifferential_extremes(n, x):
             k = np.array([-e[1], e[0]])
             k = k / norm_eval(n, k)
             X.extend([x, x])
@@ -655,10 +655,9 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
                             label=label)
     if n.dim != 2:
         raise DimensionMismatch("supporting moduli are implemented for planar norms")
-    vang = sphere_vertex_angles(n)
-    if vang.size:
+    if n.ops.corners is not None:
         sign = 1.0 if which == "upper" else -1.0
-        X, Y = _vertex_pairs(n, vang)
+        X, Y = _vertex_pairs(n)
         vals = sign * (sign * _lambda_rows(n, X, Y, r_grid[:, None, None], which)[0]).max(axis=1)
     else:
         vals = _support_engine(n, r_grid, which, budget.angles)

@@ -186,10 +186,6 @@ class _NormKind:
         (_ties), or the one functional j1 where there are none."""
         return [j1_batch(self.spec, x)] if self.dual_corners is None else list(_ties(self.dual_corners, x))
 
-    def vertex_angles(self):
-        """Angles of the vertices of a polyhedral planar unit sphere."""
-        return np.empty(0)
-
     def facets(self, center, radius):
         """Facets (a, radius + <a, center>) of the ball center + radius * B,
         one per dual corner a, in table order; None where there are none."""
@@ -257,10 +253,6 @@ class _Lp(_NormKind):
             return np.where(_first_argmax(R), np.sign(P), 0.0)
         return np.sign(P) * (R / _fold(np.maximum, R)[..., None]) ** (self.q - 1.0)
 
-    def vertex_angles(self):
-        k = {1.0: [0.0, 2.0, 4.0, -2.0], math.inf: [1.0, 3.0, -3.0, -1.0]}.get(self.p, [])
-        return np.pi / 4 * np.array(k)
-
     def longest_segment(self):
         """Length in the norm of the longest segment in the unit sphere: 0
         when it is strictly convex, and 2, an edge, on l1 and the max
@@ -305,9 +297,6 @@ class _Polygon(_NormKind):
         """The vertex with the largest pairing (the first in vertex order when
         p is normal to an edge)."""
         return self.vertices[np.argmax(_pairings(P, self.vertices), axis=0)]
-
-    def vertex_angles(self):
-        return np.arctan2(self.vertices[:, 1], self.vertices[:, 0])
 
     def longest_segment(self):
         V = self.vertices
@@ -361,11 +350,6 @@ class _LinearImage(_NormKind):
         """T^-1 support(T^-T p)."""
         return _apply(self.Ti, self.base.support(_apply(self.Ti.T, P)))
 
-    def vertex_angles(self):
-        a = self.base.vertex_angles()
-        V = _apply(self.Ti, np.stack([np.cos(a), np.sin(a)], axis=-1))
-        return np.arctan2(V[:, 1], V[:, 0])
-
 
 class _Ellipse(_LinearImage):
     """x -> sqrt(x^T Q x): euclid under R = cholesky(Q)^T, as Q = R^T R."""
@@ -404,8 +388,8 @@ def _lp_corners(p, d):
 def _ties(F, v):
     """The rows of a symmetric table F whose pairing with v ties the largest
     within 8 ulps of the largest rounding bound sum |f_k v_k|: the face of
-    conv(F) that v exposes.  The one tie rule; a corner of F's polar ties
-    within 2 ulps of that bound, one rebuilt from its angle may not."""
+    conv(F) that v exposes.  The one tie rule: a corner of F's polar ties
+    within 2 ulps of that bound."""
     s = _pairings(v, F)
     return F[s >= np.max(s) - 8.0 * np.finfo(float).eps * np.max(_pairings(np.abs(v), np.abs(F)))]
 
@@ -518,13 +502,6 @@ def sphere_points(n, count_or_angles):
         ang = np.asarray(count_or_angles, dtype=float)
     D = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
     return D / norm_batch(n, D)[..., None]
-
-
-def sphere_vertex_angles(n):
-    """Angles of the unit sphere's vertices for polyhedral planar norms."""
-    if n.dim != 2:
-        return np.empty(0)
-    return n.ops.vertex_angles()
 
 
 # ---------------------------------------------------------------------------

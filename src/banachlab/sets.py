@@ -324,19 +324,16 @@ def _dots(P, W):
 
 def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
     """The unit vectors u that a supports, as rows: the nearest points to v on
-    the plane {<a, .> = <a, v> - d |a|_*} are v - d u.  Where a supports a flat
-    edge of a planar sphere they form a segment, represented by 16 points from
-    end to end; elsewhere they are the vertices of the face that a exposes
-    (the norm kind's face), one support point where the sphere is round."""
-    if n.dim == 2 and not n.ops.strictly_convex:
-        V = sphere_points(n, n.ops.vertex_angles())
-        s = V @ a
-        top = float(np.max(s))
-        face = V[s >= top - 1e-12 * max(1.0, abs(top))]
-        if len(face) == 2:
-            t = np.linspace(0.0, 1.0, 16)[:, None]
-            return (1 - t) * face[0] + t * face[1]
-    return n.ops.face(a)
+    the plane {<a, .> = <a, v> - d |a|_*} are v - d u: the face of the unit
+    ball that a exposes (the norm kind's face, whose corners tie by the one
+    rule of _ties).  Where it is a flat edge of a planar sphere they form a
+    segment, represented by 16 points from corner to corner; elsewhere they
+    are the face's vertices, one support point where the sphere is round."""
+    face = n.ops.face(a)
+    if n.dim == 2 and len(face) == 2:
+        t = np.linspace(0.0, 1.0, 16)[:, None]
+        return (1 - t) * face[0] + t * face[1]
+    return face
 
 
 class _SetKind:

@@ -455,7 +455,7 @@ _FROZEN = {
             '[-0.6903576548100945, -0.7786257575939263]]'),
         "projection": (
             '{"samples_used": 6, "verdict": "fail", "witness": [[-0.6903576548100945, '
-            '-0.7786257575939263], [-0.9117318972161682, -1.0], [1.0, 0.0]], '
+            '-0.7786257575939263], [-0.46898341240402075, -1.0], [-1.0, 0.0]], '
             '"worst_margin": -0.998}'),
         "cone": (
             '[0.0, 0.0, true]'),
@@ -475,6 +475,10 @@ def test_sampled_check_reports_are_those_of_the_one_try_loops(registry, zoo, sid
     of a polytope complement.  The tube, which is 3-d, is frozen from the
     kernels instead: its entry pins the mended cylinder sampler, which draws
     the base points and then the free coordinates from one generator.  The
+    projection witness of box_complement was re-frozen when the plane feet
+    came to end at the exact corners, listed in table order: its foot is the
+    other end of the same flat face of feet, at the same max-norm distance
+    from u, and its functional (-1, 0) pairs with u - x to |u - x|.  The
     input rho curve is the cancelling form sqrt(1 + t^2) - 1 the reports
     were frozen with, not hilbert_rho, which no longer cancels."""
     A, amb = registry[sid]

@@ -490,7 +490,8 @@ def test_lp_norms_take_hanners_forms(monkeypatch):
 
     monkeypatch.setattr(M, "_crossing_max", refuse)
     monkeypatch.setattr(M, "_chord_crossing", refuse)
-    monkeypatch.setattr(M, "sphere_vertex_angles", refuse)
+    monkeypatch.setattr(M, "_rho_objective", refuse)
+    monkeypatch.setattr(M, "_vertex_pairs", refuse)
     grid = np.array([0.01, 0.1, 0.5, 1.0, 1.9, 2.0])
     specs = [bl.lp_norm(1.5), bl.lp_norm(3), bl.weighted_lp_norm(3, [1, 5]),
              bl.weighted_lp_norm(2.0001, [1, 5]), bl.lp_norm(3, 3)]
@@ -660,6 +661,20 @@ def test_polygon_delta_matches_the_vertex_oracle(norms):
         for e, v in zip(eps[::4], est[::4]):
             dense = 1.0 - np.max(_crossing_values(V, X, e)) / 2.0
             assert dense >= v - 1e-12, (label, e, dense - v)
+
+
+def test_polyhedral_rho_is_under_its_exact_value():
+    """rho of l1 and the max norm, and of their weighted images, is tau
+    exactly (the triangle inequality bounds it, and a pair of vertices
+    attains it): the "under" estimate is at most tau at every point of a
+    linear and a geometric grid down to 1e-8, and within its rounding
+    bound, a few ulps of 1 + tau, of it."""
+    tau = np.union1d(np.linspace(0.01, 2.0, 200), np.geomspace(1e-8, 2.0, 300))
+    for n in (bl.lp_norm(1), bl.lp_norm(np.inf), bl.weighted_lp_norm(1, [1.0, 5.0]),
+              bl.weighted_lp_norm(np.inf, [3.0, 1.0])):
+        v = np.asarray(bl.rho_estimate(n, tau, LOW).values)
+        assert np.all(v <= tau), (n.name, np.count_nonzero(v > tau), np.max(v - tau))
+        assert np.all(tau - v <= 32 * np.finfo(float).eps * (1.0 + tau)), (n.name, np.max(tau - v))
 
 
 def _shift_oracle(E, X, Y, r):
@@ -880,17 +895,20 @@ def _warm_guesses(lo, hi):
 def test_root_searches_keep_the_label_contract(norms, nid):
     """Every kept chord end has a computed chord of at least eps, and the
     lower end of its bracket is short of eps: on the counterclockwise arcs
-    from the arc table, and on both arcs from the vertices of a polyhedral
-    sphere.  Every support shift of "lower" has a residual below -tol at its
-    returned (upper) end, and every one of "upper" a residual above tol at
-    its returned (lower) end, unless that end is the a priori bound, 1 or
-    0.  Checked on the full and the rank passes, cold and from warm brackets
+    from the arc table, and on both arcs from the corners of a polyhedral
+    sphere, at the angles arctan2 gives them, as delta runs them.  Every
+    support shift of "lower" has a residual below -tol at its returned
+    (upper) end, and every one of "upper" a residual above tol at its
+    returned (lower) end, unless that end is the a priori bound, 1 or 0.
+    Checked on the full and the rank passes, cold and from warm brackets
     that hold the root or miss it on either side."""
     n = norms[nid]
     A, X = M._arc(n, LOW.angles)
-    vang = M.sphere_vertex_angles(n)
-    V = bl.sphere_points(n, vang)
-    arcs = [(X, A, 1.0)] + ([(V, vang, 1.0), (V, vang, -1.0)] if vang.size else [])
+    arcs = [(X, A, 1.0)]
+    V = n.ops.corners
+    if V is not None:
+        vang = np.arctan2(V[:, 1], V[:, 0])
+        arcs += [(V, vang, 1.0), (V, vang, -1.0)]
     for X, A, sense in arcs:
         for steps in (M._ROOT_STEPS, M._RANK_STEPS):
             Y, feasible, lo, hi = M._chord_crossing(n, X, A, CHORDS, sense, steps)

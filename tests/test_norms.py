@@ -1,6 +1,7 @@
 """Norm evaluation, duality maps and support points."""
 
 import decimal
+import itertools
 import math
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from banachlab.norms import (
     NotSymmetric,
     ZeroVector,
     j1_batch,
-    sphere_vertex_angles,
 )
 from conftest import _image, _rotation
 
@@ -88,11 +88,6 @@ def test_lp_is_unit_weight_weighted_lp_bit_for_bit(p, dim):
         X = rng.normal(size=shape) * 3.0
         assert np.array_equal(bl.norm_batch(n, X), _plain_lp(X, p))
         assert np.array_equal(bl.dual_norm_batch(n, X), _plain_lp(X, q))
-    if dim == 2 and p == 1.0:
-        assert np.array_equal(sphere_vertex_angles(n), [0.0, np.pi / 2, np.pi, -np.pi / 2])
-    if dim == 2 and p == np.inf:
-        assert np.array_equal(sphere_vertex_angles(n),
-                              [np.pi / 4, 3 * np.pi / 4, -3 * np.pi / 4, -np.pi / 4])
 
 
 @pytest.mark.parametrize("weights", [[1.0, np.nan], [np.inf, 1.0], [1.0, 0.0], []])
@@ -359,7 +354,7 @@ def _vertex_probes(n):
     times it, where two edges meet; and the smooth points 1e-7 from each
     vertex, either way along the vertex turned a quarter turn, and
     +-(1, 1e-7)."""
-    V = bl.sphere_points(n, sphere_vertex_angles(n))
+    V = n.ops.corners
     ccw = np.stack([-V[:, 1], V[:, 0]], axis=-1)
     x = np.array([[1.0, 1e-7]])
     return np.concatenate([V, 3.0 * V]), np.concatenate([V + 1e-7 * ccw, V - 1e-7 * ccw, x, -x])
@@ -448,10 +443,9 @@ def test_subdifferential_extremes_tie_on_ill_conditioned_norms(n):
 def test_vertex_pairs_of_a_thin_polygon_keep_both_functionals(a, aspect):
     """The supporting moduli of a polygon run on the pairs of its vertices:
     two functionals at each of the four vertices, and both signs of y, so 16
-    pairs, though x rebuilt from its angle sits off a thin rhombus's vertex
-    by more than a tie's rounding."""
+    pairs, read at the exact corners of a thin rhombus."""
     n = _thin_polygon(a, aspect)
-    X, Y = M._vertex_pairs(n, sphere_vertex_angles(n))
+    X, Y = M._vertex_pairs(n)
     assert len(X) == len(Y) == 16
 
 
@@ -481,6 +475,9 @@ def test_lp_vertex_tables_are_the_vertices_of_the_ball_and_its_dual(p, dim, corn
     n = bl.lp_norm(p, dim)
     C, D = n.ops.corners, n.ops.dual_corners
     assert (len(C), len(D)) == (corners, dual_corners)
+    E = {tuple(r) for r in np.concatenate([np.eye(dim), -np.eye(dim)])}
+    S = set(itertools.product((1.0, -1.0), repeat=dim))
+    assert ({tuple(r) for r in C}, {tuple(r) for r in D}) == ((E, S) if p == 1 else (S, E))
     assert np.array_equal(bl.norm_batch(n, C), np.ones(len(C)))
     assert np.array_equal(bl.dual_norm_batch(n, D), np.ones(len(D)))
     assert np.array_equal(np.max(D @ C.T, axis=1), np.ones(len(D)))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import banachlab as bl
-from banachlab.sets import EmptyShell, InteriorPoint, NoIntersection, _first, _sample_tries
+from banachlab.sets import EmptyShell, InteriorPoint, NoIntersection, _first, _plane_dirs, _sample_tries
 from conftest import LOW
 
 
@@ -157,6 +157,25 @@ def test_plane_feet_span_the_whole_flat_face(zoo, make):
     assert _spread(zoo["linf"], feet) == pytest.approx(1.6, abs=1e-12)
     y, = bl.project(A, E2, v)
     assert np.array_equal(y, [1.0, 0.0])
+
+
+def test_plane_feet_end_at_the_exact_corners(zoo, registry):
+    """The plane directions of every dual corner of l1, the max norm and poly
+    are a 16-point segment whose ends are rows of the corner table, bit for
+    bit; so every foot of the halfplane x2 <= 0 under the max norm lies on
+    x2 = 0 exactly."""
+    for nid in ("l1", "linf", "poly"):
+        n = zoo[nid]
+        C = n.ops.corners
+        for a in n.ops.dual_corners:
+            U = _plane_dirs(n, a)
+            assert len(U) == 16, (nid, a)
+            for end in (U[0], U[-1]):
+                assert (C == end).all(axis=1).any(), (nid, a, end)
+    A = registry["halfplane"][0]
+    for v in np.random.default_rng(5).uniform([-2.0, 0.01], [2.0, 2.0], size=(50, 2)):
+        feet = bl.project(A, zoo["linf"], v)
+        assert [y[1] for y in feet] == [0.0] * len(feet), v
 
 
 @pytest.mark.parametrize("kind", ["ball", "ball_complement"])
@@ -665,7 +684,7 @@ def test_row_methods_equal_the_one_point_functions(registry, zoo):
     ("halfplane_linf", 1.0,
      '{"reason": "nonunique projection at a sampled point", "samples_used": 1, '
      '"verdict": "fail", "witness": [[-1.2276950311297072, 0.5974384233184231], '
-     '[-1.8251334544481304, 1.1102230246251565e-16], [-1.7454749980056739, 1.1102230246251565e-16]], '
+     '[-1.8251334544481304, 0.0], [-1.7454749980056739, 0.0]], '
      '"worst_margin": -1.1948768466368462}'),
     ("l15_gauge_complement", 0.5,
      '{"reason": "two projection branches meet inside the shell", "samples_used": 8, '
@@ -681,7 +700,10 @@ def test_certificate_report_is_that_of_the_one_point_loop(registry, zoo, sid, R,
     ball under the Euclidean norm and the l15-gauge complement under l3 run
     the ring scan of the gauge sphere; the max-norm-gauge complement under l3
     reads the plane feet of its polytope complement; the halfplane under the
-    max norm has a flat face of feet at every sample."""
+    max norm has a flat face of feet at every sample.  Its witness feet were
+    re-frozen when the plane feet came to end at the exact corners: they lie
+    on x2 = 0.0, no longer at 1.1e-16 from a corner rebuilt from its angle,
+    and the same max-norm distance 0.5974384233184231 from the sample."""
     foreign = {
         "l3_gauge_ball": (bl.make_ball([0.0, 0.0], 1.0, gauge=zoo["l3"]), zoo["euclid"]),
         "linf_gauge_complement": (bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo["linf"]),
