@@ -20,16 +20,16 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .moduli import _bracket_roots, _crossing_max, _isometric_base
-from .norms import NormSpec, j1_batch, norm_batch, norm_eval
+from .norms import NormSpec, _fold, j1_batch, norm_batch, norm_eval
 from .psifuncs import PsiSpec
 from .sets import (
     CheckReport,
     ClosedSetSpec,
     _clean,
     _cone_pairings,
-    _dots,
     _gauge,
     _sample_tries,
+    _scale,
     boundary_sample,
     contains,
     distance,
@@ -73,7 +73,8 @@ def _pair_sweep(A: ClosedSetSpec, n: NormSpec, budget: int, seed: int, lo: float
     pairing nor the first pair attaining it; the pairs I < J (all in order,
     or budget of them drawn and sorted) whose separations d lie in [lo, hi];
     and their pairings G[k, a, b] = <P[J_k, b] - P[I_k, a], X[J_k] - X[I_k]>,
-    with the bits of a per-pair p @ x (see _dots)."""
+    summed on the coordinate columns in order (norms._fold), so a pair has
+    the same bits in any batch."""
     rng = np.random.default_rng(seed)
     m = max(48, min(512, int(np.sqrt(2.0 * budget)) + 1))
     X, P = [], []
@@ -95,7 +96,7 @@ def _pair_sweep(A: ClosedSetSpec, n: NormSpec, budget: int, seed: int, lo: float
     d = norm_batch(n, X[J] - X[I])
     band = (lo <= d) & (d <= hi)
     I, J, d = I[band], J[band], d[band]
-    G = _dots(P[J][:, None] - P[I][:, :, None], (X[J] - X[I])[:, None, None])
+    G = _fold(np.add, (P[J][:, None] - P[I][:, :, None]) * (X[J] - X[I])[:, None, None])
     return X, P, I, J, d, G
 
 
@@ -108,8 +109,7 @@ def hypo_check(A: ClosedSetSpec, n: NormSpec, psi: PsiSpec, R: float,
     <p2 - p1, x2 - x1> + R psi(|x2 - x1| / R).  Pass means the worst margin
     stays above -1e-6.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    _scale(R, "R")
     X, P, I, J, d, G = _pair_sweep(A, n, pair_budget, seed, 1e-9, eps_max)
     if len(X) < 2:
         raise NoFeasiblePairs("not enough boundary points with normal directions")
@@ -148,8 +148,7 @@ def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int = 4096
     engine's pairs sit at a computed separation of at least eps, the band's
     anywhere in the band.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    _scale(eps, "eps")
     if A.kind == "ball_complement" and A.dim == 2 and _gauge(A, n) == n:
         return _gamma_exact_2d(A, n, eps, budget)
     G = _pair_sweep(A, n, budget, seed, eps * (1 - _BAND), eps * (1 + _BAND))[-1]
@@ -196,8 +195,7 @@ def _gamma_engine(n: NormSpec, r: float, eps: float, budget: int) -> float:
     rows = max(128, min(512, budget // 16))
 
     def pairing(X, Y):
-        D, E = j1_batch(n, X) - j1_batch(n, Y), X - Y
-        return r * (D[..., 0] * E[..., 0] + D[..., 1] * E[..., 1])
+        return r * _fold(np.add, (j1_batch(n, X) - j1_batch(n, Y)) * (X - Y))
 
     return float(_crossing_max(n, pairing, np.array([[eps / r]]), 2 * rows)[0])
 
@@ -210,8 +208,8 @@ def section_bound_check(A: ClosedSetSpec, n: NormSpec, R: float, rho_curve,
     ratio <p, a - a0> / |a - a0| must stay below eps = (2R/delta) rho(delta/R).
     The rho curve must be a sampled underestimate so the test errs strict.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    _scale(R, "R")
+    _scale(delta, "delta")
     if getattr(rho_curve, "direction", "under") != "under":
         raise ValueError("need an underestimating smoothness-modulus curve")
     a0 = np.asarray(a0, dtype=float)

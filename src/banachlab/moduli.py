@@ -107,7 +107,7 @@ class ModulusCurve:
 
     def eval(self, t):
         t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-12) or np.any(t > self.args[-1] + 1e-9):
+        if not np.all((-1e-12 <= t) & (t <= self.args[-1] + 1e-9)):
             raise ValueError(f"argument outside curve grid [0, {self.args[-1]:g}]")
         xs = np.concatenate([[0.0], self.args])
         ys = np.concatenate([[0.0], self.values])
@@ -479,7 +479,7 @@ def delta_estimate(n, eps_grid, budget=SearchBudget()):
     module docstring).
     """
     eps_grid = np.asarray(eps_grid, dtype=float)
-    if np.any(eps_grid <= 0) or np.any(eps_grid > 2 + 1e-12):
+    if not np.all((0 < eps_grid) & (eps_grid <= 2 + 1e-12)):
         raise ValueError("chord grid must lie in (0, 2]")
     label = f"{n.name}:delta"
     n = _isometric_base(n)
@@ -530,7 +530,7 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
     estimate.  budget is unused (see the module docstring).
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
-    if np.any(tau_grid <= 0) or np.any(tau_grid > 2 + 1e-12):
+    if not np.all((0 < tau_grid) & (tau_grid <= 2 + 1e-12)):
         raise ValueError("step grid must lie in (0, 2]")
     label = f"{n.name}:rho"
     n = _isometric_base(n)
@@ -645,7 +645,7 @@ def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     if which not in ("lower", "upper"):
         raise ValueError("which must be 'lower' or 'upper'")
     r_grid = np.asarray(r_grid, dtype=float)
-    if np.any(r_grid <= 0) or np.any(r_grid > 1 + 1e-12):
+    if not np.all((0 < r_grid) & (r_grid <= 1 + 1e-12)):
         raise ValueError("r grid must lie in (0, 1]")
     direction = "under" if which == "upper" else "over"
     label = f"{n.name}:support_{which}"

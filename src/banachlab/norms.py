@@ -119,6 +119,8 @@ def ellipse_norm(matrix, name=""):
     Q = np.asarray(matrix, dtype=float)
     if Q.shape != (2, 2):
         raise DimensionMismatch("ellipse matrix must be 2x2")
+    if not np.all(np.isfinite(Q)):
+        raise DegenerateBody("ellipse matrix must be finite")
     if not np.allclose(Q, Q.T, rtol=0.0, atol=1e-12):
         raise NotSymmetric("ellipse matrix must be symmetric")
     evals = np.linalg.eigvalsh(Q)

@@ -64,8 +64,8 @@ def validate_psi(knots, values, atol=1e-9, name=""):
     v = np.asarray(values, dtype=float)
     if k.ndim != 1 or k.shape != v.shape or k.size < 2:
         raise ValueError("need matching 1-d knot and value arrays, length >= 2")
-    if np.any(np.diff(k) <= 0):
-        raise ValueError("knots must be strictly increasing")
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v))) or np.any(np.diff(k) <= 0):
+        raise ValueError("knots must be finite and strictly increasing, values finite")
     if np.any(v < -atol):
         raise NegativeValue("certificate functions are nonnegative")
     if abs(k[0]) > 1e-15 or v[0] > atol:
@@ -94,22 +94,27 @@ def builtin_psi(name, knots):
     raise ValueError(f"unknown builtin {name!r}")
 
 
+def _lipschitz(k, v):
+    """The largest |slope| of the knots k and values v: ValueError unless k
+    is finite and strictly increasing and v finite."""
+    if not (np.all(np.isfinite(k)) and np.all(np.isfinite(v))) or np.any(np.diff(k) <= 0):
+        raise ValueError("knots must be finite and strictly increasing, values finite")
+    return float(np.abs(np.diff(v) / np.diff(k)).max())
+
+
 def psi_from_curve(curve, scale=1.0, name=""):
     """Certificate function from a sampled modulus curve (a ModulusCurve),
     zero anchored."""
     k = np.concatenate([[0.0], curve.args])
     v = scale * np.concatenate([[0.0], np.maximum(curve.values, 0.0)])
-    slopes = np.diff(v) / np.diff(k)
-    return PsiSpec(k, v, float(np.abs(slopes).max()), name=name or "curve")
+    return PsiSpec(k, v, _lipschitz(k, v), name=name or "curve")
 
 
 def rescale_psi(psi, arg_scale=1.0, value_scale=1.0, name=""):
     """PsiSpec for t -> value_scale * psi(arg_scale * t)."""
     k = psi.knots / arg_scale
     v = value_scale * psi.values
-    slopes = np.diff(v) / np.diff(k)
-    return PsiSpec(k, v, float(np.abs(slopes).max()),
-                   name=name or f"rescaled:{psi.name}")
+    return PsiSpec(k, v, _lipschitz(k, v), name=name or f"rescaled:{psi.name}")
 
 
 def _upper_concave_hull(x, y):
@@ -153,6 +158,4 @@ def regularize_psi(psi):
     idx = _upper_concave_hull(t, h)
     gamma = np.interp(t, t[idx], h[idx])
     vals = np.concatenate([[0.0], t[1:] * t[1:] / np.sqrt(gamma[1:])])
-    slopes = np.diff(vals) / np.diff(t)
-    return PsiSpec(t.copy(), vals, float(np.abs(slopes).max()),
-                   name=f"regularized:{psi.name}")
+    return PsiSpec(t.copy(), vals, _lipschitz(t, vals), name=f"regularized:{psi.name}")

@@ -10,15 +10,18 @@ distance, projection and membership, and the certificates, read them.  The
 sampled checks draw their points from one block sampler, which tests a block
 of tries with one call, and pair all their sample rows with the normal
 directions at once.  The certificate and the rolling-projection check share
-one projection-ray kernel.
+one projection-ray kernel.  Every row pairing is a column sum of norms
+(_fold, or _pairings for a table of functionals), so a row has the same bits
+alone and in any batch.
 
 On a gauge sphere that differs from the ambient norm, or is planar and not
 strictly convex (polygon, l1, max norm), the nearest points are those of a
 4096-angle ring, tabled in fixed blocks of rows and refined onto the sphere
 under a foreign gauge; elsewhere the nearest point is radial.  Where it is
 not radial, the complement of a polyhedral gauge ball is that of the
-polytope of the gauge's facets.  The nearest points on a plane, for
-halfspaces and polytope complements, come from one helper.
+polytope of the gauge's facets.  Halfspaces and polytope complements hold
+one facet table, whose gaps <a, v> - b come from one pairing and whose
+nearest points on a plane come from one helper.
 """
 
 from __future__ import annotations
@@ -37,7 +40,9 @@ from .norms import (
     DimensionMismatch,
     NormSpec,
     _fold,
+    _pairings,
     as_vec,
+    dual_norm_batch,
     dual_norm_eval,
     j1_batch,
     norm_batch,
@@ -133,11 +138,16 @@ def _finite(x, what: str) -> np.ndarray:
     return a
 
 
+def _scale(x, what: str) -> None:
+    """ValueError unless the scale x lies in (0, inf): NaN does not."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+
+
 def _make_gauge_ball(kind: str, center, radius: float, gauge: Optional[NormSpec],
                      name: str) -> ClosedSetSpec:
     c = _finite(center, "center").reshape(-1)
-    if not 0.0 < radius < math.inf:
-        raise ValueError("radius must be positive and finite")
+    _scale(radius, "radius")
     return ClosedSetSpec(kind=kind, dim=c.shape[0], center=tuple(c), radius=float(radius),
                          gauge=gauge, name=name or kind)
 
@@ -228,11 +238,6 @@ def _cluster_mask(K, keep, radius):
     return reps
 
 
-def _cluster(points, radius: float):
-    P = np.array(points)
-    return list(P[_cluster_mask(P[None], np.ones((1, len(P)), dtype=bool), radius)[0]])
-
-
 def _first(K, keep):
     """The first kept representative of each row of a nearest-point table:
     the row's projection foot."""
@@ -306,20 +311,6 @@ def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
         dmin = np.min(dists, axis=1)[:, None]
         keep &= dists <= dmin + _TIE_ULPS * np.finfo(float).eps * dmin
     return K, _cluster_mask(K, keep, _CLUSTER)
-
-
-def _pairing_rows(V: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """<a, v> of each row v of V, summed on the coordinate columns in order, so
-    that a row has the same bits alone and in any batch (a matrix product
-    rounds otherwise)."""
-    return _fold(np.add, V * a)
-
-
-def _dots(P, W):
-    """<p, w> for the broadcast rows p of P and w of W, as stacked 1-by-dim
-    products: each has the bits of the 1-d p @ w, which a matrix of several
-    p, or a sum on the columns (no fused multiply-add), rounds otherwise."""
-    return np.matmul(P[..., None, :], W[..., :, None])[..., 0, 0]
 
 
 def _plane_dirs(n: NormSpec, a: np.ndarray) -> np.ndarray:
@@ -460,22 +451,33 @@ class _BallComplement(_Ball):
 
 
 class _Planes(_SetKind):
-    """A kind whose nearest points lie on facet planes {<a, .> = b}: the
-    feet on the plane of a from a row v are v - gap u, over the plane
-    directions u of a (_plane_dirs), built once per ambient norm."""
+    """A kind whose nearest points lie on facet planes {<a, .> = b}, held as
+    one table: the rows a of A (m, dim) and the offsets b (m,).  The feet on
+    the plane of a from a row v are v - gap u, over the plane directions u
+    of a (_plane_dirs), built once per ambient norm."""
 
-    def __init__(self, A: ClosedSetSpec, normals):
-        super().__init__(A)
-        self.dim = A.dim
-        self.normals = normals
+    def __init__(self, S: ClosedSetSpec, A, b):
+        super().__init__(S)
+        self.dim = S.dim
+        self.A, self.b = np.reshape(A, (-1, S.dim)), np.reshape(b, -1)
         self._dirs = {}  # ambient norm -> the stacked plane directions and the facet of each
+
+    def _gaps(self, V):
+        """<a, v> - b of each facet (a, b), as rows, and each row v of V, as
+        columns: the pairings of norms._pairings, with the bits of any batch."""
+        return _pairings(V, self.A) - self.b[:, None]
+
+    def _plane_distances(self, n, V):
+        """The gaps scaled by |a|_*, (rows, facets): the signed distances of the
+        rows of V to the facet planes."""
+        return (self._gaps(V) / dual_norm_batch(n, self.A)[:, None]).T
 
     def _plane_feet(self, n, V, G, kept):
         """The feet of the rows V on the facet planes at gaps G (rows, facets)
         that some row keeps, as (rows, k, dim) points, and the cluster mask of
         those on each row's kept facets."""
         if n not in self._dirs:
-            U = [_plane_dirs(n, a) for a in self.normals]
+            U = [_plane_dirs(n, a) for a in self.A]
             self._dirs[n] = np.concatenate(U), np.repeat(np.arange(len(U)), [len(u) for u in U])
         U, f = self._dirs[n]
         if len(V):  # only the directions of kept facets; a table of no rows keeps them all
@@ -486,23 +488,21 @@ class _Planes(_SetKind):
 
 
 class _Halfspace(_Planes):
-    """{x : <a, x> <= offset}."""
+    """{x : <a, x> <= offset}: the one-row facet table."""
 
-    def __init__(self, A: ClosedSetSpec):
-        super().__init__(A, [np.asarray(A.normal)])
-        self.a = self.normals[0]
-        self.b = A.offset
-        self.foot = self.b * self.a / float(self.a @ self.a)
+    def __init__(self, S: ClosedSetSpec):
+        super().__init__(S, S.normal, S.offset)
+        self.a = self.A[0]
+        self.foot = self.b[0] * self.a / float(self.a @ self.a)
 
     def residual(self, n, V):
         """<a, v> - offset of each row."""
-        return _pairing_rows(V, self.a) - self.b
+        return self._gaps(V)[0]
 
     def nearest_rows(self, n, V):
-        s = self.residual(n, V)
-        d = s / dual_norm_eval(n, self.a)
-        K, keep = self._plane_feet(n, V, d[:, None], np.ones((V.shape[0], 1), dtype=bool))
-        return _table(V, d, K, keep, s <= 0)
+        G = self._plane_distances(n, V)
+        K, keep = self._plane_feet(n, V, G, np.ones(G.shape, dtype=bool))
+        return _table(V, G[:, 0], K, keep, G[:, 0] <= 0)
 
     def boundary_sample(self, n, count, rng):
         a = self.a
@@ -560,42 +560,31 @@ class _FinitePoints(_SetKind):
 class _PolytopeComplement(_Planes):
     """Closure of the complement of {x : <a_i, x> <= b_i for all i}."""
 
-    def __init__(self, A: ClosedSetSpec):
-        self.facets = [(np.asarray(a, dtype=float), float(b)) for a, b in A.facets]
-        super().__init__(A, [a for a, _ in self.facets])
+    def __init__(self, S: ClosedSetSpec):
+        super().__init__(S, [a for a, _ in S.facets], [b for _, b in S.facets])
 
     def nearest_rows(self, n, V):
-        # (<a, v> - b) / |a|_* for each facet (a, b), one per column: minus the
-        # distance to the facet plane where <a, v> <= b.  From inside the
-        # polytope the distance to the complement is that to the nearest one.
-        G = np.stack([(_pairing_rows(V, a) - b) / dual_norm_eval(n, a) for a, b in self.facets], axis=-1)
+        # minus the distance to each facet plane where <a, v> <= b: from inside
+        # the polytope the distance to the complement is that to the nearest one
+        G = self._plane_distances(n, V)
         top = np.max(G, axis=-1)
         K, keep = self._plane_feet(n, V, G, G >= top[:, None] - _PROJECT_TOL)
         return _table(V, -top, K, keep, top >= 0)
 
     def _edges_2d(self):
-        """Edges of the 2D polytope, between its vertices in CCW order."""
-        fl = self.facets
-        m = len(fl)
-        verts = []
-        for i in range(m):
-            for j in range(i + 1, m):
-                a1, b1 = fl[i]
-                a2, b2 = fl[j]
-                M = np.array([a1, a2])
-                det = float(np.linalg.det(M))
-                if abs(det) < 1e-12:
-                    continue
-                p = np.linalg.solve(M, np.array([b1, b2]))
-                if all(float(a @ p) <= b + 1e-9 for a, b in fl):
-                    verts.append(p)
-        if not verts:
+        """Edges of the 2D polytope, between its vertices in CCW order: the
+        feasible crossings of every two facet lines, clustered within 1e-9."""
+        I, J = np.triu_indices(len(self.b), 1)
+        M = np.stack([self.A[I], self.A[J]], axis=1)
+        ok = np.abs(np.linalg.det(M)) >= 1e-12
+        P = np.linalg.solve(M[ok], np.stack([self.b[I], self.b[J]], axis=1)[ok, :, None])[..., 0]
+        P = P[np.all(self._gaps(P) <= 1e-9, axis=0)]
+        if not len(P):
             raise DegenerateBody("polytope has no vertices")
-        verts = _cluster(verts, radius=1e-9)
-        ctr = np.mean(verts, axis=0)
-        verts.sort(key=lambda p: np.arctan2(p[1] - ctr[1], p[0] - ctr[0]))
-        m = len(verts)
-        return [(verts[i], verts[(i + 1) % m]) for i in range(m)]
+        P = P[_cluster_mask(P[None], np.ones((1, len(P)), dtype=bool), 1e-9)[0]]
+        C = P - np.mean(P, axis=0)
+        P = P[np.argsort(np.arctan2(C[:, 1], C[:, 0]), kind="stable")]
+        return list(zip(P, np.roll(P, -1, axis=0)))
 
     def boundary_sample(self, n, count, rng):
         if self.dim != 2:
@@ -612,21 +601,19 @@ class _PolytopeComplement(_Planes):
         return out
 
     def residual(self, n, V):
-        return -np.max(np.stack([_pairing_rows(V, a) - b for a, b in self.facets], axis=-1), axis=-1)
+        return -np.max(self._gaps(V), axis=0)
 
     def cone_directions(self, n, x):
-        active = []
-        for a, b in self.facets:
-            if abs(float(a @ x) - b) <= 10 * _CONE_TOL * max(1.0, abs(b), float(np.max(np.abs(a)))):
-                active.append(a)
+        scale = np.maximum(np.maximum(1.0, np.abs(self.b)), np.max(np.abs(self.A), axis=1))
+        active = self.A[np.abs(self._gaps(x[None])[:, 0]) <= 10 * _CONE_TOL * scale]
         if len(active) != 1:
             return []  # complement vertex (or numerical corner): degenerate
-        a = active[0]
-        return [-a / dual_norm_eval(n, a)]
+        return [-active[0] / dual_norm_eval(n, active[0])]
 
     def sample_inside(self, rng):
-        a, b = self.facets[int(rng.integers(0, len(self.facets)))]
-        return (b / float(a @ a)) * a + (0.5 + rng.uniform(0.0, 0.5)) * a
+        i = int(rng.integers(0, len(self.b)))
+        a = self.A[i]
+        return (self.b[i] / float(a @ a)) * a + (0.5 + rng.uniform(0.0, 0.5)) * a
 
     @staticmethod
     def from_json(d):
@@ -707,18 +694,14 @@ def contains(A: ClosedSetSpec, n: NormSpec, x, tol: float = 1e-9) -> bool:
 
 
 def distance(A: ClosedSetSpec, n: NormSpec, x) -> float:
-    v = as_vec(x, A.dim)
-    if contains(A, n, v, tol=0.0):
-        return 0.0
-    return float(A.ops.nearest_rows(n, v[None])[0][0])
+    """The distance from x to A: 0 inside."""
+    return float(A.ops.nearest_rows(n, as_vec(x, A.dim)[None])[0][0])
 
 
 def project(A: ClosedSetSpec, n: NormSpec, x):
-    """Metric projection: representatives of the nearest-point set."""
-    v = as_vec(x, A.dim)
-    if contains(A, n, v, tol=0.0):
-        return [v.copy()]
-    _, K, keep = A.ops.nearest_rows(n, v[None])
+    """Metric projection: representatives of the nearest-point set, x itself
+    inside."""
+    _, K, keep = A.ops.nearest_rows(n, as_vec(x, A.dim)[None])
     return list(K[0][keep[0]])
 
 
@@ -735,29 +718,20 @@ def _sample_tries(rng, n: NormSpec, count: int, budget: int, spread, scale: floa
     """The first count hits among up to budget tries, in try order.  Try t
     (from 1) draws a standard normal u, then s uniform on spread, as a loop
     of single tries does, and proposes base(t) + scale s u / |u|; hit tests
-    a block of count proposals, as rows, with one table call.  The block
-    that holds the count-th hit is drawn again from its saved generator
-    state up to that hit, so rng is left where the one-try loop leaves it.
-    A try with |u| < 1e-12 misses (and, unlike in the one-try loop, draws
-    its uniform: a chance of about 1e-24)."""
-
-    def draw(size):
-        return map(np.array, zip(*[(rng.standard_normal(n.dim), rng.uniform(*spread)) for _ in range(size)]))
-
+    a block of count proposals, as rows, with one table call.  The hits are
+    those of the one-try loop; rng is left after the last drawn block, which
+    may hold tries past the count-th hit.  A try with |u| < 1e-12 misses
+    (and, unlike in the one-try loop, draws its uniform: a chance of about
+    1e-24)."""
     out, tries = [], 0
     while len(out) < count and tries < budget:
         size = min(count, budget - tries)
-        state = rng.bit_generator.state
-        U, s = draw(size)
+        U, s = map(np.array, zip(*[(rng.standard_normal(n.dim), rng.uniform(*spread)) for _ in range(size)]))
         nu = norm_batch(n, U)
         Y = base(np.arange(tries + 1, tries + size + 1)) + (scale * s)[:, None] * U / nu[:, None]
         ok = ~(nu < 1e-12)
         ok[ok] = hit(Y[ok])
-        k = np.flatnonzero(ok)[: count - len(out)]
-        if len(out) + len(k) == count:
-            rng.bit_generator.state = state
-            draw(k[-1] + 1)
-        out += list(Y[k])
+        out += list(Y[np.flatnonzero(ok)[: count - len(out)]])
         tries += size
     return out
 
@@ -765,11 +739,12 @@ def _sample_tries(rng, n: NormSpec, count: int, budget: int, spread, scale: floa
 def _cone_pairings(n: NormSpec, Y: np.ndarray, x, P: np.ndarray):
     """The rows k of Y farther than 1e-12 from x (one point, or one per row),
     their pairings <p, y - x> with the directions P, (dirs, dim) or one such
-    stack per row, shape (k, dirs), and their norms |y - x|."""
+    stack per row, shape (k, dirs), summed on the coordinate columns in order
+    (norms._fold), and their norms |y - x|."""
     W = Y - x
     d = norm_batch(n, W)
     k = np.flatnonzero(~(d < 1e-12))
-    return k, _dots(P if P.ndim == 2 else P[k], W[k, None]), d[k]
+    return k, _fold(np.add, (P if P.ndim == 2 else P[k]) * W[k, None]), d[k]
 
 
 def normal_directions(A: ClosedSetSpec, n: NormSpec, x) -> tuple:
@@ -819,6 +794,7 @@ def normal_cone_sample(A: ClosedSetSpec, n: NormSpec, x, count: int = 200,
 
 def shell_sample(A: ClosedSetSpec, n: NormSpec, R: float, count: int, seed: int = 0):
     """Points u with 0 < dist(u, A) < R, spread near the boundary."""
+    _scale(R, "R")
     rng = np.random.default_rng(seed)
     anchors = np.array(boundary_sample(A, n, max(count, 32), seed=seed + 1))
 
@@ -883,7 +859,8 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
 
     Every stage runs on row batches of the set kind's nearest_rows, and
     reports what a one-point loop would: the first failing sample, the
-    first failing pair in shuffled order, and the worst ray.
+    first failing pair in the order of a seeded permutation of the pairs
+    i < j, and the worst ray.
     """
     try:
         us = shell_sample(A, n, R, sample_count, seed)
@@ -901,10 +878,9 @@ def prox_smooth_certificate(A: ClosedSetSpec, n: NormSpec, R: float,
     used = len(us)
     # (b) ridge hunt between samples with far-apart projections, all at once
     rng = np.random.default_rng(seed + 13)
-    idx = np.arange(len(us))
-    pairs = [(int(i), int(j)) for i in idx for j in idx[i + 1:]]
-    rng.shuffle(pairs)
-    I, J = np.array(pairs[: 4 * sample_count], dtype=int).reshape(-1, 2).T
+    I, J = np.triu_indices(len(us), 1)
+    k = rng.permutation(I.size)[: 4 * sample_count]
+    I, J = I[k], J[k]
     far = ~(norm_batch(n, P[I] - P[J]) < 0.25 * np.maximum(norm_batch(n, U[I] - U[J]), 1e-9))
     I, J = I[far], J[far]
     hit = _ridge_hunt(A, n, R, U[I], U[J], P[I], P[J])
@@ -994,6 +970,7 @@ def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
                               sample_count: int = 64, seed: int = 0) -> CheckReport:
     """At boundary points with a normal direction p, recover the unit vector u
     supporting p and require dist(x + R u, A) >= R."""
+    _scale(R, "R")
     xs = boundary_sample(A, n, sample_count, seed=seed)
     rows = []  # (x, p, u) for each normal direction p at each boundary point x
     for x in xs:

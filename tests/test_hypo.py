@@ -176,6 +176,24 @@ def test_gamma_rejects_bad_eps():
         bl.gamma_estimate(A, E2, 0.0)
 
 
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
+def test_set_checks_reject_a_scale_outside_zero_to_inf(bad):
+    """R, delta and eps outside (0, inf) raise, where the checks passed on
+    an empty shell, failed with a NaN margin or found no pairs."""
+    A, rho = unit_complement(), M.rho_estimate(E2, np.linspace(0.05, 2.0, 40), LOW)
+    psi = bl.builtin_psi("square", np.linspace(0.0, 4.0, 9))
+    checks = (lambda: bl.prox_smooth_certificate(A, E2, bad, sample_count=8),
+              lambda: bl.rolling_ball_check_projection(A, E2, bad, sample_count=8),
+              lambda: bl.rolling_ball_check_normal(A, E2, bad, sample_count=8),
+              lambda: bl.hypo_check(A, E2, psi, bad, pair_budget=64),
+              lambda: bl.section_bound_check(A, E2, bad, rho, [1.0, 0.0], 0.1, sample_count=8),
+              lambda: bl.section_bound_check(A, E2, 1.0, rho, [1.0, 0.0], bad, sample_count=8),
+              lambda: bl.gamma_estimate(A, E2, bad))
+    for check in checks:
+        with pytest.raises(ValueError):
+            check()
+
+
 # ---------------------------------------------------------------------------
 # pairing lower-bound check
 

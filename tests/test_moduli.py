@@ -203,6 +203,20 @@ def test_delta_rejects_out_of_range_grid():
         bl.rho_estimate(n, [0.0, 0.5], LOW)
 
 
+def test_a_nan_grid_point_raises():
+    """A NaN argument fails every range check, as one outside the range does,
+    instead of taking a value: rho on l3 gave it 0.0, delta, the supporting
+    moduli and ModulusCurve.eval gave NaN."""
+    l3 = bl.lp_norm(3)
+    estimates = (lambda g: bl.rho_estimate(l3, g, LOW), lambda g: bl.delta_estimate(bl.lp_norm(2), g, LOW),
+                 lambda g: bl.supporting_modulus_estimate(l3, g, "upper", LOW))
+    for estimate in estimates:
+        with pytest.raises(ValueError):
+            estimate([0.5, np.nan])
+    with pytest.raises(ValueError):
+        bl.rho_estimate(l3, [0.5, 1.0], LOW).eval(np.nan)
+
+
 def test_moduli_estimators_are_planar():
     """The supporting moduli search the planar unit sphere, so l_p^3 is
     refused there; delta and rho accept it and give Hanner's values.  The

@@ -246,6 +246,12 @@ def test_polygon_rejects_asymmetric_vertices():
             bl.polygon_norm(V)
 
 
+def test_ellipse_rejects_a_non_finite_matrix():
+    for bad in (np.inf, np.nan):
+        with pytest.raises(bl.DegenerateBody):
+            bl.ellipse_norm([[1.0, 0.0], [0.0, bad]])
+
+
 def test_ellipse_rejects_a_near_symmetric_matrix():
     """A matrix 4e-6 off its transpose is refused: its squared norm at
     (1, 1) would be 3.000008, where x^T Q x is 3.000004."""

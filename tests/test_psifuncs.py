@@ -43,6 +43,21 @@ def test_validate_rejects_bad_grids():
         bl.validate_psi([0.0], [0.0])
 
 
+def test_psi_builders_reject_non_finite_input():
+    """NaN or inf in knots or values raises, instead of giving a PsiSpec
+    that evaluates to NaN."""
+    with pytest.raises(ValueError):
+        bl.validate_psi([0.0, 1.0, 2.0], [0.0, np.nan, 4.0])
+    with pytest.raises(ValueError):
+        bl.builtin_psi("power:nan", GRID)
+    psi = bl.builtin_psi("square", GRID)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(ValueError):
+        bl.rescale_psi(psi, arg_scale=0.0)
+    curve = bl.ModulusCurve(GRID[1:], GRID[1:] ** 2, "under", "quad")
+    with pytest.raises(ValueError):
+        bl.psi_from_curve(curve, scale=np.nan)
+
+
 def test_builtin_names():
     lin = bl.builtin_psi("linear", GRID)
     assert np.allclose(lin.values, lin.knots, atol=1e-15)
