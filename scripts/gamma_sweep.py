@@ -65,9 +65,9 @@ def main(argv=None):
         if args.bounds:
             header += ["lower_rho_quarter", "upper_twice_lam"]
         w.writerow(header)
-        for eps in eps_grid:
-            row = [f"{eps:.6g}",
-                   f"{gamma_estimate(A, n, float(eps), budget=args.budget, seed=args.seed):.9g}"]
+        gamma = gamma_estimate(A, n, eps_grid, budget=args.budget, seed=args.seed)
+        for eps, g in zip(eps_grid, gamma.tolist()):
+            row = [f"{eps:.6g}", f"{g:.9g}"]
             if args.bounds:
                 row += [f"{float(rho.eval(eps / 4.0)):.9g}",
                         "" if 2.0 * eps > 1.0 else f"{2.0 * float(lam.eval(2.0 * eps)):.9g}"]

@@ -375,10 +375,10 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
         rho_args = _grid(eps_arr / 4.0, cfg.r_grid)
         rho = cache.curve(M.rho_estimate, n, rho_args, budget)
         lam_hi = cache.curve(M.supporting_modulus_estimate, n, _grid(2.0 * eps_arr), budget, "upper")
+        gamma = H.gamma_estimate(A, n, eps_arr, budget=counts["gamma"], seed=cfg.seed)
         rows = []
         worst = np.inf
-        for eps in eps_arr:
-            g = H.gamma_estimate(A, n, float(eps), budget=counts["gamma"], seed=cfg.seed)
+        for eps, g in zip(eps_arr, gamma.tolist()):
             lo = float(rho.eval(eps / 4.0))
             hi = 2.0 * float(lam_hi.eval(2.0 * eps))
             rows.append((eps, g, lo, hi))

@@ -68,8 +68,9 @@ class HypoReport:
 
 def _pair_sweep(A: ClosedSetSpec, n: NormSpec, budget: int, seed: int, lo: float, hi: float):
     """The boundary points X of the seed with a nondegenerate normal cone
-    (complement vertices drop out), their extreme normal directions P padded
-    to (points, c, dim) by repeating the first, which moves no extreme
+    (complement vertices drop out), their extreme normal directions P from
+    one call of the set kind's cone table (cone_rows), padded to
+    (points, c, dim) by repeating the first, which moves no extreme
     pairing nor the first pair attaining it; the pairs I < J (all in order,
     or budget of them drawn and sorted) whose separations d lie in [lo, hi];
     and their pairings G[k, a, b] = <P[J_k, b] - P[I_k, a], X[J_k] - X[I_k]>,
@@ -77,18 +78,9 @@ def _pair_sweep(A: ClosedSetSpec, n: NormSpec, budget: int, seed: int, lo: float
     the same bits in any batch."""
     rng = np.random.default_rng(seed)
     m = max(48, min(512, int(np.sqrt(2.0 * budget)) + 1))
-    X, P = [], []
-    for x in boundary_sample(A, n, m, seed=seed):
-        try:
-            dirs = A.ops.cone_directions(n, x)
-        except ValueError:
-            continue
-        if dirs:
-            X.append(x)
-            P.append(list(dirs))
-    c = max(map(len, P), default=1)
-    X = np.reshape(X, (-1, A.dim))
-    P = np.reshape([q + q[:1] * (c - len(q)) for q in P], (-1, c, A.dim))
+    X = np.reshape(boundary_sample(A, n, m, seed=seed), (-1, A.dim))
+    P, k = A.ops.cone_rows(n, X)
+    X, P = X[k > 0], P[k > 0][:, :k.max(initial=1)]
     I, J = np.triu_indices(len(X), 1)
     if I.size > budget:
         k = np.sort(rng.choice(I.size, size=budget, replace=False))
@@ -129,36 +121,49 @@ def hypo_check(A: ClosedSetSpec, n: NormSpec, psi: PsiSpec, R: float,
 _BAND = 0.05  # the relative half-width of gamma's separation band
 
 
-def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int = 4096,
-                   seed: int = 0) -> float:
+def gamma_estimate(A: ClosedSetSpec, n: NormSpec, eps, budget: int = 4096, seed: int = 0):
     """Worst antimonotonicity of the normal cone at pair separation eps.
 
-    Maximizes -<p1 - p2, x1 - x2> over boundary pairs at distance eps.  The
-    complement of a planar ball whose gauge is the ambient norm takes
-    _gamma_exact_2d, which pins the separation at eps: the closed form
-    r 2^(2-p) (eps/r)^p on lp with 1 < p <= 2 and its linear images (eps^2/r
-    on an inner-product norm), the chord-crossing engine of the moduli on
-    any other norm.  Every other set, a ball with a foreign gauge included,
-    relaxes the separation to the band [eps(1-_BAND), eps(1+_BAND)] and
-    takes the best sampled pair.  budget sets the band's pair count, or the
+    Maximizes -<p1 - p2, x1 - x2> over boundary pairs at distance eps: a
+    float for a scalar eps, and for an eps grid an array of its shape, each
+    value with the bits of the scalar call at its point.  The complement of a
+    planar ball whose gauge is the ambient norm takes _gamma_exact_2d,
+    which pins the separation at eps: the closed form r 2^(2-p) (eps/r)^p
+    on lp with 1 < p <= 2 and its linear images (eps^2/r on an
+    inner-product norm), the chord-crossing engine of the moduli on any
+    other norm, one run for the whole grid.  Every other set, a ball with a
+    foreign gauge included, relaxes the separation to the band
+    [eps(1-_BAND), eps(1+_BAND)] and takes the best sampled pair: one pair
+    sweep over the hull of the bands, filtered per eps, whose pairs are
+    drawn before the filter.  budget sets the band's pair count, or the
     engine's sphere table of 2 m points, m = budget // 16 within [128, 512],
     whose arc the engine scans: m rows on a half turn, and m / 2 on lp, whose
-    unit ball a quarter turn keeps; the closed form ignores it.  No value
-    has a certified side: the closed form is exact up to rounding, the
-    engine's pairs sit at a computed separation of at least eps, the band's
-    anywhere in the band.
+    unit ball a quarter turn keeps; the closed form ignores it.  An eps
+    outside (0, inf) raises ValueError, and one with no pair
+    NoFeasiblePairs, anywhere in the grid.  No value has a certified side:
+    the closed form is exact up to rounding, the engine's pairs sit at a
+    computed separation of at least eps, the band's anywhere in the band.
     """
-    _scale(eps, "eps")
+    grid = np.asarray(eps, dtype=float)
+    eps = grid.reshape(-1)
+    for e in eps:
+        _scale(e, "eps")
     if A.kind == "ball_complement" and A.dim == 2 and _gauge(A, n) == n:
-        return _gamma_exact_2d(A, n, eps, budget)
-    G = _pair_sweep(A, n, budget, seed, eps * (1 - _BAND), eps * (1 + _BAND))[-1]
-    if not G.size:
-        raise NoFeasiblePairs(f"no boundary pairs at separation {eps} (band {_BAND})")
-    return -float(G.flat[np.argmin(G)])  # the first largest -<p1 - p2, x1 - x2>, the same bits
+        best = _gamma_exact_2d(A, n, eps, budget)
+    else:
+        lo, hi = eps * (1 - _BAND), eps * (1 + _BAND)
+        d, G = _pair_sweep(A, n, budget, seed, lo.min(initial=np.inf), hi.max(initial=-np.inf))[-2:]
+        bands = (G[(a <= d) & (d <= b)] for a, b in zip(lo, hi))
+        # the first largest -<p1 - p2, x1 - x2> of each band, with the bits of its pair
+        best = np.array([-g.flat[np.argmin(g)] if g.size else -np.inf for g in bands])
+    for e in eps[~np.isfinite(best)][:1]:
+        raise NoFeasiblePairs(f"no boundary pairs at separation {e}")
+    return float(best[0]) if grid.ndim == 0 else best.reshape(grid.shape)
 
 
-def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> float:
-    """gamma on the complement of the ball c + r B_n.  Its boundary point
+def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: np.ndarray, budget: int) -> np.ndarray:
+    """gamma on the complement of the ball c + r B_n at each eps of a 1-d
+    grid, -inf where no pair is that far apart.  Its boundary point
     c + r u has the outward normal -j1(u), and two such points lie r|u1 - u2|
     apart, so gamma(eps) is r times the largest <j1(u1) - j1(u2), u1 - u2>
     over the unit pairs at chord eps/r: an isometry invariant, computed on
@@ -169,35 +174,34 @@ def _gamma_exact_2d(A: ClosedSetSpec, n: NormSpec, eps: float, budget: int) -> f
     so the pairing is at most 2^(2-p) |u1 - u2|^p, with equality at
     u1 = (a, b), u2 = (a, -b), whose chord is 2b.  So gamma(eps) =
     r 2^(2-p) (eps/r)^p, eps^2/r on an inner-product norm, with no pair
-    where eps > 2r.  Any other norm runs the chord-crossing engine; on lp
-    with p > 2 that pair is far from the largest, the form falling to
-    1/15 of gamma at p = 2.5, eps = 0.02."""
+    where eps > 2r.  The power is the C library's, as a float's: numpy's
+    SIMD power of an array may round it to the other neighbour.  Any other
+    norm runs the chord-crossing engine; on lp with p > 2 that pair is far
+    from the largest, the form falling to 1/15 of gamma at p = 2.5,
+    eps = 0.02."""
     r = A.radius
     n = _isometric_base(n)
     p = n.ops.lp_exponent
     if p is None or p > 2.0:
-        best = _gamma_engine(n, r, eps, budget)
-    elif eps / r > 2.0:
-        best = -np.inf
-    else:
-        best = float(eps * eps / r if p == 2.0 else r * 2.0 ** (2.0 - p) * (eps / r) ** p)
-    if not np.isfinite(best):
-        raise NoFeasiblePairs(f"no boundary pairs at separation {eps}")
-    return best
+        return _gamma_engine(n, r, eps, budget)
+    t = eps / r
+    form = eps * eps / r if p == 2.0 else r * 2.0 ** (2.0 - p) * np.array([a ** p for a in t.tolist()])
+    return np.where(t > 2.0, -np.inf, form)
 
 
-def _gamma_engine(n: NormSpec, r: float, eps: float, budget: int) -> float:
+def _gamma_engine(n: NormSpec, r: float, eps: np.ndarray, budget: int) -> np.ndarray:
     """The largest r <j1(u1) - j1(u2), u1 - u2> over the unit pairs at chord
-    eps/r, from the chord-crossing engine of the moduli on the arc of a
-    sphere table of 2 m points, m = budget // 16 within [128, 512]; -inf
-    where no pair reaches that chord.  Each value is that of an evaluated
-    pair whose computed chord is at least eps/r."""
+    eps/r, for each eps of a 1-d grid, from one run of the chord-crossing
+    engine of the moduli on the arc of a sphere table of 2 m points,
+    m = budget // 16 within [128, 512]; -inf where no pair reaches that
+    chord.  Each value is that of an evaluated pair whose computed chord is
+    at least eps/r."""
     rows = max(128, min(512, budget // 16))
 
     def pairing(X, Y):
         return r * _fold(np.add, (j1_batch(n, X) - j1_batch(n, Y)) * (X - Y))
 
-    return float(_crossing_max(n, pairing, np.array([[eps / r]]), 2 * rows)[0])
+    return _crossing_max(n, pairing, (eps / r)[:, None], 2 * rows)
 
 
 def section_bound_check(A: ClosedSetSpec, n: NormSpec, R: float, rho_curve,

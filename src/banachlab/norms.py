@@ -180,13 +180,23 @@ class _NormKind:
         if self.corners is None:
             u = self.support(a)[None]
             return u / self.norm(u)[:, None]
-        return _ties(self.corners, a)
+        return self.corners[_ties(self.corners, a)]
 
-    def subdifferential(self, x):
-        """Extreme functionals of the subdifferential at x, of dual norm one:
-        the face of the dual ball that x exposes, the dual corners that tie
-        (_ties), or the one functional j1 where there are none."""
-        return [j1_batch(self.spec, x)] if self.dual_corners is None else list(_ties(self.dual_corners, x))
+    def subdifferential(self, X):
+        """Extreme functionals of the subdifferential at each row x of X, of
+        dual norm one: the face of the dual ball that x exposes, the dual
+        corners that tie (_ties) in table order, or the one functional j1
+        where there are none.  Padded to (rows, c, dim) by repeating the
+        row's first, with the count k of each row's, 0 at x = 0."""
+        F = self.dual_corners
+        nonzero = self.norm(X) > 0
+        if F is None:
+            with np.errstate(invalid="ignore", divide="ignore"):  # j1 is 0/0 at 0, which counts 0
+                return j1_batch(self.spec, X)[:, None], nonzero.astype(int)
+        tie = _ties(F, X)
+        k = np.sum(tie, axis=1) * nonzero
+        idx = np.argsort(~tie, axis=1, kind="stable")[:, :max(1, k.max(initial=0))]
+        return F[np.where(np.arange(idx.shape[1]) < k[:, None], idx, idx[:, :1])], k
 
     def facets(self, center, radius):
         """Facets (a, radius + <a, center>) of the ball center + radius * B,
@@ -387,13 +397,15 @@ def _lp_corners(p, d):
     return None
 
 
-def _ties(F, v):
-    """The rows of a symmetric table F whose pairing with v ties the largest
-    within 8 ulps of the largest rounding bound sum |f_k v_k|: the face of
-    conv(F) that v exposes.  The one tie rule: a corner of F's polar ties
-    within 2 ulps of that bound."""
-    s = _pairings(v, F)
-    return F[s >= np.max(s) - 8.0 * np.finfo(float).eps * np.max(_pairings(np.abs(v), np.abs(F)))]
+def _ties(F, V):
+    """For each row v of V (..., dim), the mask (..., len(F)) of the rows of a
+    symmetric table F whose pairing with v ties the largest within 8 ulps of
+    the largest rounding bound sum |f_k v_k|: the face of conv(F) that v
+    exposes.  The one tie rule: a corner of F's polar ties within 2 ulps of
+    that bound."""
+    s = _pairings(V, F)
+    top = np.max(s, axis=0) - 8.0 * np.finfo(float).eps * np.max(_pairings(np.abs(V), np.abs(F)), axis=0)
+    return np.moveaxis(s >= top, 0, -1)
 
 
 def _pairings(X, F):
@@ -527,12 +539,13 @@ def subdifferential_extremes(n, x):
     the vertices of the face of the dual ball that x exposes.  A smooth kind
     gives the one functional j1; a polyhedral kind lists the rows of its
     dual_corners table that pair with x to |x| within 8 ulps of the
-    pairing's rounding bound (_ties), with no tolerance argument.
+    pairing's rounding bound (_ties), with no tolerance argument.  The
+    one-row case of the kind's row-wise subdifferential.
     """
-    x = as_vec(x, n.dim)
-    if norm_eval(n, x) <= 0:
+    P, k = n.ops.subdifferential(as_vec(x, n.dim)[None])
+    if not k[0]:
         raise ZeroVector("duality mapping undefined at 0")
-    return n.ops.subdifferential(x)
+    return list(P[0, :k[0]])
 
 
 # ---------------------------------------------------------------------------

@@ -104,14 +104,21 @@ def _lipschitz(k, v):
 
 def psi_from_curve(curve, scale=1.0, name=""):
     """Certificate function from a sampled modulus curve (a ModulusCurve),
-    zero anchored."""
+    zero anchored.  A negative scale raises NegativeValue, a non-finite one
+    ValueError (_lipschitz)."""
+    if scale < 0:
+        raise NegativeValue("a negative scale makes the certificate negative")
     k = np.concatenate([[0.0], curve.args])
     v = scale * np.concatenate([[0.0], np.maximum(curve.values, 0.0)])
     return PsiSpec(k, v, _lipschitz(k, v), name=name or "curve")
 
 
 def rescale_psi(psi, arg_scale=1.0, value_scale=1.0, name=""):
-    """PsiSpec for t -> value_scale * psi(arg_scale * t)."""
+    """PsiSpec for t -> value_scale * psi(arg_scale * t).  A negative
+    value_scale raises NegativeValue, a non-finite one ValueError
+    (_lipschitz)."""
+    if value_scale < 0:
+        raise NegativeValue("a negative value_scale makes the certificate negative")
     k = psi.knots / arg_scale
     v = value_scale * psi.values
     return PsiSpec(k, v, _lipschitz(k, v), name=name or f"rescaled:{psi.name}")

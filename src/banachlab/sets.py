@@ -39,11 +39,11 @@ from .norms import (
     DegenerateBody,
     DimensionMismatch,
     NormSpec,
+    ZeroVector,
     _fold,
     _pairings,
     as_vec,
     dual_norm_batch,
-    dual_norm_eval,
     j1_batch,
     norm_batch,
     norm_eval,
@@ -51,7 +51,6 @@ from .norms import (
     norm_to_json,
     polygon_norm,
     sphere_points,
-    subdifferential_extremes,
     support_point,
 )
 
@@ -338,7 +337,10 @@ class _SetKind:
       certificates run on it;
     - residual(n, V), the offset of each row of V from the boundary,
       positive outside: contains is its one-row case;
-    - cone_directions(n, x), the outward unit normals at a boundary point;
+    - cone_rows(n, X), the outward unit normals at each boundary row of X,
+      padded to (rows, c, dim) by repeating the row's first, and the count
+      of each row's, 0 where the cone degenerates and -1 where it is
+      undefined (a ball's center): normal_directions is its one-row case;
     - boundary_sample(n, count, rng), count boundary points drawn from the
       caller's generator alone (a cylinder draws its base points from it,
       then its free coordinates);
@@ -412,11 +414,15 @@ class _Ball(_SetKind):
     def residual(self, n, V):
         return self.sign * (norm_batch(_gauge(self.spec, n), V - self.c) - self.r)
 
-    def cone_directions(self, n, x):
-        ext = subdifferential_extremes(_gauge(self.spec, n), x - self.c)
-        if self.sign < 0 and len(ext) > 1:
-            return []  # gauge-ball vertex: the complement cone there degenerates
-        return [q / dual_norm_eval(n, q) for q in (self.sign * p for p in ext)]
+    def cone_rows(self, n, X):
+        """The gauge's subdifferential at each x - c, signed and scaled to
+        dual norm one under n."""
+        P, k = _gauge(self.spec, n).ops.subdifferential(X - self.c)
+        k[k == 0] = -1  # the center, where the duality mapping is undefined
+        if self.sign < 0:
+            k[k > 1] = 0  # gauge-ball vertex: the complement cone there degenerates
+        Q = self.sign * P
+        return Q / dual_norm_batch(n, Q)[..., None], k
 
     def sample_inside(self, rng):
         if self.sign > 0:
@@ -513,8 +519,9 @@ class _Halfspace(_Planes):
             out.append(self.foot + w)
         return out
 
-    def cone_directions(self, n, x):
-        return [self.a / dual_norm_eval(n, self.a)]
+    def cone_rows(self, n, X):
+        D = self.A / dual_norm_batch(n, self.A)[:, None]
+        return np.repeat(D[None], len(X), axis=0), np.ones(len(X), dtype=int)
 
     def sample_inside(self, rng):
         return self.foot - (0.5 + rng.uniform(0.0, 1.0)) * self.a
@@ -541,13 +548,14 @@ class _FinitePoints(_SetKind):
     def boundary_sample(self, n, count, rng):
         return [self.pts[i % self.pts.shape[0]].copy() for i in range(count)]
 
-    def cone_directions(self, n, x):
+    def cone_rows(self, n, X):
         if n.dim == 2:
             th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
             raw = np.stack([np.cos(th), np.sin(th)], axis=1)
         else:
             raw = np.random.default_rng(5).standard_normal((16, n.dim))
-        return [p / dual_norm_eval(n, p) for p in raw]
+        D = raw / dual_norm_batch(n, raw)[:, None]
+        return np.repeat(D[None], len(X), axis=0), np.full(len(X), len(D))
 
     def sample_inside(self, rng):
         return self.pts[int(rng.integers(0, self.pts.shape[0]))].copy()
@@ -603,12 +611,13 @@ class _PolytopeComplement(_Planes):
     def residual(self, n, V):
         return -np.max(self._gaps(V), axis=0)
 
-    def cone_directions(self, n, x):
+    def cone_rows(self, n, X):
+        """The one active facet's inward normal; none at a complement vertex
+        (or numerical corner), where the cone degenerates."""
         scale = np.maximum(np.maximum(1.0, np.abs(self.b)), np.max(np.abs(self.A), axis=1))
-        active = self.A[np.abs(self._gaps(x[None])[:, 0]) <= 10 * _CONE_TOL * scale]
-        if len(active) != 1:
-            return []  # complement vertex (or numerical corner): degenerate
-        return [-active[0] / dual_norm_eval(n, active[0])]
+        active = np.abs(self._gaps(X)) <= 10 * _CONE_TOL * scale[:, None]
+        D = -self.A / dual_norm_batch(n, self.A)[:, None]
+        return D[np.argmax(active, axis=0)][:, None], (np.sum(active, axis=0) == 1).astype(int)
 
     def sample_inside(self, rng):
         i = int(rng.integers(0, len(self.b)))
@@ -647,14 +656,11 @@ class _Cylinder(_SetKind):
     def residual(self, n, V):
         return self.base.ops.residual(n.ops.restrict(self.coords), V[:, self.coords])
 
-    def cone_directions(self, n, x):
-        sub = n.ops.restrict(self.coords)
-        out = []
-        for p in self.base.ops.cone_directions(sub, x[self.coords]):
-            q = np.zeros(self.dim)
-            q[self.coords] = p
-            out.append(q / dual_norm_eval(n, q))
-        return out
+    def cone_rows(self, n, X):
+        B, k = self.base.ops.cone_rows(n.ops.restrict(self.coords), X[:, self.coords])
+        Q = np.zeros(B.shape[:2] + (self.dim,))
+        Q[..., self.coords] = B
+        return Q / dual_norm_batch(n, Q)[..., None], k
 
     def sample_inside(self, rng):
         base = self.base.ops.sample_inside(rng)
@@ -750,14 +756,19 @@ def _cone_pairings(n: NormSpec, Y: np.ndarray, x, P: np.ndarray):
 def normal_directions(A: ClosedSetSpec, n: NormSpec, x) -> tuple:
     """Extreme unit rays of the outward normal cone at a boundary point.
 
-    The analytic directions of the set kind, without sampled vetting.  Raises
-    InteriorPoint when x is more than 1e-4 off the boundary.
+    The analytic directions of the set kind, without sampled vetting: the
+    one-row case of its cone_rows.  Raises InteriorPoint when x is more
+    than 1e-4 off the boundary, and ZeroVector at the center of a ball
+    (of radius at most 1e-4), where the cone is undefined.
     """
     v = as_vec(x, A.dim)
     res = float(A.ops.residual(n, v[None])[0])
     if abs(res) > 100 * _CONE_TOL:
         raise InteriorPoint(f"point is {res:.3g} away from the boundary")
-    return tuple(A.ops.cone_directions(n, v))
+    P, k = A.ops.cone_rows(n, v[None])
+    if k[0] < 0:
+        raise ZeroVector("the normal cone of a ball is undefined at its center")
+    return tuple(P[0, :k[0]])
 
 
 def _set_points_near(A: ClosedSetSpec, n: NormSpec, x: np.ndarray, mesh: float, count: int, rng):

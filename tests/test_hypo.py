@@ -8,8 +8,9 @@ import pytest
 import banachlab as bl
 from banachlab import hypo as H
 from banachlab import moduli as M
+from banachlab import sets as S
 from banachlab.hypo import NoFeasiblePairs
-from banachlab.norms import j1_batch
+from banachlab.norms import ZeroVector, j1_batch
 from conftest import LOW, _image, _rotation
 
 
@@ -117,14 +118,13 @@ def test_gamma_engine_meets_the_lp_oracles(budget):
     eps = np.linspace(0.02, 1.98, 9)
     for p in (1.1, 1.5, 1.9):
         n = bl.lp_norm(p)
-        got = np.array([H._gamma_engine(n, 1.0, e, budget) for e in eps])
+        got = H._gamma_engine(n, 1.0, eps, budget)
         want = 2.0 ** (2.0 - p) * eps ** p
         assert np.all(np.abs(got - want) <= 2e-14 * want), (p, np.max(np.abs(got - want) / want))
     for p in (2.5, 3.0, 5.0):
         n = bl.lp_norm(p)
-        for e in eps:
-            pair = _diagonal_mirror_pair(n, e)
-            assert H._gamma_engine(n, 1.0, e, budget) >= pair * (1.0 - 1e-12), (p, e)
+        for e, g in zip(eps, H._gamma_engine(n, 1.0, eps, budget)):
+            assert g >= _diagonal_mirror_pair(n, e) * (1.0 - 1e-12), (p, e)
 
 
 @pytest.mark.parametrize("nid", ["l1", "linf"])
@@ -174,6 +174,128 @@ def test_gamma_rejects_bad_eps():
     A = unit_complement()
     with pytest.raises(ValueError):
         bl.gamma_estimate(A, E2, 0.0)
+
+
+def _grid_cases(zoo, registry):
+    """(label, set, norm, eps grid, an eps with no pair) for each path of
+    gamma: the chord-crossing engine on ball complements of radius 1.3
+    under l3, l1, the max norm, the polygon, weighted l3 at w = (1, 1e5) and
+    a rotated l1 image; the closed forms of euclid, the ellipse and l15;
+    the separation band of the pair sweep on the halfplane and the two
+    points."""
+    eps = np.array([0.05, 0.1, 0.2, 0.4, 0.77, 1.3, 2.59])
+    norms = [zoo[k] for k in ("l3", "l1", "linf", "poly", "euclid", "ellipse", "l15")]
+    norms += [bl.weighted_lp_norm(3.0, [1.0, 1e5]), _image(bl.lp_norm(1), _rotation(0.7), "rotated l1")]
+    cases = [(m.name, bl.make_ball_complement([0.0, 0.0], 1.3, gauge=m), m, eps, 2.61) for m in norms]
+    cases.append(("halfplane", registry["halfplane"][0], E2, np.array([0.2, 0.3, 0.5, 1.0]), None))
+    cases.append(("two_points", registry["two_points"][0], E2, np.array([2.0, 1.98, 2.05]), 0.5))
+    return cases
+
+
+def test_gamma_grid_is_the_per_eps_calls(zoo, registry):
+    """gamma on an eps grid gives the bits of one scalar call per point, on
+    every path (_grid_cases): the engine runs once for the grid, the closed
+    forms take the grid at once, and the band path filters one pair sweep
+    per eps.  A bad eps anywhere in the grid raises ValueError, and one
+    with no pair NoFeasiblePairs, as its scalar call does."""
+    for label, A, n, eps, far in _grid_cases(zoo, registry):
+        got = bl.gamma_estimate(A, n, eps, budget=1024, seed=2)
+        want = [bl.gamma_estimate(A, n, float(e), budget=1024, seed=2) for e in eps]
+        assert isinstance(want[0], float) and got.shape == eps.shape, label
+        assert [repr(float(g)) for g in got] == [repr(w) for w in want], label
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                bl.gamma_estimate(A, n, [eps[0], bad], budget=1024, seed=2)
+        if far is not None:
+            for grid in (far, [eps[0], far]):
+                with pytest.raises(NoFeasiblePairs):
+                    bl.gamma_estimate(A, n, grid, budget=1024, seed=2)
+
+
+def _one_point_cone(ops, n, x):
+    """The outward unit normals at one boundary point x of the set kind ops,
+    by the one-point rule of each kind, written apart from its cone table:
+    a ball's are sign e / |sign e|_* for the extreme functionals e of the
+    gauge's subdifferential at x - c, none on a complement where there are
+    several; a halfplane's its normal; the two points' 16 fixed directions;
+    a polytope complement's the inward normal of its one active facet, none
+    where there are several; a cylinder's its base's, lifted."""
+    kind = type(ops).__name__
+    if kind in ("_Ball", "_BallComplement"):
+        ext = bl.subdifferential_extremes(S._gauge(ops.spec, n), x - ops.c)
+        if ops.sign < 0 and len(ext) > 1:
+            return []
+        return [q / bl.dual_norm_eval(n, q) for q in (ops.sign * e for e in ext)]
+    if kind == "_Halfspace":
+        return [ops.a / bl.dual_norm_eval(n, ops.a)]
+    if kind == "_FinitePoints":
+        th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
+        raw = np.stack([np.cos(th), np.sin(th)], axis=1)
+        if n.dim != 2:
+            raw = np.random.default_rng(5).standard_normal((16, n.dim))
+        return [p / bl.dual_norm_eval(n, p) for p in raw]
+    if kind == "_PolytopeComplement":
+        scale = np.maximum(np.maximum(1.0, np.abs(ops.b)), np.max(np.abs(ops.A), axis=1))
+        active = ops.A[np.abs(ops._gaps(x[None])[:, 0]) <= 10 * S._CONE_TOL * scale]
+        return [-active[0] / bl.dual_norm_eval(n, active[0])] if len(active) == 1 else []
+    if kind == "_Cylinder":
+        out = []
+        for p in _one_point_cone(ops.base.ops, n.ops.restrict(ops.coords), x[ops.coords]):
+            q = np.zeros(ops.dim)
+            q[ops.coords] = p
+            out.append(q / bl.dual_norm_eval(n, q))
+        return out
+    raise AssertionError(kind)
+
+
+def _loop_sweep(A, n, budget, seed, lo, hi):
+    """_pair_sweep as a loop over the sampled boundary points, each point's
+    directions from _one_point_cone, a point that raises or has none left
+    out, padded to the most of any point by repeating its first."""
+    rng = np.random.default_rng(seed)
+    m = max(48, min(512, int(np.sqrt(2.0 * budget)) + 1))
+    X, P = [], []
+    for x in bl.boundary_sample(A, n, m, seed=seed):
+        try:
+            dirs = _one_point_cone(A.ops, n, x)
+        except ValueError:
+            continue
+        if dirs:
+            X.append(x)
+            P.append(list(dirs))
+    c = max(map(len, P), default=1)
+    X = np.reshape(X, (-1, A.dim))
+    P = np.reshape([q + q[:1] * (c - len(q)) for q in P], (-1, c, A.dim))
+    I, J = np.triu_indices(len(X), 1)
+    if I.size > budget:
+        k = np.sort(rng.choice(I.size, size=budget, replace=False))
+        I, J = I[k], J[k]
+    d = bl.norm_batch(n, X[J] - X[I])
+    band = (lo <= d) & (d <= hi)
+    I, J, d = I[band], J[band], d[band]
+    G = np.sum((P[J][:, None] - P[I][:, :, None]) * (X[J] - X[I])[:, None, None], axis=-1)
+    return X, P, I, J, d, G
+
+
+def test_pair_sweep_is_the_per_point_loop(zoo, registry):
+    """_pair_sweep reads the cone table of every sampled point in one call
+    and gives the X, P, I, J, d and G of a loop over the points that takes
+    each point's cone by its kind's one-point rule (_one_point_cone), bit
+    for bit: on every registry set under its ambient norm, the l3-gauge
+    complement under euclid and the max-norm box complement under euclid,
+    at two budgets, one drawing pairs."""
+    cases = [(sid, A, bl.ambient_norm(zoo, amb)) for sid, (A, amb) in registry.items()]
+    cases += [("l3 complement under euclid", registry["l3_ball_complement"][0], E2),
+              ("box complement under euclid", registry["box_complement"][0], E2)]
+    kinds = set()
+    for sid, A, n in cases:
+        kinds.add(type(A.ops).__name__)
+        for budget, seed, hi in ((256, 3, 2.5), (4096, 1, 0.5)):
+            got = H._pair_sweep(A, n, budget, seed, 1e-9, hi)
+            want = _loop_sweep(A, n, budget, seed, 1e-9, hi)
+            for name, g, w in zip("XPIJdG", got, want):
+                assert g.shape == w.shape and np.array_equal(g, w), (sid, budget, name)
+    assert kinds >= {"_Ball", "_BallComplement", "_Halfspace", "_FinitePoints", "_PolytopeComplement", "_Cylinder"}
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, np.nan, np.inf])
@@ -312,6 +434,16 @@ def test_section_bound_disc_complement(curve_bank):
                                  sample_count=300, seed=0)
     assert rep.verdict == "pass"
     assert rep.samples_used > 0
+
+
+def test_section_bound_raises_at_the_center_of_a_tiny_ball(curve_bank):
+    """The center of a ball of radius 1e-5 passes the 1e-4 boundary test,
+    but its normal cone is undefined: the check raises ZeroVector there,
+    where a degenerate cone would pass with nothing to bound."""
+    rho = curve_bank["euclid"]["rho"]
+    for make in (bl.make_ball, bl.make_ball_complement):
+        with pytest.raises(ZeroVector):
+            bl.section_bound_check(make([0.0, 0.0], 1e-5), E2, 1.0, rho, [0.0, 0.0], delta=0.5)
 
 
 def test_section_bound_needs_safe_side_curve(curve_bank):

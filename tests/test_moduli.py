@@ -358,8 +358,8 @@ def test_pair_engine_meets_the_hilbert_oracle(norms, nid, budget):
     for which, side in (("lower", "over"), ("upper", "under")):
         c = bl.ModulusCurve(r, M._support_engine(n, r, which, count), side)
         _assert_on_side(c, 1 - np.sqrt(1 - r * r), side, accuracy=1e-6)
-    for e in (0.1, 0.3, 0.5):
-        assert H._gamma_engine(n, 1.0, e, count) == pytest.approx(e * e, abs=1e-12), e
+    eps = np.array([0.1, 0.3, 0.5])
+    assert H._gamma_engine(n, 1.0, eps, count) == pytest.approx(eps * eps, abs=1e-12)
 
 
 def _random_images(seed):
@@ -414,13 +414,13 @@ def test_the_arc_finds_the_values_of_the_full_circle(cid, budget, monkeypatch):
     turn would miss them."""
     n, count = ARC_CASES[cid], SearchBudget.preset(budget).angles
     r = np.linspace(0.02, 1.0, 25)
-    eps = (0.1, 0.5, 1.0, 1.6)
+    eps = np.array([0.1, 0.5, 1.0, 1.6])
     arc = [M._support_engine(n, r, which, count) for which in ("lower", "upper")]
-    arc_gamma = [H._gamma_engine(n, 1.0, e, count) for e in eps]
+    arc_gamma = H._gamma_engine(n, 1.0, eps, count)
     monkeypatch.setattr(M, "_arc", _full_circle)
     full = [M._support_engine(n, r, which, count) for which in ("lower", "upper")]
-    full_gamma = [H._gamma_engine(n, 1.0, e, count) for e in eps]
-    for a, f in zip(arc + [np.array(arc_gamma)], full + [np.array(full_gamma)]):
+    full_gamma = H._gamma_engine(n, 1.0, eps, count)
+    for a, f in zip(arc + [arc_gamma], full + [full_gamma]):
         assert np.all(np.abs(a - f) <= 1e-12 * np.abs(f) + 1e-15), (cid, np.max(np.abs(a - f) / np.abs(f)))
 
 

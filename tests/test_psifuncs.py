@@ -58,6 +58,26 @@ def test_psi_builders_reject_non_finite_input():
         bl.psi_from_curve(curve, scale=np.nan)
 
 
+def test_psi_builders_refuse_a_negative_or_non_finite_value_scale():
+    """A negative value scale would build a PsiSpec with negative values,
+    which validate_psi refuses: both builders raise NegativeValue.  A
+    non-finite one raises ValueError, as its values are not finite.  A zero scale gives the zero
+    certificate."""
+    psi = bl.builtin_psi("square", GRID)
+    curve = bl.ModulusCurve(GRID[1:], GRID[1:] ** 2, "under", "quad")
+    builders = (lambda s: bl.rescale_psi(psi, value_scale=s),
+                lambda s: bl.psi_from_curve(curve, scale=s))
+    for build in builders:
+        for s in (-1.0, -1e-300):
+            with pytest.raises(NegativeValue):
+                build(s)
+        for s in (np.inf, -np.inf, np.nan):
+            with np.errstate(invalid="ignore"), pytest.raises(ValueError):  # inf * 0 at the anchor
+                build(s)
+        zero = build(0.0)
+        assert not np.any(zero.values) and zero.lipschitz == 0.0
+
+
 def test_builtin_names():
     lin = bl.builtin_psi("linear", GRID)
     assert np.allclose(lin.values, lin.knots, atol=1e-15)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import banachlab as bl
+from banachlab.norms import ZeroVector
 from banachlab.sets import EmptyShell, InteriorPoint, NoIntersection, _first, _plane_dirs, _sample_tries
 from conftest import LOW
 
@@ -529,6 +530,35 @@ def test_l1_ball_has_one_normal_at_a_smooth_point_next_to_a_vertex():
     for make, sign in ((bl.make_ball, 1.0), (bl.make_ball_complement, -1.0)):
         d, = bl.normal_directions(make([0.0, 0.0], 1.0, gauge=n), n, x)
         assert np.array_equal(d, [sign, sign])
+
+
+def test_ball_cone_rows_are_the_gauge_subdifferential(zoo):
+    """A gauge ball's cone table holds at each row x the extreme functionals
+    e of the gauge's subdifferential at x - c, from the one-point
+    subdifferential_extremes, as sign e / |sign e|_* under the ambient
+    norm, bit for bit: all of them on a ball, none on a complement where
+    there are several (its vertices).  At the center, where the one-point
+    function raises, the count is -1, and normal_directions raises
+    ZeroVector there (the center of a ball of radius 1e-5 lies within the
+    1e-4 of the boundary that it accepts)."""
+    gauges = [zoo[k] for k in ("euclid", "l3", "l15", "l1", "linf", "poly", "ellipse")]
+    gauges += [bl.weighted_lp_norm(3.0, [1.0, 1e5]), bl.weighted_lp_norm(1.0, [1.0, 3.0])]
+    c = np.array([0.3, -0.2])
+    for g in gauges:
+        U = [bl.sphere_points(g, 12)] + ([] if g.ops.corners is None else [g.ops.corners])
+        X = c + 1.3 * np.concatenate(U + [np.zeros((1, 2))])
+        for make, sign in ((bl.make_ball, 1.0), (bl.make_ball_complement, -1.0)):
+            for n in (g, E2):
+                P, k = make(c, 1.3, gauge=g).ops.cone_rows(n, X)
+                assert k[-1] == -1, (g.name, sign)
+                for x, p, m in zip(X[:-1], P, k):
+                    ext = bl.subdifferential_extremes(g, x - c)
+                    ext = [] if sign < 0 and len(ext) > 1 else ext
+                    want = np.reshape([sign * e / bl.dual_norm_eval(n, sign * e) for e in ext], (-1, 2))
+                    assert m == len(want) and np.array_equal(p[:m], want), (g.name, sign, x)
+        for make in (bl.make_ball, bl.make_ball_complement):
+            with pytest.raises(ZeroVector):
+                bl.normal_directions(make(c, 1e-5, gauge=g), E2, c)
 
 
 def test_normal_directions_reject_interior_point():
