@@ -3,8 +3,9 @@
 Subcommands: moduli (curve sweeps and modulus inequalities), sets (projection
 and rolling-ball certificates over the set zoo), hypo (pairing-functional
 sweeps, hypomonotonicity records, touching-point construction), all.  The
-stages of one run share a RunCache, so `all` estimates each modulus curve
-point and runs each rolling-ball normal check once.
+stages of one run share a RunCache: before any stage runs, it estimates
+every modulus curve they read, each (curve, norm) once on the union of their
+grids, and it runs each rolling-ball normal check once.
 
 Outputs one CSV per curve and a run_report.json per invocation.  Under a fixed
 seed and budget, repeated runs are byte-identical; no timestamps are written.
@@ -211,35 +212,95 @@ def _write_curve(out: Path, stem: str, curve: M.ModulusCurve) -> str:
 # ---------------------------------------------------------------------------
 # per-run cache
 
+_SANDWICH_EPS = np.array([0.05, 0.1, 0.2, 0.4])  # the eps of hypo's gamma sandwich
+
+
+def _moduli_grids(cfg: SuiteConfig) -> dict:
+    """The grid of each curve cmd_moduli reads of every norm, by kind."""
+    r = np.asarray(cfg.r_grid, dtype=float)
+    return {"delta": _grid(cfg.eps_grid, 2.0 * r), "rho": _grid(cfg.tau_grid, r / 2.0, 2.0 * r),
+            "lower": r, "upper": r}
+
+
+def _sandwich_grids(cfg: SuiteConfig) -> dict:
+    """The grid of each curve hypo's gamma sandwich reads, by kind: rho at
+    eps/4 (and the r grid) and the upper supporting modulus at 2 eps."""
+    return {"rho": _grid(_SANDWICH_EPS / 4.0, cfg.r_grid), "upper": 2.0 * _SANDWICH_EPS}
+
+
+def _ambient_grid(r_grid):
+    """The grid of the delta and rho curves that hypo turns into psi."""
+    return _grid(r_grid, np.linspace(0.0125, 0.1, 8), np.linspace(1.1, 2.0, 6))
+
+
+def _forward_ambient(cfg: SuiteConfig, ambient_id: str) -> bool:
+    """Whether hypo checks the forward implications of a set under this
+    ambient: a Euclidean one, or one of the configured norms."""
+    return ambient_id in ("euclid", "euclid3") or ambient_id in cfg.norms
+
+
+def _curve_requests(cfg: SuiteConfig, commands, registry: dict) -> list:
+    """(kind, norm id, grid) of every modulus curve the stages of commands
+    read; kind is delta, rho, or the lower or upper supporting modulus."""
+    req = []
+    if "moduli" in commands:
+        req += [(kind, nid, g) for nid in cfg.norms for kind, g in _moduli_grids(cfg).items()]
+    if "hypo" in commands:
+        ambient = _ambient_grid(cfg.r_grid)
+        for nid in cfg.norms:
+            if nid in _SMOOTH_UC:
+                req += [(kind, nid, g) for kind, g in _sandwich_grids(cfg).items()]
+            req.append(("rho", nid, ambient))
+        for sid, _ in cfg.sets:
+            ambient_id = registry[sid][1]
+            if _forward_ambient(cfg, ambient_id):
+                req += [("delta", ambient_id, ambient), ("rho", ambient_id, ambient)]
+    return req
+
 
 class RunCache:
     """What one run computes once for all of its stages.
 
-    Modulus curve points are kept per estimator, norm, budget, `which` and
-    argument.  Each grid point is an independent search, so a point
-    estimated on one stage's grid is the point another stage's grid would
-    get.  Rolling-ball normal reports are kept per call.  `main` builds one
-    per run, so nothing outlives the run.
+    `main` builds one per run from the curve requests of the stages it will
+    run (_curve_requests), and resolves them before any stage runs: each
+    (kind, norm) is estimated once, on the union of the grids that read it,
+    and both supporting moduli of a norm come from one search over the
+    union of their grids.  A stage slices its grid out of that table
+    (curve).  Each grid point is an independent search, so a point has the
+    bits it would have on a stage's grid alone.  Rolling-ball normal
+    reports are kept per call, and the stages read the run's norm zoo and
+    set registry (norms, registry).
     """
 
-    def __init__(self):
-        self._points = {}  # (estimator, norm, budget, which) -> {arg: value}
-        self._templates = {}  # same key -> a curve carrying direction and label
+    def __init__(self, cfg: SuiteConfig, commands):
+        self.norms = norms = Z.norm_zoo()
+        self.registry = Z.set_registry(norms)
+        grids = {}
+        for kind, nid, g in _curve_requests(cfg, commands, self.registry):
+            grids.setdefault((kind, nid), []).append(g)
+        budget = M.SearchBudget.preset(cfg.budget)
+        self._curves = {}
+        for nid in dict.fromkeys(nid for _, nid in grids):
+            n = Z.ambient_norm(norms, nid)
+            for kind, estimator in (("delta", M.delta_estimate), ("rho", M.rho_estimate)):
+                if (kind, nid) in grids:
+                    self._curves[kind, nid] = estimator(n, _grid(*grids[kind, nid]), budget)
+            which = tuple(w for w in ("lower", "upper") if (w, nid) in grids)
+            if which:
+                r = _grid(*(g for w in which for g in grids[w, nid]))
+                self._curves.update(zip([(w, nid) for w in which],
+                                        M.supporting_modulus_estimate(n, r, which, budget)))
         self._rolling = {}
 
-    def curve(self, estimator, n, args, budget, *which) -> M.ModulusCurve:
-        """`estimator(n, args, *which, budget)` on the caller's grid; only
-        the arguments no earlier call covered are estimated."""
+    def curve(self, kind, nid, args) -> M.ModulusCurve:
+        """The resolved curve of kind on norm id nid, at args in their order;
+        KeyError for a curve or an argument that no request stated."""
+        c = self._curves[kind, nid]
         args = np.asarray(args, dtype=float)
-        key = (estimator, n, budget, which)
-        known = self._points.setdefault(key, {})
-        missing = [a for a in dict.fromkeys(args.tolist()) if a not in known]
-        if missing:
-            c = estimator(n, np.array(missing), *which, budget)
-            known.update(zip(missing, c.values.tolist()))
-            self._templates[key] = c
-        values = np.array([known[a] for a in args.tolist()])
-        return dataclasses.replace(self._templates[key], args=args.copy(), values=values)
+        i = np.minimum(np.searchsorted(c.args, args), c.args.size - 1)
+        if not np.array_equal(c.args[i], args):
+            raise KeyError(f"{kind} of {nid} was not requested at every argument")
+        return dataclasses.replace(c, args=args.copy(), values=c.values[i])
 
     def rolling_normal(self, spec, n, R, sample_count, seed):
         key = (spec, n, R, sample_count, seed)
@@ -254,19 +315,12 @@ class RunCache:
 
 
 def cmd_moduli(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
-    budget = M.SearchBudget.preset(cfg.budget)
     records = []
     tol = 5e-3
-    r = np.asarray(cfg.r_grid, dtype=float)
-    eps_full = _grid(cfg.eps_grid, 2.0 * r)
-    tau_full = _grid(cfg.tau_grid, r / 2.0, 2.0 * r)
-    norms = Z.norm_zoo()
+    grids = _moduli_grids(cfg)
+    r = grids["upper"]
     for nid in cfg.norms:
-        n = norms[nid]
-        delta = cache.curve(M.delta_estimate, n, eps_full, budget)
-        rho = cache.curve(M.rho_estimate, n, tau_full, budget)
-        lam_lo = cache.curve(M.supporting_modulus_estimate, n, r, budget, "lower")
-        lam_hi = cache.curve(M.supporting_modulus_estimate, n, r, budget, "upper")
+        delta, rho, lam_lo, lam_hi = (cache.curve(kind, nid, g) for kind, g in grids.items())
         arts = [
             _write_curve(out, f"{nid}_delta", delta),
             _write_curve(out, f"{nid}_rho", rho),
@@ -310,8 +364,7 @@ def cmd_moduli(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
 
 
 def cmd_sets(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
-    norms = Z.norm_zoo()
-    registry = Z.set_registry(norms)
+    norms, registry = cache.norms, cache.registry
     counts = _BUDGET_SAMPLES[cfg.budget]
     records = []
     for sid, R in cfg.sets:
@@ -344,12 +397,6 @@ def cmd_sets(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
 # hypo command
 
 
-def _ambient_curve(estimator, nid: str, norms: dict, budget, r_grid, cache: RunCache):
-    """The M.delta_estimate or M.rho_estimate curve of an ambient norm id."""
-    args = _grid(r_grid, np.linspace(0.0125, 0.1, 8), np.linspace(1.1, 2.0, 6))
-    return cache.curve(estimator, Z.ambient_norm(norms, nid), args, budget)
-
-
 def _hypo_verdict(spec, n, psi, R: float, pairs: int, seed: int):
     """The verdict and margin of hypo_check at eps_max = 2R; a set with no
     feasible pair passes, with no margin."""
@@ -361,24 +408,21 @@ def _hypo_verdict(spec, n, psi, R: float, pairs: int, seed: int):
 
 
 def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
-    norms = Z.norm_zoo()
-    registry = Z.set_registry(norms)
+    norms, registry = cache.norms, cache.registry
     counts = _BUDGET_SAMPLES[cfg.budget]
-    budget = M.SearchBudget.preset(cfg.budget)
     records = []
-    eps_arr = np.array([0.05, 0.1, 0.2, 0.4])
+    ambient = _ambient_grid(cfg.r_grid)
+    grids = _sandwich_grids(cfg)
 
     # pairing-functional sandwich per uniformly convex and smooth norm
     for nid in [x for x in cfg.norms if x in _SMOOTH_UC]:
         n = norms[nid]
         A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n)
-        rho_args = _grid(eps_arr / 4.0, cfg.r_grid)
-        rho = cache.curve(M.rho_estimate, n, rho_args, budget)
-        lam_hi = cache.curve(M.supporting_modulus_estimate, n, _grid(2.0 * eps_arr), budget, "upper")
-        gamma = H.gamma_estimate(A, n, eps_arr, budget=counts["gamma"], seed=cfg.seed)
+        rho, lam_hi = (cache.curve(kind, nid, grids[kind]) for kind in ("rho", "upper"))
+        gamma = H.gamma_estimate(A, n, _SANDWICH_EPS, budget=counts["gamma"], seed=cfg.seed)
         rows = []
         worst = np.inf
-        for eps, g in zip(eps_arr, gamma.tolist()):
+        for eps, g in zip(_SANDWICH_EPS, gamma.tolist()):
             lo = float(rho.eval(eps / 4.0))
             hi = 2.0 * float(lam_hi.eval(2.0 * eps))
             rows.append((eps, g, lo, hi))
@@ -394,8 +438,8 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
     for nid in cfg.norms:
         n = norms[nid]
         A = S.make_ball_complement([0.0] * n.dim, 1.0, gauge=n)
-        rho = _ambient_curve(M.rho_estimate, nid, norms, budget, cfg.r_grid, cache)
-        psi = P.psi_from_curve(rho, scale=1.0 / 17.0, name="seventeenth-smoothness")
+        psi = P.psi_from_curve(cache.curve("rho", nid, ambient), scale=1.0 / 17.0,
+                               name="seventeenth-smoothness")
         rep = H.hypo_check(A, n, psi, 1.0, eps_max=0.4, pair_budget=counts["pairs"], seed=cfg.seed)
         records.append(_rec(f"hypo/{nid}/seventeenth-smoothness", "seventeenth-smoothness-certificate",
                             rep.verdict, rep.worst_margin))
@@ -408,16 +452,14 @@ def cmd_hypo(cfg: SuiteConfig, out: Path, cache: RunCache) -> list:
         spec, ambient_id = registry[sid]
         tag = f"{sid}@{R:g}"
         n = Z.ambient_norm(norms, ambient_id)
-        base_ambient = "euclid" if ambient_id == "euclid3" else ambient_id
-        if base_ambient not in cfg.norms and base_ambient not in ("euclid",):
+        if not _forward_ambient(cfg, ambient_id):
             records.append(_rec(f"hypo/{tag}/forward-smoothness", "rolling-ball-implies-hypomonotone",
                                 "skip", None))
             records.append(_rec(f"hypo/{tag}/forward-convexity", "hypomonotone-implies-rolling-ball",
                                 "skip", None))
             continue
         omn = cache.rolling_normal(spec, n, R, counts["roll"], cfg.seed)
-        delta_c, rho_c = (_ambient_curve(e, ambient_id, norms, budget, cfg.r_grid, cache)
-                          for e in (M.delta_estimate, M.rho_estimate))
+        delta_c, rho_c = (cache.curve(kind, ambient_id, ambient) for kind in ("delta", "rho"))
         smooth = (_hypo_verdict(spec, n, P.psi_from_curve(rho_c, scale=4.0, name="four-smoothness"), R,
                                 counts["pairs"], cfg.seed) if omn.verdict == "pass" else ("skip", None))
         convex = _hypo_verdict(spec, n, P.psi_from_curve(delta_c, scale=2.0, name="two-convexity"), R,
@@ -505,14 +547,12 @@ def main(argv=None) -> int:
         print(f"config error: cannot create output directory: {e}", file=sys.stderr)
         return 2
 
-    cache = RunCache()
+    commands = ("moduli", "sets", "hypo") if args.command == "all" else (args.command,)
+    cache = RunCache(cfg, commands)
+    stages = {"moduli": cmd_moduli, "sets": cmd_sets, "hypo": cmd_hypo}
     records = []
-    if args.command in ("moduli", "all"):
-        records += cmd_moduli(cfg, out, cache)
-    if args.command in ("sets", "all"):
-        records += cmd_sets(cfg, out, cache)
-    if args.command in ("hypo", "all"):
-        records += cmd_hypo(cfg, out, cache)
+    for command in commands:
+        records += stages[command](cfg, out, cache)
 
     report = {
         "command": args.command,

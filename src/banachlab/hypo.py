@@ -277,7 +277,7 @@ def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float):
         # dd minus the distance rises through 0 across [ts[k-1], ts[k]]
         lam = _bracket_roots(lambda i, t: dd - A.ops.nearest_rows(n, z0 + t[:, None] * (z1 - z0))[0],
                              (1,), ts[k - 1], ts[k], -vals[k - 1], -vals[k],
-                             (ts[1] - ts[0]) * 2.0 ** -60, False)[1][0]
+                             (ts[1] - ts[0]) * 2.0 ** -60)[1][0]
         y0 = z0 + lam * (z1 - z0)
         y = project(A, n, y0)[0]
         w = y0 - y

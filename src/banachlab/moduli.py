@@ -42,8 +42,14 @@ isometry, so every pair of the whole circle has an equal pair over the arc.
   monotonicity lemma of normed planes), and a zoom in the row angle
   polishes the best row of an objective at the crossings.
 - supporting moduli (_support_engine): one root search of the support
-  shift over every r and every quasiorthogonal pair (x, +-y) with x on the
-  arc, then a zoom in the angle of x.
+  shift over every row and every quasiorthogonal pair (x, +-y) with x on
+  the arc, then a zoom in the angle of x.  A row is an r with its label,
+  lower or upper, and supporting_modulus_estimate(n, r, ("lower",
+  "upper")) runs both labels' rows in lockstep: the label sets only a row's
+  residual offset, the end of its bracket it keeps and the sign of its
+  zoom.  A run of the CLI states every curve its stages read before they
+  run (cli.RunCache), so each norm takes one such search, for both labels
+  and the union of every stage's r grid.
 
 Both root searches, and Hanner's delta for p < 2, run on one routine,
 _bracket_roots: ITP steps (regula falsi with a truncation and a projection
@@ -56,7 +62,8 @@ Every value is on its label side: "over" for infima (delta, the lower
 supporting modulus), "under" for suprema (rho, the upper one); off the
 closed forms it comes from an evaluated pair, and polyhedral rho is lowered
 by its rounding bound.  Each grid point keeps its own fixed array shapes,
-so its value does not depend on the rest of its grid.
+so its value does not depend on the rest of its grid, nor on the other
+label's rows beside it.
 A 1-d norm raises DimensionMismatch in every estimator, and so does a norm
 of 3 or more dimensions that no closed form serves.  delta and rho take a
 budget for the estimators' common signature, but no value of theirs
@@ -73,9 +80,7 @@ from .norms import (
     DimensionMismatch,
     j1_batch,
     norm_batch,
-    norm_eval,
     sphere_points,
-    subdifferential_extremes,
 )
 
 
@@ -175,7 +180,8 @@ def _outward(v, side, top=np.inf):
 
 _HANNER_ROUNDING = 16.0 * np.finfo(float).eps  # twice the error bounds argued below
 _BRACKET_FLOOR = 1e-300  # a width no bracket reaches: the search stops at adjacent floats
-_UNDERFLOW = 2.0 * np.finfo(float).smallest_subnormal
+_LEAST = np.finfo(float).smallest_subnormal
+_UNDERFLOW = 2.0 * _LEAST
 
 
 def _pow1p(x, p):
@@ -220,7 +226,7 @@ def _hanner_delta(h, p):
     top = _outward(_hilbert_shift(h), "over", 1.0)
     flat = h.ravel()
     return _bracket_roots(lambda i, d: residual(flat[i], d), h.shape, 0.0, top, residual(h, 0.0),
-                          residual(h, top), _BRACKET_FLOOR, False)[1]
+                          residual(h, top), _BRACKET_FLOOR)[1]
 
 
 def _hanner_rho(tau, p):
@@ -284,17 +290,17 @@ def _columns(V):
     return np.ascontiguousarray(V.reshape(-1, 2).T)
 
 
-def _bracket_roots(s, shape, lo, hi, slo, shi, width, strict, probes=()):
+def _bracket_roots(s, shape, lo, hi, slo, shi, width, probes=()):
     """Close the brackets [lo, hi] of the rows of an array of the given shape
     on the roots of residuals that rise through 0, and return the final ends
     (lo, hi) of that shape.
 
-    lo is "down" (s < 0, or s <= 0 when strict) and hi is "up", or an a
-    priori end; slo and shi are their residuals, or estimates, which only
-    steer the steps.  They and the probes broadcast to shape.  s(i, t) gives
-    the residuals of the rows i (flat indices) at the points t.  probes,
-    rising points per row, are evaluated first, and each row keeps the piece
-    of its bracket between them that holds the root.
+    lo is "down" (s < 0) and hi is "up" (s >= 0), or an a priori end; slo
+    and shi are their residuals, or estimates, which only steer the steps.
+    They and the probes broadcast to shape.  s(i, t) gives the residuals of the rows i
+    (flat indices) at the points t.  probes, rising points per row, are
+    evaluated first, and each row keeps the piece of its bracket between
+    them that holds the root.
 
     The steps are those of ITP (Oliveira and Takahashi, ACM TOMS 2020): the
     regula falsi point, moved toward the midpoint by a truncation and
@@ -308,7 +314,6 @@ def _bracket_roots(s, shape, lo, hi, slo, shi, width, strict, probes=()):
     adjacent floats, and the next rows fill its place: at most _BLOCK rows
     are active at once, which bounds the memory of a long scan.
     """
-    up = np.greater if strict else np.greater_equal
     LO, HI = np.empty(shape), np.empty(shape)
     ends, size, taken = (lo, hi, slo, shi, *probes), LO.size, 0
     i, st = np.empty(0, dtype=int), np.empty((5, 0))
@@ -316,7 +321,7 @@ def _bracket_roots(s, shape, lo, hi, slo, shi, width, strict, probes=()):
         if taken < size and i.size <= _BLOCK // 2:  # top the active rows up with the next ones
             rows = slice(taken, min(size, taken + _BLOCK - i.size))
             i = np.concatenate([i, np.arange(rows.start, rows.stop)])
-            st = np.concatenate([st, _fresh_rows(s, shape, rows, ends, width, up)], axis=1)
+            st = np.concatenate([st, _fresh_rows(s, shape, rows, ends, width)], axis=1)
             taken = rows.stop
         w = st[1] - st[0]
         mid = st[0] + 0.5 * w
@@ -327,11 +332,11 @@ def _bracket_roots(s, shape, lo, hi, slo, shi, width, strict, probes=()):
             i, st, w, mid = i[keep], np.take(st, keep, axis=1), w[keep], mid[keep]
             if not i.size:
                 continue
-        _itp_step(s, i, st, _itp_point(st, w, mid, width), up)
+        _itp_step(s, i, st, _itp_point(st, w, mid, width))
     return LO, HI
 
 
-def _fresh_rows(s, shape, rows, ends, width, up):
+def _fresh_rows(s, shape, rows, ends, width):
     """The state (lo, hi, slo, shi, cap) of _bracket_roots for the flat rows
     of shape in the slice rows; ends holds lo, hi, slo, shi and the probes.
     The probes of each row are evaluated, and the first of (lo, probes, hi)
@@ -341,7 +346,7 @@ def _fresh_rows(s, shape, rows, ends, width, up):
         P = np.stack([lo, *(np.clip(p, lo, hi) for p in probes), hi])
         S = np.stack([slo, *s(np.tile(np.arange(rows.start, rows.stop), len(P) - 2),
                               P[1:-1].ravel()).reshape(-1, lo.size), shi])
-        U = up(S, 0.0)
+        U = S >= 0.0
         U[0], U[-1] = False, True
         j, k = np.argmax(U, axis=0), np.arange(lo.size)
         lo, hi, slo, shi = P[j - 1, k], P[j, k], S[j - 1, k], S[j, k]
@@ -349,11 +354,11 @@ def _fresh_rows(s, shape, rows, ends, width, up):
     return np.stack([lo, hi, slo, shi, cap])
 
 
-def _itp_step(s, i, st, x, up):
+def _itp_step(s, i, st, x):
     """Evaluate the rows i at their points x and move the end of each
     bracket in st that x replaces."""
     sx = s(i, x)
-    u = up(sx, 0.0)
+    u = sx >= 0.0
     lo, hi, slo, shi, cap = st
     np.copyto(lo, x, where=~u)
     np.copyto(slo, sx, where=~u)
@@ -434,7 +439,7 @@ def _chord_crossing(n, X, A, eps, sense=1.0, steps=_ROOT_STEPS, warm=None):
     shi = norm_batch(n, X + X) - eps  # y = -x
     feasible = shi >= 0
     lo, hi = _bracket_roots(s, shape, np.where(feasible, a, far), far, -eps, shi,
-                            np.pi * 2.0 ** -steps, False, () if warm is None else list(warm))
+                            np.pi * 2.0 ** -steps, () if warm is None else list(warm))
     Y = np.where((hi == far)[..., None], -X, sphere_points(n, sense * hi))
     return Y, feasible, lo, hi
 
@@ -551,33 +556,37 @@ def rho_estimate(n, tau_grid, budget=SearchBudget()):
 # ---------------------------------------------------------------------------
 # supporting moduli
 
-def _lambda_rows(n, X, Y, r, which, steps=_SHIFT_STEPS, warm=None):
+def _lambda_rows(n, X, Y, r, lower, steps=_SHIFT_STEPS, warm=None):
     """Support shift of each pair of rows of X and Y at r (broadcast; X along
     leading axes only), rounded outward, and the brackets (2, ...) it closes.
     lam lies in [0, 1], where the residual ||x + r y - lam x|| - 1 falls from
     at least 0 to r - 1: _bracket_roots closes that bracket, from the residual
-    at lam = 0, or from the warm brackets where they are given.  A residual
-    within rounding of 0 counts as outside for "lower", which returns the
-    upper end of the bracket, and as inside for "upper", which returns the
-    lower end.  Near r = 1 the shift has infinite slope, so a residual that
-    errs by an ulp would move it by about 1e-8."""
+    at lam = 0, or from the warm brackets where they are given.  lower, one
+    flag or one per row (broadcast like r without its last axis), picks
+    each row's label: a residual within rounding of 0 counts as outside for
+    "lower", which returns the upper end of the bracket, and as inside for
+    "upper", which returns the lower end.  So a lower row's residual is
+    lowered by the least subnormal, which makes an exact 0 "down" and moves
+    no other residual, since those are multiples of 2^-53.  Near r = 1 the
+    shift has infinite slope, so a residual that errs by an ulp would move
+    it by about 1e-8."""
     shape = np.broadcast_shapes(np.shape(X), np.shape(Y), np.shape(r))[:-1]
     Xc, Bc = _columns(X), _columns(np.broadcast_to(X + r * Y, shape + (2,)))
     tol = _RESIDUAL_ULPS * np.finfo(float).eps
-    lower = which == "lower"
+    bound = np.where(lower, -tol, tol)  # the residual is bound - g - least, g = ||.|| - 1
+    flat, least = (np.broadcast_to(v, shape).reshape(-1) for v in (bound, np.where(lower, _LEAST, 0.0)))
 
     def s(i, t):  # rises through 0 where lam leaves the outside of the sphere
         D = np.take(Xc, i % Xc.shape[1], axis=1)
         D *= t
         g = norm_batch(n, np.subtract(np.take(Bc, i, axis=1), D, out=D).T) - 1.0
-        return -g - tol if lower else tol - g
+        return (flat[i] - g) - least[i]
 
     # the residual is r - 1 at lam = 1; at 0 it is hilbert_rho(r) on the Euclidean plane
     r = np.reshape(r, np.shape(r)[:-1])
-    bound = -tol if lower else tol
     lo, hi = _bracket_roots(s, shape, 0.0, 1.0, bound - hilbert_rho(r), bound + 1.0 - r,
-                            2.0 ** -steps, lower, [0.0] if warm is None else list(warm))
-    return (hi if lower else lo), np.stack([lo, hi])
+                            2.0 ** -steps, [0.0] if warm is None else list(warm))
+    return np.where(lower, hi, lo), np.stack([lo, hi])
 
 
 def _quasiorth(n, X):
@@ -599,69 +608,79 @@ def _quasiorth_table(n, angles):
 def _vertex_pairs(n):
     """Unit pairs (x, y) with x at each corner of a polyhedral sphere
     (ops.corners) and y either sign of the kernel of each extreme functional
-    there."""
-    X, Y = [], []
-    for x in n.ops.corners:
-        for e in subdifferential_extremes(n, x):
-            k = np.array([-e[1], e[0]])
-            k = k / norm_eval(n, k)
-            X.extend([x, x])
-            Y.extend([k, -k])
-    return np.array(X), np.array(Y)
+    there, from the row-wise subdifferential of the corners table."""
+    V = n.ops.corners
+    F, k = n.ops.subdifferential(V)
+    row, col = np.nonzero(np.arange(F.shape[1]) < k[:, None])
+    E = F[row, col]
+    K = np.stack([-E[:, 1], E[:, 0]], axis=1)
+    K /= norm_batch(n, K)[:, None]
+    return np.repeat(V[row], 2, axis=0), np.stack([K, -K], axis=1).reshape(-1, 2)
 
 
-def _support_engine(n, r_grid, which, angles):
-    """The supporting modulus of a planar norm from the pair engine: one
-    root search (_lambda_rows) over every r and every pair of the
+def _support_engine(n, r_grid, lower, angles):
+    """The supporting moduli of a planar norm from the pair engine, at each
+    r of r_grid with the label its flag in lower (one per r) gives it: one
+    root search (_lambda_rows) over every row r and every pair of the
     quasiorthogonal table (_quasiorth_table), then a zoom of the best table
-    pair of each r at once in the angle of x, with its partner rebuilt from
-    j1, each level warm-started from the shifts of the last."""
-    sign = 1.0 if which == "upper" else -1.0
+    pair of each row at once in the angle of x, with its partner rebuilt
+    from j1, each level warm-started from the shifts of the last.  A lower
+    row zooms on minus its shifts, so both labels run in lockstep."""
+    sign, lower = np.where(lower, -1.0, 1.0)[:, None], lower[:, None]
     r = r_grid[:, None, None]
     X, Y, A = _quasiorth_table(n, angles)
-    lam, ends = _lambda_rows(n, X, Y, r, which, _RANK_STEPS)
+    lam, ends = _lambda_rows(n, X, Y, r, lower, _RANK_STEPS)
     lam *= sign
     k = np.argmax(lam, axis=1)
     branch = np.where(k < len(X) // 2, 1.0, -1.0)[:, None, None]
 
     def shifts(Az, warm):
         Xz = sphere_points(n, Az)
-        lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, which, warm=warm)
+        lam, ends = _lambda_rows(n, Xz, branch * _quasiorth(n, Xz), r, lower, warm=warm)
         return sign * lam, ends
 
-    return sign * _zoom_max(shifts, lam[np.arange(r_grid.size), k], A[k], 2.0 * np.pi / angles, _warm(ends, k))
+    best = _zoom_max(shifts, lam[np.arange(r_grid.size), k], A[k], 2.0 * np.pi / angles, _warm(ends, k))
+    return sign[:, 0] * best
 
 
 def supporting_modulus_estimate(n, r_grid, which, budget=SearchBudget()):
     """Envelope of support shifts over quasiorthogonal unit pairs.
 
     which = "lower" takes the infimum (direction "over"), "upper" the
-    supremum (direction "under").  An inner-product norm takes the closed
-    form 1 - sqrt(1 - r^2) (see the module docstring).  A polyhedral sphere
-    takes one root search (_lambda_rows) over its vertex pairs
-    (_vertex_pairs) at every r.  Any other planar norm runs the pair engine
-    (_support_engine).  Each shift is rounded outward by the label.
+    supremum (direction "under"); a tuple of them, such as ("lower",
+    "upper"), returns a tuple of curves on r_grid, in its order, from one
+    search whose rows are the labels times the grid.  An inner-product norm
+    takes the closed form 1 - sqrt(1 - r^2) (see the module docstring).  A
+    polyhedral sphere takes one root search (_lambda_rows) over its vertex
+    pairs (_vertex_pairs) at every row.  Any other planar norm runs the
+    pair engine (_support_engine).  Each shift is rounded outward by its
+    label, and each row has the bits it has alone.
     """
-    if which not in ("lower", "upper"):
-        raise ValueError("which must be 'lower' or 'upper'")
+    labels = (which,) if isinstance(which, str) else tuple(which)
+    if not labels or not all(w in ("lower", "upper") for w in labels):
+        raise ValueError("which must be 'lower', 'upper' or a tuple of them")
     r_grid = np.asarray(r_grid, dtype=float)
     if not np.all((0 < r_grid) & (r_grid <= 1 + 1e-12)):
         raise ValueError("r grid must lie in (0, 1]")
-    direction = "under" if which == "upper" else "over"
-    label = f"{n.name}:support_{which}"
-    n = _isometric_base(n)
-    if n.ops.inner_product:
-        return ModulusCurve(r_grid.copy(), _outward(_hilbert_shift(r_grid), direction, np.minimum(r_grid, 1.0)), direction,
-                            label=label)
-    if n.dim != 2:
+    sides = ["over" if w == "lower" else "under" for w in labels]
+    base = _isometric_base(n)
+    if base.ops.inner_product:
+        vals = [_outward(_hilbert_shift(r_grid), side, np.minimum(r_grid, 1.0)) for side in sides]
+    elif base.dim != 2:
         raise DimensionMismatch("supporting moduli are implemented for planar norms")
-    if n.ops.corners is not None:
-        sign = 1.0 if which == "upper" else -1.0
-        X, Y = _vertex_pairs(n)
-        vals = sign * (sign * _lambda_rows(n, X, Y, r_grid[:, None, None], which)[0]).max(axis=1)
     else:
-        vals = _support_engine(n, r_grid, which, budget.angles)
-    return ModulusCurve(r_grid.copy(), vals, direction, label=label)
+        r = np.tile(r_grid, len(labels))  # a row per label and r, with its label's flag
+        lower = np.repeat([w == "lower" for w in labels], r_grid.size)
+        if base.ops.corners is not None:
+            sign = np.where(lower, -1.0, 1.0)
+            X, Y = _vertex_pairs(base)
+            lam = sign * (sign[:, None] * _lambda_rows(base, X, Y, r[:, None, None], lower[:, None])[0]).max(axis=1)
+        else:
+            lam = _support_engine(base, r, lower, budget.angles)
+        vals = np.split(lam, len(labels))
+    curves = tuple(ModulusCurve(r_grid.copy(), v, side, label=f"{n.name}:support_{w}")
+                   for v, side, w in zip(vals, sides, labels))
+    return curves[0] if isinstance(which, str) else curves
 
 
 # ---------------------------------------------------------------------------

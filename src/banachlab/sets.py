@@ -51,7 +51,6 @@ from .norms import (
     norm_to_json,
     polygon_norm,
     sphere_points,
-    support_point,
 )
 
 
@@ -304,7 +303,7 @@ def _sphere_nearest_rows(g: NormSpec, center: np.ndarray, radius: float,
         X = X[t]
         # 60 halvings of the 3h bracket reach adjacent floats; a width of 0 breaks the cap
         hi = _bracket_roots(lambda i, a: slope(a, X[i]), t.shape, lo[t], hi[t], slo[t], shi[t],
-                            3 * h * 2.0 ** -60, False)[1]
+                            3 * h * 2.0 ** -60)[1]
         K[row[t], col[t]] = center + radius * sphere_points(g, hi)
         dists = np.where(keep, norm_batch(n, K - V[:, None]), np.inf)
         dmin = np.min(dists, axis=1)[:, None]
@@ -980,23 +979,32 @@ def rolling_ball_check_projection(A: ClosedSetSpec, n: NormSpec, R: float,
 def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
                               sample_count: int = 64, seed: int = 0) -> CheckReport:
     """At boundary points with a normal direction p, recover the unit vector u
-    supporting p and require dist(x + R u, A) >= R."""
+    supporting p and require dist(x + R u, A) >= R.
+
+    The samples within 100 _CONE_TOL of the boundary (normal_directions'
+    test) take their cones from one cone_rows call, and every direction its
+    support point from one ops.support call, normalized as support_point
+    does; the rows are those of a one-point loop, in its order.  Raises
+    ZeroVector at a ball's center and for a zero functional."""
     _scale(R, "R")
-    xs = boundary_sample(A, n, sample_count, seed=seed)
-    rows = []  # (x, p, u) for each normal direction p at each boundary point x
-    for x in xs:
-        try:
-            dirs = normal_directions(A, n, x)
-        except InteriorPoint:
-            continue
-        rows += [(np.asarray(x), p, support_point(n, p)) for p in dirs]
-    if not rows:
+    X = np.reshape(boundary_sample(A, n, sample_count, seed=seed), (-1, A.dim))
+    X = X[~(np.abs(A.ops.residual(n, X)) > 100 * _CONE_TOL)]
+    P, k = A.ops.cone_rows(n, X)
+    if np.any(k < 0):
+        raise ZeroVector("the normal cone of a ball is undefined at its center")
+    row, col = np.nonzero(np.arange(P.shape[1]) < k[:, None])
+    X, P = X[row], P[row, col]
+    if not len(P):
         return CheckReport("pass", 0.0, None, 0, reason="no normal directions found")
-    m = A.ops.nearest_rows(n, np.array([x + R * u for x, _, u in rows]))[0] - R
-    k = int(np.argmin(m))
-    verdict = "pass" if m[k] >= -1e-6 else "fail"
-    witness = tuple(tuple(t) for t in rows[k])
-    return CheckReport(verdict, float(m[k]), witness if verdict == "fail" else None, len(rows))
+    if not np.all(np.any(P, axis=1)):
+        raise ZeroVector("the zero functional supports the ball everywhere")
+    U = n.ops.support(P)
+    U = U / norm_batch(n, U)[:, None]
+    m = A.ops.nearest_rows(n, X + R * U)[0] - R
+    i = int(np.argmin(m))
+    verdict = "pass" if m[i] >= -1e-6 else "fail"
+    witness = (tuple(X[i]), tuple(P[i]), tuple(U[i]))
+    return CheckReport(verdict, float(m[i]), witness if verdict == "fail" else None, len(P))
 
 
 # ---------------------------------------------------------------------------
@@ -1028,7 +1036,7 @@ def chord_projection_check(n: NormSpec, x, z):
 
     def first_up(f, lo, hi):  # where f, which rises through 0 at most once, turns up on [lo, hi]
         return _bracket_roots(f, (1,), lo, hi, f(0, np.array([lo]))[0], f(0, np.array([hi]))[0],
-                              4.0 * 2.0 ** -60, False)[1][0]
+                              4.0 * 2.0 ** -60)[1][0]
 
     g0 = float(g(0, np.zeros(1))[0])
     if g0 <= _SLACK:

@@ -123,21 +123,27 @@ def test_rejects_negative_seed_option(tmp_path):
     assert run_cli(["moduli", "--config", path, "--out", str(tmp_path / "o"), "--seed", "-1"]) == 2
 
 
-def test_euclidean_ambient_curves_are_closed_form_arrays():
+def test_euclidean_ambient_curves_are_closed_form_arrays(tmp_path):
     """The hypo stage reads the curves of the Euclidean ambients, euclid3
     included, from the estimators' closed forms: ndarray arguments and
     values, so the curve helpers accept them, with the bits of the planar
-    euclid curves."""
+    euclid curves.  The run's table refuses a curve or an argument that no
+    stage requested."""
     low, norms = bl.SearchBudget.preset("low"), bl.norm_zoo()
     grid = [0.01, 0.02, 0.04, 0.08]
+    cfg = cli.load_config(write_config(tmp_path, dict(TINY, norms=[], sets=[["disc", 1.0], ["tube", 0.8]],
+                                                      grids=dict(TINY["grids"], r=grid))))
+    cache = cli.RunCache(cfg, ("hypo",))
     for nid in ("euclid", "euclid3"):
-        delta, rho = (cli._ambient_curve(e, nid, norms, low, grid, cli.RunCache())
-                      for e in (bl.delta_estimate, bl.rho_estimate))
+        delta, rho = (cache.curve(kind, nid, cli._ambient_grid(grid)) for kind in ("delta", "rho"))
         assert isinstance(rho.args, np.ndarray) and isinstance(delta.values, np.ndarray)
         assert np.array_equal(rho.values, bl.rho_estimate(norms["euclid"], rho.args, low).values)
         assert np.array_equal(delta.values, bl.delta_estimate(norms["euclid"], delta.args, low).values)
         lo, hi = bl.doubling_ratio(rho)
         assert 3.9 < lo <= hi < 4.0
+    for kind, args in (("rho", [0.5]), ("upper", grid)):  # an argument or a curve no stage stated
+        with pytest.raises(KeyError):
+            cache.curve(kind, "euclid", args)
 
 
 def test_empty_norm_list_is_a_clean_no_op(tmp_path):
@@ -255,6 +261,29 @@ def test_hypo_estimates_only_the_curves_it_reads(tmp_path, monkeypatch):
     path = write_config(tmp_path, dict(TINY, norms=["poly"], sets=[]))
     run_cli(["hypo", "--config", path, "--out", str(tmp_path / "out")])
     assert calls == []
+
+
+@pytest.mark.parametrize("config", ["default", "suite"])
+def test_all_runs_one_search_per_curve_and_norm(tmp_path, monkeypatch, config):
+    """`all` resolves every curve its stages read before they run: one
+    delta_estimate, one rho_estimate and one supporting_modulus_estimate
+    call per norm, the last for both labels at once, on the default config
+    and on one whose r grid lacks the 2 eps points of hypo's sandwich."""
+    calls = []
+    for name in ("delta_estimate", "rho_estimate", "supporting_modulus_estimate"):
+        estimator = getattr(cli.M, name)
+        monkeypatch.setattr(cli.M, name, lambda n, *a, _e=estimator, _name=name:
+                            calls.append((_name, n.name, a[1] if len(a) == 3 else None)) or _e(n, *a))
+    argv = ["all", "--budget", "low", "--out", str(tmp_path / "out")]
+    if config == "suite":
+        argv += ["--config", write_config(tmp_path, dict(TINY, norms=["euclid", "l3", "poly"], sets=[],
+                                                         grids=dict(TINY["grids"], r=[0.1, 0.3, 0.5, 0.75, 1.0])))]
+    run_cli(argv)
+    norms = cli.load_config(None).norms if config == "default" else ["euclid", "l3", "poly"]
+    support = [c for c in calls if c[0] == "supporting_modulus_estimate"]
+    assert sorted(c[1] for c in support) == sorted(norms)
+    assert all(c[2] == ("lower", "upper") for c in support)
+    assert len(calls) == len(set(c[:2] for c in calls))
 
 
 def test_gamma_sweep_script_on_a_polygon(tmp_path):

@@ -356,7 +356,7 @@ def test_pair_engine_meets_the_hilbert_oracle(norms, nid, budget):
     n, count = norms[nid], SearchBudget.preset(budget).angles
     r = np.array([0.25, 0.5, 1.0])
     for which, side in (("lower", "over"), ("upper", "under")):
-        c = bl.ModulusCurve(r, M._support_engine(n, r, which, count), side)
+        c = bl.ModulusCurve(r, M._support_engine(n, r, np.full(r.size, which == "lower"), count), side)
         _assert_on_side(c, 1 - np.sqrt(1 - r * r), side, accuracy=1e-6)
     eps = np.array([0.1, 0.3, 0.5])
     assert H._gamma_engine(n, 1.0, eps, count) == pytest.approx(eps * eps, abs=1e-12)
@@ -415,10 +415,10 @@ def test_the_arc_finds_the_values_of_the_full_circle(cid, budget, monkeypatch):
     n, count = ARC_CASES[cid], SearchBudget.preset(budget).angles
     r = np.linspace(0.02, 1.0, 25)
     eps = np.array([0.1, 0.5, 1.0, 1.6])
-    arc = [M._support_engine(n, r, which, count) for which in ("lower", "upper")]
+    arc = [M._support_engine(n, r, np.full(r.size, lower), count) for lower in (True, False)]
     arc_gamma = H._gamma_engine(n, 1.0, eps, count)
     monkeypatch.setattr(M, "_arc", _full_circle)
-    full = [M._support_engine(n, r, which, count) for which in ("lower", "upper")]
+    full = [M._support_engine(n, r, np.full(r.size, lower), count) for lower in (True, False)]
     full_gamma = H._gamma_engine(n, 1.0, eps, count)
     for a, f in zip(arc + [arc_gamma], full + [full_gamma]):
         assert np.all(np.abs(a - f) <= 1e-12 * np.abs(f) + 1e-15), (cid, np.max(np.abs(a - f) / np.abs(f)))
@@ -755,7 +755,7 @@ def test_support_shift_euclid_closed_form():
     """For orthonormal x, y the shift solves (1-s)^2 + r^2 = 1."""
     n = bl.lp_norm(2)
     for r in (0.1, 0.3, 0.7):
-        got = M._lambda_rows(n, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), r, "lower")[0][0]
+        got = M._lambda_rows(n, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), r, True)[0][0]
         assert got == pytest.approx(1 - np.sqrt(1 - r * r), abs=1e-9)
 
 
@@ -809,7 +809,7 @@ def test_support_shift_is_exact_at_the_end_of_the_range():
     """At r = 1 the shift has infinite slope: a residual that rounds to 0
     must not stop the bisection short of 1."""
     n = bl.lp_norm(2)
-    assert M._lambda_rows(n, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 1.0, "lower")[0][0] == 1.0
+    assert M._lambda_rows(n, np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]]), 1.0, True)[0][0] == 1.0
     for nid in ("euclid", "ellipse"):
         m = bl.norm_zoo()[nid]
         assert bl.supporting_modulus_estimate(m, [1.0], "lower", LOW).values[0] == 1.0, nid
@@ -817,8 +817,30 @@ def test_support_shift_is_exact_at_the_end_of_the_range():
 
 def test_supporting_modulus_which_flag():
     n = bl.lp_norm(2)
-    with pytest.raises(ValueError):
-        bl.supporting_modulus_estimate(n, [0.3], "sideways", LOW)
+    for which in ("sideways", (), ("lower", "sideways")):
+        with pytest.raises(ValueError):
+            bl.supporting_modulus_estimate(n, [0.3], which, LOW)
+
+
+@pytest.mark.parametrize("budget", ["low", "default"])
+@pytest.mark.parametrize("nid", ["l15", "l3", "weighted l3", "l1", "poly", "ellipse"])
+def test_both_labels_in_one_search_are_the_one_label_calls(norms, nid, budget):
+    """which = ("lower", "upper") runs both labels as the rows of one
+    search, on the union of the grids each label is wanted on; sliced back,
+    every value, direction and label has the bits of the one-label call on
+    that label's own grid, on overlapping and on disjoint grids, and in
+    either label order."""
+    n = bl.weighted_lp_norm(3, [1.0, 2.5]) if nid == "weighted l3" else norms[nid]
+    B = SearchBudget.preset(budget)
+    for g_lo, g_hi in (([0.1, 0.3, 0.5, 0.75, 1.0], [0.2, 0.4, 0.8, 1.0]), ([0.05, 0.6], [0.2, 0.9])):
+        union = np.union1d(g_lo, g_hi)
+        lo, hi = bl.supporting_modulus_estimate(n, union, ("lower", "upper"), B)
+        hi2, lo2 = bl.supporting_modulus_estimate(n, union, ("upper", "lower"), B)
+        for c, g, which in ((lo, g_lo, "lower"), (hi, g_hi, "upper"), (lo2, g_lo, "lower"), (hi2, g_hi, "upper")):
+            ref = bl.supporting_modulus_estimate(n, g, which, B)
+            assert np.array_equal(c.values[np.searchsorted(union, g)], ref.values), (nid, which, g)
+            assert (c.direction, c.label) == (ref.direction, ref.label)
+            assert np.array_equal(c.args, union)
 
 
 # ---------------------------------------------------------------------------
@@ -937,9 +959,9 @@ def test_root_searches_keep_the_label_contract(norms, nid):
     B = X + SHIFTS * Y
     for which in ("lower", "upper"):
         for steps in (M._SHIFT_STEPS, M._RANK_STEPS):
-            lam, (lo, hi) = M._lambda_rows(n, X, Y, SHIFTS, which, steps)
+            lam, (lo, hi) = M._lambda_rows(n, X, Y, SHIFTS, which == "lower", steps)
             for warm in [None] + _warm_guesses(lo, hi):
-                lam, (lo, hi) = M._lambda_rows(n, X, Y, SHIFTS, which, steps, warm)
+                lam, (lo, hi) = M._lambda_rows(n, X, Y, SHIFTS, which == "lower", steps, warm)
                 g_lo, g_hi = (bl.norm_batch(n, B - X * t[..., None]) - 1.0 for t in (lo, hi))
                 if which == "lower":
                     assert np.array_equal(lam, hi)
@@ -979,17 +1001,17 @@ def test_root_search_spends_at_most_bisection_and_spare(monkeypatch):
     counts = _counting(monkeypatch)
     euclid = bl.lp_norm(2)
     x, y = np.array([[1.0, 0.0]]), np.array([[0.0, 1.0]])
-    lam, _ = M._lambda_rows(euclid, x, y, 1.0, "lower")
+    lam, _ = M._lambda_rows(euclid, x, y, 1.0, True)
     assert lam[0] == 1.0
     assert counts[-1][0] <= M._SHIFT_STEPS + M._ITP_SPARE + 1
-    lam, _ = M._lambda_rows(euclid, x, y, 1.0, "upper")
+    lam, _ = M._lambda_rows(euclid, x, y, 1.0, False)
     assert 1.0 - 1e-7 < lam[0] < 1.0
     assert counts[-1][0] <= M._SHIFT_STEPS + M._ITP_SPARE + 1
     roots = np.linspace(0.1, 0.9, 7)
     width = 2.0 ** -M._RANK_STEPS
     for f in (lambda t, i: (t - roots[i]) ** 3, lambda t, i: np.sign(t - roots[i])):
         lo, hi = M._bracket_roots(lambda i, t: f(t, i), (7,), 0.0, 1.0,
-                                  f(0.0, np.arange(7)), f(1.0, np.arange(7)), width, False)
+                                  f(0.0, np.arange(7)), f(1.0, np.arange(7)), width)
         assert np.all((lo <= roots) & (roots <= hi) & (hi - lo <= width))
         assert counts[-1].max() <= M._RANK_STEPS + M._ITP_SPARE
     for eps in (0.1, 0.5, 1.0, 1.9):

@@ -762,6 +762,50 @@ def test_rolling_ball_checks_agree_with_certificate(registry, zoo):
         assert (q.verdict == "pass") == expect, (sid, q.reason)
 
 
+def _one_point_rolling_normal(A, n, R, sample_count, seed):
+    """The rolling-ball normal check as a loop over the boundary samples:
+    one normal_directions call per sample, one support_point call per
+    direction and one distance call per pushed point."""
+    rows = []
+    for x in bl.boundary_sample(A, n, sample_count, seed=seed):
+        try:
+            dirs = bl.normal_directions(A, n, x)
+        except InteriorPoint:
+            continue
+        rows += [(np.asarray(x), p, bl.support_point(n, p)) for p in dirs]
+    if not rows:
+        return bl.CheckReport("pass", 0.0, None, 0, reason="no normal directions found")
+    m = np.array([bl.distance(A, n, x + R * u) for x, _, u in rows]) - R
+    k = int(np.argmin(m))
+    verdict = "pass" if m[k] >= -1e-6 else "fail"
+    witness = tuple(tuple(t) for t in rows[k])
+    return bl.CheckReport(verdict, float(m[k]), witness if verdict == "fail" else None, len(rows))
+
+
+@pytest.mark.parametrize("seed", [3, 11])
+def test_rolling_normal_report_is_that_of_the_one_point_loop(registry, zoo, seed):
+    """The batched rolling-ball normal check (one cone_rows call on all
+    samples, one support call on all directions) gives the report of the
+    one-point loop, witness and margin bit for bit, on every registry set
+    at its default scales and at scales where it fails, and on the
+    polyhedral and l3 gauge complements under their own gauge and under
+    euclid; it raises ZeroVector where the loop does, at the center of a
+    ball too small to leave it."""
+    cases = [(registry[sid][0], bl.ambient_norm(zoo, registry[sid][1]), R)
+             for sid, R in list(bl.DEFAULT_SET_SCALES) + [("disc_complement", 1.3), ("tube", 1.2),
+                                                          ("l3_ball_complement", 1.5), ("halfplane", 0.5)]]
+    for nid in ("l1", "linf", "poly", "l3"):
+        A = bl.make_ball_complement([0.0, 0.0], 1.0, gauge=zoo[nid])
+        cases += [(A, zoo[nid], 0.5), (A, zoo["euclid"], 0.5), (bl.make_ball([0.5, 0.0], 1.0, gauge=zoo[nid]), zoo[nid], 2.0)]
+    for A, n, R in cases:
+        got = bl.rolling_ball_check_normal(A, n, R, sample_count=24, seed=seed)
+        assert got == _one_point_rolling_normal(A, n, R, 24, seed), (A.name, n.name, R)
+    tiny = bl.make_ball([1.0, 1.0], 1e-17)
+    for check in (bl.rolling_ball_check_normal, _one_point_rolling_normal):
+        with pytest.raises(ZeroVector):
+            check(tiny, E2, 0.5, 4, seed)
+
+
 def test_ball_complement_beyond_unit_radius_fails_rolling_checks():
     """The unit-ball complement supports a rolling ball only up to radius
     one; at radius 1.3 both outward-ball checks and the certificate refuse
