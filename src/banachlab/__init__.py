@@ -9,19 +9,15 @@ from .norms import (
     NotSymmetric,
     ZeroVector,
     dual_norm_batch,
-    dual_norm_eval,
     ellipse_norm,
     lp_norm,
     norm_batch,
     norm_eval,
-    norm_from_json,
-    norm_to_json,
     pairing,
     polygon_norm,
     sphere_points,
     subdifferential_extremes,
     support_point,
-    unit_vector,
     weighted_lp_norm,
 )
 from .moduli import (
@@ -51,10 +47,8 @@ from .sets import (
     ClosedSetSpec,
     EmptyShell,
     InteriorPoint,
-    NoIntersection,
     NormalConeSample,
     boundary_sample,
-    chord_projection_check,
     contains,
     cylinder_extend,
     distance,
@@ -67,14 +61,10 @@ from .sets import (
     normal_cone_sample,
     normal_directions,
     project,
-    projection_normal_check,
     prox_smooth_certificate,
     rolling_ball_check_normal,
     rolling_ball_check_projection,
-    set_from_json,
-    set_to_json,
     shell_sample,
-    support_gap_check,
 )
 from .hypo import (
     ConstructionFailed,

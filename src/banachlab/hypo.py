@@ -284,7 +284,7 @@ def touching_point_search(A: ClosedSetSpec, n: NormSpec, z0, z1, eps: float):
         if norm_eval(n, w) < 1e-12:
             dd *= 0.5
             continue
-        p = j1_batch(n, w)
+        p = j1_batch(n, w[None])[0]
         ok1 = norm_eval(n, y0 - y) < eps * gap
         ok2 = float(p @ (z1 - z0)) < eps * gap
         if ok1 and ok2:

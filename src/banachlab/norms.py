@@ -277,14 +277,6 @@ class _Lp(_NormKind):
             self._restricted[cs] = weighted_lp_norm(self.p, [1.0] * len(cs))
         return self._restricted.get(cs, self.spec)
 
-    @staticmethod
-    def from_json(d):
-        p = math.inf if d["p"] == "inf" else float(d["p"])
-        name = d.get("name", "")
-        if "weights" in d:
-            return weighted_lp_norm(p, d["weights"], name=name)
-        return lp_norm(p, dim=d.get("dim", 2), name=name)
-
 
 class _Polygon(_NormKind):
     def __init__(self, n):
@@ -313,10 +305,6 @@ class _Polygon(_NormKind):
     def longest_segment(self):
         V = self.vertices
         return float(np.max(self.norm(np.roll(V, -1, axis=0) - V)))
-
-    @staticmethod
-    def from_json(d):
-        return polygon_norm(d["vertices"], name=d.get("name", ""))
 
 
 class _LinearImage(_NormKind):
@@ -368,10 +356,6 @@ class _Ellipse(_LinearImage):
 
     def __init__(self, n):
         super().__init__(n, lp_norm(2, 2), np.linalg.cholesky(np.array(n.matrix)).T)
-
-    @staticmethod
-    def from_json(d):
-        return ellipse_norm(d["matrix"], name=d.get("name", ""))
 
 
 _KINDS = {"weighted_lp": _Lp, "polygon": _Polygon, "ellipse": _Ellipse}
@@ -489,19 +473,6 @@ def dual_norm_batch(n, P):
     return n.ops.dual(P)
 
 
-def dual_norm_eval(n, p):
-    """The dual norm of one functional, as a one-row batch (see norm_eval)."""
-    return float(dual_norm_batch(n, as_vec(p, n.dim)[None])[0])
-
-
-def unit_vector(n, d):
-    d = as_vec(d, n.dim)
-    nd = norm_eval(n, d)
-    if nd <= 0:
-        raise ZeroVector("cannot normalize the zero vector")
-    return d / nd
-
-
 def sphere_points(n, count_or_angles):
     """Points on the unit sphere of a planar norm.
 
@@ -564,26 +535,3 @@ def support_point(n, p):
     u = n.ops.support(p)
     return u / norm_eval(n, u)
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-def norm_to_json(n):
-    d = {"kind": n.kind, "dim": n.dim}
-    if n.name:
-        d["name"] = n.name
-    if n.p is not None:
-        d["p"] = "inf" if math.isinf(n.p) else n.p
-    if n.weights is not None:
-        d["weights"] = list(n.weights)
-    if n.vertices is not None:
-        d["vertices"] = [list(v) for v in n.vertices]
-    if n.matrix is not None:
-        d["matrix"] = [list(r) for r in n.matrix]
-    return d
-
-
-def norm_from_json(d):
-    """Inverse of norm_to_json; also reads "kind": "lp" (unit weights)."""
-    kind = "weighted_lp" if d["kind"] == "lp" else d["kind"]
-    return _norm_kind(kind).from_json(d)

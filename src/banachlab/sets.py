@@ -44,11 +44,8 @@ from .norms import (
     _pairings,
     as_vec,
     dual_norm_batch,
-    j1_batch,
     norm_batch,
     norm_eval,
-    norm_from_json,
-    norm_to_json,
     polygon_norm,
     sphere_points,
 )
@@ -60,10 +57,6 @@ class InteriorPoint(ValueError):
 
 class EmptyShell(RuntimeError):
     """Shell sampling exhausted its retry budget without a hit."""
-
-
-class NoIntersection(RuntimeError):
-    """A chord construction found no sphere crossing."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -219,7 +212,6 @@ _TIE_ULPS = 8  # feet within this many ulps of the least distance tie with it
 _RING = 4096  # points of the gauge-sphere ring that the nearest-point scan reads
 _SCAN_BLOCK = 128  # rows per block of the (rows, _RING) ring-distance table
 _CONE_TOL = 1e-6  # a facet is active within 10 times this, a normal cone is taken within 100
-_SLACK = 1e-6  # the slack of the chord-projection and support-gap inequalities
 _SPAN = 2.0  # a boundary sample's free coordinates are uniform on [-_SPAN, _SPAN]
 
 
@@ -343,7 +335,7 @@ class _SetKind:
     - boundary_sample(n, count, rng), count boundary points drawn from the
       caller's generator alone (a cylinder draws its base points from it,
       then its free coordinates);
-    - sample_inside(rng) and from_json(d).
+    - sample_inside(rng).
     A row has the same bits alone and in any batch wherever the ambient norm
     gives it the same bits, as every norm kind does."""
 
@@ -429,12 +421,6 @@ class _Ball(_SetKind):
         u = rng.standard_normal(self.spec.dim)
         u /= np.linalg.norm(u)
         return self.c + (self.r * 1.5 + rng.uniform(0.0, 0.5)) * u
-
-    @classmethod
-    def from_json(cls, d):
-        gauge = norm_from_json(d["gauge"]) if "gauge" in d else None
-        make = make_ball if cls.sign > 0 else make_ball_complement
-        return make(d["center"], d["radius"], gauge, d.get("name", ""))
 
 
 class _BallComplement(_Ball):
@@ -525,10 +511,6 @@ class _Halfspace(_Planes):
     def sample_inside(self, rng):
         return self.foot - (0.5 + rng.uniform(0.0, 1.0)) * self.a
 
-    @staticmethod
-    def from_json(d):
-        return make_halfspace(d["normal"], d["offset"], d.get("name", ""))
-
 
 class _FinitePoints(_SetKind):
     def __init__(self, A: ClosedSetSpec):
@@ -558,10 +540,6 @@ class _FinitePoints(_SetKind):
 
     def sample_inside(self, rng):
         return self.pts[int(rng.integers(0, self.pts.shape[0]))].copy()
-
-    @staticmethod
-    def from_json(d):
-        return make_finite_points(d["points"], d.get("name", ""))
 
 
 class _PolytopeComplement(_Planes):
@@ -623,10 +601,6 @@ class _PolytopeComplement(_Planes):
         a = self.A[i]
         return (self.b[i] / float(a @ a)) * a + (0.5 + rng.uniform(0.0, 0.5)) * a
 
-    @staticmethod
-    def from_json(d):
-        return make_polytope_complement([(a, b) for a, b in d["facets"]], d.get("name", ""))
-
 
 class _Cylinder(_SetKind):
     """base x R^k: the base set on the axes `coords`, free on the others.
@@ -666,10 +640,6 @@ class _Cylinder(_SetKind):
         y = rng.uniform(-1.0, 1.0, size=self.dim)
         y[self.coords] = base
         return y
-
-    @staticmethod
-    def from_json(d):
-        return cylinder_extend(_set_from_dict(d["base"]), d["dim"], d["coords"], d.get("name", ""))
 
 
 _KINDS = {
@@ -742,14 +712,13 @@ def _sample_tries(rng, n: NormSpec, count: int, budget: int, spread, scale: floa
 
 
 def _cone_pairings(n: NormSpec, Y: np.ndarray, x, P: np.ndarray):
-    """The rows k of Y farther than 1e-12 from x (one point, or one per row),
-    their pairings <p, y - x> with the directions P, (dirs, dim) or one such
-    stack per row, shape (k, dirs), summed on the coordinate columns in order
-    (norms._fold), and their norms |y - x|."""
+    """The rows k of Y farther than 1e-12 from the point x, their pairings
+    <p, y - x> with the directions P, (dirs, dim), shape (k, dirs), summed on
+    the coordinate columns in order (norms._fold), and their norms |y - x|."""
     W = Y - x
     d = norm_batch(n, W)
     k = np.flatnonzero(~(d < 1e-12))
-    return k, _fold(np.add, (P if P.ndim == 2 else P[k]) * W[k, None]), d[k]
+    return k, _fold(np.add, P * W[k, None]), d[k]
 
 
 def normal_directions(A: ClosedSetSpec, n: NormSpec, x) -> tuple:
@@ -817,36 +786,6 @@ def shell_sample(A: ClosedSetSpec, n: NormSpec, R: float, count: int, seed: int 
     if not out:
         raise EmptyShell(f"no points with 0 < dist < {R} found")
     return out
-
-
-def projection_normal_check(A: ClosedSetSpec, n: NormSpec, R: float,
-                            sample_count: int = 64, seed: int = 0) -> CheckReport:
-    """For external points u with projection x, the functional picked by the
-    duality map at u - x must lie in the sampled normal cone at x."""
-    try:
-        us = shell_sample(A, n, R, sample_count, seed)
-    except EmptyShell:
-        return CheckReport("pass", 0.0, None, 0, reason="empty shell")
-    rng = np.random.default_rng(seed + 7)
-    rows, pts = [], []  # (u, x, p) of each used sample, and the set points sampled near x
-    _, K, keep = A.ops.nearest_rows(n, np.array(us))
-    for u, x in zip(us, _first(K, keep)):
-        w = u - x
-        if norm_eval(n, w) < 1e-9:
-            continue
-        rows.append((u, x, j1_batch(n, w)))
-        pts.append(_set_points_near(A, n, x, 1e-3, 80, rng))
-    if not rows:
-        return CheckReport("pass", 0.0, None, 0, reason="no usable samples")
-    owner = np.repeat(np.arange(len(rows)), [len(a) for a in pts])
-    X, P = (np.array([r[i] for r in rows])[owner] for i in (1, 2))
-    k, val, d = _cone_pairings(n, np.concatenate(pts), X, P[:, None])
-    ratio = np.append(val[:, 0] / d, 0.0)  # the first largest ratio, or 0 when none is positive
-    j = int(np.argmax(ratio))
-    margin = 2e-3 - max(0.0, ratio[j])
-    verdict = "pass" if margin >= 0 else "fail"
-    witness = tuple(tuple(t) for t in rows[owner[k[j]]]) if verdict == "fail" else None
-    return CheckReport(verdict, float(margin), witness, len(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -1008,70 +947,6 @@ def rolling_ball_check_normal(A: ClosedSetSpec, n: NormSpec, R: float,
 
 
 # ---------------------------------------------------------------------------
-# supporting-chord and sphere-separation checks
-
-
-def chord_projection_check(n: NormSpec, x, z):
-    """For a unit vector x with support functional p and a point z on the
-    supporting line {<p, .> = 1}, the sphere point y cut out by the line
-    through z parallel to x satisfies 2|z - x| >= |x - y| - 1e-6.
-
-    y = z - s x at the first root s of the convex g(s) = |z - s x| - 1 on
-    [0, 4], before the minimum of g, where its nondecreasing slope
-    -<grad|z - s x|, x> turns up; both by moduli._bracket_roots, down to
-    adjacent floats.  Raises NoIntersection when min g exceeds 1e-10."""
-    xv = as_vec(x, n.dim)
-    zv = as_vec(z, n.dim)
-    if abs(norm_eval(n, xv) - 1.0) > 1e-7:
-        raise ValueError("x must be a unit vector")
-    p = j1_batch(n, xv)
-    if abs(float(p @ zv) - 1.0) > 1e-6:
-        raise ValueError("z must lie on the supporting line of x")
-
-    def g(i, s):
-        return norm_batch(n, zv - s[:, None] * xv) - 1.0
-
-    def slope(i, s):
-        return -(n.ops.gradient(zv - s[:, None] * xv) @ xv)
-
-    def first_up(f, lo, hi):  # where f, which rises through 0 at most once, turns up on [lo, hi]
-        return _bracket_roots(f, (1,), lo, hi, f(0, np.array([lo]))[0], f(0, np.array([hi]))[0],
-                              4.0 * 2.0 ** -60)[1][0]
-
-    g0 = float(g(0, np.zeros(1))[0])
-    if g0 <= _SLACK:
-        y = zv.copy()
-    else:
-        s_min = first_up(slope, 0.0, 4.0)
-        if g(0, np.array([s_min]))[0] > 1e-10:
-            raise NoIntersection("line through z parallel to x misses the sphere")
-        s_star = first_up(lambda i, s: -g(i, s), 0.0, s_min) if g0 > 0 else 0.0
-        y = zv - s_star * xv
-    lhs = 2 * norm_eval(n, zv - xv)
-    rhs = norm_eval(n, xv - y)
-    return lhs >= rhs - _SLACK, y, float(lhs - rhs)
-
-
-def support_gap_check(n: NormSpec, R: float, x0, z, delta_curve):
-    """Inner points of a sphere sit quantitatively on the far side of the
-    supporting functional at -x0, with gap 2 R delta(|z - x0| / R), less
-    1e-6."""
-    x0v = as_vec(x0, n.dim)
-    zv = as_vec(z, n.dim)
-    if abs(norm_eval(n, x0v) - R) > 1e-6 * max(1.0, R):
-        raise ValueError("x0 must lie on the sphere of radius R")
-    if norm_eval(n, zv) >= R:
-        raise ValueError("z must be an interior point of the R-ball")
-    if getattr(delta_curve, "direction", "over") != "over":
-        raise ValueError("need an upper convexity-modulus curve for a sound check")
-    p0 = j1_batch(n, -x0v)
-    lhs = float(p0 @ (zv - x0v))
-    rhs = 2 * R * delta_curve.eval(norm_eval(n, zv - x0v) / R)
-    margin = lhs - rhs
-    return margin > -_SLACK, float(margin)
-
-
-# ---------------------------------------------------------------------------
 # largest inscribed ellipse (2D)
 
 
@@ -1115,26 +990,3 @@ def john_ellipse_2d(vertices) -> np.ndarray:
         raise DegenerateBody("polygon escapes the sqrt(2)-scaled ellipse")
     return Q
 
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def set_to_json(A: ClosedSetSpec) -> str:
-    def pack(v):
-        if isinstance(v, ClosedSetSpec):
-            return {f.name: pack(getattr(v, f.name)) for f in dataclasses.fields(v)
-                    if getattr(v, f.name) is not None}
-        if isinstance(v, NormSpec):
-            return norm_to_json(v)
-        return [pack(t) for t in v] if isinstance(v, tuple) else v
-
-    return json.dumps(pack(A), sort_keys=True)
-
-
-def _set_from_dict(d: dict) -> ClosedSetSpec:
-    return _set_kind(d["kind"]).from_json(d)
-
-
-def set_from_json(text: str) -> ClosedSetSpec:
-    return _set_from_dict(json.loads(text))

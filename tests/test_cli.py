@@ -172,12 +172,14 @@ def test_import_and_registry_do_not_load_scipy():
                                 "zoo.set_registry(zoo.norm_zoo())") == "[]"
 
 
-def test_chord_projection_check_does_not_load_scipy():
-    """The chord search, the last one that used SciPy, runs on the bracketed
+def test_all_does_not_load_scipy(tmp_path):
+    """A whole run needs no SciPy: every root search of the package (the
+    moduli's, the ring feet's and the touching point's) is the bracketed
     root search of the moduli."""
-    assert _scipy_modules_after("import banachlab as bl\n"
-                                "print(bl.chord_projection_check(bl.lp_norm(3), [1.0, 0.0], [1.0, 0.4])[0])"
-                                ) == "True\n[]"
+    argv = ["all", "--config", write_config(tmp_path, TINY), "--out", str(tmp_path / "o")]
+    assert _scipy_modules_after("import contextlib, io\nfrom banachlab import cli\n"
+                                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                                f"    cli.main({argv!r})") == "[]"
 
 
 # ---------------------------------------------------------------------------

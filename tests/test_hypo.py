@@ -212,6 +212,11 @@ def test_gamma_grid_is_the_per_eps_calls(zoo, registry):
                     bl.gamma_estimate(A, n, grid, budget=1024, seed=2)
 
 
+def _unit(n, q):
+    """q over its dual norm, taken as a one-row batch."""
+    return q / bl.dual_norm_batch(n, q[None])[0]
+
+
 def _one_point_cone(ops, n, x):
     """The outward unit normals at one boundary point x of the set kind ops,
     by the one-point rule of each kind, written apart from its cone table:
@@ -225,25 +230,25 @@ def _one_point_cone(ops, n, x):
         ext = bl.subdifferential_extremes(S._gauge(ops.spec, n), x - ops.c)
         if ops.sign < 0 and len(ext) > 1:
             return []
-        return [q / bl.dual_norm_eval(n, q) for q in (ops.sign * e for e in ext)]
+        return [_unit(n, ops.sign * e) for e in ext]
     if kind == "_Halfspace":
-        return [ops.a / bl.dual_norm_eval(n, ops.a)]
+        return [_unit(n, ops.a)]
     if kind == "_FinitePoints":
         th = np.linspace(0.0, 2 * np.pi, 16, endpoint=False)
         raw = np.stack([np.cos(th), np.sin(th)], axis=1)
         if n.dim != 2:
             raw = np.random.default_rng(5).standard_normal((16, n.dim))
-        return [p / bl.dual_norm_eval(n, p) for p in raw]
+        return [_unit(n, p) for p in raw]
     if kind == "_PolytopeComplement":
         scale = np.maximum(np.maximum(1.0, np.abs(ops.b)), np.max(np.abs(ops.A), axis=1))
         active = ops.A[np.abs(ops._gaps(x[None])[:, 0]) <= 10 * S._CONE_TOL * scale]
-        return [-active[0] / bl.dual_norm_eval(n, active[0])] if len(active) == 1 else []
+        return [-_unit(n, active[0])] if len(active) == 1 else []
     if kind == "_Cylinder":
         out = []
         for p in _one_point_cone(ops.base.ops, n.ops.restrict(ops.coords), x[ops.coords]):
             q = np.zeros(ops.dim)
             q[ops.coords] = p
-            out.append(q / bl.dual_norm_eval(n, q))
+            out.append(_unit(n, q))
         return out
     raise AssertionError(kind)
 
@@ -489,7 +494,7 @@ def _touching_inequalities_hold(A, n, z0, z1, eps, lam, y, p):
     assert bl.norm_eval(n, zl - y) < gap
     assert bl.pairing(p, z1 - z0) < gap
     assert bl.contains(A, n, y, tol=1e-6)
-    assert bl.dual_norm_eval(n, p) == pytest.approx(1.0, abs=1e-6)
+    assert bl.dual_norm_batch(n, p) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_touching_outputs_satisfy_definition(registry, zoo):
@@ -541,8 +546,6 @@ _FROZEN = {
             '[[1.2954953312037905, -0.3700230337209935], [-1.2044573142357948, '
             '-0.16300178374603352], [0.567723657432671, -0.049633449697647006], '
             '[-0.6910699591287598, 0.020990754679106067]]'),
-        "projection": (
-            '{"samples_used": 6, "verdict": "pass", "witness": null, "worst_margin": 0.002}'),
         "cone": (
             '[0.0, 0.0, true]'),
     },
@@ -561,8 +564,6 @@ _FROZEN = {
             '[[-0.7045046687962095, 0.43477180039945035], [0.03268844375984192, '
             '0.8369982162539664], [-0.6910699591287598, -0.06337673478681048], '
             '[0.7571586328427358, 0.8542556515742934]]'),
-        "projection": (
-            '{"samples_used": 6, "verdict": "pass", "witness": null, "worst_margin": 0.002}'),
         "cone": (
             '[0.0, 0.0, true]'),
     },
@@ -582,8 +583,6 @@ _FROZEN = {
             '[[-0.7824794326017043, -0.3403248029263187, 0.372105409402304], [0.9662599582614928, '
             '-0.15948577807074285, -1.029613066149352], [-0.6344354370536259, 0.6612465146950798, '
             '0.8606854236002959], [0.3232096822303993, -0.7654383206289311, -0.03171509138550076]]'),
-        "projection": (
-            '{"samples_used": 6, "verdict": "pass", "witness": null, "worst_margin": 0.002}'),
         "cone": (
             '[0.0, 0.0, true]'),
     },
@@ -603,10 +602,6 @@ _FROZEN = {
             '[[-0.6218421541692853, -0.54482762784052], [0.7385188824237912, '
             '-0.35884722255576806], [0.5648835607882925, 0.5066554563086191], '
             '[-0.6903576548100945, -0.7786257575939263]]'),
-        "projection": (
-            '{"samples_used": 6, "verdict": "fail", "witness": [[-0.6903576548100945, '
-            '-0.7786257575939263], [-0.46898341240402075, -1.0], [-1.0, 0.0]], '
-            '"worst_margin": -0.998}'),
         "cone": (
             '[0.0, 0.0, true]'),
     },
@@ -619,18 +614,17 @@ def test_sampled_check_reports_are_those_of_the_one_try_loops(registry, zoo, sid
     that the pair sweep, the block sampler and the cone-ratio kernel
     replace: hypo_check, gamma's separation band (the max-norm box
     complement under its own norm takes the exact engine), the section
-    bound, shell_sample, projection_normal_check and the vetting quality of
-    normal_cone_sample.  two_points pairs 16 directions at each point and
-    has no set point in its section; square_complement runs the plane feet
-    of a polytope complement.  The tube, which is 3-d, is frozen from the
-    kernels instead: its entry pins the mended cylinder sampler, which draws
-    the base points and then the free coordinates from one generator.  The
-    projection witness of box_complement was re-frozen when the plane feet
-    came to end at the exact corners, listed in table order: its foot is the
-    other end of the same flat face of feet, at the same max-norm distance
-    from u, and its functional (-1, 0) pairs with u - x to |u - x|.  The
-    input rho curve is the cancelling form sqrt(1 + t^2) - 1 the reports
-    were frozen with, not hilbert_rho, which no longer cancels."""
+    bound, shell_sample and the vetting quality of normal_cone_sample.
+    two_points pairs 16 directions at each point and has no set point in its
+    section; square_complement runs the plane feet of a polytope complement.
+    The tube, which is 3-d, is frozen from the kernels instead: its entry
+    pins the mended cylinder sampler, which draws the base points and then
+    the free coordinates from one generator.  The face of feet of
+    box_complement's last shell point, which ends at the exact corners, is
+    pinned through project by test_sets'
+    test_box_complement_under_its_own_flat_gauge.  The input rho curve is
+    the cancelling form sqrt(1 + t^2) - 1 the reports were frozen with, not
+    hilbert_rho, which no longer cancels."""
     A, amb = registry[sid]
     n = bl.ambient_norm(zoo, amb)
     args = np.linspace(0.0125, 2.0, 40)
@@ -645,7 +639,6 @@ def test_sampled_check_reports_are_those_of_the_one_try_loops(registry, zoo, sid
         "section": bl.section_bound_check(A, n, 0.8, rho, a0, 0.4, sample_count=40,
                                           seed=3).to_json(),
         "shell": json.dumps([list(map(float, u)) for u in bl.shell_sample(A, n, 0.6, 4, seed=3)]),
-        "projection": bl.projection_normal_check(A, n, 0.6, sample_count=6, seed=3).to_json(),
         "cone": json.dumps(list(bl.normal_cone_sample(A, n, a0, count=30, seed=3).quality)),
     }
     assert got == _FROZEN[sid]
